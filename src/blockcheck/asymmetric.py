@@ -25,7 +25,7 @@ closure is blocked could fail the lifted tautology check).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .blocking import is_literal_blocked
 from .cnf import Clause, Formula, as_clause, literal_key
@@ -50,8 +50,8 @@ class AlaTrace:
         return self.base | (step.literal for step in self.added)
 
 
-def _saturate(donors: Sequence[Clause], base: Clause) -> AlaTrace:
-    """Run literal addition to fixpoint against a fixed donor list.
+def _saturate(f: Formula, c: Clause, x: Clause) -> AlaTrace:
+    """Run literal addition on x to fixpoint, drawing donors from f without c.
 
     Rounds are batched: each round scans the donors in order against the
     clause as it stood at the start of the round, then commits the discovered
@@ -60,7 +60,8 @@ def _saturate(donors: Sequence[Clause], base: Clause) -> AlaTrace:
     log is pinned down by it. Saturation runs through tautology — stopping at
     the first complementary pair would make the result order-dependent.
     """
-    current = set(base)
+    donors = f.clauses_except(c)
+    current = set(x)
     steps: list[AlaStep] = []
     while True:
         found: dict[int, Clause] = {}
@@ -72,34 +73,63 @@ def _saturate(donors: Sequence[Clause], base: Clause) -> AlaTrace:
                 if all(other in current for other in donor if other != m):
                     found[add] = donor
         if not found:
-            return AlaTrace(base, tuple(steps))
+            return AlaTrace(x, tuple(steps))
         for lit in sorted(found, key=literal_key):
             steps.append(AlaStep(lit, found[lit]))
         current.update(found)
 
 
+# The base properties judge a clause x against f with c excluded: c is the
+# clause under test, x is c itself or one of its lifted resolvents.
+BaseProperty = Callable[[Formula, Clause, Clause], bool]
+
+
+def _base_t(f: Formula, c: Clause, x: Clause) -> bool:
+    return x.is_tautology()
+
+
+def _base_s(f: Formula, c: Clause, x: Clause) -> bool:
+    return any(d.issubset(x) for d in f.clauses_except(c))
+
+
+def _base_at(f: Formula, c: Clause, x: Clause) -> bool:
+    return _saturate(f, c, x).clause.is_tautology()
+
+
+def _base_as(f: Formula, c: Clause, x: Clause) -> bool:
+    return _base_s(f, c, _saturate(f, c, x).clause)
+
+
+BASES: dict[str, BaseProperty] = {
+    "t": _base_t,
+    "s": _base_s,
+    "at": _base_at,
+    "as": _base_as,
+}
+
+
 def ala_fixpoint(f: Formula, c: "Clause | Iterable[int]") -> AlaTrace:
     """Saturate literal addition on c, drawing donors from f without c."""
     c = as_clause(c)
-    return _saturate([d for d in f if d != c], c)
+    return _saturate(f, c, c)
 
 
 def is_AT(f: Formula, c: "Clause | Iterable[int]") -> bool:
     """Asymmetric tautology: the saturation closure of c is tautological."""
-    return ala_fixpoint(f, c).clause.is_tautology()
+    c = as_clause(c)
+    return _base_at(f, c, c)
 
 
 def is_subsumed(f: Formula, c: "Clause | Iterable[int]") -> bool:
     """True iff a clause of f other than c itself is a subset of c."""
     c = as_clause(c)
-    return any(d != c and d.issubset(c) for d in f)
+    return _base_s(f, c, c)
 
 
 def is_AS(f: Formula, c: "Clause | Iterable[int]") -> bool:
     """Asymmetric subsumption: some other clause subsumes the closure of c."""
     c = as_clause(c)
-    closure = ala_fixpoint(f, c).clause
-    return any(d != c and d.issubset(closure) for d in f)
+    return _base_as(f, c, c)
 
 
 def asymmetric_blocking_literal(f: Formula, c: "Clause | Iterable[int]") -> int | None:
@@ -119,34 +149,6 @@ def is_ABC(f: Formula, c: "Clause | Iterable[int]") -> bool:
     return asymmetric_blocking_literal(f, c) is not None
 
 
-BaseProperty = Callable[[Formula, Clause], bool]
-
-
-def _base_t(pool: Formula, c: Clause) -> bool:
-    return c.is_tautology()
-
-
-def _base_s(pool: Formula, c: Clause) -> bool:
-    return any(d.issubset(c) for d in pool)
-
-
-def _base_at(pool: Formula, c: Clause) -> bool:
-    return _saturate(pool.clauses, c).clause.is_tautology()
-
-
-def _base_as(pool: Formula, c: Clause) -> bool:
-    closure = _saturate(pool.clauses, c).clause
-    return any(d.issubset(closure) for d in pool)
-
-
-BASES: dict[str, BaseProperty] = {
-    "t": _base_t,
-    "s": _base_s,
-    "at": _base_at,
-    "as": _base_as,
-}
-
-
 def r_lift_witness(
     base: BaseProperty,
     f: Formula,
@@ -158,11 +160,10 @@ def r_lift_witness(
     first literal of c for which every partner resolvent satisfies the base.
     """
     c = as_clause(c)
-    pool = f.without(c)
-    if base(pool, c):
+    if base(f, c, c):
         return True, None
     for lit in c:
-        if all(base(pool, c | (d - (-lit,))) for d in f.clauses_with(-lit)):
+        if all(base(f, c, c | (d - (-lit,))) for d in f.clauses_with(-lit)):
             return True, lit
     return False, None
 

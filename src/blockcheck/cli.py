@@ -24,7 +24,7 @@ from .blocking import (
     is_set_blocked,
     sample_super_blocked,
 )
-from .cnf import Clause, Formula, parse_dimacs, write_dimacs
+from .cnf import Clause, Formula, parse_dimacs, read_literals, write_dimacs
 from .engine import (
     PROPERTIES,
     EliminationConfig,
@@ -81,17 +81,12 @@ def _load_formula(path: str, strict: bool) -> Formula:
 
 def _parse_clause_arg(text: str) -> Clause:
     toks = text.split()
-    lits: list[int] = []
-    for i, tok in enumerate(toks):
-        try:
-            val = int(tok)
-        except ValueError as exc:
-            raise _UsageError("bad literal %r in --clause" % (tok,)) from exc
-        if val == 0:
-            if i != len(toks) - 1:
-                raise _UsageError("literal 0 may only terminate --clause")
-            break
-        lits.append(val)
+    try:
+        lits, end = read_literals(toks, 0, 1)
+    except ParseError as exc:
+        raise _UsageError("--clause %r: %s" % (text, exc)) from exc
+    if end not in (None, len(toks)):
+        raise _UsageError("literal 0 may only terminate --clause")
     return Clause(lits)
 
 
@@ -113,9 +108,14 @@ def _lits(values) -> str:
 
 
 def _cmd_check(ns) -> int:
+    prop = ns.property
+    cfg = None
+    if prop in PROPERTIES:
+        cfg = EliminationConfig(property=prop, k=ns.k, ext_cap=ns.ext_cap)
+    if ns.incomplete is not None and ns.incomplete < 1:
+        raise _UsageError("--incomplete must be positive")
     f = _load_formula(ns.path, ns.strict)
     c = _pick_clause(ns, f)
-    prop = ns.property
 
     if prop == "bc":
         w = is_literal_blocked(f, c)
@@ -126,7 +126,7 @@ def _cmd_check(ns) -> int:
         return 1
 
     if prop == "setbc":
-        w = is_set_blocked(f, c, ns.k)
+        w = is_set_blocked(f, c, cfg.k)
         if w is not None:
             print("BLOCKED witness-set %s" % (_lits(w.blocking_set),))
             return 0
@@ -135,10 +135,10 @@ def _cmd_check(ns) -> int:
 
     if prop == "supbc":
         try:
-            res = check_super_blocked(f, c, ns.k, ns.ext_cap)
+            res = check_super_blocked(f, c, cfg.k, cfg.ext_cap)
         except CapExceeded as exc:
             if ns.incomplete:
-                scan = sample_super_blocked(f, c, Random(ns.seed), ns.incomplete, ns.k)
+                scan = sample_super_blocked(f, c, Random(ns.seed), ns.incomplete, cfg.k)
                 if scan.refuted:
                     print("NOT-BLOCKED failing-tau %s" % (_lits(scan.failing_tau.to_literals()),))
                     return 1
@@ -185,7 +185,6 @@ def _cmd_check(ns) -> int:
         return 0 if verdict else 1
 
     # remaining redundancy-style properties run through the engine registry
-    cfg = EliminationConfig(property=prop, k=ns.k, ext_cap=ns.ext_cap)
     try:
         ok, w = check_property(f, c, cfg)
     except CapExceeded as exc:
@@ -211,7 +210,7 @@ def _cmd_classify(ns) -> int:
         for p in props:
             if p not in PROPERTIES:
                 raise _UsageError("unknown property %r" % (p,))
-    report = classify(f, props, k=ns.k, ext_cap=ns.ext_cap, jobs=ns.jobs)
+    report = classify(f, props, k=ns.k, ext_cap=ns.ext_cap)
     _write_out(ns.out, report.to_tsv())
     return 0
 
@@ -311,7 +310,6 @@ def _build_parser() -> _Parser:
                    help="property to include (repeatable, comma-separable); default all")
     p.add_argument("--k", type=int)
     p.add_argument("--ext-cap", type=int, default=16)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_classify)

@@ -10,7 +10,7 @@ is deterministic.
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
 
@@ -189,9 +189,14 @@ class Formula:
     def copy(self) -> "Formula":
         return Formula(self._seq)
 
+    def clauses_except(self, clause: Clause) -> list[Clause]:
+        """All clauses other than `clause`, in insertion order."""
+        rest = dict(self._seq)
+        rest.pop(clause, None)
+        return list(rest)
+
     def without(self, clause: "Clause | Iterable[int]") -> "Formula":
-        clause = as_clause(clause)
-        return Formula(c for c in self._seq if c != clause)
+        return Formula(self.clauses_except(as_clause(clause)))
 
     def with_clause(self, clause: "Clause | Iterable[int]") -> "Formula":
         out = self.copy()
@@ -352,6 +357,111 @@ def restrict(f: Formula, assignment: Assignment) -> Formula:
     return Formula(c for c in f if not assignment.satisfies_clause(c))
 
 
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for every line that is not blank or a 'c' comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("c"):
+            yield lineno, line
+
+
+def read_literals(tokens: Sequence[str], start: int, lineno: int) -> tuple[list[int], int | None]:
+    """Read a zero-terminated literal list from tokens[start:].
+
+    Returns the literals and the index just past the 0, or None in its place
+    when the tokens ran out first; the caller decides whether the list may
+    continue on the next line. Every literal-list format of the package is
+    read here, so a bad token is always reported with its line.
+    """
+    lits: list[int] = []
+    for i in range(start, len(tokens)):
+        try:
+            lit = int(tokens[i])
+        except ValueError:
+            raise ParseError("line %d: bad literal %r" % (lineno, tokens[i])) from None
+        if lit == 0:
+            return lits, i + 1
+        lits.append(lit)
+    return lits, None
+
+
+class DimacsBody(NamedTuple):
+    """The header and clauses of a DIMACS text, with the lines they came from."""
+
+    header_line: int
+    declared_vars: int
+    declared_clauses: int
+    clauses: list[Clause]
+    clause_lines: list[int]
+
+    def check_counts(self, max_var: int, strict: bool) -> None:
+        """Compare the header counts with the content: warn, or raise under strict."""
+        problems = []
+        if max_var > self.declared_vars:
+            problems.append("declared %d variables but found id %d" % (self.declared_vars, max_var))
+        parsed = len(self.clauses)
+        if parsed != self.declared_clauses:
+            problems.append("declared %d clauses, parsed %d" % (self.declared_clauses, parsed))
+        for msg in problems:
+            msg = "line %d: %s" % (self.header_line, msg)
+            if strict:
+                raise ParseError(msg)
+            warnings.warn(msg, stacklevel=3)
+
+
+def read_dimacs_body(
+    source: "str | bytes",
+    prefix: "Callable[[int, list[str]], bool] | None" = None,
+) -> DimacsBody:
+    """Read a 'p cnf V C' header, then clauses up to an optional '%' end marker.
+
+    A clause may span lines. `prefix(lineno, tokens)` is offered every line
+    after the header and returns True for lines it consumed itself (the
+    QDIMACS quantifier lines); all other lines are clause data. Errors that
+    belong to no single line name the last line read.
+    """
+    text = source.decode("utf-8", errors="replace") if isinstance(source, bytes) else source
+    header: "tuple[int, int, int] | None" = None
+    clauses: list[Clause] = []
+    clause_lines: list[int] = []
+    pending: list[int] = []
+    lineno = 1
+    for lineno, line in numbered_lines(text):
+        if line.startswith("%"):
+            break
+        if line.startswith("p"):
+            if header is not None:
+                raise ParseError("line %d: duplicate header line" % lineno)
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                raise ParseError("line %d: malformed header: %r" % (lineno, line))
+            try:
+                header = (lineno, int(parts[2]), int(parts[3]))
+            except ValueError:
+                raise ParseError("line %d: malformed header: %r" % (lineno, line)) from None
+            if header[1] < 0 or header[2] < 0:
+                raise ParseError("line %d: negative counts in header: %r" % (lineno, line))
+            continue
+        if header is None:
+            raise ParseError("line %d: clause data before header: %r" % (lineno, line))
+        toks = line.split()
+        if prefix is not None and prefix(lineno, toks):
+            continue
+        start: "int | None" = 0
+        while start is not None and start < len(toks):
+            lits, start = read_literals(toks, start, lineno)
+            pending.extend(lits)
+            if start is not None:
+                clauses.append(Clause(pending))
+                clause_lines.append(lineno)
+                pending = []
+    if pending:
+        raise ParseError("line %d: unterminated clause at end of input" % lineno)
+    if header is None:
+        raise ParseError("line %d: missing header" % lineno)
+    return DimacsBody(*header, clauses, clause_lines)
+
+
 def parse_dimacs(source: "str | bytes", strict: bool = False) -> Formula:
     """Parse DIMACS CNF text into a Formula.
 
@@ -361,67 +471,11 @@ def parse_dimacs(source: "str | bytes", strict: bool = False) -> Formula:
     the declared header counts and the actual content warns by default and
     raises ParseError under strict=True. Hard errors regardless of strictness:
     missing/malformed header, non-integer tokens, an unterminated final clause.
+    Every ParseError message starts with the line it concerns.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8", errors="replace")
-    declared_vars: int | None = None
-    declared_clauses: int | None = None
-    clauses: list[Clause] = []
-    pending: list[int] = []
-    for raw in source.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("%"):
-            break
-        if line.startswith("p"):
-            if declared_vars is not None:
-                raise ParseError("duplicate header line")
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise ParseError("malformed header: %r" % line)
-            try:
-                declared_vars = int(parts[2])
-                declared_clauses = int(parts[3])
-            except ValueError:
-                raise ParseError("malformed header: %r" % line) from None
-            if declared_vars < 0 or declared_clauses < 0:
-                raise ParseError("negative counts in header: %r" % line)
-            continue
-        if declared_vars is None:
-            raise ParseError("clause data before header: %r" % line)
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError("bad token %r" % tok) from None
-            if lit == 0:
-                clauses.append(Clause(pending))
-                pending = []
-            else:
-                pending.append(lit)
-    if pending:
-        raise ParseError("unterminated clause at end of input")
-    if declared_vars is None:
-        raise ParseError("missing header")
-    max_var = max((abs(l) for c in clauses for l in c), default=0)
-    if max_var > declared_vars:
-        msg = "declared %d variables but found id %d" % (declared_vars, max_var)
-        if strict:
-            raise ParseError(msg)
-        warnings.warn(msg, stacklevel=2)
-    formula = Formula(clauses)
-    if len(clauses) != declared_clauses or len(formula) != len(clauses):
-        msg = "declared %d clauses, parsed %d (%d distinct)" % (
-            declared_clauses,
-            len(clauses),
-            len(formula),
-        )
-        if len(clauses) != declared_clauses:
-            if strict:
-                raise ParseError(msg)
-            warnings.warn(msg, stacklevel=2)
-    return formula
+    body = read_dimacs_body(source)
+    body.check_counts(max((abs(l) for c in body.clauses for l in c), default=0), strict)
+    return Formula(body.clauses)
 
 
 def write_dimacs(f: Formula) -> str:

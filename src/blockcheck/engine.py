@@ -24,7 +24,6 @@ produce identical repairs, which the tests check.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -35,7 +34,15 @@ from .blocking import (
     is_set_blocked,
     is_super_blocked,
 )
-from .cnf import Assignment, Clause, Formula, external_variables, restrict
+from .cnf import (
+    Assignment,
+    Clause,
+    Formula,
+    external_variables,
+    numbered_lines,
+    read_literals,
+    restrict,
+)
 from .errors import CapExceeded, ParseError, ReconstructionError
 
 PROPERTIES: tuple[str, ...] = (
@@ -192,29 +199,27 @@ class EliminationTrace:
                 entries.append(TraceEntry(pending["clause"], "supbc", w))
                 pending = None
 
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
+        lineno = 1
+        for lineno, line in numbered_lines(text):
             if not header_seen:
                 if line != "t blockcheck 1":
-                    raise ParseError("unrecognized trace header: %r" % (line,))
+                    raise ParseError("line %d: unrecognized trace header: %r" % (lineno, line))
                 header_seen = True
                 continue
             toks = line.split()
             if toks[0] == "d":
                 finalize()
                 if len(toks) < 2:
-                    raise ParseError("truncated trace line: %r" % (line,))
+                    raise ParseError("line %d: truncated trace line: %r" % (lineno, line))
                 tag = toks[1]
                 if tag not in _CHECKS:
-                    raise ParseError("unknown property tag %r" % (tag,))
-                clause_lits, rest = _ints_to_zero(toks[2:], line)
-                if not rest or rest[0] != "w":
-                    raise ParseError("missing witness section: %r" % (line,))
-                wlits, rest = _ints_to_zero(rest[1:], line)
-                if rest:
-                    raise ParseError("trailing tokens on trace line: %r" % (line,))
+                    raise ParseError("line %d: unknown property tag %r" % (lineno, tag))
+                clause_lits, i = _terminated_literals(toks, 2, lineno)
+                if i == len(toks) or toks[i] != "w":
+                    raise ParseError("line %d: missing witness section: %r" % (lineno, line))
+                wlits, i = _terminated_literals(toks, i + 1, lineno)
+                if i != len(toks):
+                    raise ParseError("line %d: trailing tokens on trace line: %r" % (lineno, line))
                 clause = Clause(clause_lits)
                 if tag == "supbc":
                     if wlits:
@@ -224,57 +229,52 @@ class EliminationTrace:
                         pending = {"clause": clause, "per_tau": {}}
                 elif tag == "setbc":
                     if not wlits:
-                        raise ParseError("set-blocking entry without a witness: %r" % (line,))
+                        raise ParseError("line %d: set-blocking entry without a witness" % lineno)
                     w = BlockingWitness(kind="set", blocking_set=Clause(wlits))
                     entries.append(TraceEntry(clause, tag, w))
                 elif tag == "bc":
                     if len(wlits) != 1:
-                        raise ParseError("literal-blocking entry needs one witness literal: %r" % (line,))
+                        raise ParseError("line %d: literal-blocking entry needs one witness" % lineno)
                     entries.append(TraceEntry(clause, tag, BlockingWitness(kind="literal", literal=wlits[0])))
                 elif tag in ("t", "s", "at", "as"):
                     if wlits:
-                        raise ParseError("unexpected witness for property %r" % (tag,))
+                        raise ParseError("line %d: unexpected witness for %r" % (lineno, tag))
                     entries.append(TraceEntry(clause, tag, None))
                 else:
                     if len(wlits) > 1:
-                        raise ParseError("at most one witness literal allowed: %r" % (line,))
+                        raise ParseError("line %d: at most one witness literal allowed" % lineno)
                     w = BlockingWitness(kind="literal", literal=wlits[0]) if wlits else None
                     entries.append(TraceEntry(clause, tag, w))
             elif toks[0] == "wt":
                 if pending is None:
-                    raise ParseError("restriction line outside a super-blocking entry: %r" % (line,))
-                tlits, rest = _ints_to_zero(toks[1:], line)
-                slits, rest = _ints_to_zero(rest, line)
-                if rest:
-                    raise ParseError("trailing tokens on trace line: %r" % (line,))
+                    raise ParseError("line %d: restriction line outside a supbc entry" % lineno)
+                tlits, i = _terminated_literals(toks, 1, lineno)
+                slits, i = _terminated_literals(toks, i, lineno)
+                if i != len(toks):
+                    raise ParseError("line %d: trailing tokens on trace line: %r" % (lineno, line))
                 try:
                     tau = Assignment.from_literals(tlits)
                 except ValueError as exc:
-                    raise ParseError(str(exc)) from exc
+                    raise ParseError("line %d: %s" % (lineno, exc)) from exc
                 pending["per_tau"][tau] = Clause(slits)
             elif toks[0] == "x":
                 finalize()
-                lits, rest = _ints_to_zero(toks[1:], line)
-                skipped.append((Clause(lits), " ".join(rest)))
+                lits, i = _terminated_literals(toks, 1, lineno)
+                skipped.append((Clause(lits), " ".join(toks[i:])))
             else:
-                raise ParseError("unrecognized trace line: %r" % (line,))
+                raise ParseError("line %d: unrecognized trace line: %r" % (lineno, line))
         if not header_seen:
-            raise ParseError("empty trace")
+            raise ParseError("line %d: empty trace" % lineno)
         finalize()
         return cls(entries, skipped)
 
 
-def _ints_to_zero(tokens: Sequence[str], line: str) -> tuple[list[int], list[str]]:
-    out: list[int] = []
-    for i, tok in enumerate(tokens):
-        try:
-            val = int(tok)
-        except ValueError as exc:
-            raise ParseError("bad literal %r in trace line: %r" % (tok, line)) from exc
-        if val == 0:
-            return out, list(tokens[i + 1:])
-        out.append(val)
-    raise ParseError("unterminated literal list in trace line: %r" % (line,))
+def _terminated_literals(tokens: Sequence[str], start: int, lineno: int) -> tuple[list[int], int]:
+    """A trace line's literal list, whose 0 must come on the same line."""
+    lits, end = read_literals(tokens, start, lineno)
+    if end is None:
+        raise ParseError("line %d: unterminated literal list" % lineno)
+    return lits, end
 
 
 def eliminate_clauses(
@@ -374,6 +374,10 @@ def reconstruct_model(
             state = g.with_clause(c)
             if w.per_tau is not None:
                 dom = next(iter(w.per_tau)).variables()
+                if not dom <= values.keys():
+                    raise ReconstructionError(
+                        "stored restriction table names variables outside the formula"
+                    )
                 tau = Assignment({v: values[v] for v in dom})
                 chosen = w.per_tau.get(tau)
                 if chosen is None:
@@ -420,12 +424,11 @@ def classify(
     *,
     k: int | None = None,
     ext_cap: int = 16,
-    jobs: int = 1,
 ) -> ClassifyReport:
     """Per-clause membership matrix: yes / no / cap for each property.
 
-    Cells are independent reads of the same formula, so they may be checked
-    in parallel; the report layout is fixed by formula order either way.
+    Every cell is an independent check of the clause against the same
+    formula; rows follow formula order.
     """
     props = tuple(properties) if properties is not None else PROPERTIES
     cfgs = {}
@@ -441,15 +444,7 @@ def classify(
             return "cap"
         return "yes" if ok else "no"
 
-    clauses = f.clauses
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [[pool.submit(cell, c, p) for p in props] for c in clauses]
-            rows = tuple(
-                (c, tuple(fut.result() for fut in row)) for c, row in zip(clauses, futures)
-            )
-    else:
-        rows = tuple((c, tuple(cell(c, p) for p in props)) for c in clauses)
+    rows = tuple((c, tuple(cell(c, p) for p in props)) for c in f.clauses)
     return ClassifyReport(props, rows)
 
 
@@ -459,31 +454,24 @@ def write_model(a: Assignment) -> str:
 
 
 def parse_model(text: str) -> Assignment:
+    """Read a 'v ... 0' model; the literal list may continue over several 'v' lines."""
     lits: list[int] = []
     terminated = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    lineno = 1
+    for lineno, line in numbered_lines(text):
         if terminated:
-            raise ParseError("content after model terminator: %r" % (line,))
+            raise ParseError("line %d: content after model terminator: %r" % (lineno, line))
         toks = line.split()
         if toks[0] != "v":
-            raise ParseError("unrecognized model line: %r" % (line,))
-        for tok in toks[1:]:
-            if terminated:
-                raise ParseError("content after model terminator: %r" % (line,))
-            try:
-                val = int(tok)
-            except ValueError as exc:
-                raise ParseError("bad literal %r in model" % (tok,)) from exc
-            if val == 0:
-                terminated = True
-            else:
-                lits.append(val)
+            raise ParseError("line %d: unrecognized model line: %r" % (lineno, line))
+        vals, end = read_literals(toks, 1, lineno)
+        lits.extend(vals)
+        terminated = end is not None
+        if terminated and end != len(toks):
+            raise ParseError("line %d: content after model terminator: %r" % (lineno, line))
     if not terminated:
-        raise ParseError("model not zero-terminated")
+        raise ParseError("line %d: model not zero-terminated" % lineno)
     try:
         return Assignment.from_literals(lits)
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError("line %d: %s" % (lineno, exc)) from exc

@@ -12,7 +12,6 @@ data can instead be emitted as a forall-exists formula in QDIMACS.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,6 +20,8 @@ from .cnf import (
     Formula,
     as_clause,
     external_variables,
+    read_dimacs_body,
+    read_literals,
     resolution_environment,
     resolvent,
 )
@@ -171,99 +172,46 @@ def write_qdimacs(q: QbfInstance) -> str:
 def parse_qdimacs(source: "str | bytes", strict: bool = False) -> QbfInstance:
     """Parse QDIMACS with a single optional 'a' block then a single optional 'e' block.
 
-    The matrix may not mention unquantified variables. Count mismatches with
-    the header warn by default and raise ParseError under strict=True, as in
-    the plain CNF parser.
+    Header, clauses and count checks follow the DIMACS rules of parse_dimacs;
+    this adds only the quantifier prefix. The matrix may not mention
+    unquantified variables.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8", errors="replace")
-    declared_vars: int | None = None
-    declared_clauses: int | None = None
-    universals: list[int] = []
-    existentials: list[int] = []
-    seen_a = seen_e = False
-    clauses: list[Clause] = []
-    pending: list[int] = []
+    blocks: dict[str, list[int]] = {}
     in_matrix = False
-    for raw in source.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("%"):
-            break
-        if line.startswith("p"):
-            if declared_vars is not None:
-                raise ParseError("duplicate header line")
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError("malformed header: %r" % line)
-            try:
-                declared_vars = int(parts[2])
-                declared_clauses = int(parts[3])
-            except ValueError:
-                raise ParseError("malformed header: %r" % line) from None
-            continue
-        if declared_vars is None:
-            raise ParseError("content before header: %r" % line)
-        kind = line.split(None, 1)[0]
-        if kind in ("a", "e"):
-            if in_matrix:
-                raise ParseError("quantifier line after matrix clauses")
-            if kind == "a":
-                if seen_a or seen_e:
-                    raise ParseError("misplaced or repeated 'a' block")
-                seen_a = True
-                target = universals
-            else:
-                if seen_e:
-                    raise ParseError("repeated 'e' block")
-                seen_e = True
-                target = existentials
-            toks = line.split()[1:]
-            if not toks or toks[-1] != "0":
-                raise ParseError("unterminated quantifier line: %r" % line)
-            for tok in toks[:-1]:
-                try:
-                    var = int(tok)
-                except ValueError:
-                    raise ParseError("bad token %r" % tok) from None
-                if var < 1:
-                    raise ParseError("bad quantified variable %r" % tok)
-                if var in universals or var in existentials:
-                    raise ParseError("variable %d quantified twice" % var)
-                target.append(var)
-            continue
-        in_matrix = True
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ParseError("bad token %r" % tok) from None
-            if lit == 0:
-                clauses.append(Clause(pending))
-                pending = []
-            else:
-                pending.append(lit)
-    if pending:
-        raise ParseError("unterminated clause at end of input")
-    if declared_vars is None:
-        raise ParseError("missing header")
-    matrix = Formula(clauses)
-    free = matrix.variables() - set(universals) - set(existentials)
-    if free:
-        raise ParseError("free matrix variables %s" % sorted(free))
-    if len(clauses) != declared_clauses:
-        msg = "declared %d clauses, parsed %d" % (declared_clauses, len(clauses))
-        if strict:
-            raise ParseError(msg)
-        warnings.warn(msg, stacklevel=2)
-    max_var = max(
-        (abs(l) for c in clauses for l in c),
-        default=max(universals + existentials, default=0),
+
+    def prefix(lineno: int, toks: list[str]) -> bool:
+        nonlocal in_matrix
+        kind = toks[0]
+        if kind not in ("a", "e"):
+            in_matrix = True
+            return False
+        if in_matrix:
+            raise ParseError("line %d: quantifier line after matrix clauses" % lineno)
+        if kind in blocks or "e" in blocks:
+            raise ParseError("line %d: misplaced or repeated %r block" % (lineno, kind))
+        variables, end = read_literals(toks, 1, lineno)
+        if end != len(toks):
+            raise ParseError("line %d: unterminated quantifier line" % lineno)
+        quantified = {v for block in blocks.values() for v in block}
+        for var in variables:
+            if var < 1:
+                raise ParseError("line %d: bad quantified variable %d" % (lineno, var))
+            if var in quantified:
+                raise ParseError("line %d: variable %d quantified twice" % (lineno, var))
+            quantified.add(var)
+        blocks[kind] = variables
+        return True
+
+    body = read_dimacs_body(source, prefix)
+    universals = blocks.get("a", [])
+    existentials = blocks.get("e", [])
+    bound = set(universals) | set(existentials)
+    for c, lineno in zip(body.clauses, body.clause_lines):
+        free = c.variables() - bound
+        if free:
+            raise ParseError("line %d: free matrix variables %s" % (lineno, sorted(free)))
+    body.check_counts(
+        max((abs(l) for c in body.clauses for l in c), default=max(bound, default=0)),
+        strict,
     )
-    if max_var > declared_vars:
-        msg = "declared %d variables but found id %d" % (declared_vars, max_var)
-        if strict:
-            raise ParseError(msg)
-        warnings.warn(msg, stacklevel=2)
-    return QbfInstance(frozenset(universals), frozenset(existentials), matrix)
+    return QbfInstance(frozenset(universals), frozenset(existentials), Formula(body.clauses))

@@ -155,7 +155,7 @@ class TestClassifyCommand:
         out1 = str(tmp_path / "m1.tsv")
         out2 = str(tmp_path / "m2.tsv")
         assert run(["classify", path, "--out", out1]) == 0
-        assert run(["classify", path, "--jobs", "3", "--out", out2]) == 0
+        assert run(["classify", path, "--out", out2]) == 0
         text = (tmp_path / "m1.tsv").read_text()
         assert text == (tmp_path / "m2.tsv").read_text()
         assert text.splitlines()[0].startswith("clause\tt\ts\tbc\t")
@@ -216,6 +216,13 @@ class TestEliminateAndReconstruct:
         src = put(tmp_path, "f.cnf", BLOCKED_3)
         tracef = put(tmp_path, "bad.trace", "t blockcheck 1\nd bc 9 0 w 9 0\n")
         model = put(tmp_path, "m.txt", "v 0\n")
+        assert run(["reconstruct", src, "--trace", tracef, "--model", model]) == 70
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_reconstruct_restriction_on_unknown_variable_fails(self, tmp_path, capsys):
+        src = put(tmp_path, "f.cnf", "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n")
+        tracef = put(tmp_path, "bad.trace", "t blockcheck 1\nd supbc 1 2 0 w 0\nwt 9 0 1 0\n")
+        model = put(tmp_path, "m.txt", "v -1 -2 -3 0\n")
         assert run(["reconstruct", src, "--trace", tracef, "--model", model]) == 70
         assert capsys.readouterr().err.startswith("error:")
 
@@ -313,9 +320,13 @@ class TestExitCodes:
             ["check", path, "--property", "bc", "--clause", "1 0", "--clause-index", "0"],
             ["check", path, "--property", "bc", "--clause", "1 x 0"],
             ["check", path, "--property", "bc", "--clause", "1 0 2"],
+            ["encode-qbf", path, "--clause", "1 x 0"],
             ["check", path, "--property", "bc", "--clause-index", "9"],
             ["check", path, "--property", "nosuch", "--clause", "1 0"],
             ["eliminate", path, "--property", "bc", "--rounds", "0"],
+            ["check", path, "--property", "setbc", "--clause", "1 2 0", "--k", "0"],
+            ["check", path, "--property", "supbc", "--clause", "1 2 0", "--ext-cap", "-1"],
+            ["check", path, "--property", "supbc", "--clause", "1 2 0", "--incomplete", "0"],
         ]
         for argv in cases:
             assert run(argv) == 64, argv

@@ -3,11 +3,14 @@ import pytest
 from blockcheck import (
     Assignment,
     Clause,
+    EliminationTrace,
     Formula,
     ParseError,
     external_variables,
     literal_key,
     parse_dimacs,
+    parse_model,
+    parse_qdimacs,
     resolution_environment,
     resolvent,
     restrict,
@@ -228,3 +231,17 @@ class TestDimacs:
 
     def test_write_empty(self):
         assert write_dimacs(Formula()) == "p cnf 0 0\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_dimacs, "p cnf 2 2\n1 2 0\n-1 x 0\n"),
+        (parse_qdimacs, "p cnf 2 1\ne 1 2 0\n1 x 0\n"),
+        (EliminationTrace.from_text, "t blockcheck 1\nd bc 1 0 w 1 0\nd bc 2 0 w x 0\n"),
+        (parse_model, "c comment\nv 1\nv x 0\n"),
+    ],
+)
+def test_parse_errors_name_the_line(parse, text):
+    with pytest.raises(ParseError, match=r"^line 3: bad literal 'x'"):
+        parse(text)

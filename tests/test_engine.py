@@ -427,11 +427,6 @@ class TestClassify:
         report = classify(f, properties=("supbc",), ext_cap=1)
         assert dict(report.rows)[clause(1, 3)] == ("cap",)
 
-    def test_parallel_runs_match_serial(self, ex_varelim):
-        serial = classify(ex_varelim)
-        parallel = classify(ex_varelim, jobs=4)
-        assert serial == parallel
-
     def test_tsv_shape(self, ex_setblocked):
         f, c = ex_setblocked
         lines = classify(f.with_clause(c), properties=("bc", "setbc")).to_tsv().splitlines()

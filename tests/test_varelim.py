@@ -186,5 +186,16 @@ class TestQdimacs:
             parse_qdimacs("p cnf 2 1\na 1 0\n1 2 0\n")
 
     def test_parse_rejects_bad_prefix(self):
-        with pytest.raises(ParseError):
-            parse_qdimacs("p cnf 1 1\ne 1 0\na 1 0\n1 0\n")
+        for text in (
+            "p cnf 1 1\ne 1 0\na 1 0\n1 0\n",
+            "p cnf 2 1\na 1 0\na 2 0\n1 2 0\n",     # repeated 'a' block
+            "p cnf 2 1\na 1 0\ne 1 2 0\n1 2 0\n",   # variable in both blocks
+            "p cnf 2 1\ne 1 2 1 0\n1 2 0\n",        # variable twice in one block
+        ):
+            with pytest.raises(ParseError):
+                parse_qdimacs(text)
+
+    @pytest.mark.parametrize("header", ["p cnf -1 -5", "pxyz cnf 1 1"])
+    def test_parse_applies_the_dimacs_header_rules(self, header):
+        with pytest.raises(ParseError, match="^line 1: "):
+            parse_qdimacs(header + "\ne 1 0\n1 0\n")
