@@ -51,11 +51,23 @@ class BlockingWitness:
 
 
 def literal_blocks(f: Formula, c: "Clause | Iterable[int]", lit: int) -> bool:
-    """True iff every resolvent of c upon lit against f is a tautology."""
+    """True iff every resolvent of c upon lit against f is a tautology.
+
+    The resolvent c | (D \\ {-lit}) is a tautology iff c is one, or
+    D \\ {-lit} is one, or D holds the complement of a literal of c other
+    than lit; this is decided on the literal sets, building no resolvent.
+    """
     c = as_clause(c)
     if lit not in c:
         raise ValueError("blocking literal must belong to the clause")
-    return all((c | (d - (-lit,))).is_tautology() for d in f.clauses_with(-lit))
+    flipped = frozenset(-m for m in c._lits if m != lit)
+    if not flipped.isdisjoint(c._lits):  # c is a tautology
+        return True
+    return all(
+        not flipped.isdisjoint(d._lits)
+        or any(-m in d._lits for m in d._lits if m != lit and m != -lit)
+        for d in f.clauses_with(-lit)
+    )
 
 
 def is_literal_blocked(f: Formula, c: "Clause | Iterable[int]") -> BlockingWitness | None:

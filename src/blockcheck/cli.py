@@ -207,9 +207,13 @@ def _cmd_classify(ns) -> int:
         props = []
         for chunk in ns.property:
             props.extend(p for p in chunk.split(",") if p)
-        for p in props:
+        if not props:
+            raise _UsageError("--property names no property")
+        for i, p in enumerate(props):
             if p not in PROPERTIES:
                 raise _UsageError("unknown property %r" % (p,))
+            if p in props[:i]:
+                raise _UsageError("--property names %r twice" % (p,))
     report = classify(f, props, k=ns.k, ext_cap=ns.ext_cap)
     _write_out(ns.out, report.to_tsv())
     return 0
@@ -278,6 +282,12 @@ def _cmd_gen_reduction(ns) -> int:
 
 
 def _cmd_gen_random(ns) -> int:
+    if ns.vars < 1:
+        raise _UsageError("--vars must be positive")
+    if ns.width < 1:
+        raise _UsageError("--width must be positive")
+    if ns.clauses < 0:
+        raise _UsageError("--clauses must be non-negative")
     f = random_formula(Random(ns.seed), ns.vars, ns.clauses, ns.width)
     _write_out(ns.out, "c seed %d\n" % (ns.seed,) + write_dimacs(f))
     return 0

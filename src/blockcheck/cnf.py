@@ -10,6 +10,7 @@ is deterministic.
 from __future__ import annotations
 
 import warnings
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
@@ -107,13 +108,19 @@ class Formula:
     Duplicate clauses collapse. Iteration order is insertion order, which is
     file order for parsed formulas; determinism everywhere else in the package
     leans on it. Equality is set equality and ignores order.
+
+    The occurrence buckets and the unit-clause index map each clause to its
+    insertion id. `add` always appends with a fresh, larger id, so a bucket
+    lists its clauses in formula order without sorting, and a union of
+    buckets sorts on the stored ids without hashing a clause again.
     """
 
-    __slots__ = ("_seq", "_occ", "_next")
+    __slots__ = ("_seq", "_occ", "_units", "_next")
 
     def __init__(self, clauses: Iterable["Clause | Iterable[int]"] = ()):
         self._seq: dict[Clause, int] = {}
-        self._occ: dict[int, set[Clause]] = {}
+        self._occ: dict[int, dict[Clause, int]] = {}
+        self._units: dict[Clause, int] = {}
         self._next = 0
         for c in clauses:
             self.add(as_clause(c))
@@ -123,10 +130,12 @@ class Formula:
         clause = as_clause(clause)
         if clause in self._seq:
             return False
-        self._seq[clause] = self._next
+        seq = self._seq[clause] = self._next
         self._next += 1
         for l in clause:
-            self._occ.setdefault(l, set()).add(clause)
+            self._occ.setdefault(l, {})[clause] = seq
+        if len(clause) == 1:
+            self._units[clause] = seq
         return True
 
     def remove(self, clause: "Clause | Iterable[int]") -> None:
@@ -134,9 +143,10 @@ class Formula:
         del self._seq[clause]
         for l in clause:
             bucket = self._occ[l]
-            bucket.discard(clause)
+            del bucket[clause]
             if not bucket:
                 del self._occ[l]
+        self._units.pop(clause, None)
 
     def discard(self, clause: "Clause | Iterable[int]") -> bool:
         clause = as_clause(clause)
@@ -177,14 +187,19 @@ class Formula:
 
     def clauses_with(self, lit: int) -> list[Clause]:
         """All clauses containing the literal, in insertion order."""
-        return sorted(self._occ.get(lit, ()), key=self._seq.__getitem__)
+        return list(self._occ.get(lit, ()))
 
-    def clauses_with_any(self, lits: Iterable[int]) -> list[Clause]:
-        """All clauses containing at least one of the literals, in insertion order."""
-        hit: set[Clause] = set()
+    def clauses_with_any(self, lits: Iterable[int], units: bool = False) -> list[Clause]:
+        """All clauses containing at least one of the literals, in insertion order.
+
+        With units, every unit clause is included as well.
+        """
+        hit: dict[Clause, int] = dict(self._units) if units else {}
         for l in lits:
-            hit.update(self._occ.get(l, ()))
-        return sorted(hit, key=self._seq.__getitem__)
+            bucket = self._occ.get(l)
+            if bucket:
+                hit.update(bucket)
+        return [c for c, _ in sorted(hit.items(), key=itemgetter(1))]
 
     def copy(self) -> "Formula":
         return Formula(self._seq)
@@ -204,12 +219,14 @@ class Formula:
         return out
 
     def check_occ_consistent(self) -> bool:
-        """Verification mode: recompute the occurrence index and compare."""
-        want: dict[int, set[Clause]] = {}
-        for c in self._seq:
+        """Verification mode: recompute both indexes, bucket order included, and compare."""
+        want: dict[int, list[tuple[Clause, int]]] = {}
+        for c, seq in self._seq.items():
             for l in c:
-                want.setdefault(l, set()).add(c)
-        return want == self._occ
+                want.setdefault(l, []).append((c, seq))
+        have = {l: list(bucket.items()) for l, bucket in self._occ.items()}
+        units = [(c, seq) for c, seq in self._seq.items() if len(c) == 1]
+        return want == have and units == list(self._units.items())
 
 
 class Assignment:

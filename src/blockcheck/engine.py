@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .asymmetric import BASES, ala_fixpoint, is_AS, is_AT, is_subsumed, r_lift_witness
+from .asymmetric import BASES, ala_closure, is_AS, is_AT, is_subsumed, r_lift_witness
 from .blocking import (
     BlockingWitness,
     is_literal_blocked,
@@ -84,14 +84,16 @@ def _check_as(g: Formula, c: Clause, cfg: "EliminationConfig"):
 
 
 def _check_abc(g: Formula, c: Clause, cfg: "EliminationConfig"):
-    closure = ala_fixpoint(g, c).clause
+    closure = ala_closure(g, c, stop_at_tautology=True)
+    if closure.is_tautology():
+        # Tautological closure means the clause is implied by the rest of
+        # the formula; it can never be falsified at repair time. Every
+        # resolvent of it is tautological too, so it is blocked whatever
+        # the rest of the saturation would add.
+        return True, None
     w = is_literal_blocked(g, closure)
     if w is None:
         return False, None
-    if closure.is_tautology():
-        # Tautological closure means the clause is implied by the rest of
-        # the formula; it can never be falsified at repair time.
-        return True, None
     # For a non-tautological closure the blocking literal necessarily lies
     # in c itself (an added literal's own donor defeats it), so flipping it
     # is a valid repair.

@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 import blockcheck
-from blockcheck import parse_dimacs, is_satisfiable, is_set_blocked, is_super_blocked
+from blockcheck import (
+    is_ABC,
+    is_AS,
+    is_AT,
+    is_satisfiable,
+    is_set_blocked,
+    is_super_blocked,
+    parse_dimacs,
+)
 from blockcheck.cli import run
 
 from conftest import clause, formula
@@ -136,6 +144,27 @@ class TestCheckVerdicts:
         assert run(["check", path, "--property", "at", "--clause", "1 2 4 0"]) == 0
         assert capsys.readouterr().out == "REDUNDANT\n"
         assert run(["check", path, "--property", "s", "--clause", "3 0"]) == 1
+        assert capsys.readouterr().out == "NOT-REDUNDANT\n"
+
+    def test_asymmetric_checks_on_a_clause_outside_the_file(self, tmp_path, capsys):
+        path = put(tmp_path, "f.cnf", AT_INSTANCE)
+        f = parse_dimacs(AT_INSTANCE)
+        cases = [
+            ("1 2 4 0", {"at": "REDUNDANT", "as": "REDUNDANT", "abc": "REDUNDANT"}),
+            ("-3 0", {"at": "NOT-REDUNDANT", "as": "NOT-REDUNDANT", "abc": "NOT-REDUNDANT"}),
+            ("2 5 0", {"at": "NOT-REDUNDANT", "as": "NOT-REDUNDANT",
+                       "abc": "REDUNDANT witness-literal 2"}),
+        ]
+        for text, want in cases:
+            c = clause(*map(int, text.split()[:-1]))
+            assert c not in f
+            library = {"at": is_AT(f, c), "as": is_AS(f, c), "abc": is_ABC(f, c)}
+            for prop, line in want.items():
+                rc = run(["check", path, "--property", prop, "--clause", text])
+                assert capsys.readouterr().out == line + "\n", (text, prop)
+                assert rc == (0 if library[prop] else 1), (text, prop)
+        # the same literals as a clause of the file: c never subsumes itself
+        assert run(["check", path, "--property", "as", "--clause", "1 2 0"]) == 1
         assert capsys.readouterr().out == "NOT-REDUNDANT\n"
 
     def test_reads_stdin(self, tmp_path, capsys, monkeypatch):
@@ -336,6 +365,21 @@ class TestExitCodes:
         for argv in cases:
             assert run(argv) == 64, argv
             assert capsys.readouterr().err.startswith("error:")
+        # these used to leak Python's internal messages or write a malformed
+        # table; the message must name the flag at fault
+        flagged = [
+            (["gen-random", "--vars", "0"], "--vars"),
+            (["gen-random", "--width", "0"], "--width"),
+            (["gen-random", "--clauses", "-2"], "--clauses"),
+            (["classify", path, "--property", ","], "--property"),
+            (["classify", path, "--property", "at,at"], "--property"),
+            (["classify", path, "--property", "at", "--property", "bc,at"], "--property"),
+        ]
+        for argv, flag in flagged:
+            assert run(argv) == 64, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and flag in captured.err, argv
 
     def test_malformed_input_file(self, tmp_path, capsys):
         path = put(tmp_path, "f.cnf", "p cnf nonsense\n1 0\n")

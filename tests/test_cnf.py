@@ -92,8 +92,14 @@ class TestFormula:
         f.add((2, -3))
         f.discard(clause(1, 2))
         f.add((1, 2))
+        f.add((4,))
+        f.add((-4,))
+        f.discard(clause(4))
         assert f.check_occ_consistent()
         assert f.seq_of(clause(-1, 3)) < f.seq_of(clause(1, 2))
+        # a re-added clause goes to the end of its buckets, as in formula order
+        assert f.clauses_with(2) == [clause(2, -3), clause(1, 2)]
+        assert f.clauses_with_any((2, -4)) == [clause(2, -3), clause(1, 2), clause(-4)]
 
     def test_without_and_with_clause_do_not_mutate(self):
         f = formula((1, 2), (3,))
