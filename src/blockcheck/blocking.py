@@ -10,9 +10,19 @@ canonical order (smaller sets first, then the clause's own literal order),
 so witnesses are deterministic and the cost of a failed search is exactly
 `count_candidate_sets`.
 
+Set-blocking is decided on a compiled form of c's resolution environment:
+a clause D of it rules out exactly the candidates L that hold every
+literal of c whose complement D contains and no literal D shares with c,
+so each literal position of c gets two bitsets over the environment and a
+candidate's rule-out set is an AND of one of them per position (see
+`_Environment`). Candidates are decided by integer operations, building
+no resolvent and no clause.
+
 The super-blocking decider enumerates all 2^|ext| restrictions, which is
 exact but exponential; it refuses to start past `ext_cap` and offers a
-sampling fallback that can refute but never confirm.
+sampling fallback that can refute but never confirm. It compiles the
+environment once per question, and under each restriction only the set of
+surviving clauses changes, a bitset as well (see `_RestrictionScan`).
 """
 
 from __future__ import annotations
@@ -106,6 +116,88 @@ def count_candidate_sets(n: int, k: int) -> int:
     return sum(comb(n, size) for size in range(1, k + 1))
 
 
+class _Environment:
+    """c's resolution environment compiled into rule-out bitsets.
+
+    Bit i stands for environment clause i. A non-tautological clause D with
+    shared literals P and complemented literals N (positions of c's
+    canonical literals) rules out exactly the candidates L with N <= L and
+    P disjoint from L; tautological D rules out nothing. So for each
+    position q there are two bitsets, `no_p[q]` (the non-tautological
+    clauses whose P lacks q) and `no_n[q]` (those whose N lacks q), and the
+    clauses ruling out L are AND_q (no_p[q] if q in L else no_n[q]). A
+    candidate blocks c in any subset of the environment whose bitset meets
+    none of them.
+    """
+
+    __slots__ = ("lits", "no_p", "no_n", "suf_n")
+
+    def __init__(self, c: Clause, env: "list[Clause]"):
+        self.lits = lits = c.literals
+        where = {x: q for q, x in enumerate(lits)}
+        has_p = [0] * len(lits)
+        has_n = [0] * len(lits)
+        live = 0
+        for i, d in enumerate(env):
+            bit = 1 << i
+            ds = d._lits
+            for m in ds:
+                if -m in ds:  # tautological: left out of every rule-out set
+                    break
+                q = where.get(m)
+                if q is not None:
+                    has_p[q] |= bit
+                q = where.get(-m)
+                if q is not None:
+                    has_n[q] |= bit
+            else:
+                live |= bit
+        self.no_p = [live & ~h for h in has_p]
+        self.no_n = [live & ~h for h in has_n]
+        # suf_n[q]: AND of no_n over the positions from q on, so the
+        # positions after a candidate's last one cost a single AND.
+        self.suf_n = suf = [live] * (len(lits) + 1)
+        for q in range(len(lits) - 1, -1, -1):
+            suf[q] = suf[q + 1] & self.no_n[q]
+
+    def candidates(self, k: "int | None"):
+        """(positions, rule-out bitset) per candidate, in `candidate_sets` order.
+
+        The positions list is reused from step to step; copy it to keep it.
+        """
+        no_p, no_n, suf_n = self.no_p, self.no_n, self.suf_n
+        n = len(no_p)
+        for size in range(1, (n if k is None else min(k, n)) + 1):
+            # pos walks the size-subsets of positions like `combinations`;
+            # ahead[j] is the AND over the positions before pos[j] (no_p for
+            # chosen ones, no_n for skipped ones) and upto[j] adds pos[j].
+            pos = list(range(size))
+            ahead = [0] * size
+            upto = [0] * size
+            acc = suf_n[n]
+            for j in range(size):
+                ahead[j] = acc
+                acc = upto[j] = acc & no_p[j]
+            last = size - 1
+            while True:
+                yield pos, upto[last] & suf_n[pos[last] + 1]
+                j = last
+                while j >= 0 and pos[j] == n - size + j:
+                    j -= 1
+                if j < 0:
+                    break
+                ahead[j] &= no_n[pos[j]]
+                pos[j] += 1
+                upto[j] = ahead[j] & no_p[pos[j]]
+                for j in range(j + 1, size):
+                    pos[j] = pos[j - 1] + 1
+                    ahead[j] = upto[j - 1]
+                    upto[j] = ahead[j] & no_p[pos[j]]
+
+    def clause(self, picked: Iterable[int]) -> Clause:
+        return Clause(self.lits[q] for q in picked)
+
+
 def _search_blocking_set(
     f: Formula,
     c: Clause,
@@ -118,10 +210,10 @@ def _search_blocking_set(
         stats.setdefault("candidates", 0)
 
     if c.is_tautology():
-        # The complement-pair analysis below assumes c has no internal pair,
-        # so fall back to testing candidates directly. Any complementary
-        # pair inside c blocks unconditionally, so for k != 1 this always
-        # succeeds by size two.
+        # The complement-pair analysis of _Environment assumes c has no
+        # internal pair, so fall back to testing candidates directly. Any
+        # complementary pair inside c blocks unconditionally, so for k != 1
+        # this always succeeds by size two.
         for cand in candidate_sets(c, k):
             if stats is not None:
                 stats["candidates"] += 1
@@ -129,24 +221,12 @@ def _search_blocking_set(
                 return cand
         return None
 
-    # Compile the environment once: a clause D with shared literals P and
-    # complemented literals N (both relative to c) rules out exactly the
-    # candidates L with N <= L and P disjoint from L. A candidate blocks
-    # iff no environment clause rules it out; tautological D never does.
-    constraints: set[tuple[frozenset[int], frozenset[int]]] = set()
-    for d in resolution_environment(f, c):
-        if d.is_tautology():
-            continue
-        shared = frozenset(x for x in c if x in d)
-        flipped = frozenset(x for x in c if -x in d)
-        constraints.add((shared, flipped))
-
-    for cand in candidate_sets(c, k):
+    env = _Environment(c, resolution_environment(f, c))
+    for picked, ruled_out in env.candidates(k):
         if stats is not None:
             stats["candidates"] += 1
-        picked = frozenset(cand)
-        if all(not flipped <= picked or shared & picked for shared, flipped in constraints):
-            return cand
+        if not ruled_out:
+            return env.clause(picked)
     return None
 
 
@@ -192,9 +272,18 @@ class _RestrictionScan:
     """Shared machinery for walking assignments over the external variables.
 
     Restrictions only ever remove environment clauses (satisfied ones), so
-    the blocking search depends on nothing but the surviving subset; results
-    are memoised per survivor mask, which collapses the tau loop whenever
-    distinct assignments satisfy the same clauses.
+    the blocking search depends on nothing but the surviving subset, and
+    the environment is compiled once per scan into bitsets (bit i stands
+    for environment clause i). `_sat[b]` holds the clauses satisfied by
+    setting the variable at bit b false and true, so the survivors of
+    assignment m are the environment minus one bitset per external
+    variable. The candidates' rule-out bitsets (see `_Environment`) are
+    drawn lazily in canonical order and kept across assignments, so each
+    assignment is decided by integer ANDs against its survivors: the first
+    candidate whose rule-out set meets none of them blocks. No formula or
+    clause is built per assignment. A tautological c has no rule-out
+    encoding; its search runs `_search_blocking_set` on a formula of the
+    survivors, memoised per survivor set.
     """
 
     def __init__(self, f: Formula, c: Clause, k: int | None):
@@ -206,37 +295,55 @@ class _RestrictionScan:
         # Highest bit = smallest variable, so counting masks upward walks
         # the assignments in lexicographic order, false before true.
         self._bit = {v: self.n - 1 - i for i, v in enumerate(self.ext)}
-        self._masks = []
-        for d in self.env:
-            pos = neg = 0
+        self._sat = [[0, 0] for _ in self.ext]
+        for i, d in enumerate(self.env):
             for lit in d:
                 b = self._bit.get(abs(lit))
-                if b is None:
-                    continue
-                if lit > 0:
-                    pos |= 1 << b
-                else:
-                    neg |= 1 << b
-            self._masks.append((pos, neg))
-        self._memo: dict[int, Clause | None] = {}
+                if b is not None:
+                    self._sat[b][lit > 0] |= 1 << i
+        self._all = (1 << len(self.env)) - 1
+        if c.is_tautology():
+            self._compiled = None
+            self._memo: dict[int, Clause | None] = {}
+        else:
+            self._compiled = _Environment(c, self.env)
+            self._more = self._compiled.candidates(k)
+            # rule-out bitset and positions (a Clause once it has blocked)
+            # of each candidate drawn so far
+            self._ruled: list[int] = []
+            self._picked: "list[tuple[int, ...] | Clause]" = []
 
     def tau(self, m: int) -> Assignment:
         return Assignment({v: (m >> self._bit[v]) & 1 for v in self.ext})
 
     def _survivors(self, m: int) -> int:
-        alive = 0
-        full = (1 << self.n) - 1
-        for i, (pos, neg) in enumerate(self._masks):
-            if not (pos & m) and not (neg & (~m & full)):
-                alive |= 1 << i
-        return alive
+        dead = 0
+        for b, by_value in enumerate(self._sat):
+            dead |= by_value[(m >> b) & 1]
+        return self._all & ~dead
 
     def blocking_set_at(self, m: int) -> Clause | None:
         alive = self._survivors(m)
-        if alive not in self._memo:
-            g = Formula(d for i, d in enumerate(self.env) if alive & (1 << i))
-            self._memo[alive] = _search_blocking_set(g, self.c, self.k)
-        return self._memo[alive]
+        if self._compiled is None:
+            if alive not in self._memo:
+                g = Formula(d for i, d in enumerate(self.env) if (alive >> i) & 1)
+                self._memo[alive] = _search_blocking_set(g, self.c, self.k)
+            return self._memo[alive]
+        for i, ruled_out in enumerate(self._ruled):
+            if not ruled_out & alive:
+                return self._set(i)
+        for picked, ruled_out in self._more:
+            self._ruled.append(ruled_out)
+            self._picked.append(tuple(picked))
+            if not ruled_out & alive:
+                return self._set(len(self._ruled) - 1)
+        return None
+
+    def _set(self, i: int) -> Clause:
+        found = self._picked[i]
+        if not isinstance(found, Clause):
+            found = self._picked[i] = self._compiled.clause(found)
+        return found
 
 
 def check_super_blocked(
@@ -267,12 +374,15 @@ def check_super_blocked(
         )
 
     scan = _RestrictionScan(f, c, k)
-    per_tau: dict[Assignment, Clause] = {}
+    # The table's assignments are built only once every mask has a set: a
+    # scan that ends in a refutation needs none of them.
+    sets: list[Clause] = []
     for m in range(1 << scan.n):
         found = scan.blocking_set_at(m)
         if found is None:
             return SuperBlockingResult(None, scan.tau(m))
-        per_tau[scan.tau(m)] = found
+        sets.append(found)
+    per_tau = {scan.tau(m): found for m, found in enumerate(sets)}
     return SuperBlockingResult(BlockingWitness(kind="super", per_tau=per_tau), None)
 
 

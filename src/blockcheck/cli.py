@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from random import Random
 
 from .blocking import (
@@ -103,6 +104,11 @@ def _pick_clause(ns, f: Formula) -> Clause:
     return clauses[ns.clause_index]
 
 
+def _check_cap_arg(ns) -> None:
+    if ns.cap < 0:
+        raise _UsageError("--cap must be non-negative")
+
+
 def _lits(values) -> str:
     return " ".join(str(v) for v in values)
 
@@ -114,6 +120,7 @@ def _cmd_check(ns) -> int:
         cfg = EliminationConfig(property=prop, k=ns.k, ext_cap=ns.ext_cap)
     if ns.incomplete is not None and ns.incomplete < 1:
         raise _UsageError("--incomplete must be positive")
+    _check_cap_arg(ns)
     f = _load_formula(ns.path, ns.strict)
     c = _pick_clause(ns, f)
 
@@ -253,6 +260,7 @@ def _cmd_encode_qbf(ns) -> int:
 
 
 def _cmd_solve_brute(ns) -> int:
+    _check_cap_arg(ns)
     f = _load_formula(ns.path, ns.strict)
     model = first_model(f, cap=ns.cap)
     if model is None:
@@ -293,7 +301,11 @@ def _cmd_gen_random(ns) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> _Parser:
+    # Built once per process: parsing leaves the tree untouched, and a fresh
+    # tree per call costs milliseconds and leaves its cyclic links to the
+    # garbage collector.
     top = _Parser(prog="blockcheck", description="local redundancy checks for CNF clauses")
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -1,8 +1,11 @@
+import random
+from itertools import product
 from math import comb
 
 import pytest
 
 from blockcheck import (
+    Assignment,
     CapExceeded,
     Clause,
     Formula,
@@ -11,14 +14,30 @@ from blockcheck import (
     count_candidate_sets,
     external_variables,
     is_literal_blocked,
+    is_satisfiable,
     is_set_blocked,
     is_super_blocked,
     literal_blocks,
+    random_instance,
+    resolution_environment,
     restrict,
     sample_super_blocked,
     set_blocks,
 )
-from blockcheck.blocking import _search_blocking_set
+from blockcheck.blocking import (
+    BlockingWitness,
+    IncompleteScan,
+    SuperBlockingResult,
+    _Environment,
+    _RestrictionScan,
+    _search_blocking_set,
+)
+from blockcheck.gen import random_formula, random_qbf
+from blockcheck.reductions import (
+    forall_exists_to_superblocking,
+    sat_to_setblocking,
+    unsat_to_1superblocking,
+)
 
 from conftest import clause, formula
 
@@ -214,3 +233,182 @@ class TestWitnessShape:
         assert len(w.per_tau) == 2 ** len(ext)
         for tau in w.per_tau:
             assert tau.is_total_over(ext) and len(tau) == len(ext)
+
+
+# -- the bitset search against the search it replaced --------------------------
+
+
+def reference_search(f, c, k, stats=None):
+    """The set-blocking search as it stood before the bitset encoding.
+
+    Each call re-derives one (shared, complemented) constraint per
+    non-tautological environment clause and tests every candidate
+    against all of them with frozenset operations.
+    """
+    if len(c) == 0:
+        return None
+    if stats is not None:
+        stats.setdefault("candidates", 0)
+    if c.is_tautology():
+        for cand in candidate_sets(c, k):
+            if stats is not None:
+                stats["candidates"] += 1
+            if set_blocks(f, c, cand):
+                return cand
+        return None
+    constraints = set()
+    for d in resolution_environment(f, c):
+        if d.is_tautology():
+            continue
+        shared = frozenset(x for x in c if x in d)
+        flipped = frozenset(x for x in c if -x in d)
+        constraints.add((shared, flipped))
+    for cand in candidate_sets(c, k):
+        if stats is not None:
+            stats["candidates"] += 1
+        picked = frozenset(cand)
+        if all(not flipped <= picked or shared & picked for shared, flipped in constraints):
+            return cand
+    return None
+
+
+def reference_tau(ext, m):
+    """Assignment for mask m; the smallest variable is the highest bit."""
+    return Assignment({v: (m >> (len(ext) - 1 - i)) & 1 for i, v in enumerate(ext)})
+
+
+def reference_super(f, c, k):
+    """Super-blocking by restricting the whole formula once per assignment."""
+    fast = reference_search(f, c, k)
+    if fast is not None:
+        return SuperBlockingResult(BlockingWitness(kind="set", blocking_set=fast), None)
+    ext = sorted(external_variables(f, c))
+    per_tau = {}
+    for values in product((0, 1), repeat=len(ext)):
+        tau = Assignment(dict(zip(ext, values)))
+        found = reference_search(restrict(f, tau), c, k)
+        if found is None:
+            return SuperBlockingResult(None, tau)
+        per_tau[tau] = found
+    return SuperBlockingResult(BlockingWitness(kind="super", per_tau=per_tau), None)
+
+
+def reference_sample(f, c, rng, samples, k):
+    if reference_search(f, c, k) is not None:
+        return IncompleteScan(False, None, 0)
+    ext = sorted(external_variables(f, c))
+    for i in range(samples):
+        tau = reference_tau(ext, rng.getrandbits(len(ext)))
+        if reference_search(restrict(f, tau), c, k) is None:
+            return IncompleteScan(True, tau, i + 1)
+    return IncompleteScan(False, None, samples)
+
+
+def differential_cases():
+    """Seeded (formula, clause) questions covering the search's corners."""
+    rng = random.Random(20170217)
+    for i in range(240):
+        f, c = random_instance(rng, max_vars=7, max_clauses=12, max_width=3)
+        kind = i % 8
+        if kind == 1:  # tautological environment clauses, pair outside and inside c
+            lit = rng.choice(c.literals)
+            f.add((-lit, 8, -8))
+            f.add((-lit, lit, 9))
+        elif kind == 2:  # tautological c
+            v = rng.randint(1, 7)
+            c = c | (v, -v)
+        elif kind == 3:  # c outside F
+            f.discard(c)
+        elif kind == 4:
+            c = Clause()
+        elif kind == 5:  # no external variable
+            f = Formula(d for d in f if d.variables() <= c.variables())
+        elif kind == 6:  # two environment clauses with the same (P, N)
+            env = resolution_environment(f, c)
+            if env:
+                f.add(env[0] | (rng.choice((8, -8)),))
+        yield f, c
+    unsat = 0
+    while unsat < 12:
+        # an unsatisfiable source makes the gadget clause super-blocked
+        # without being set-blocked, a satisfiable one refutes it
+        source = random_formula(rng, 3, rng.randint(4, 8), 3)
+        unsat += not is_satisfiable(source)
+        inst = unsat_to_1superblocking(source)
+        yield inst.formula, inst.clause
+    for _ in range(16):
+        inst = sat_to_setblocking(random_formula(rng, 3, rng.randint(4, 7), 3))
+        yield inst.formula, inst.clause
+        inst = forall_exists_to_superblocking(random_qbf(rng, max_vars=6, max_clauses=8))
+        yield inst.formula, inst.clause
+
+
+class TestAgainstTheReference:
+    def test_witnesses_tables_and_counts_match(self):
+        seen = {"set": 0, "super": 0, "refuted": 0, "taut": 0, "no-ext": 0}
+        for n, (f, c) in enumerate(differential_cases()):
+            for k in (None, 1, 2):
+                want_stats, got_stats = {}, {}
+                want = reference_search(f, c, k, want_stats)
+                got = _search_blocking_set(f, c, k, got_stats)
+                assert got == want and got_stats == want_stats, (f, c, k)
+                assert is_set_blocked(f, c, k) == (
+                    None if want is None else BlockingWitness(kind="set", blocking_set=want)
+                )
+
+                want = reference_super(f, c, k)
+                got = check_super_blocked(f, c, k)
+                assert got == want, (f, c, k)
+                if got.witness is not None and got.witness.kind == "super":
+                    assert list(got.witness.per_tau) == list(want.witness.per_tau)
+                kind = "refuted" if got.witness is None else got.witness.kind
+                seen[kind] += 1
+                seen["taut"] += c.is_tautology()
+                seen["no-ext"] += not external_variables(f, c)
+
+                for seed in (n, n + 1000):
+                    assert sample_super_blocked(f, c, random.Random(seed), 8, k) == (
+                        reference_sample(f, c, random.Random(seed), 8, k)
+                    ), (f, c, k, seed)
+        assert min(seen.values()) >= 30, seen
+
+
+class TestBitsetEdges:
+    def test_tautological_environment_clause_never_rules_out(self):
+        # read as a plain clause, (-1 3 -3) would rule out {1} and {1, 2}
+        f = formula((-1, 3, -3), (-2, 1))
+        c = clause(1, 2)
+        env = _Environment(c, resolution_environment(f, c))
+        ruled = {tuple(p): r for p, r in env.candidates(None)}
+        assert ruled == {(0,): 0, (1,): 0b10, (0, 1): 0}
+        assert is_set_blocked(f, c).blocking_set == clause(1)
+
+    def test_clauses_with_equal_shared_and_complemented_sets_both_count(self):
+        # both have P = {} and N = {1}; {1} blocks only once both are gone
+        f = formula((-1, 3), (-1, 4))
+        c = clause(1)
+        scan = _RestrictionScan(f, c, None)
+        assert [scan.blocking_set_at(m) for m in range(4)] == [None, None, None, clause(1)]
+        res = check_super_blocked(f, c)
+        assert res.failing_tau.to_literals() == (-3, -4)
+
+    def test_clause_ruling_out_only_the_pair(self):
+        d = clause(-1, -2, 3)
+        c = clause(1, 2)
+        env = _Environment(c, [d])
+        assert {tuple(p): r for p, r in env.candidates(None)} == {(0,): 0, (1,): 0, (0, 1): 1}
+        f = formula(d, (-1, 2), (-2, 1))
+        assert is_set_blocked(Formula([d]), c).blocking_set == clause(1)
+        assert is_set_blocked(f, c) is None
+        scan = _RestrictionScan(f, c, None)
+        assert scan.blocking_set_at(0) is None  # 3 false: (-1 -2 3) survives
+        assert scan.blocking_set_at(1) == clause(1, 2)
+        assert scan.blocking_set_at(1) is scan.blocking_set_at(1)
+        assert check_super_blocked(f, c).failing_tau.to_literals() == (-3,)
+
+    def test_assignment_satisfying_every_environment_clause(self, at_not_setblocked):
+        f, c = at_not_setblocked
+        scan = _RestrictionScan(f, c, None)
+        assert scan._survivors(1) == 0
+        assert scan.blocking_set_at(1) == clause(1)
+        assert scan.blocking_set_at(0) is None

@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import pkgutil
@@ -18,6 +19,7 @@ from blockcheck import (
     is_super_blocked,
     parse_dimacs,
 )
+from blockcheck import cli
 from blockcheck.cli import run
 
 from conftest import clause, formula
@@ -346,6 +348,49 @@ class TestOtherCommands:
         assert f.variables() <= {1, 2, 3}
 
 
+class TestParserReuse:
+    """`run` builds its argparse tree once per process and reuses it."""
+
+    @staticmethod
+    def _outputs(argvs, capsys, fresh):
+        got = []
+        for argv in argvs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = run(argv)
+            got.append((code, capsys.readouterr().out))
+        return got
+
+    def test_back_to_back_calls_match_fresh_runs(self, tmp_path, capsys):
+        path = put(tmp_path, "f.cnf", FULL_BLOCKING)
+        argvs = [
+            ["classify", path, "--property", "bc"],
+            ["classify", path],
+            ["check", path, "--property", "supbc", "--clause", "1 2 0", "--k", "1"],
+            ["check", path, "--property", "supbc", "--clause", "1 2 0"],
+        ]
+        fresh = self._outputs(argvs, capsys, fresh=True)
+        assert fresh[0][1] != fresh[1][1] and fresh[2][0] == 1 and fresh[3][0] == 0
+        assert self._outputs(argvs, capsys, fresh=False) == fresh
+        assert self._outputs(argvs[::-1], capsys, fresh=False) == fresh[::-1]
+
+    def test_warm_check_leaves_no_cyclic_garbage(self, tmp_path, capsys):
+        path = put(tmp_path, "f.cnf", FULL_BLOCKING_WIDE)
+        argv = ["check", path, "--property", "supbc", "--clause", "1 2 0"]
+        assert run(argv) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert run(argv) == 0
+            gc.collect()
+            left = [type(x).__name__ for x in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert capsys.readouterr().out.count("witness-per-tau 4") == 2
+        assert left == []
+
+
 class TestExitCodes:
     def test_usage_errors(self, tmp_path, capsys):
         path = put(tmp_path, "f.cnf", BLOCKED_3)
@@ -374,6 +419,9 @@ class TestExitCodes:
             (["classify", path, "--property", ","], "--property"),
             (["classify", path, "--property", "at,at"], "--property"),
             (["classify", path, "--property", "at", "--property", "bc,at"], "--property"),
+            (["check", path, "--property", "sem-oracle", "--clause", "1 2 0", "--cap", "-1"],
+             "--cap"),
+            (["solve-brute", path, "--cap", "-1"], "--cap"),
         ]
         for argv, flag in flagged:
             assert run(argv) == 64, argv
