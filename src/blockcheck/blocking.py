@@ -128,13 +128,20 @@ class _Environment:
     clauses ruling out L are AND_q (no_p[q] if q in L else no_n[q]). A
     candidate blocks c in any subset of the environment whose bitset meets
     none of them.
+
+    A tautological c keeps its complementary pairs as position pairs in
+    `pairs`. A candidate that takes both or neither literal of a pair
+    leaves (c \\ L) | complements(L) a tautology, so nothing rules it out;
+    for one that takes exactly one literal of every pair the rule above is
+    exact.
     """
 
-    __slots__ = ("lits", "no_p", "no_n", "suf_n")
+    __slots__ = ("lits", "pairs", "no_p", "no_n", "suf_n")
 
     def __init__(self, c: Clause, env: "list[Clause]"):
         self.lits = lits = c.literals
         where = {x: q for q, x in enumerate(lits)}
+        self.pairs = [(q, where[-x]) for q, x in enumerate(lits) if x > 0 and -x in where]
         has_p = [0] * len(lits)
         has_n = [0] * len(lits)
         live = 0
@@ -165,7 +172,7 @@ class _Environment:
 
         The positions list is reused from step to step; copy it to keep it.
         """
-        no_p, no_n, suf_n = self.no_p, self.no_n, self.suf_n
+        no_p, no_n, suf_n, pairs = self.no_p, self.no_n, self.suf_n, self.pairs
         n = len(no_p)
         for size in range(1, (n if k is None else min(k, n)) + 1):
             # pos walks the size-subsets of positions like `combinations`;
@@ -180,7 +187,10 @@ class _Environment:
                 acc = upto[j] = acc & no_p[j]
             last = size - 1
             while True:
-                yield pos, upto[last] & suf_n[pos[last] + 1]
+                if pairs and any((a in pos) == (b in pos) for a, b in pairs):
+                    yield pos, 0
+                else:
+                    yield pos, upto[last] & suf_n[pos[last] + 1]
                 j = last
                 while j >= 0 and pos[j] == n - size + j:
                     j -= 1
@@ -208,19 +218,6 @@ def _search_blocking_set(
         return None
     if stats is not None:
         stats.setdefault("candidates", 0)
-
-    if c.is_tautology():
-        # The complement-pair analysis of _Environment assumes c has no
-        # internal pair, so fall back to testing candidates directly. Any
-        # complementary pair inside c blocks unconditionally, so for k != 1
-        # this always succeeds by size two.
-        for cand in candidate_sets(c, k):
-            if stats is not None:
-                stats["candidates"] += 1
-            if set_blocks(f, c, cand):
-                return cand
-        return None
-
     env = _Environment(c, resolution_environment(f, c))
     for picked, ruled_out in env.candidates(k):
         if stats is not None:
@@ -281,37 +278,29 @@ class _RestrictionScan:
     drawn lazily in canonical order and kept across assignments, so each
     assignment is decided by integer ANDs against its survivors: the first
     candidate whose rule-out set meets none of them blocks. No formula or
-    clause is built per assignment. A tautological c has no rule-out
-    encoding; its search runs `_search_blocking_set` on a formula of the
-    survivors, memoised per survivor set.
+    clause is built per assignment.
     """
 
     def __init__(self, f: Formula, c: Clause, k: int | None):
-        self.c = c
-        self.k = k
-        self.env = resolution_environment(f, c)
+        env = resolution_environment(f, c)
         self.ext = sorted(external_variables(f, c))
         self.n = len(self.ext)
         # Highest bit = smallest variable, so counting masks upward walks
         # the assignments in lexicographic order, false before true.
         self._bit = {v: self.n - 1 - i for i, v in enumerate(self.ext)}
         self._sat = [[0, 0] for _ in self.ext]
-        for i, d in enumerate(self.env):
+        for i, d in enumerate(env):
             for lit in d:
                 b = self._bit.get(abs(lit))
                 if b is not None:
                     self._sat[b][lit > 0] |= 1 << i
-        self._all = (1 << len(self.env)) - 1
-        if c.is_tautology():
-            self._compiled = None
-            self._memo: dict[int, Clause | None] = {}
-        else:
-            self._compiled = _Environment(c, self.env)
-            self._more = self._compiled.candidates(k)
-            # rule-out bitset and positions (a Clause once it has blocked)
-            # of each candidate drawn so far
-            self._ruled: list[int] = []
-            self._picked: "list[tuple[int, ...] | Clause]" = []
+        self._all = (1 << len(env)) - 1
+        self._compiled = _Environment(c, env)
+        self._more = self._compiled.candidates(k)
+        # rule-out bitset and positions (a Clause once it has blocked) of
+        # each candidate drawn so far
+        self._ruled: list[int] = []
+        self._picked: "list[tuple[int, ...] | Clause]" = []
 
     def tau(self, m: int) -> Assignment:
         return Assignment({v: (m >> self._bit[v]) & 1 for v in self.ext})
@@ -324,11 +313,6 @@ class _RestrictionScan:
 
     def blocking_set_at(self, m: int) -> Clause | None:
         alive = self._survivors(m)
-        if self._compiled is None:
-            if alive not in self._memo:
-                g = Formula(d for i, d in enumerate(self.env) if (alive >> i) & 1)
-                self._memo[alive] = _search_blocking_set(g, self.c, self.k)
-            return self._memo[alive]
         for i, ruled_out in enumerate(self._ruled):
             if not ruled_out & alive:
                 return self._set(i)
@@ -364,16 +348,15 @@ def check_super_blocked(
     if fast is not None:
         return SuperBlockingResult(fast, None)
 
-    ext = external_variables(f, c)
-    if len(ext) > ext_cap:
+    scan = _RestrictionScan(f, c, k)
+    if scan.n > ext_cap:
         raise CapExceeded(
             "restriction scan over %d external variables exceeds cap %d"
-            % (len(ext), ext_cap),
-            count=len(ext),
+            % (scan.n, ext_cap),
+            count=scan.n,
             cap=ext_cap,
         )
 
-    scan = _RestrictionScan(f, c, k)
     # The table's assignments are built only once every mask has a set: a
     # scan that ends in a refutation needs none of them.
     sets: list[Clause] = []

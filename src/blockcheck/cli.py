@@ -63,9 +63,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            "line %d: byte 0x%02x is not UTF-8 text" % (line, data[exc.start])
+        ) from exc
 
 
 def _write_out(path: "str | None", text: str) -> None:
@@ -272,6 +280,8 @@ def _cmd_solve_brute(ns) -> int:
 
 
 def _cmd_gen_reduction(ns) -> int:
+    if ns.out == "-" and ns.clause_out is None:
+        raise _UsageError("--out - needs --clause-out: there is no <out>.clause beside stdout")
     if ns.kind == "qbf2supbc":
         q = parse_qdimacs(_read_text(ns.path), strict=ns.strict)
         inst = forall_exists_to_superblocking(q)

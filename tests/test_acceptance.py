@@ -261,7 +261,7 @@ def test_criterion_08_reduction_round_trips():
 def test_criterion_09_end_to_end_elimination():
     failures = 0
     for prop in ("bc", "setbc", "supbc"):
-        rng = random.Random(hash(prop) & 0xFFFFFF)
+        rng = random.Random(prop)
         sat_done = 0
         unsat_done = 0
         hard_unsat = [

@@ -314,9 +314,9 @@ def differential_cases():
             lit = rng.choice(c.literals)
             f.add((-lit, 8, -8))
             f.add((-lit, lit, 9))
-        elif kind == 2:  # tautological c
-            v = rng.randint(1, 7)
-            c = c | (v, -v)
+        elif kind == 2:  # tautological c with one to three complementary pairs
+            for v in rng.sample(range(1, 8), rng.randint(1, 3)):
+                c = c | (v, -v)
         elif kind == 3:  # c outside F
             f.discard(c)
         elif kind == 4:
@@ -412,3 +412,20 @@ class TestBitsetEdges:
         assert scan._survivors(1) == 0
         assert scan.blocking_set_at(1) == clause(1)
         assert scan.blocking_set_at(0) is None
+
+    def test_tautological_clause_rules_out_only_candidates_splitting_its_pair(self):
+        # {-1} and {1} each split the pair and meet one clause; {2} and
+        # {-1, 1} keep or flip both literals of it, so nothing rules them out
+        f = formula((1, 3), (-1, 4))
+        c = clause(-1, 1, 2)
+        env = _Environment(c, resolution_environment(f, c))
+        ruled = {env.clause(p): r for p, r in env.candidates(None)}
+        assert ruled == {
+            clause(-1): 0b01, clause(1): 0b10, clause(2): 0,
+            clause(-1, 1): 0, clause(-1, 2): 0b01, clause(1, 2): 0b10,
+            clause(-1, 1, 2): 0,
+        }
+        assert is_set_blocked(f, c, 1).blocking_set == clause(2)
+        # (-2 5) holds the complement of 2, yet c \ {2} still holds the pair
+        f.add((-2, 5))
+        assert is_set_blocked(f, c, 1).blocking_set == clause(2)

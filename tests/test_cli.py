@@ -48,6 +48,13 @@ FULL_BLOCKING_WIDE = "p cnf 5 5\n3 2 -1 0\n-2 -3 0\n-2 1 0\n-2 -3 5 0\n1 2 0\n"
 
 THREE_SQUARE = "p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n"
 
+# Two tautologies, (1 4 -5 5) and (-2 -3 -5 5), beside clauses that supbc
+# removes only through a restriction table; what is left is satisfiable.
+WITH_TAUTOLOGIES = (
+    "p cnf 5 12\n-1 2 3 0\n1 0\n1 4 0\n1 4 -5 5 0\n-2 -3 -5 0\n-2 -3 -5 5 0\n"
+    "-2 4 0\n2 0\n-3 -4 0\n-3 4 0\n3 5 0\n4 -5 0\n"
+)
+
 
 def put(tmp_path, name, text):
     path = tmp_path / name
@@ -170,7 +177,7 @@ class TestCheckVerdicts:
         assert capsys.readouterr().out == "NOT-REDUNDANT\n"
 
     def test_reads_stdin(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(BLOCKED_3))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(BLOCKED_3.encode())))
         assert run(["check", "-", "--property", "bc", "--clause", "1 2 0"]) == 0
         assert capsys.readouterr().out == "BLOCKED witness-literal 2\n"
 
@@ -248,6 +255,27 @@ class TestEliminateAndReconstruct:
         f = parse_dimacs(FULL_BLOCKING)
         assert all(any(a[abs(l)] == (l > 0) for l in c) for c in f)
 
+    @pytest.mark.parametrize("prop", ["setbc", "supbc"])
+    @pytest.mark.parametrize("compact", [[], ["--compact"]])
+    def test_tautologies_are_eliminated_and_reconstructed(self, tmp_path, capsys, prop, compact):
+        src = put(tmp_path, "f.cnf", WITH_TAUTOLOGIES)
+        simp, tracef, model = (str(tmp_path / n) for n in ("simp.cnf", "steps.trace", "m.txt"))
+        rc = run(["eliminate", src, "--property", prop, *compact, "--out", simp, "--trace", tracef])
+        assert rc == 0
+        removed = set()
+        for line in (tmp_path / "steps.trace").read_text().splitlines():
+            if line.startswith("d "):
+                toks = line.split()[2:]
+                removed.add(clause(*map(int, toks[:toks.index("0")])))
+        assert {clause(1, 4, -5, 5), clause(-2, -3, -5, 5)} <= removed
+        assert run(["solve-brute", simp, "--out", model]) == 0
+        capsys.readouterr()
+        assert run(["reconstruct", src, "--trace", tracef, "--model", model]) == 0
+        lits = capsys.readouterr().out.split()
+        assert lits[0] == "v" and lits[-1] == "0"
+        a = {abs(int(t)): int(t) > 0 for t in lits[1:-1]}
+        assert all(any(a[abs(l)] == (l > 0) for l in c) for c in parse_dimacs(WITH_TAUTOLOGIES))
+
     def test_reconstruct_mismatched_trace_fails(self, tmp_path, capsys):
         src = put(tmp_path, "f.cnf", BLOCKED_3)
         tracef = put(tmp_path, "bad.trace", "t blockcheck 1\nd bc 9 0 w 9 0\n")
@@ -323,6 +351,19 @@ class TestOtherCommands:
         f = parse_dimacs((tmp_path / "inst.cnf").read_text())
         c_lits = [int(t) for t in (tmp_path / "inst.cnf.clause").read_text().split()[:-1]]
         assert is_super_blocked(f, c_lits) is not None  # the source QBF is true
+
+    def test_gen_reduction_to_stdout_needs_clause_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        src = put(tmp_path, "src.cnf", "p cnf 2 2\n1 0\n-1 2 0\n")
+        assert run(["gen-reduction", "sat2setbc", src, "--out", "-"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--clause-out" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["src.cnf"]
+        side = str(tmp_path / "inst.clause")
+        assert run(["gen-reduction", "sat2setbc", src, "--out", "-", "--clause-out", side]) == 0
+        assert capsys.readouterr().out.startswith("c reduction sat2setbc\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.clause", "src.cnf"]
 
     def test_gen_random_is_seeded(self, tmp_path):
         a = str(tmp_path / "a.cnf")
@@ -432,6 +473,22 @@ class TestExitCodes:
     def test_malformed_input_file(self, tmp_path, capsys):
         path = put(tmp_path, "f.cnf", "p cnf nonsense\n1 0\n")
         assert run(["check", path, "--property", "bc", "--clause", "1 0"]) == 65
+
+    def test_non_utf8_input_is_malformed_and_names_the_line(self, tmp_path, capsys, monkeypatch):
+        bad = b"p cnf 2 1\n1 \xff 0\n"
+        path = tmp_path / "bad.cnf"
+        path.write_bytes(bad)
+        assert run(["check", str(path), "--property", "bc", "--clause", "1 0"]) == 65
+        assert capsys.readouterr().err.startswith("error: line 2:")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad)))
+        assert run(["check", "-", "--property", "bc", "--clause", "1 0"]) == 65
+        assert capsys.readouterr().err.startswith("error: line 2:")
+        src = put(tmp_path, "f.cnf", BLOCKED_3)
+        tracef = put(tmp_path, "steps.trace", "t blockcheck 1\n")
+        model = tmp_path / "m.txt"
+        model.write_bytes(b"v 1 -2\nv \xff 0\n")
+        assert run(["reconstruct", src, "--trace", tracef, "--model", str(model)]) == 65
+        assert capsys.readouterr().err.startswith("error: line 2:")
 
     def test_strict_mode_enforces_the_header(self, tmp_path, capsys):
         path = put(tmp_path, "f.cnf", "p cnf 3 1\n-1 3 0\n-2 -1 0\n")
