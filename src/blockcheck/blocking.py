@@ -30,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import neg
 from random import Random
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .cnf import (
     Assignment,
@@ -68,22 +69,37 @@ def literal_blocks(f: Formula, c: "Clause | Iterable[int]", lit: int) -> bool:
     than lit; this is decided on the literal sets, building no resolvent.
     """
     c = as_clause(c)
-    if lit not in c:
+    if lit not in c._lits:
         raise ValueError("blocking literal must belong to the clause")
-    flipped = frozenset(-m for m in c._lits if m != lit)
+    bucket = f._occ.get(-lit)
+    if not bucket:  # no resolvent at all: lit is pure
+        return True
+    flipped = set(map(neg, c._lits))
+    flipped.discard(-lit)
     if not flipped.isdisjoint(c._lits):  # c is a tautology
         return True
-    return all(
-        not flipped.isdisjoint(d._lits)
-        or any(-m in d._lits for m in d._lits if m != lit and m != -lit)
-        for d in f.clauses_with(-lit)
-    )
+    for d in bucket:
+        lits = d._lits
+        if flipped.isdisjoint(lits) and (
+            lits.isdisjoint(map(neg, lits))
+            or not any(-m in lits for m in lits if m != lit and m != -lit)
+        ):
+            return False
+    return True
 
 
-def is_literal_blocked(f: Formula, c: "Clause | Iterable[int]") -> BlockingWitness | None:
-    """The first blocking literal of c in canonical order, as a witness."""
+def is_literal_blocked(
+    f: Formula,
+    c: "Clause | Iterable[int]",
+    among: "Container[int] | None" = None,
+) -> BlockingWitness | None:
+    """The first blocking literal of c in canonical order, as a witness.
+
+    With `among`, only c's literals in it are tried, still in canonical order.
+    """
     c = as_clause(c)
-    for lit in c:
+    lits = c._canon if among is None else [l for l in c._canon if l in among]
+    for lit in lits:
         if literal_blocks(f, c, lit):
             return BlockingWitness(kind="literal", literal=lit)
     return None

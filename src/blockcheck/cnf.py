@@ -10,7 +10,7 @@ is deterministic.
 from __future__ import annotations
 
 import warnings
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
@@ -32,11 +32,13 @@ class Clause:
     __slots__ = ("_lits", "_canon")
 
     def __init__(self, literals: Iterable[int] = ()):
-        lits = frozenset(int(l) for l in literals)
+        lits = frozenset(map(int, literals))
         if 0 in lits:
             raise ValueError("0 is not a literal")
         self._lits = lits
-        self._canon = tuple(sorted(lits, key=literal_key))
+        # a stable sort by variable keeps the negative literal (the smaller
+        # int) first, which is the canonical order
+        self._canon = tuple(sorted(sorted(lits), key=abs))
 
     @property
     def literals(self) -> tuple[int, ...]:
@@ -72,18 +74,18 @@ class Clause:
         return self._lits <= other._lits
 
     def variables(self) -> frozenset[int]:
-        return frozenset(abs(l) for l in self._lits)
+        return frozenset(map(abs, self._lits))
 
     def complements(self) -> frozenset[int]:
         """The set of complements of this clause's literals."""
-        return frozenset(-l for l in self._lits)
+        return frozenset(map(neg, self._lits))
 
     def is_tautology(self) -> bool:
-        return any(-l in self._lits for l in self._canon)
+        return not self._lits.isdisjoint(map(neg, self._lits))
 
     def dimacs(self) -> str:
         """The clause as a zero-terminated DIMACS token string, e.g. '1 -2 0'."""
-        return " ".join(str(l) for l in self._canon + (0,))
+        return " ".join(map(str, self._canon + (0,)))
 
     def sort_key(self) -> tuple[tuple[int, bool], ...]:
         return tuple(literal_key(l) for l in self._canon)
@@ -99,7 +101,7 @@ def as_clause(c: "Clause | Iterable[int]") -> Clause:
 def _litset(x: "Clause | Iterable[int]") -> frozenset[int]:
     if isinstance(x, Clause):
         return x._lits
-    return frozenset(int(l) for l in x)
+    return frozenset(map(int, x))
 
 
 class Formula:
@@ -118,12 +120,28 @@ class Formula:
     __slots__ = ("_seq", "_occ", "_units", "_next")
 
     def __init__(self, clauses: Iterable["Clause | Iterable[int]"] = ()):
-        self._seq: dict[Clause, int] = {}
-        self._occ: dict[int, dict[Clause, int]] = {}
-        self._units: dict[Clause, int] = {}
-        self._next = 0
+        # the indexes `add` would build, clause by clause, in one loop
+        seq: dict[Clause, int] = {}
+        occ: dict[int, dict[Clause, int]] = {}
+        units: dict[Clause, int] = {}
+        n = 0
         for c in clauses:
-            self.add(as_clause(c))
+            c = as_clause(c)
+            if seq.setdefault(c, n) != n:
+                continue  # a duplicate keeps its first id
+            for l in c._canon:
+                bucket = occ.get(l)
+                if bucket is None:
+                    occ[l] = {c: n}
+                else:
+                    bucket[c] = n
+            if len(c._lits) == 1:
+                units[c] = n
+            n += 1
+        self._seq = seq
+        self._occ = occ
+        self._units = units
+        self._next = n
 
     def add(self, clause: "Clause | Iterable[int]") -> bool:
         """Add a clause; returns False if it was already present."""
@@ -202,7 +220,13 @@ class Formula:
         return [c for c, _ in sorted(hit.items(), key=itemgetter(1))]
 
     def copy(self) -> "Formula":
-        return Formula(self._seq)
+        """An independent copy that keeps every insertion id and bucket order."""
+        out = Formula.__new__(Formula)
+        out._seq = dict(self._seq)
+        out._occ = {l: dict(bucket) for l, bucket in self._occ.items()}
+        out._units = dict(self._units)
+        out._next = self._next
+        return out
 
     def clauses_except(self, clause: Clause) -> list[Clause]:
         """All clauses other than `clause`, in insertion order."""
@@ -219,14 +243,20 @@ class Formula:
         return out
 
     def check_occ_consistent(self) -> bool:
-        """Verification mode: recompute both indexes, bucket order included, and compare."""
+        """Verification mode: recompute both indexes, bucket order included, and compare.
+
+        Also checks that ids rise in formula order and that the next id
+        exceeds every stored one, so a later `add` keeps buckets sorted.
+        """
         want: dict[int, list[tuple[Clause, int]]] = {}
         for c, seq in self._seq.items():
             for l in c:
                 want.setdefault(l, []).append((c, seq))
         have = {l: list(bucket.items()) for l, bucket in self._occ.items()}
         units = [(c, seq) for c, seq in self._seq.items() if len(c) == 1]
-        return want == have and units == list(self._units.items())
+        ids = list(self._seq.values())
+        rising = all(a < b for a, b in zip(ids, ids[1:] + [self._next]))
+        return want == have and units == list(self._units.items()) and rising
 
 
 class Assignment:
@@ -464,6 +494,18 @@ def read_dimacs_body(
         toks = line.split()
         if prefix is not None and prefix(lineno, toks):
             continue
+        if not pending:
+            # fast path: a line holding exactly one zero-terminated clause;
+            # any other line, bad tokens included, goes the general way
+            try:
+                lits = list(map(int, toks))
+            except ValueError:
+                lits = []
+            if lits and lits[-1] == 0 and lits.count(0) == 1:
+                lits.pop()
+                clauses.append(Clause(lits))
+                clause_lines.append(lineno)
+                continue
         start: "int | None" = 0
         while start is not None and start < len(toks):
             lits, start = read_literals(toks, start, lineno)
@@ -491,14 +533,24 @@ def parse_dimacs(source: "str | bytes", strict: bool = False) -> Formula:
     Every ParseError message starts with the line it concerns.
     """
     body = read_dimacs_body(source)
-    body.check_counts(max((abs(l) for c in body.clauses for l in c), default=0), strict)
+    body.check_counts(_max_variable(body.clauses), strict)
     return Formula(body.clauses)
+
+
+def _max_variable(clauses: Iterable[Clause]) -> int:
+    """The largest variable id in the clauses, 0 if there is none."""
+    # a canonical clause ends with its largest variable
+    return max((abs(c._canon[-1]) for c in clauses if c._canon), default=0)
+
+
+def _rank_key(c: Clause) -> list[int]:
+    """Clause.sort_key as plain ints: literal l ranks 2*|l| + (l > 0)."""
+    return [2 * abs(l) + (l > 0) for l in c._canon]
 
 
 def write_dimacs(f: Formula) -> str:
     """Serialize a formula as DIMACS CNF with canonically ordered clauses."""
-    body = sorted(f, key=Clause.sort_key)
-    max_var = max((abs(l) for c in body for l in c), default=0)
-    lines = ["p cnf %d %d" % (max_var, len(body))]
+    body = sorted(f, key=_rank_key)
+    lines = ["p cnf %d %d" % (_max_variable(body), len(body))]
     lines.extend(c.dimacs() for c in body)
     return "\n".join(lines) + "\n"

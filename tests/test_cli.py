@@ -290,6 +290,18 @@ class TestEliminateAndReconstruct:
         assert run(["reconstruct", src, "--trace", tracef, "--model", model]) == 70
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("rows", [
+        "wt 3 0 1 0\nwt 3 0 1 2 0\n",     # the same assignment twice
+        "wt -3 0 1 0\nwt 3 -1 0 1 0\n",   # different variable sets, either order
+        "wt 3 -1 0 1 0\nwt -3 0 1 0\n",
+    ])
+    def test_reconstruct_rejects_inconsistent_restriction_rows(self, tmp_path, capsys, rows):
+        src = put(tmp_path, "f.cnf", "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n")
+        tracef = put(tmp_path, "bad.trace", "t blockcheck 1\nd supbc 1 2 0 w 0\n" + rows)
+        model = put(tmp_path, "m.txt", "v -1 -2 -3 0\n")
+        assert run(["reconstruct", src, "--trace", tracef, "--model", model]) == 65
+        assert capsys.readouterr().err.startswith("error: line 4: ")
+
     def test_reconstruct_rejects_malformed_trace(self, tmp_path, capsys):
         src = put(tmp_path, "f.cnf", BLOCKED_3)
         tracef = put(tmp_path, "bad.trace", "not a trace\n")

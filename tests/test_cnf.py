@@ -1,5 +1,7 @@
 import pytest
 
+import random
+
 from blockcheck import (
     Assignment,
     Clause,
@@ -11,11 +13,13 @@ from blockcheck import (
     parse_dimacs,
     parse_model,
     parse_qdimacs,
+    random_clause,
     resolution_environment,
     resolvent,
     restrict,
     write_dimacs,
 )
+from blockcheck.cnf import numbered_lines, read_dimacs_body, read_literals
 
 from conftest import clause, formula
 
@@ -110,6 +114,79 @@ class TestFormula:
 
     def test_variables(self):
         assert formula((1, -2), (3,)).variables() == {1, 2, 3}
+
+
+def index_state(f):
+    """Both indexes and the id counter, every order included."""
+    return (
+        list(f._seq.items()),
+        [(l, list(bucket.items())) for l, bucket in f._occ.items()],
+        list(f._units.items()),
+        f._next,
+    )
+
+
+def clause_stream(seed, n=60):
+    """Seeded clauses with repeats, units, tautologies and the empty clause."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.05:
+            out.append(Clause())
+        elif r < 0.15 and out:
+            out.append(rng.choice(out))
+        elif r < 0.25:
+            v = rng.randint(1, 6)
+            out.append(Clause([v, -v, rng.randint(1, 6)]))
+        else:
+            out.append(random_clause(rng, 6, rng.randint(1, 4)))
+    return out
+
+
+class TestFormulaIndexes:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bulk_build_and_copy_match_add_by_add(self, seed):
+        clauses = clause_stream(seed)
+        one_by_one = Formula()
+        for c in clauses:
+            one_by_one.add(c)
+        bulk = Formula(clauses)
+        assert index_state(bulk) == index_state(one_by_one)
+        assert index_state(bulk.copy()) == index_state(one_by_one)
+        assert bulk.check_occ_consistent()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_copy_of_a_mutated_formula(self, seed):
+        rng = random.Random(seed)
+        f = Formula(clause_stream(seed))
+        for c in rng.sample(f.clauses, len(f) // 3):
+            f.remove(c)
+        before = index_state(f)
+        g = f.copy()
+        assert index_state(g) == before and g.check_occ_consistent()
+        # mutating the copy leaves the original as it was
+        for c in g.clauses[::2]:
+            g.remove(c)
+        g.add((7, -8))
+        g.add((9,))
+        assert index_state(f) == before and f.check_occ_consistent()
+        assert g.check_occ_consistent()
+
+    def test_clause_added_to_a_copy_gets_a_fresh_id(self):
+        f = formula((1, 2), (-1, 3), (4,))
+        f.remove(clause(4))
+        g = f.copy()
+        g.add((5,))
+        assert g.seq_of(clause(5)) > max(f.seq_of(c) for c in f)
+        assert g.seq_of(clause(5)) >= f._next
+        assert g.clauses_with_any((1, 5), units=True) == [clause(1, 2), clause(5)]
+
+    def test_consistency_check_sees_a_stale_next_id(self):
+        f = formula((1, 2), (-1, 3))
+        assert f.check_occ_consistent()
+        f._next = f.seq_of(clause(-1, 3))
+        assert not f.check_occ_consistent()
 
 
 class TestAssignment:
@@ -237,6 +314,80 @@ class TestDimacs:
 
     def test_write_empty(self):
         assert write_dimacs(Formula()) == "p cnf 0 0\n"
+
+
+def general_clauses(text):
+    """read_dimacs_body's clause loop with every line going through read_literals."""
+    clauses, lines, pending = [], [], []
+    lineno = 1
+    for lineno, line in numbered_lines(text):
+        if line.startswith("%"):
+            break
+        if line.startswith("p"):
+            continue
+        toks = line.split()
+        start = 0
+        while start is not None and start < len(toks):
+            lits, start = read_literals(toks, start, lineno)
+            pending.extend(lits)
+            if start is not None:
+                clauses.append(Clause(pending))
+                lines.append(lineno)
+                pending = []
+    if pending:
+        raise ParseError("line %d: unterminated clause at end of input" % lineno)
+    return clauses, lines
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+def fast_clauses(text):
+    body = read_dimacs_body(text)
+    return body.clauses, body.clause_lines
+
+
+class TestDimacsFastPath:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1 2 x\n",           # bad token at the end of a line
+            "1 x 2 0\n",         # bad token in the middle
+            "1 2 0\n3 x",        # bad token on the last line, no terminator
+            "1 0 2 0\n",         # two clauses on one line
+            "1 0 2\n3 0\n",     # a clause, then one continued over lines
+            "1 2 -0\n-1 00\n",  # '-0' and '00' end a clause
+            "+3 -1 0\n",         # an explicit plus sign
+            "1 2\n3 0\n",       # a clause continued over lines
+            "1\n2 0\n3 0\n",   # a line ending in 0 after a continuation
+            "1 2\n0\n0\n",     # a bare 0 ends the pending clause, then is empty
+            "1 2 0\n3\n",       # unterminated at end of input
+            "0 0 1 0\n",         # empty clauses before a clause
+            "1 1 -2 0\n2 -2 0\n",
+        ],
+    )
+    def test_agrees_with_the_general_path(self, body):
+        text = "p cnf 3 2\n" + body
+        assert outcome(fast_clauses, text) == outcome(general_clauses, text)
+
+    def test_error_texts_are_the_general_ones(self):
+        assert outcome(fast_clauses, "p cnf 2 1\n1 x 0\n") == ("error", "line 2: bad literal 'x'")
+        assert outcome(fast_clauses, "p cnf 2 1\n1 2\n") == (
+            "error", "line 2: unterminated clause at end of input")
+
+    def test_write_keeps_the_canonical_order(self):
+        clauses = [(2, -1, 1), (-2, 1), (2, 1), (-1,), (1,), (-1, -2), (), (3, -3, -2), (-3, 2)]
+        f = formula(*clauses)
+        body = sorted(f, key=Clause.sort_key)
+        want = "p cnf 3 9\n" + "".join(c.dimacs() + "\n" for c in body)
+        assert write_dimacs(f) == want
+        assert want.splitlines()[1:] == [
+            "0", "-1 0", "-1 1 2 0", "-1 -2 0", "1 0", "1 -2 0", "1 2 0", "-2 -3 3 0", "2 -3 0",
+        ]
 
 
 @pytest.mark.parametrize(

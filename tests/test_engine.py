@@ -20,10 +20,13 @@ from blockcheck import (
     first_model,
     is_satisfiable,
     parse_model,
+    random_clause,
     random_instance,
     reconstruct_model,
+    write_dimacs,
     write_model,
 )
+from blockcheck import blocking, engine
 
 from conftest import clause, formula
 
@@ -194,6 +197,120 @@ class TestEliminate:
             assert not is_satisfiable(g)
 
 
+def reference_eliminate(f, cfg):
+    """The elimination loop that checks every queued clause in full.
+
+    Same batches, order and rounds as `eliminate_clauses`, but no clause is
+    skipped for an unchanged environment and every check tries every
+    literal; the engine must match it byte for byte.
+    """
+    check = engine._CHECKS[cfg.property]
+    g = f.copy()
+    entries, capped = [], {}
+    pending = set(g.clauses)
+
+    def order_key(c):
+        if cfg.clause_order == "descending-length":
+            return (-len(c), g.seq_of(c))
+        return g.seq_of(c)
+
+    rounds = 0
+    while pending and rounds < cfg.rounds_cap:
+        rounds += 1
+        batch = sorted((c for c in pending if c in g), key=order_key)
+        pending = set()
+        for c in batch:
+            if c not in g:
+                continue
+            try:
+                ok, w = check(g, c, cfg)
+            except CapExceeded as exc:
+                capped[c] = str(exc)
+                continue
+            if not ok:
+                continue
+            g.remove(c)
+            capped.pop(c, None)
+            entries.append(TraceEntry(c, cfg.property, w))
+            pending.update(g.clauses_with_any(c.complements()))
+
+    still = [(c, reason) for c, reason in capped.items() if c in g]
+    still.sort(key=lambda pair: g.seq_of(pair[0]))
+    return g, EliminationTrace(entries, still)
+
+
+def mixed_formula(rng, nvars, nclauses):
+    """Widths 1-4, with tautologies and now and then the empty clause."""
+    f = Formula()
+    for _ in range(nclauses):
+        r = rng.random()
+        if r < 0.04:
+            f.add(Clause())
+        elif r < 0.14:
+            v = rng.randint(1, nvars)
+            f.add([v, -v, rng.choice((1, -1)) * rng.randint(1, nvars)])
+        else:
+            f.add(random_clause(rng, nvars, rng.randint(1, 4)))
+    return f
+
+
+def planted_3cnf(rng, nvars, nclauses):
+    model = {v: rng.random() < 0.5 for v in range(1, nvars + 1)}
+    f = Formula()
+    while len(f) < nclauses:
+        lits = list(random_clause(rng, nvars, 3))
+        if not any(model[abs(l)] == (l > 0) for l in lits):
+            lits[0] = -lits[0]
+        f.add(lits)
+    return f
+
+
+def outputs(result):
+    g, trace = result
+    return trace.to_text(), write_dimacs(g), g.clauses, trace.skipped
+
+
+class TestRecheckQueue:
+    @pytest.mark.parametrize("prop", PROPERTIES)
+    def test_matches_the_full_recheck_loop(self, prop):
+        rng = random.Random("recheck " + prop)
+        cases = [mixed_formula(rng, rng.randint(2, 8), rng.randint(1, 14)) for _ in range(25)]
+        cases += [mixed_formula(rng, 16, 40) for _ in range(2)]
+        removed = skipped = 0
+        for f in cases:
+            for order in ("ascending-id", "descending-length"):
+                for rounds_cap in (1, 2, 1000):
+                    for k in (None, 1, 2):
+                        for ext_cap in ((1, 6) if prop == "supbc" else (16,)):
+                            cfg = EliminationConfig(property=prop, clause_order=order,
+                                                    rounds_cap=rounds_cap, k=k, ext_cap=ext_cap)
+                            got = eliminate_clauses(f, cfg)
+                            assert outputs(got) == outputs(reference_eliminate(f, cfg))
+                            removed += len(got[1].entries)
+                            skipped += len(got[1].skipped)
+        assert removed > 0
+        assert skipped > 0 or prop != "supbc"
+
+    def test_literal_blocking_tries_fewer_literals(self, monkeypatch):
+        f = planted_3cnf(random.Random(5), 300, 600)
+        calls = []
+        real = blocking.literal_blocks
+
+        def counted(g, c, lit):
+            calls.append(lit)
+            return real(g, c, lit)
+
+        monkeypatch.setattr(blocking, "literal_blocks", counted)
+        cfg = EliminationConfig(property="bc")
+        want = outputs(reference_eliminate(f, cfg))
+        full = len(calls)
+        calls.clear()
+        got = outputs(eliminate_clauses(f, cfg))
+        assert got == want
+        assert want[0].count("\nd bc") > 50
+        assert 0 < len(calls) < full
+
+
 class TestTraceText:
     def test_known_literal_trace_text(self, ex_blocked):
         f, c = ex_blocked
@@ -272,6 +389,18 @@ class TestTraceText:
         for line in bad:
             with pytest.raises(ParseError):
                 EliminationTrace.from_text("t blockcheck 1\n%s\n" % line)
+
+    def test_rejects_a_repeated_restriction(self):
+        text = "t blockcheck 1\nd supbc 1 2 0 w 0\nwt 3 0 1 0\nc note\nwt 3 0 1 2 0\n"
+        with pytest.raises(ParseError, match=r"^line 5: second restriction line for one assignment"):
+            EliminationTrace.from_text(text)
+
+    def test_rejects_restrictions_over_different_variables(self):
+        for rows in ("wt -3 0 1 0\nwt 4 0 1 0\n", "wt 4 0 1 0\nwt -3 0 1 0\n",
+                     "wt -3 0 1 0\nwt 3 -4 0 1 0\n", "wt 0 1 0\nwt 3 0 1 0\n"):
+            text = "t blockcheck 1\nd supbc 1 2 0 w 0\n" + rows
+            with pytest.raises(ParseError, match=r"^line 4: restriction over other variables"):
+                EliminationTrace.from_text(text)
 
     def test_rejects_orphan_restriction_line(self):
         text = "t blockcheck 1\nwt 3 0 1 0\n"
