@@ -71,7 +71,7 @@ def literal_blocks(f: Formula, c: "Clause | Iterable[int]", lit: int) -> bool:
     c = as_clause(c)
     if lit not in c._lits:
         raise ValueError("blocking literal must belong to the clause")
-    bucket = f._occ.get(-lit)
+    bucket = f.occurrences(-lit)
     if not bucket:  # no resolvent at all: lit is pure
         return True
     flipped = set(map(neg, c._lits))

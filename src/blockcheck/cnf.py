@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from operator import itemgetter, neg
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
@@ -87,8 +88,10 @@ class Clause:
         """The clause as a zero-terminated DIMACS token string, e.g. '1 -2 0'."""
         return " ".join(map(str, self._canon + (0,)))
 
-    def sort_key(self) -> tuple[tuple[int, bool], ...]:
-        return tuple(literal_key(l) for l in self._canon)
+    def sort_key(self) -> list[int]:
+        """Canonical clause order as plain ints: literal l ranks 2*|l| + (l > 0),
+        the same order as `literal_key` on each literal."""
+        return [2 * abs(l) + (l > 0) for l in self._canon]
 
     def __repr__(self) -> str:
         return "Clause(%s)" % " ".join(str(l) for l in self._canon)
@@ -102,6 +105,10 @@ def _litset(x: "Clause | Iterable[int]") -> frozenset[int]:
     if isinstance(x, Clause):
         return x._lits
     return frozenset(map(int, x))
+
+
+# shared by every formula for a literal that occurs nowhere
+_NO_OCCURRENCES: Mapping = MappingProxyType({})
 
 
 class Formula:
@@ -202,6 +209,15 @@ class Formula:
 
     def variables(self) -> set[int]:
         return {abs(l) for l in self._occ}
+
+    def occurrences(self, lit: int) -> Mapping[Clause, int]:
+        """The clauses containing the literal, each mapped to its insertion id,
+        in insertion order.
+
+        This is the live index bucket, not a copy: callers only read it, and
+        must not hold it across a change to the formula.
+        """
+        return self._occ.get(lit, _NO_OCCURRENCES)
 
     def clauses_with(self, lit: int) -> list[Clause]:
         """All clauses containing the literal, in insertion order."""
@@ -543,14 +559,9 @@ def _max_variable(clauses: Iterable[Clause]) -> int:
     return max((abs(c._canon[-1]) for c in clauses if c._canon), default=0)
 
 
-def _rank_key(c: Clause) -> list[int]:
-    """Clause.sort_key as plain ints: literal l ranks 2*|l| + (l > 0)."""
-    return [2 * abs(l) + (l > 0) for l in c._canon]
-
-
 def write_dimacs(f: Formula) -> str:
     """Serialize a formula as DIMACS CNF with canonically ordered clauses."""
-    body = sorted(f, key=_rank_key)
+    body = sorted(f, key=Clause.sort_key)
     lines = ["p cnf %d %d" % (_max_variable(body), len(body))]
     lines.extend(c.dimacs() for c in body)
     return "\n".join(lines) + "\n"

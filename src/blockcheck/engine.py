@@ -319,27 +319,27 @@ def eliminate_clauses(
     cfg = cfg if cfg is not None else EliminationConfig()
     check = _CHECKS[cfg.property]
     g = f.copy()
-    seq, occ = g._seq, g._occ
     entries: list[TraceEntry] = []
     capped: dict[Clause, str] = {}
     # checked clause -> its literals touched since it was last refuted
     # (answer no or cap); a clause never checked has no entry
     touched: dict[Clause, "set[int] | frozenset[int]"] = {}
-    pending = set(seq)
+    pending = set(g)
+    seq_of = g.seq_of
 
     if cfg.clause_order == "descending-length":
         def order_key(c: Clause):
-            return (-len(c), seq[c])
+            return (-len(c), seq_of(c))
     else:
-        order_key = seq.__getitem__
+        order_key = seq_of
 
     rounds = 0
     while pending and rounds < cfg.rounds_cap:
         rounds += 1
-        batch = sorted((c for c in pending if c in seq), key=order_key)
+        batch = sorted((c for c in pending if c in g), key=order_key)
         pending = set()
         for c in batch:
-            if c not in seq:
+            if c not in g:
                 continue
             lits = touched.get(c)
             if lits is _UNTOUCHED:
@@ -357,7 +357,7 @@ def eliminate_clauses(
             capped.pop(c, None)
             entries.append(TraceEntry(c, cfg.property, w))
             for m in c._canon:
-                bucket = occ.get(-m)
+                bucket = g.occurrences(-m)
                 if not bucket:
                     continue
                 pending.update(bucket)

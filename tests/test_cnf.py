@@ -28,6 +28,15 @@ def test_literal_key_orders_negative_before_positive():
     assert sorted([3, -1, 1, -3], key=literal_key) == [-1, 1, -3, 3]
 
 
+def test_clause_sort_key_orders_by_literal_key():
+    rng = random.Random(3)
+    # small variable range: tautologies, prefixes and the empty clause occur
+    clauses = [Clause(rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(rng.randint(0, 5)))
+               for _ in range(300)]
+    by_literal_key = sorted(clauses, key=lambda c: [literal_key(l) for l in c])
+    assert sorted(clauses, key=Clause.sort_key) == by_literal_key
+
+
 class TestClause:
     def test_deduplicates_and_canonicalizes(self):
         assert Clause([2, 1, 2, -1]).literals == (-1, 1, 2)
@@ -181,6 +190,16 @@ class TestFormulaIndexes:
         assert g.seq_of(clause(5)) > max(f.seq_of(c) for c in f)
         assert g.seq_of(clause(5)) >= f._next
         assert g.clauses_with_any((1, 5), units=True) == [clause(1, 2), clause(5)]
+
+    def test_occurrences_are_the_bucket_in_insertion_order(self):
+        f = formula((2, 1), (-1, 3), (1,), (1, -3))
+        f.remove(clause(1))
+        assert list(f.occurrences(1).items()) == [
+            (clause(1, 2), f.seq_of(clause(1, 2))), (clause(1, -3), f.seq_of(clause(1, -3)))]
+        assert list(f.occurrences(-1)) == f.clauses_with(-1) == [clause(-1, 3)]
+        assert not f.occurrences(4) and not f.occurrences(-2)
+        f.remove(clause(-1, 3))
+        assert not f.occurrences(-1)
 
     def test_consistency_check_sees_a_stale_next_id(self):
         f = formula((1, 2), (-1, 3))
