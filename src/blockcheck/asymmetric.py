@@ -12,15 +12,45 @@ closure's properties classify c:
 * asymmetric blocking (ABC): the closure is blocked by a literal.
 
 Saturation runs as breadth-first propagation over the formula's occurrence
-lists: a round looks only at the clauses holding a literal the round before
-added (the first round at those holding a literal of c, plus the units).
-The step log of `ala_fixpoint` still follows the batched-round rule — each
-round judges its donors against the clause as it stood at the start of the
-round and records every literal with the first donor in formula order — and
-runs to the full fixpoint. Only the yes/no checks stop early, once the
-partial closure holds a complementary pair; tautology survives literal
-addition, so no verdict depends on the rest. Subsumption walks the
-occurrence lists of the clause's own literals.
+lists (`_rounds`, the one propagation loop): a round looks only at the
+clauses holding a literal the round before added. The step log of
+`ala_fixpoint` starts from the clause alone, takes in the unit clauses in
+round 1, follows the batched-round rule — each round judges its donors
+against the clause as it stood at the start of the round and records every
+literal with the first donor in formula order — and runs to the full
+fixpoint.
+
+The checks seed every closure instead. Let U(G) be the closure of the
+empty clause over G: the literals unit propagation forces from G's units,
+negated. For any x, the closure of x over F without c equals the closure of
+x together with U(F without c), and round 1 then needs only the donors
+holding a literal of x outside U; every other donor has already fired
+inside U. U is computed once per formula state and kept on the `Formula`
+(`Formula.derived`) with the clauses it was derived from, its donors:
+
+* `add` drops it, since a new clause can force more;
+* `remove(D)` drops it only when D is a donor; without D the same
+  derivation still holds, and nothing new can be forced;
+* when c is a donor of U(F), U(F without c) is derived and kept too, for
+  the last such c; classify asks every property of c, and every lifted
+  resolvent of c, in a row. Once c itself goes, that closure is U(F).
+
+U stops at its first complementary pair, so a formula refuted by unit
+propagation keeps few donors, and a removal rarely drops U. Every closure
+is then tautological: AT, ABC and AS of a non-tautological clause answer
+yes at once. The full closures (the step log, `ala_closure` without the
+stop, `asymmetric_blocking_literal`, AS of a tautology) fall back to
+unseeded rounds, because a stopped U is no fixpoint.
+
+The yes/no checks stop at the first complementary pair too; tautology
+survives literal addition, so no verdict depends on the rest. AS stops
+there as well: the closure of a non-tautological x turns tautological only
+through a donor D other than c whose literals all end up in it, and D
+subsumes it. So the first complementary pair answers yes, and a closure
+that never gets one is the full fixpoint, which subsumption is then tested
+on. A tautological x keeps the full closure: with F = {(1 -1)} and
+c = (1 -1), c is AT but not AS. Subsumption walks the occurrence lists of
+the closure's own literals.
 
 `r_lift` then turns a base redundancy property into its resolution-lifted
 variant: c qualifies if the base holds for c itself, or some literal l in c
@@ -36,7 +66,8 @@ closure is blocked could fail the lifted tautology check).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from operator import neg
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .blocking import is_literal_blocked
 from .cnf import Clause, Formula, as_clause, literal_key
@@ -61,24 +92,35 @@ class AlaTrace:
         return self.base | (step.literal for step in self.added)
 
 
-def _rounds(f: Formula, c: Clause, x: Clause) -> Iterator[tuple[set[int], dict[int, Clause]]]:
-    """Literal addition on x as breadth-first propagation over f's occurrence lists.
+_EMPTY = Clause()
 
-    Yields, per round, the clause as it stands after the round and the
-    literals the round added, each with its donor. A donor D fires when at
-    most one of its literals lies outside the clause as it stood at the
-    start of the round; it adds the complement of that literal, or of each
-    of its literals when none lies outside. Round 1 looks at the clauses
-    holding a literal of x plus the unit clauses (any other clause has no
-    literal to add or two outside x); each later round looks only at the
-    clauses holding a literal the round before added, because a clause that
-    holds none of them was just as ready a round earlier and has fired.
-    Donors are visited in formula order, so each literal keeps the first
-    donor in formula order that justified it in its round; c itself is
-    never a donor.
+
+def _rounds(
+    f: Formula,
+    c: Clause,
+    current: set[int],
+    donors: "Iterable[Clause]",
+    stop_at_tautology: bool = False,
+) -> Iterator[tuple[set[int], dict[int, Clause]]]:
+    """Literal addition on `current` as breadth-first propagation over f's occurrence lists.
+
+    Grows `current` in place and yields, per round, the clause as it stands
+    after the round and the literals the round added, each with its donor.
+    A donor D fires when at most one of its literals lies outside the clause
+    as it stood at the start of the round; it adds the complement of that
+    literal, or of each of its literals when none lies outside. Round 1
+    looks at `donors`, which must hold every clause that can fire on the
+    start set. Each later round looks only at the clauses holding a literal
+    the round before added, because a clause that holds none of them was
+    just as ready a round earlier and has fired. Donors are visited in
+    formula order, so each literal keeps the first donor in formula order
+    that justified it in its round; c itself is never a donor.
+
+    With stop_at_tautology, the first added literal whose complement the
+    clause already holds, or the round added before it, ends the round and
+    the run; the clause is then tautological, and so is every clause
+    literal addition grows from it.
     """
-    current = set(x._lits)
-    donors = f.clauses_with_any(current, units=True)
     while donors:
         found: dict[int, Clause] = {}
         for d in donors:
@@ -88,11 +130,47 @@ def _rounds(f: Formula, c: Clause, x: Clause) -> Iterator[tuple[set[int], dict[i
             for m in outside or d._lits:
                 if -m not in current and -m not in found:
                     found[-m] = d
+                    if stop_at_tautology and (m in current or m in found):
+                        current.update(found)
+                        yield current, found
+                        return
         if not found:
             return
         current.update(found)
         yield current, found
         donors = f.clauses_with_any(found)
+
+
+class _Units(NamedTuple):
+    """U(G): the closure of the empty clause over G, stopped at its first
+    complementary pair, with the clauses recorded as donors on the way."""
+
+    lits: frozenset[int]
+    tautological: bool
+    donors: frozenset[Clause]
+
+
+def _propagate_units(f: Formula, c: "Clause | None") -> tuple[_Units, frozenset[Clause]]:
+    """U(f without c), with its donors (the form `Formula.derived` keeps)."""
+    # the empty clause never adds a literal, so excluding it excludes nothing
+    exclude = _EMPTY if c is None else c
+    current: set[int] = set()
+    donors: set[Clause] = set()
+    # U stops at the first clash, often after a few units: walk the units in
+    # place rather than copying and sorting them all
+    first = f.unit_clauses()
+    for current, found in _rounds(f, exclude, current, first, stop_at_tautology=True):
+        donors.update(found.values())
+    units = _Units(frozenset(current), _tautological(current), frozenset(donors))
+    return units, units.donors
+
+
+def _units_without(f: Formula, c: Clause) -> _Units:
+    """U(f without c), kept on f: U(f) itself unless c is one of its donors."""
+    units = f.derived(_propagate_units)
+    if c in units.donors:
+        units = f.derived(_propagate_units, c)
+    return units
 
 
 def _saturate(f: Formula, c: Clause, x: Clause) -> AlaTrace:
@@ -103,62 +181,102 @@ def _saturate(f: Formula, c: Clause, x: Clause) -> AlaTrace:
     commits the discovered literals in canonical order, each recorded with
     the first donor in formula order that justified it. The closure does not
     depend on any of this; only the step log is pinned down by it. The log
-    runs through tautology to the full fixpoint — stopping at the first
-    complementary pair would make it order-dependent; only the yes/no
-    checks (`_closure` with stop_at_tautology) stop there.
+    starts from x alone, not from the seed U, and runs through tautology to
+    the full fixpoint — stopping at the first complementary pair would make
+    it order-dependent; only the yes/no checks stop there.
     """
     steps: list[AlaStep] = []
-    for _, found in _rounds(f, c, x):
+    for _, found in _rounds(f, c, set(x._lits), _first_donors(f, x)):
         steps.extend(AlaStep(lit, found[lit]) for lit in sorted(found, key=literal_key))
     return AlaTrace(x, tuple(steps))
 
 
-def _closure(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool = False) -> Clause:
-    """The saturation closure of x, drawing donors from f without c.
+def _first_donors(f: Formula, x: Clause) -> list[Clause]:
+    """Round 1 donors of unseeded literal addition on x: the clauses holding a
+    literal of x plus the unit clauses (any other clause has no literal to
+    add or two outside x)."""
+    return f.clauses_with_any(x._lits, units=True)
 
-    With stop_at_tautology, saturation stops after the first round whose
-    closure holds a complementary pair: literal addition only grows the
-    clause, so every later closure is tautological too and a verdict that
-    only asks whether the closure is tautological is already settled.
+
+def _closure_lits(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool) -> set[int]:
+    """The literals of the saturation closure of x over f without c.
+
+    Seeded with U(f without c): a literal U holds is added to any clause
+    sooner or later, and a donor that holds no literal of x outside U has
+    already fired inside U, so round 1 looks only at the donors holding such
+    a literal. With stop_at_tautology, saturation stops at the first
+    complementary pair (a tautological x, U or x with U stops at once):
+    literal addition only grows the clause, so every later closure is
+    tautological too. Without it, a stopped U is no fixpoint, so a
+    tautological U falls back to unseeded rounds.
     """
-    current = x._lits
-    if not (stop_at_tautology and x.is_tautology()):
-        for current, found in _rounds(f, c, x):
-            if stop_at_tautology and any(-lit in current for lit in found):
-                break
-    return Clause(current)
+    xs = x._lits
+    if stop_at_tautology and x.is_tautology():
+        return set(xs)
+    units = _units_without(f, c)
+    if units.tautological and not stop_at_tautology:
+        current, donors = set(xs), _first_donors(f, x)
+    else:
+        seed = units.lits
+        current = set(xs | seed)
+        if stop_at_tautology and (units.tautological or not seed.isdisjoint(map(neg, xs))):
+            return current
+        donors = f.clauses_with_any(xs - seed)
+    for current, _ in _rounds(f, c, current, donors, stop_at_tautology):
+        pass
+    return current
+
+
+def _tautological(lits: "set[int] | frozenset[int]") -> bool:
+    return not lits.isdisjoint(map(neg, lits))
+
+
+def _closure(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool = False) -> Clause:
+    """The saturation closure of x as a clause (see `_closure_lits`)."""
+    return Clause(_closure_lits(f, c, x, stop_at_tautology))
 
 
 # The base properties judge a clause x against f with c excluded: c is the
 # clause under test, x is c itself or one of its lifted resolvents.
 BaseProperty = Callable[[Formula, Clause, Clause], bool]
 
-_EMPTY = Clause()
-
 
 def _base_t(f: Formula, c: Clause, x: Clause) -> bool:
     return x.is_tautology()
 
 
-def _base_s(f: Formula, c: Clause, x: Clause) -> bool:
-    # A subsumer holds only literals of x, so it sits in their occurrence
-    # lists — unless it is the empty clause, which subsumes everything.
+def _subsumed(f: Formula, c: Clause, within: "set[int] | frozenset[int]") -> bool:
+    """True iff a clause of f other than c is a subset of the literals `within`."""
+    # A subsumer holds only literals of `within`, so it sits in their
+    # occurrence lists — unless it is the empty clause, which subsumes
+    # everything.
     if c._lits and _EMPTY in f:
         return True
-    within = x._lits
     for lit in within:
-        for d in f.clauses_with(lit):
+        for d in f.occurrences(lit):
             if d._lits <= within and d._lits != c._lits:
                 return True
     return False
 
 
+def _base_s(f: Formula, c: Clause, x: Clause) -> bool:
+    return _subsumed(f, c, x._lits)
+
+
 def _base_at(f: Formula, c: Clause, x: Clause) -> bool:
-    return _closure(f, c, x, stop_at_tautology=True).is_tautology()
+    return _tautological(_closure_lits(f, c, x, stop_at_tautology=True))
 
 
 def _base_as(f: Formula, c: Clause, x: Clause) -> bool:
-    return _base_s(f, c, _closure(f, c, x))
+    # A closure of a non-tautological x turns tautological only through a
+    # donor D other than c whose literals all end up in it (D adds a literal
+    # whose complement D itself or the clause already holds), and D then
+    # subsumes the closure. So the first complementary pair answers yes, and
+    # a closure that never gets one is the full fixpoint.
+    if x.is_tautology():
+        return _subsumed(f, c, _closure_lits(f, c, x, stop_at_tautology=False))
+    lits = _closure_lits(f, c, x, stop_at_tautology=True)
+    return _tautological(lits) or _subsumed(f, c, lits)
 
 
 BASES: dict[str, BaseProperty] = {
@@ -208,10 +326,13 @@ def asymmetric_blocking_literal(f: Formula, c: "Clause | Iterable[int]") -> int 
 
     When the closure is non-tautological, a blocking literal is necessarily a
     literal of c itself: an added literal cannot block, because its own donor
-    resolves with it back into a subset of the closure.
+    resolves with it back into a subset of the closure. So only c's literals
+    are tried then.
     """
-    closure = ala_closure(f, c)
-    witness = is_literal_blocked(f, closure)
+    c = as_clause(c)
+    closure = _closure(f, c, c)
+    among = None if closure.is_tautology() else c._lits
+    witness = is_literal_blocked(f, closure, among)
     return None if witness is None else witness.literal
 
 

@@ -7,8 +7,9 @@ encode-qbf, solve-brute, gen-reduction, gen-random.
 Exit codes are part of the contract: verdict commands exit 0 on a positive
 verdict (blocked / redundant / satisfiable), 1 on a negative one, and 2
 when a cap prevented a complete answer. 64 flags a usage problem, 65 a
-malformed input file, 66 a missing file, and 70 a cap or resource limit
-hit somewhere a verdict exit would be misleading. Verdict lines are single
+malformed input file, 66 an input file that could not be read, 70 a cap or
+resource limit hit somewhere a verdict exit would be misleading, and 74 an
+output file that could not be written. Verdict lines are single
 lines with a fixed token order, so scripts can split on whitespace.
 """
 
@@ -61,12 +62,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _InputError(Exception):
+    """An input file could not be read (exit 66)."""
+
+
+class _OutputError(Exception):
+    """An output file could not be written (exit 74)."""
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+    except OSError as exc:
+        where = "standard input" if path == "-" else path
+        raise _InputError("cannot read %s: %s" % (where, exc.strerror or exc)) from exc
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -77,11 +90,15 @@ def _read_text(path: str) -> str:
 
 
 def _write_out(path: "str | None", text: str) -> None:
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        if path in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        where = "standard output" if path in (None, "-") else path
+        raise _OutputError("cannot write %s: %s" % (where, exc.strerror or exc)) from exc
 
 
 def _load_formula(path: str, strict: bool) -> Formula:
@@ -413,9 +430,12 @@ def run(argv: "list[str] | None" = None) -> int:
     except ParseError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 65
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except _InputError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 66
+    except _OutputError as exc:
+        print("error: %s" % (exc,), file=sys.stderr)
+        return 74
     except (CapExceeded, ResourceLimit, ReconstructionError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 70

@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from operator import itemgetter, neg
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, KeysView, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
 
@@ -122,9 +122,13 @@ class Formula:
     insertion id. `add` always appends with a fresh, larger id, so a bucket
     lists its clauses in formula order without sorting, and a union of
     buckets sorts on the stored ids without hashing a clause again.
+
+    A formula also keeps values derived from some of its clauses (see
+    `derived`): `add` drops them all, `remove` only those derived from the
+    removed clause, and `copy` shares them.
     """
 
-    __slots__ = ("_seq", "_occ", "_units", "_next")
+    __slots__ = ("_seq", "_occ", "_units", "_next", "_derived")
 
     def __init__(self, clauses: Iterable["Clause | Iterable[int]"] = ()):
         # the indexes `add` would build, clause by clause, in one loop
@@ -149,6 +153,8 @@ class Formula:
         self._occ = occ
         self._units = units
         self._next = n
+        # derive function -> [(value, donors) | None, (without, value, donors) | None]
+        self._derived: dict[Callable, list] = {}
 
     def add(self, clause: "Clause | Iterable[int]") -> bool:
         """Add a clause; returns False if it was already present."""
@@ -161,6 +167,7 @@ class Formula:
             self._occ.setdefault(l, {})[clause] = seq
         if len(clause) == 1:
             self._units[clause] = seq
+        self._derived.clear()
         return True
 
     def remove(self, clause: "Clause | Iterable[int]") -> None:
@@ -172,6 +179,15 @@ class Formula:
             if not bucket:
                 del self._occ[l]
         self._units.pop(clause, None)
+        for slots in self._derived.values():
+            whole, part = slots
+            if part is not None and part[0] == clause:
+                slots[:] = part[1:], None
+                continue
+            if whole is not None and clause in whole[1]:
+                slots[0] = None
+            if part is not None and clause in part[2]:
+                slots[1] = None
 
     def discard(self, clause: "Clause | Iterable[int]") -> bool:
         clause = as_clause(clause)
@@ -219,6 +235,11 @@ class Formula:
         """
         return self._occ.get(lit, _NO_OCCURRENCES)
 
+    def unit_clauses(self) -> KeysView[Clause]:
+        """The unit clauses in insertion order: a live view, not a copy, held
+        like `occurrences`."""
+        return self._units.keys()
+
     def clauses_with(self, lit: int) -> list[Clause]:
         """All clauses containing the literal, in insertion order."""
         return list(self._occ.get(lit, ()))
@@ -242,7 +263,33 @@ class Formula:
         out._occ = {l: dict(bucket) for l, bucket in self._occ.items()}
         out._units = dict(self._units)
         out._next = self._next
+        out._derived = {derive: list(slots) for derive, slots in self._derived.items()}
         return out
+
+    def derived(self, derive: Callable, without: "Clause | None" = None) -> object:
+        """A value derived from the formula, or from it without one clause, kept.
+
+        `derive(formula, without)` returns the value and the set of clauses
+        it was derived from, which never holds `without`. Removing any other
+        clause must leave that value as deriving it afresh gives it. Leaving
+        out a clause the formula does not hold changes nothing, so that is
+        asked as None. Per derive function the formula keeps the value for
+        itself and the one for the last clause left out. `add` drops them
+        all; `remove(D)` drops those derived from D, and the one derived
+        without D becomes the formula's own. `copy` shares them, so values
+        must be immutable.
+        """
+        slots = self._derived.get(derive)
+        if slots is None:
+            slots = self._derived[derive] = [None, None]
+        if without is None or without not in self._seq:
+            if slots[0] is None:
+                slots[0] = derive(self, None)
+            return slots[0][0]
+        part = slots[1]
+        if part is None or part[0] != without:
+            part = slots[1] = (without, *derive(self, without))
+        return part[1]
 
     def clauses_except(self, clause: Clause) -> list[Clause]:
         """All clauses other than `clause`, in insertion order."""
@@ -262,7 +309,9 @@ class Formula:
         """Verification mode: recompute both indexes, bucket order included, and compare.
 
         Also checks that ids rise in formula order and that the next id
-        exceeds every stored one, so a later `add` keeps buckets sorted.
+        exceeds every stored one, so a later `add` keeps buckets sorted, and
+        that every kept derived value and its donor clauses are what deriving
+        it afresh gives.
         """
         want: dict[int, list[tuple[Clause, int]]] = {}
         for c, seq in self._seq.items():
@@ -272,7 +321,12 @@ class Formula:
         units = [(c, seq) for c, seq in self._seq.items() if len(c) == 1]
         ids = list(self._seq.values())
         rising = all(a < b for a, b in zip(ids, ids[1:] + [self._next]))
-        return want == have and units == list(self._units.items()) and rising
+        fresh = all(
+            (whole is None or derive(self, None) == whole)
+            and (part is None or derive(self, part[0]) == part[1:])
+            for derive, (whole, part) in self._derived.items()
+        )
+        return want == have and units == list(self._units.items()) and rising and fresh
 
 
 class Assignment:

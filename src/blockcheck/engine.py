@@ -105,13 +105,11 @@ def _check_abc(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
         # resolvent of it is tautological too, so it is blocked whatever
         # the rest of the saturation would add.
         return True, None
-    w = is_literal_blocked(g, closure)
-    if w is None:
-        return False, None
     # For a non-tautological closure the blocking literal necessarily lies
-    # in c itself (an added literal's own donor defeats it), so flipping it
-    # is a valid repair.
-    return True, w
+    # in c itself (an added literal's own donor defeats it), so only c's
+    # literals are tried, and flipping the one found is a valid repair.
+    w = is_literal_blocked(g, closure, c._lits)
+    return w is not None, w
 
 
 def _lift_check(base_key: str):

@@ -24,6 +24,8 @@ from blockcheck import (
     r_lift_witness,
     random_instance,
 )
+from blockcheck import asymmetric
+from blockcheck.asymmetric import ala_closure
 
 from conftest import clause, formula
 
@@ -328,3 +330,187 @@ class TestAgainstReference:
             seen["ras"] += got[0]
             seen["not_ras"] += not got[0]
         assert min(seen.values()) >= 20, seen
+
+
+# The checks seed every closure with U(F without c), the closure of the empty
+# clause; the formula keeps U and drops it when a clause it was derived from
+# goes. Each case below is compared with the unseeded reference saturation.
+
+
+def units_of(f, c=None):
+    """U(f without c) as the checks see it (the test reads the internal)."""
+    return asymmetric._units_without(f, c)
+
+
+def assert_matches_reference(f, c):
+    ref_log, ref_closure = reference_saturate(f, c, c)
+    assert ala_closure(f, c) == ref_closure, (f.clauses, c)
+    stopped = ala_closure(f, c, stop_at_tautology=True)
+    assert set(c) <= set(stopped) <= set(ref_closure)
+    assert stopped.is_tautology() == ref_closure.is_tautology()
+    if not stopped.is_tautology():
+        assert stopped == ref_closure
+    assert is_AT(f, c) == ref_closure.is_tautology()
+    assert is_AS(f, c) == REFERENCE_BASES["as"](f, c, c)
+    abc = reference_abc(f, c)
+    assert is_ABC(f, c) == abc[0]
+    ok, w = check_property(f, c, EliminationConfig(property="abc"))
+    assert (ok, None if w is None else w.literal) == abc
+    assert asymmetric_blocking_literal(f, c) == reference_blocking_literal(f, ref_closure)
+    for key in ("at", "as"):
+        want = reference_lift_witness(REFERENCE_BASES[key], f, c)
+        assert r_lift_witness(BASES[key], f, c) == want, (key, f.clauses, c)
+    assert steps(ala_fixpoint(f, c)) == ref_log
+    assert f.check_occ_consistent()
+
+
+class TestSeededClosure:
+    def test_c_is_a_unit_donor_of_u(self):
+        f = formula((1,), (-1, 2), (-2, 3), (1, -3, 4), (-4, 5))
+        c = clause(1)
+        assert c in units_of(f).donors
+        assert units_of(f, c).lits == frozenset()
+        assert_matches_reference(f, c)
+        assert not is_AT(f, c)
+
+    def test_c_is_a_non_unit_donor_of_u(self):
+        f = formula((1,), (-1, 2), (-2, 3), (2, 4, 5), (-3, -4))
+        c = clause(-1, 2)
+        assert c in units_of(f).donors and len(c) == 2
+        assert -2 in units_of(f).lits and -2 not in units_of(f, c).lits
+        assert_matches_reference(f, c)
+        for d in f.clauses + [clause(2, 3), clause(-5)]:
+            assert_matches_reference(f, d)
+
+    def test_complementary_units_make_u_tautological(self):
+        f = formula((1,), (-1,), (2, 3), (-3, 4), (3, -4, 5))
+        assert units_of(f).tautological
+        for c in (clause(2, 3), clause(4, 5), clause(6), clause(-3, 4), clause(7, -7)):
+            assert_matches_reference(f, c)
+            assert is_AT(f, c) and is_ABC(f, c)
+            assert ala_closure(f, c, stop_at_tautology=True).is_tautology()
+        # c = (1) is a donor of U(F); without it U is no longer tautological
+        c = clause(1)
+        assert c in units_of(f).donors
+        assert not units_of(f, c).tautological
+        assert_matches_reference(f, c)
+        assert not is_AT(f, c) and not is_AS(f, c)
+
+    def test_formula_with_the_empty_clause(self):
+        f = formula((), (1,), (-1, 2), (3, 4))
+        for c in (clause(), clause(3, 4), clause(-2), clause(5), clause(1)):
+            assert_matches_reference(f, c)
+        assert is_AS(f, clause(5)) and not is_AS(f, clause())
+
+    def test_lifted_resolvents(self):
+        f = formula((1,), (-1, 2), (-2, 3, 4), (-3, 5), (-4, 5), (-5, 6), (-1, -6, 7))
+        for c in f.clauses + [clause(-7), clause(2, -5), clause(-1, 4)]:
+            assert_matches_reference(f, c)
+        ok, lit = r_lift_witness(BASES["at"], f, clause(-1, 4))
+        assert ok
+
+    def test_a_kept_closure_goes_when_its_own_donor_goes(self):
+        # c = (1) is a donor of U(F); U(F without c) rests on (1|-2)
+        f = formula((1,), (2,), (1, -2))
+        c = clause(1)
+        assert is_AT(f, c)
+        assert clause(1, -2) in units_of(f, c).donors
+        assert clause(1, -2) not in units_of(f).donors
+        f.remove(clause(1, -2))
+        assert f.check_occ_consistent()
+        assert not is_AT(f, c)
+        assert_matches_reference(f, c)
+
+    def test_removing_a_donor_of_only_u_keeps_the_closure_without_c(self):
+        f = formula((1,), (3,), (-1, 2), (-3, -1, 4))
+        c = clause(1)
+        assert_matches_reference(f, c)
+        kept = units_of(f, c)
+        assert clause(3) in units_of(f).donors and clause(3) in kept.donors
+        other = clause(-1, 2)
+        assert other in units_of(f).donors and other not in kept.donors
+        f.remove(other)
+        assert units_of(f, c) is kept
+        assert_matches_reference(f, c)
+
+    def test_removing_c_makes_its_closure_the_formulas_own(self):
+        f = formula((1,), (2,), (1, -2), (-2, 3))
+        c = clause(1)
+        assert_matches_reference(f, c)
+        without = units_of(f, c)
+        f.remove(c)
+        assert units_of(f) is without
+        for d in f.clauses + [c]:
+            assert_matches_reference(f, d)
+
+    def test_add_after_a_cached_check(self):
+        f = formula((2, 3), (-4, 5))
+        c = clause(3)
+        assert not is_AT(f, c)
+        f.add((-2,))
+        assert is_AT(f, c)
+        assert_matches_reference(f, c)
+        f.add((4,))
+        assert units_of(f).lits == {2, -3, -4, -5}
+        assert_matches_reference(f, clause(5))
+
+    def test_a_mutated_copy(self):
+        f = formula((1,), (-1, 2), (-2, 3), (3, 4), (-4,))
+        for d in f.clauses:
+            assert_matches_reference(f, d)
+        g = f.copy()
+        assert g.check_occ_consistent()
+        g.remove(clause(-1, 2))
+        g.add((-3, 5))
+        for d in g.clauses:
+            assert_matches_reference(g, d)
+        for d in f.clauses:
+            assert_matches_reference(f, d)
+
+    def test_random_edits_match_the_reference(self):
+        rng = random.Random("seeded closure")
+        checked = dict(at=0, not_at=0, donor=0, tautological_u=0)
+        for _ in range(60):
+            nvars = rng.randint(3, 7)
+            f = Formula(random_literal_clause(rng, nvars, rng.choice((1, 1, 2, 3)))
+                        for _ in range(rng.randint(2, 12)))
+            for _ in range(6):
+                if f.clauses and rng.random() < 0.6:
+                    f.remove(rng.choice(f.clauses))
+                else:
+                    f.add(random_literal_clause(rng, nvars, rng.randint(1, 3)))
+                if rng.random() < 0.2:
+                    f = f.copy()
+                for c in f.clauses[:4] + [random_literal_clause(rng, nvars, 2)]:
+                    assert_matches_reference(f, c)
+                    checked["at" if is_AT(f, c) else "not_at"] += 1
+                    checked["donor"] += c in units_of(f).donors
+                checked["tautological_u"] += units_of(f).tautological
+        assert min(checked.values()) >= 20, checked
+
+
+class TestASAgainstAT:
+    def test_tautological_clause_is_at_but_not_as(self):
+        f = formula((1, -1))
+        c = clause(1, -1)
+        assert is_AT(f, c)
+        assert not is_AS(f, c)
+        assert_matches_reference(f, c)
+
+    def test_as_stops_at_the_first_tautological_round(self, monkeypatch):
+        # round 1 adds both 3 and -3, which answers yes; the chain that
+        # (1|4) starts is never walked to its end
+        f = formula((2, -3), (2, 3), (1, 4), (-4, 5), (-5, 6), (-6, 7))
+        c = clause(1, 2)
+        seen = []
+        real = asymmetric._rounds
+
+        def counted(*args, **kw):
+            for step in real(*args, **kw):
+                seen.append(set(step[1]))
+                yield step
+
+        monkeypatch.setattr(asymmetric, "_rounds", counted)
+        assert is_AS(f, c)
+        assert seen and not any(-7 in found for found in seen)
+        assert REFERENCE_BASES["as"](f, c, c)

@@ -514,6 +514,40 @@ class TestExitCodes:
         assert run(["check", "/no/such/file.cnf", "--property", "bc", "--clause", "1 0"]) == 66
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_unreadable_input_exits_66(self, tmp_path, monkeypatch, capsys):
+        path = put(tmp_path, "f.cnf", BLOCKED_3)
+
+        def denied(file, mode="r", *args, **kwargs):
+            raise PermissionError(13, "Permission denied", file)
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        assert run(["check", path, "--property", "bc", "--clause", "1 0"]) == 66
+        assert capsys.readouterr().err == "error: cannot read %s: Permission denied\n" % path
+        assert run(["classify", path]) == 66
+
+    @pytest.mark.parametrize("error", [
+        OSError(28, "No space left on device"),
+        PermissionError(13, "Permission denied"),
+    ])
+    def test_unwritable_output_exits_74(self, tmp_path, monkeypatch, capsys, error):
+        path = put(tmp_path, "f.cnf", BLOCKED_3)
+        real_open = open
+
+        def failing(file, mode="r", *args, **kwargs):
+            if "w" not in mode:
+                return real_open(file, mode, *args, **kwargs)
+            raise error
+
+        monkeypatch.setattr(cli, "open", failing, raising=False)
+        out = str(tmp_path / "out.cnf")
+        assert run(["gen-random", "--out", out]) == 74
+        assert capsys.readouterr().err == "error: cannot write %s: %s\n" % (out, error.strerror)
+        assert run(["eliminate", path, "--property", "bc", "--out", out]) == 74
+        assert run(["classify", path, "--out", out]) == 74
+        # stdout is not a file this command opens
+        assert run(["classify", path]) == 0
+        capsys.readouterr()
+
     def test_tautological_clause_argument(self, tmp_path, capsys):
         path = put(tmp_path, "f.cnf", BLOCKED_3)
         rc = run(["check", path, "--property", "varelim", "--clause", "1 -1 0"])
@@ -556,6 +590,16 @@ def test_console_script_is_installed():
         target, ["check", "/no/such/file.cnf", "--property", "bc", "--clause", "1 0"])
     assert proc.returncode == 66
     assert proc.stderr.startswith("error:")
+
+
+def test_module_runs_from_the_checkout():
+    package_root = str(Path(blockcheck.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "blockcheck", "gen-random", "--seed", "3"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "c seed 3"
 
 
 @pytest.mark.skipif(shutil.which("blockcheck") is None,

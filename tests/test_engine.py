@@ -197,12 +197,14 @@ class TestEliminate:
             assert not is_satisfiable(g)
 
 
-def reference_eliminate(f, cfg):
+def reference_eliminate(f, cfg, fresh=False):
     """The elimination loop that checks every queued clause in full.
 
     Same batches, order and rounds as `eliminate_clauses`, but no clause is
     skipped for an unchanged environment and every check tries every
-    literal; the engine must match it byte for byte.
+    literal; the engine must match it byte for byte. With `fresh`, every
+    check runs on a new copy of the formula state that keeps no value
+    derived before.
     """
     check = engine._CHECKS[cfg.property]
     g = f.copy()
@@ -223,7 +225,7 @@ def reference_eliminate(f, cfg):
             if c not in g:
                 continue
             try:
-                ok, w = check(g, c, cfg)
+                ok, w = check(Formula(g) if fresh else g, c, cfg)
             except CapExceeded as exc:
                 capped[c] = str(exc)
                 continue
@@ -290,6 +292,25 @@ class TestRecheckQueue:
                             skipped += len(got[1].skipped)
         assert removed > 0
         assert skipped > 0 or prop != "supbc"
+
+    @pytest.mark.parametrize("prop", ["at", "as", "abc", "rat", "ras"])
+    def test_kept_unit_closures_match_fresh_formulas(self, prop):
+        # mostly units, so the checks' closure U of the units has many
+        # donors and removals keep dropping or promoting it
+        rng = random.Random("units " + prop)
+        removed = kept = 0
+        for _ in range(40):
+            nvars = rng.randint(3, 12)
+            f = Formula(random_clause(rng, nvars, rng.choice((1, 1, 1, 2, 2, 3, 4)))
+                        for _ in range(rng.randint(4, 30)))
+            for order in ("ascending-id", "descending-length"):
+                cfg = EliminationConfig(property=prop, clause_order=order)
+                got = eliminate_clauses(f, cfg)
+                assert outputs(got) == outputs(reference_eliminate(f, cfg, fresh=True))
+                assert got[0].check_occ_consistent()
+                removed += len(got[1].entries)
+                kept += len(got[0])
+        assert removed > 100 and kept > 100
 
     def test_literal_blocking_tries_fewer_literals(self, monkeypatch):
         f = planted_3cnf(random.Random(5), 300, 600)
