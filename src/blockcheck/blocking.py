@@ -22,17 +22,20 @@ The super-blocking decider enumerates all 2^|ext| restrictions, which is
 exact but exponential; it refuses to start past `ext_cap` and offers a
 sampling fallback that can refute but never confirm. It compiles the
 environment once per question, and under each restriction only the set of
-surviving clauses changes, a bitset as well (see `_RestrictionScan`).
+surviving clauses changes, a bitset as well (see `_RestrictionScan`). Its
+witness keeps the sets in the scan's order (see `RestrictionTable`), which
+is also the order `check` and traces write them in.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from operator import neg
 from random import Random
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Iterator
 
 from .cnf import (
     Assignment,
@@ -52,13 +55,74 @@ class BlockingWitness:
     Exactly one payload is populated, matching `kind`: the blocking literal
     for kind="literal", the blocking set for kind="set", and for kind="super"
     a map from each assignment over the external variables to the set that
-    blocks the clause in the correspondingly restricted formula.
+    blocks the clause in the correspondingly restricted formula (a
+    `RestrictionTable` when the scan built it).
     """
 
     kind: str
     literal: int | None = None
     blocking_set: Clause | None = None
     per_tau: "Mapping[Assignment, Clause] | None" = None
+
+
+class RestrictionTable(Mapping):
+    """Read-only map from every assignment over `variables` to a blocking set.
+
+    `variables` is sorted and `sets[m]` belongs to the assignment whose bits,
+    smallest variable highest, spell m. Counting m upward walks the
+    assignments in lexicographic order of their literals, false before true,
+    which is the order of iteration and of `rows()`. Assignments are built
+    only when a caller asks for one; a key that is not an `Assignment` over
+    exactly `variables` is absent.
+    """
+
+    __slots__ = ("variables", "sets")
+
+    def __init__(self, variables: Iterable[int], sets: Iterable[Clause]):
+        self.variables = tuple(variables)
+        self.sets = tuple(sets)
+        if list(self.variables) != sorted(set(self.variables)):
+            raise ValueError("restriction table variables must be distinct and sorted")
+        if len(self.sets) != 1 << len(self.variables):
+            raise ValueError("a restriction table needs one set per assignment")
+
+    def rows(self) -> "Iterator[tuple[str, Clause]]":
+        """(assignment as zero-terminated DIMACS literals, set) per row, in
+        table order; each literal is formatted once, not once per row."""
+        texts = [("-%d" % v, "%d" % v) for v in self.variables]
+        return zip(map(" ".join, product(*texts, ("0",))), self.sets)
+
+    def __len__(self) -> int:
+        return len(self.sets)
+
+    def __iter__(self) -> "Iterator[Assignment]":
+        for values in product((0, 1), repeat=len(self.variables)):
+            yield Assignment(dict(zip(self.variables, values)))
+
+    def __getitem__(self, tau: Assignment) -> Clause:
+        if not isinstance(tau, Assignment) or len(tau) != len(self.variables):
+            raise KeyError(tau)
+        m = 0
+        for v in self.variables:
+            value = tau.value(v)
+            if value is None:
+                raise KeyError(tau)
+            m = (m << 1) | value
+        return self.sets[m]
+
+
+def restriction_rows(per_tau: "Mapping[Assignment, Clause]") -> "Iterator[tuple[str, str]]":
+    """The rows of a super-blocking witness as (τ, set) DIMACS texts.
+
+    Rows come in lexicographic order of τ's literals: a `RestrictionTable`
+    is already in that order, and any other mapping is sorted into it.
+    """
+    if isinstance(per_tau, RestrictionTable):
+        rows = per_tau.rows()
+    else:
+        ordered = sorted((tau.to_literals(), s) for tau, s in per_tau.items())
+        rows = ((" ".join(map(str, lits + (0,))), s) for lits, s in ordered)
+    return ((tau, s.dimacs()) for tau, s in rows)
 
 
 def literal_blocks(f: Formula, c: "Clause | Iterable[int]", lit: int) -> bool:
@@ -373,15 +437,14 @@ def check_super_blocked(
             cap=ext_cap,
         )
 
-    # The table's assignments are built only once every mask has a set: a
-    # scan that ends in a refutation needs none of them.
+    # Masks count upward in the table's own order, so the sets are the table.
     sets: list[Clause] = []
     for m in range(1 << scan.n):
         found = scan.blocking_set_at(m)
         if found is None:
             return SuperBlockingResult(None, scan.tau(m))
         sets.append(found)
-    per_tau = {scan.tau(m): found for m, found in enumerate(sets)}
+    per_tau = RestrictionTable(scan.ext, sets)
     return SuperBlockingResult(BlockingWitness(kind="super", per_tau=per_tau), None)
 
 

@@ -24,6 +24,7 @@ from .blocking import (
     check_super_blocked,
     is_literal_blocked,
     is_set_blocked,
+    restriction_rows,
     sample_super_blocked,
 )
 from .cnf import Clause, Formula, parse_dimacs, read_literals, write_dimacs
@@ -183,10 +184,9 @@ def _cmd_check(ns) -> int:
             if w.kind == "set":
                 print("BLOCKED witness-set %s" % (_lits(w.blocking_set),))
                 return 0
-            print("BLOCKED witness-per-tau %d" % (len(w.per_tau),))
-            for tau in sorted(w.per_tau, key=lambda a: a.to_literals()):
-                tl = _lits(tau.to_literals())
-                print("tau %s set %s" % (tl + " 0" if tl else "0", w.per_tau[tau].dimacs()))
+            lines = ["BLOCKED witness-per-tau %d" % (len(w.per_tau),)]
+            lines.extend("tau %s set %s" % row for row in restriction_rows(w.per_tau))
+            print("\n".join(lines))
             return 0
         print("NOT-BLOCKED failing-tau %s" % (_lits(res.failing_tau.to_literals()),))
         return 1

@@ -47,6 +47,7 @@ from .blocking import (
     is_literal_blocked,
     is_set_blocked,
     is_super_blocked,
+    restriction_rows,
 )
 from .cnf import (
     Assignment,
@@ -198,10 +199,7 @@ class EliminationTrace:
                 wpart = w.blocking_set.dimacs()
             lines.append("d %s %s w %s" % (e.tag, e.clause.dimacs(), wpart))
             if w is not None and w.kind == "super" and w.per_tau is not None:
-                for tau in sorted(w.per_tau, key=lambda a: a.to_literals()):
-                    tlits = " ".join(str(l) for l in tau.to_literals())
-                    head = "wt %s 0 " % (tlits,) if tlits else "wt 0 "
-                    lines.append(head + w.per_tau[tau].dimacs())
+                lines.extend("wt %s %s" % row for row in restriction_rows(w.per_tau))
         for clause, reason in self.skipped:
             lines.append(("x %s %s" % (clause.dimacs(), reason)).rstrip())
         return "\n".join(lines) + "\n"

@@ -27,10 +27,12 @@ from blockcheck import (
 from blockcheck.blocking import (
     BlockingWitness,
     IncompleteScan,
+    RestrictionTable,
     SuperBlockingResult,
     _Environment,
     _RestrictionScan,
     _search_blocking_set,
+    restriction_rows,
 )
 from blockcheck.gen import random_formula, random_qbf
 from blockcheck.reductions import (
@@ -235,6 +237,39 @@ class TestWitnessShape:
             assert tau.is_total_over(ext) and len(tau) == len(ext)
 
 
+class TestRestrictionTable:
+    def test_zero_external_variables_is_one_row(self):
+        table = RestrictionTable((), [clause(1)])
+        assert len(table) == 1
+        assert list(table) == [Assignment()]
+        assert table[Assignment()] == clause(1)
+        assert Assignment({1: 0}) not in table
+        assert list(table.rows()) == [("0", clause(1))]
+        assert list(restriction_rows(table)) == [("0", "1 0")]
+        assert table == {Assignment(): clause(1)}
+
+    def test_needs_one_set_per_assignment_over_sorted_variables(self):
+        with pytest.raises(ValueError):
+            RestrictionTable((3,), [clause(1)])
+        for variables in ((5, 3), (3, 3)):
+            with pytest.raises(ValueError):
+                RestrictionTable(variables, [clause(1)] * 4)
+
+    def test_rows_are_lexicographic(self):
+        sets = [clause(i + 1) for i in range(8)]
+        table = RestrictionTable((2, 5, 7), sets)
+        assert [tau for tau, _ in table.rows()] == [
+            "-2 -5 -7 0", "-2 -5 7 0", "-2 5 -7 0", "-2 5 7 0",
+            "2 -5 -7 0", "2 -5 7 0", "2 5 -7 0", "2 5 7 0",
+        ]
+        assert [tau.to_literals() for tau in table] == sorted(tau.to_literals() for tau in table)
+        assert table[Assignment({2: 1, 5: 0, 7: 1})] == sets[0b101]
+        assert dict(table) == {tau: table[tau] for tau in table}
+        # a plain mapping is written in the same order, however it was filled
+        backwards = dict(reversed(list(table.items())))
+        assert list(restriction_rows(backwards)) == list(restriction_rows(table))
+
+
 # -- the bitset search against the search it replaced --------------------------
 
 
@@ -343,6 +378,35 @@ def differential_cases():
         yield inst.formula, inst.clause
 
 
+def assert_table_contract(table, want):
+    """`table` is a read-only mapping equal to the dict `want`, in its order,
+    and answers absent for every key that is not one of its assignments."""
+    assert isinstance(table, RestrictionTable)
+    assert len(table) == len(want)
+    assert list(table.rows()) == [
+        (" ".join(map(str, tau.to_literals() + (0,))), s) for tau, s in want.items()
+    ]
+    assert list(restriction_rows(table)) == list(restriction_rows(want))
+    for tau, s in want.items():
+        assert tau in table and table[tau] == s and table.get(tau) == s
+    tau = next(reversed(want))  # the all-true row
+    others = dict(tau.items()[1:])
+    others[max(tau.variables()) + 1] = 1
+    absent = [
+        tau.restrict_to(sorted(tau.variables())[1:]),  # fewer variables
+        tau.extended(max(tau.variables()) + 1, 0),  # more variables
+        Assignment(others),  # as many, but other variables
+        tau.to_literals(),  # not an Assignment
+        0,
+    ]
+    for key in absent:
+        assert key not in table and table.get(key) is None, key
+        with pytest.raises(KeyError):
+            table[key]
+    with pytest.raises(TypeError):
+        table[tau] = Clause()
+
+
 class TestAgainstTheReference:
     def test_witnesses_tables_and_counts_match(self):
         seen = {"set": 0, "super": 0, "refuted": 0, "taut": 0, "no-ext": 0}
@@ -361,6 +425,7 @@ class TestAgainstTheReference:
                 assert got == want, (f, c, k)
                 if got.witness is not None and got.witness.kind == "super":
                     assert list(got.witness.per_tau) == list(want.witness.per_tau)
+                    assert_table_contract(got.witness.per_tau, want.witness.per_tau)
                 kind = "refuted" if got.witness is None else got.witness.kind
                 seen[kind] += 1
                 seen["taut"] += c.is_tautology()

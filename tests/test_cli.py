@@ -2,6 +2,7 @@ import gc
 import io
 import os
 import pkgutil
+import random
 import shutil
 import subprocess
 import sys
@@ -18,9 +19,19 @@ from blockcheck import (
     is_set_blocked,
     is_super_blocked,
     parse_dimacs,
+    EliminationConfig,
+    EliminationTrace,
+    check_super_blocked,
+    eliminate_clauses,
+    first_model,
+    reconstruct_model,
+    write_dimacs,
 )
 from blockcheck import cli
+from blockcheck.blocking import BlockingWitness, RestrictionTable, SuperBlockingResult
 from blockcheck.cli import run
+from blockcheck.gen import random_formula, random_qbf
+from blockcheck.reductions import forall_exists_to_superblocking, unsat_to_1superblocking
 
 from conftest import clause, formula
 
@@ -307,6 +318,140 @@ class TestEliminateAndReconstruct:
         tracef = put(tmp_path, "bad.trace", "not a trace\n")
         model = put(tmp_path, "m.txt", "v 0\n")
         assert run(["reconstruct", src, "--trace", tracef, "--model", model]) == 65
+
+
+# -- super-blocking tables: one row order from scan to text ------------------
+
+
+def reference_rows(per_tau, rng):
+    """(τ, set) texts of a table as a plain dict sorted by τ's literals.
+
+    The dict is filled in a shuffled order, so nothing but the sort orders it.
+    """
+    items = list(per_tau.items())
+    rng.shuffle(items)
+    plain = dict(items)
+    rows = []
+    for tau in sorted(plain, key=lambda a: a.to_literals()):
+        tl = " ".join(str(l) for l in tau.to_literals())
+        rows.append((tl + " 0" if tl else "0", plain[tau].dimacs()))
+    return rows
+
+
+def reference_trace_text(trace, rng):
+    lines = ["t blockcheck 1"]
+    for e in trace.entries:
+        w = e.witness
+        if w is None or w.kind == "super":
+            wpart = "0"
+        elif w.kind == "literal":
+            wpart = "%d 0" % (w.literal,)
+        else:
+            wpart = w.blocking_set.dimacs()
+        lines.append("d %s %s w %s" % (e.tag, e.clause.dimacs(), wpart))
+        if w is not None and w.kind == "super" and w.per_tau is not None:
+            lines.extend("wt %s %s" % row for row in reference_rows(w.per_tau, rng))
+    lines.extend(("x %s %s" % (c.dimacs(), reason)).rstrip() for c, reason in trace.skipped)
+    return "\n".join(lines) + "\n"
+
+
+def gadget_corpus(rng, count):
+    """unsat2ksupbc gadgets, half from unsatisfiable sources (so blocked by
+    a table), and qbf2supbc gadgets."""
+    unsat = 0
+    while unsat < count:
+        source = random_formula(rng, 3, rng.randint(5, 9), 3)
+        unsat += not is_satisfiable(source)
+        yield unsat_to_1superblocking(source)
+        yield forall_exists_to_superblocking(random_qbf(rng, max_vars=6, max_clauses=8))
+
+
+def elimination_corpus(rng):
+    yield from (inst.formula for inst in gadget_corpus(rng, 6))
+    for _ in range(16):
+        yield random_formula(rng, 6, 10, 3)
+        yield random_formula(rng, 10, 20, 4)
+
+
+class TestRestrictionTableWriters:
+    def test_check_prints_the_reference_rows(self, tmp_path, capsys):
+        rng = random.Random("check rows")
+        tables = 0
+        for inst in gadget_corpus(rng, 12):
+            path = put(tmp_path, "g.cnf", write_dimacs(inst.formula))
+            argv = ["check", path, "--property", "supbc", "--clause", inst.clause.dimacs()]
+            res = check_super_blocked(inst.formula, inst.clause)
+            w = res.witness
+            if w is None:
+                tau = " ".join(map(str, res.failing_tau.to_literals()))
+                want = "NOT-BLOCKED failing-tau %s\n" % tau
+            elif w.kind == "set":
+                want = "BLOCKED witness-set %s\n" % " ".join(map(str, w.blocking_set))
+            else:
+                tables += 1
+                want = "BLOCKED witness-per-tau %d\n" % len(w.per_tau) + "".join(
+                    "tau %s set %s\n" % row for row in reference_rows(w.per_tau, rng))
+            assert run(argv) == (1 if w is None else 0)
+            assert capsys.readouterr().out == want
+        assert tables >= 10
+
+    def test_check_prints_a_table_over_no_variables(self, tmp_path, capsys, monkeypatch):
+        table = RestrictionTable((), [clause(1, 2)])
+        result = SuperBlockingResult(BlockingWitness(kind="super", per_tau=table), None)
+        monkeypatch.setattr(cli, "check_super_blocked", lambda *args: result)
+        path = put(tmp_path, "f.cnf", FULL_BLOCKING)
+        assert run(["check", path, "--property", "supbc", "--clause", "1 2 0"]) == 0
+        assert capsys.readouterr().out == "BLOCKED witness-per-tau 1\ntau 0 set 1 2 0\n"
+
+    def test_eliminate_writes_the_reference_trace(self, tmp_path, capsys):
+        rng = random.Random("trace rows")
+        tables = repaired = 0
+        for f in elimination_corpus(rng):
+            src = put(tmp_path, "f.cnf", write_dimacs(f))
+            tracef = str(tmp_path / "steps.trace")
+            rc = run(["eliminate", src, "--property", "supbc",
+                      "--out", str(tmp_path / "simp.cnf"), "--trace", tracef])
+            assert rc == 0
+            g, trace = eliminate_clauses(parse_dimacs(write_dimacs(f)),
+                                         EliminationConfig(property="supbc"))
+            text = (tmp_path / "steps.trace").read_text()
+            assert text == trace.to_text() == reference_trace_text(trace, rng)
+            supers = [e for e in trace.entries
+                      if e.witness is not None and e.witness.kind == "super"]
+            tables += len(supers)
+            model = first_model(g)
+            if supers and model is not None:
+                repaired += 1
+                again = EliminationTrace.from_text(text)
+                assert again.entries == trace.entries
+                assert reconstruct_model(trace, f, model) == reconstruct_model(again, f, model)
+        assert tables >= 15 and repaired >= 5, (tables, repaired)
+
+    def test_rows_do_not_depend_on_the_hash_seed(self, tmp_path):
+        def prints_a_table(inst):
+            w = check_super_blocked(inst.formula, inst.clause).witness
+            return w is not None and w.kind == "super"
+
+        inst = next(filter(prints_a_table, gadget_corpus(random.Random("hash seed"), 12)))
+        gadget = put(tmp_path, "g.cnf", write_dimacs(inst.formula))
+        wide = put(tmp_path, "w.cnf", write_dimacs(random_formula(random.Random("wide"), 8, 20, 4)))
+        package_root = str(Path(blockcheck.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+            tracef = tmp_path / ("steps%s.trace" % seed)
+            check = subprocess.run(
+                [sys.executable, "-m", "blockcheck", "check", gadget, "--property", "supbc",
+                 "--clause", inst.clause.dimacs()], capture_output=True, env=env)
+            elim = subprocess.run(
+                [sys.executable, "-m", "blockcheck", "eliminate", wide, "--property", "supbc",
+                 "--trace", str(tracef)], capture_output=True, env=env)
+            assert check.returncode == 0 and elim.returncode == 0, (check.stderr, elim.stderr)
+            outputs.append((check.stdout, elim.stdout, tracef.read_bytes()))
+        assert b"\ntau " in outputs[0][0] and b"\nwt " in outputs[0][2]
+        assert outputs[0] == outputs[1]
 
 
 class TestOtherCommands:

@@ -371,6 +371,20 @@ class TestTraceText:
         assert again.entries == trace.entries
         assert again.skipped == trace.skipped
 
+    def test_table_over_no_variables_is_one_row(self):
+        table = blocking.RestrictionTable((), [clause(1)])
+        witness = BlockingWitness(kind="super", per_tau=table)
+        trace = EliminationTrace(entries=[TraceEntry(clause(1, 2), "supbc", witness)])
+        text = trace.to_text()
+        assert text == "t blockcheck 1\nd supbc 1 2 0 w 0\nwt 0 1 0\n"
+        again = EliminationTrace.from_text(text)
+        assert again.entries == trace.entries
+        assert again.entries[0].witness.per_tau == {Assignment(): clause(1)}
+        original = formula((1, 2))
+        model = Assignment({1: 0, 2: 0})
+        assert reconstruct_model(trace, original, model) == Assignment({1: 1, 2: 0})
+        assert reconstruct_model(again, original, model) == Assignment({1: 1, 2: 0})
+
     def test_round_trip_of_real_elimination(self, ex_varelim):
         for compact in (False, True):
             cfg = EliminationConfig(property="supbc", compact_witnesses=compact)
