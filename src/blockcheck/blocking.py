@@ -20,8 +20,9 @@ no resolvent and no clause.
 
 The super-blocking decider enumerates all 2^|ext| restrictions, which is
 exact but exponential; it refuses to start past `ext_cap` and offers a
-sampling fallback that can refute but never confirm. It compiles the
-environment once per question, and under each restriction only the set of
+sampling fallback that can refute but never confirm. Both read and compile
+c's environment once per question: set-blocking in the whole formula is
+the scan's first step, and under each restriction only the set of
 surviving clauses changes, a bitset as well (see `_RestrictionScan`). Its
 witness keeps the sets in the scan's order (see `RestrictionTable`), which
 is also the order `check` and traces write them in.
@@ -31,18 +32,18 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations, islice, product
 from math import comb
 from operator import neg
 from random import Random
-from typing import Container, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 from .cnf import (
     Assignment,
     Clause,
     Formula,
     as_clause,
-    external_variables,
     resolution_environment,
 )
 from .errors import CapExceeded
@@ -222,23 +223,20 @@ class _Environment:
         self.lits = lits = c.literals
         where = {x: q for q, x in enumerate(lits)}
         self.pairs = [(q, where[-x]) for q, x in enumerate(lits) if x > 0 and -x in where]
+        shared, flipped = c._lits, c.complements()
         has_p = [0] * len(lits)
         has_n = [0] * len(lits)
         live = 0
         for i, d in enumerate(env):
-            bit = 1 << i
             ds = d._lits
-            for m in ds:
-                if -m in ds:  # tautological: left out of every rule-out set
-                    break
-                q = where.get(m)
-                if q is not None:
-                    has_p[q] |= bit
-                q = where.get(-m)
-                if q is not None:
-                    has_n[q] |= bit
-            else:
-                live |= bit
+            if not ds.isdisjoint(map(neg, ds)):  # tautological: left out of every rule-out set
+                continue
+            bit = 1 << i
+            live |= bit
+            for m in ds & shared:
+                has_p[where[m]] |= bit
+            for m in ds & flipped:
+                has_n[where[-m]] |= bit
         self.no_p = [live & ~h for h in has_p]
         self.no_n = [live & ~h for h in has_n]
         # suf_n[q]: AND of no_n over the positions from q on, so the
@@ -257,35 +255,45 @@ class _Environment:
         for size in range(1, (n if k is None else min(k, n)) + 1):
             # pos walks the size-subsets of positions like `combinations`;
             # ahead[j] is the AND over the positions before pos[j] (no_p for
-            # chosen ones, no_n for skipped ones) and upto[j] adds pos[j].
-            pos = list(range(size))
-            ahead = [0] * size
-            upto = [0] * size
-            acc = suf_n[n]
-            for j in range(size):
-                ahead[j] = acc
-                acc = upto[j] = acc & no_p[j]
+            # chosen ones, no_n for skipped ones).
             last = size - 1
+            pos = list(range(size))
+            ahead = [suf_n[n]] * size
+            for j in range(1, size):
+                ahead[j] = ahead[j - 1] & no_p[j - 1]
             while True:
-                if pairs and any((a in pos) == (b in pos) for a, b in pairs):
-                    yield pos, 0
-                else:
-                    yield pos, upto[last] & suf_n[pos[last] + 1]
-                j = last
+                # the last position runs to the end here, and `acc` takes in
+                # no_n of each position it leaves behind
+                acc = ahead[last]
+                for q in range(pos[last], n):
+                    pos[last] = q
+                    if pairs and any((a in pos) == (b in pos) for a, b in pairs):
+                        yield pos, 0
+                    else:
+                        yield pos, acc & no_p[q] & suf_n[q + 1]
+                    acc &= no_n[q]
+                j = last - 1
                 while j >= 0 and pos[j] == n - size + j:
                     j -= 1
                 if j < 0:
                     break
                 ahead[j] &= no_n[pos[j]]
                 pos[j] += 1
-                upto[j] = ahead[j] & no_p[pos[j]]
                 for j in range(j + 1, size):
                     pos[j] = pos[j - 1] + 1
-                    ahead[j] = upto[j - 1]
-                    upto[j] = ahead[j] & no_p[pos[j]]
+                    ahead[j] = ahead[j - 1] & no_p[pos[j - 1]]
 
     def clause(self, picked: Iterable[int]) -> Clause:
         return Clause(self.lits[q] for q in picked)
+
+    def clause_at(self, i: int) -> Clause:
+        """The candidate `candidates` yields at index i (counting from 0)."""
+        n = len(self.lits)
+        size = 1
+        while i >= comb(n, size):
+            i -= comb(n, size)
+            size += 1
+        return self.clause(next(islice(combinations(range(n), size), i, None)))
 
 
 def _search_blocking_set(
@@ -346,44 +354,58 @@ class IncompleteScan:
 
 
 class _RestrictionScan:
-    """Shared machinery for walking assignments over the external variables.
+    """One super-blocking question, compiled once, and its walk over the
+    assignments to the external variables.
 
-    Restrictions only ever remove environment clauses (satisfied ones), so
-    the blocking search depends on nothing but the surviving subset, and
-    the environment is compiled once per scan into bitsets (bit i stands
-    for environment clause i). `_sat[b]` holds the clauses satisfied by
-    setting the variable at bit b false and true, so the survivors of
-    assignment m are the environment minus one bitset per external
-    variable. The candidates' rule-out bitsets (see `_Environment`) are
-    drawn lazily in canonical order and kept across assignments, so each
-    assignment is decided by integer ANDs against its survivors: the first
-    candidate whose rule-out set meets none of them blocks. No formula or
+    c's resolution environment is read once and compiled once (bit i stands
+    for environment clause i, see `_Environment`). Restrictions only ever
+    remove environment clauses (satisfied ones), so the blocking search
+    depends on nothing but the surviving subset. The candidates' rule-out
+    bitsets are drawn lazily in canonical order and kept, so no candidate
+    is drawn twice: the first candidate whose rule-out set meets none of the
+    survivors blocks. The whole formula, with every clause alive, is the
+    first question asked (`blocking_set`); it needs nothing else. Only when
+    a restriction is asked about are the external variables sorted and
+    `_sat` built: `_sat[b]` holds the clauses satisfied by setting the
+    variable at bit b false and true, so the survivors of assignment m are
+    the environment minus one bitset per external variable. No formula or
     clause is built per assignment.
     """
 
     def __init__(self, f: Formula, c: Clause, k: int | None):
-        env = resolution_environment(f, c)
-        self.ext = sorted(external_variables(f, c))
-        self.n = len(self.ext)
-        # Highest bit = smallest variable, so counting masks upward walks
-        # the assignments in lexicographic order, false before true.
-        self._bit = {v: self.n - 1 - i for i, v in enumerate(self.ext)}
-        self._sat = [[0, 0] for _ in self.ext]
-        for i, d in enumerate(env):
-            for lit in d:
-                b = self._bit.get(abs(lit))
-                if b is not None:
-                    self._sat[b][lit > 0] |= 1 << i
+        self._c = c
+        self._env = env = resolution_environment(f, c)
         self._all = (1 << len(env)) - 1
         self._compiled = _Environment(c, env)
         self._more = self._compiled.candidates(k)
-        # rule-out bitset and positions (a Clause once it has blocked) of
-        # each candidate drawn so far
+        # the rule-out bitset of each candidate drawn so far, and by index
+        # the candidates that have blocked
         self._ruled: list[int] = []
-        self._picked: "list[tuple[int, ...] | Clause]" = []
+        self._sets: dict[int, Clause] = {}
+
+    @cached_property
+    def ext(self) -> "list[int]":
+        """The external variables, sorted: those of the environment outside c."""
+        seen = frozenset().union(*[d._lits for d in self._env])
+        return sorted(set(map(abs, seen)) - self._c.variables())
+
+    @cached_property
+    def _sat(self) -> "list[list[int]]":
+        # Highest bit = smallest variable, so counting masks upward walks
+        # the assignments in lexicographic order, false before true.
+        acc = {}
+        for v in self.ext:
+            acc[v] = acc[-v] = 0
+        for i, d in enumerate(self._env):
+            bit = 1 << i
+            for lit in d._lits:
+                if lit in acc:
+                    acc[lit] |= bit
+        return [[acc[-v], acc[v]] for v in reversed(self.ext)]
 
     def tau(self, m: int) -> Assignment:
-        return Assignment({v: (m >> self._bit[v]) & 1 for v in self.ext})
+        top = len(self.ext) - 1
+        return Assignment({v: (m >> (top - i)) & 1 for i, v in enumerate(self.ext)})
 
     def _survivors(self, m: int) -> int:
         dead = 0
@@ -391,22 +413,28 @@ class _RestrictionScan:
             dead |= by_value[(m >> b) & 1]
         return self._all & ~dead
 
+    def blocking_set(self) -> Clause | None:
+        """The first set blocking c in the whole formula: `is_set_blocked`'s."""
+        return self._first(self._all)
+
     def blocking_set_at(self, m: int) -> Clause | None:
-        alive = self._survivors(m)
-        for i, ruled_out in enumerate(self._ruled):
+        return self._first(self._survivors(m))
+
+    def _first(self, alive: int) -> Clause | None:
+        ruled = self._ruled
+        for i, ruled_out in enumerate(ruled):
             if not ruled_out & alive:
                 return self._set(i)
-        for picked, ruled_out in self._more:
-            self._ruled.append(ruled_out)
-            self._picked.append(tuple(picked))
+        for _, ruled_out in self._more:
+            ruled.append(ruled_out)
             if not ruled_out & alive:
-                return self._set(len(self._ruled) - 1)
+                return self._set(len(ruled) - 1)
         return None
 
     def _set(self, i: int) -> Clause:
-        found = self._picked[i]
-        if not isinstance(found, Clause):
-            found = self._picked[i] = self._compiled.clause(found)
+        found = self._sets.get(i)
+        if found is None:
+            found = self._sets[i] = self._compiled.clause_at(i)
         return found
 
 
@@ -418,34 +446,53 @@ def check_super_blocked(
 ) -> SuperBlockingResult:
     """Decide super-blocking by scanning every external assignment.
 
-    Set-blocking in the unrestricted formula is checked first: restrictions
-    only remove constraints, so a set that blocks c in f blocks it in every
-    restriction and the scan can be skipped. Otherwise each assignment gets
-    its own witness, and the first assignment without one refutes.
+    Set-blocking in the unrestricted formula is the scan's first step:
+    restrictions only remove constraints, so a set that blocks c in f blocks
+    it in every restriction and no assignment needs a look (nor does the
+    cap apply). Otherwise each assignment gets its own witness, and the
+    first assignment without one refutes.
     """
-    c = as_clause(c)
-    fast = is_set_blocked(f, c, k)
-    if fast is not None:
-        return SuperBlockingResult(fast, None)
+    scan = _RestrictionScan(f, as_clause(c), k)
+    found = scan.blocking_set()
+    if found is not None:
+        return SuperBlockingResult(BlockingWitness(kind="set", blocking_set=found), None)
 
-    scan = _RestrictionScan(f, c, k)
-    if scan.n > ext_cap:
+    n = len(scan.ext)
+    if n > ext_cap:
         raise CapExceeded(
-            "restriction scan over %d external variables exceeds cap %d"
-            % (scan.n, ext_cap),
-            count=scan.n,
+            "restriction scan over %d external variables exceeds cap %d" % (n, ext_cap),
+            count=n,
             cap=ext_cap,
         )
 
     # Masks count upward in the table's own order, so the sets are the table.
     sets: list[Clause] = []
-    for m in range(1 << scan.n):
+    for m in range(1 << n):
         found = scan.blocking_set_at(m)
         if found is None:
             return SuperBlockingResult(None, scan.tau(m))
         sets.append(found)
     per_tau = RestrictionTable(scan.ext, sets)
     return SuperBlockingResult(BlockingWitness(kind="super", per_tau=per_tau), None)
+
+
+def blocking_set_under(
+    f: Formula,
+    c: "Clause | Iterable[int]",
+    value: "Callable[[int], int]",
+) -> Clause | None:
+    """The first set blocking c once f is restricted by `value` (0 or 1 per
+    variable) on c's external variables.
+
+    The same set as `is_set_blocked(restrict(f, tau), c)` for tau the
+    assignment `value` gives `external_variables(f, c)`, read off c's
+    compiled environment instead of a restricted copy of f.
+    """
+    scan = _RestrictionScan(f, as_clause(c), None)
+    m = 0
+    for v in scan.ext:
+        m = (m << 1) | value(v)
+    return scan.blocking_set_at(m)
 
 
 def is_super_blocked(
@@ -468,12 +515,12 @@ def sample_super_blocked(
 
     Intended for instances past the exhaustive cap, so no cap applies here.
     """
-    c = as_clause(c)
-    if is_set_blocked(f, c, k) is not None:
+    scan = _RestrictionScan(f, as_clause(c), k)
+    if scan.blocking_set() is not None:
         return IncompleteScan(False, None, 0)
-    scan = _RestrictionScan(f, c, k)
+    n = len(scan.ext)
     for i in range(samples):
-        m = rng.getrandbits(scan.n)
+        m = rng.getrandbits(n)
         if scan.blocking_set_at(m) is None:
             return IncompleteScan(True, scan.tau(m), i + 1)
     return IncompleteScan(False, None, samples)

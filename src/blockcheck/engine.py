@@ -32,7 +32,8 @@ formula, which is reported instead of papered over.
 
 Super-blocking witnesses can be bulky (one blocking set per external
 assignment), so traces optionally store them compactly and the repair step
-recomputes the needed set against the replayed formula state; both paths
+recomputes the needed set against the replayed formula state, from the
+clause's compiled environment under the model's external values; both paths
 produce identical repairs, which the tests check.
 """
 
@@ -44,6 +45,7 @@ from typing import Callable, Iterable, Sequence
 from .asymmetric import BASES, ala_closure, is_AS, is_AT, is_subsumed, r_lift_witness
 from .blocking import (
     BlockingWitness,
+    blocking_set_under,
     is_literal_blocked,
     is_set_blocked,
     is_super_blocked,
@@ -53,10 +55,8 @@ from .cnf import (
     Assignment,
     Clause,
     Formula,
-    external_variables,
     numbered_lines,
     read_literals,
-    restrict,
 )
 from .errors import CapExceeded, ParseError, ReconstructionError
 
@@ -424,7 +424,6 @@ def reconstruct_model(
             for lit in w.blocking_set:
                 make_true(lit)
         elif w.kind == "super":
-            state = g.with_clause(c)
             if w.per_tau is not None:
                 dom = next(iter(w.per_tau)).variables()
                 if not all(v in true or -v in true for v in dom):
@@ -438,12 +437,10 @@ def reconstruct_model(
                         "stored restriction table lacks the current external assignment"
                     )
             else:
-                ext = external_variables(state, c)
-                tau = Assignment({v: value(v) for v in ext})
-                found = is_set_blocked(restrict(state, tau), c)
-                if found is None:
+                g.add(c)  # the formula as it was when c was removed
+                chosen = blocking_set_under(g, c, value)
+                if chosen is None:
                     raise ReconstructionError("failed to recompute a blocking set during repair")
-                chosen = found.blocking_set
             for lit in chosen:
                 make_true(lit)
         else:

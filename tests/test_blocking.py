@@ -24,6 +24,7 @@ from blockcheck import (
     sample_super_blocked,
     set_blocks,
 )
+from blockcheck import blocking
 from blockcheck.blocking import (
     BlockingWitness,
     IncompleteScan,
@@ -201,6 +202,21 @@ class TestSuperBlocking:
         assert err.value.count == 18
         # the bound is on the external variables, not the formula size
         assert check_super_blocked(f, clause(1), ext_cap=18) is not None
+
+    def test_set_blocking_is_decided_before_the_cap(self):
+        # {1} blocks (1 2) in the whole formula: no restriction is needed,
+        # so the three external variables do not meet the cap
+        f = formula((-1, -2, 3), (-1, -2, 4), (-1, -2, 5))
+        c = clause(1, 2)
+        res = check_super_blocked(f, c, ext_cap=0)
+        assert res.witness == BlockingWitness(kind="set", blocking_set=clause(1))
+        # (-1 2 6) rules out {1} and (1 -2 7) rules out {2}: now the scan is needed
+        f.add((-1, 2, 6))
+        f.add((1, -2, 7))
+        assert is_set_blocked(f, c) is None
+        with pytest.raises(CapExceeded) as err:
+            check_super_blocked(f, c, ext_cap=4)
+        assert err.value.count == len(external_variables(f, c)) == 5
 
     def test_sampling_refutes_soundly(self, at_not_setblocked):
         import random
@@ -494,3 +510,74 @@ class TestBitsetEdges:
         # (-2 5) holds the complement of 2, yet c \ {2} still holds the pair
         f.add((-2, 5))
         assert is_set_blocked(f, c, 1).blocking_set == clause(2)
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Count environment reads and compiles, and record every candidate drawn."""
+    seen = {"read": 0, "compiled": 0, "drawn": []}
+    read = blocking.resolution_environment
+
+    def counting_read(f, c):
+        seen["read"] += 1
+        return read(f, c)
+
+    class Counting(_Environment):
+        __slots__ = ()
+
+        def __init__(self, c, env):
+            seen["compiled"] += 1
+            super().__init__(c, env)
+
+        def candidates(self, k):
+            for picked, ruled_out in super().candidates(k):
+                seen["drawn"].append(tuple(picked))
+                yield picked, ruled_out
+
+    monkeypatch.setattr(blocking, "resolution_environment", counting_read)
+    monkeypatch.setattr(blocking, "_Environment", Counting)
+
+    def reset():
+        seen.update(read=0, compiled=0, drawn=[])
+        return seen
+
+    return reset
+
+
+class TestOneCompilePerQuestion:
+    def test_every_outcome_reads_and_compiles_once(self, compiles):
+        outcomes = {"set": 0, "super": 0, "refuted": 0, "cap": 0}
+        walked = 0  # refutations past the first assignment
+        for f, c in differential_cases():
+            for k in (None, 1, 2):
+                seen = compiles()
+                try:
+                    res = check_super_blocked(f, c, k, ext_cap=3)
+                except CapExceeded as exc:
+                    assert exc.count == len(external_variables(f, c))
+                    kind = "cap"
+                else:
+                    kind = "refuted" if res.witness is None else res.witness.kind
+                    if kind == "refuted" and any(v for _, v in res.failing_tau.items()):
+                        walked += 1
+                outcomes[kind] += 1
+                assert (seen["read"], seen["compiled"]) == (1, 1), (f, c, k, kind)
+                assert len(set(seen["drawn"])) == len(seen["drawn"]), (f, c, k, kind)
+        assert min(outcomes.values()) >= 30 and walked >= 30, (outcomes, walked)
+
+    def test_sampling_reads_and_compiles_once(self, compiles, ex_setblocked,
+                                              ex_full_blocking, at_not_setblocked):
+        for (f, c), refuted in ((ex_setblocked, False), (ex_full_blocking, False),
+                                (at_not_setblocked, True)):
+            seen = compiles()
+            scan = sample_super_blocked(f, c, random.Random(3), samples=8)
+            assert scan.refuted == refuted
+            assert (seen["read"], seen["compiled"]) == (1, 1)
+
+    def test_the_empty_clause_searches_no_set(self, compiles):
+        seen = compiles()
+        assert is_set_blocked(formula((1, 2)), Clause()) is None
+        assert (seen["read"], seen["compiled"]) == (0, 0)
+        res = check_super_blocked(formula((1, 2)), Clause())
+        assert res.failing_tau == Assignment()
+        assert (seen["read"], seen["compiled"], seen["drawn"]) == (1, 1, [])

@@ -119,6 +119,14 @@ class TestCheckVerdicts:
         assert rc == 2
         assert capsys.readouterr().out == "UNKNOWN cap-exceeded 2\n"
 
+    def test_set_blocked_outright_is_answered_past_the_cap(self, tmp_path, capsys):
+        # {1} blocks (1 2) in the whole formula, whatever the three
+        # external variables are set to
+        path = put(tmp_path, "f.cnf", "p cnf 5 3\n-1 -2 3 0\n-1 -2 4 0\n-1 -2 5 0\n")
+        rc = run(["check", path, "--property", "supbc", "--clause", "1 2 0", "--ext-cap", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out == "BLOCKED witness-set 1\n"
+
     def test_incomplete_sampling_cannot_refute_a_blocked_clause(self, tmp_path, capsys):
         path = put(tmp_path, "f.cnf", FULL_BLOCKING_WIDE)
         rc = run(["check", path, "--property", "supbc", "--clause", "1 2 0",

@@ -17,10 +17,12 @@ from blockcheck import (
     check_property,
     classify,
     eliminate_clauses,
+    enumerate_models,
     first_model,
     is_satisfiable,
     parse_model,
     random_clause,
+    random_formula,
     random_instance,
     reconstruct_model,
     write_dimacs,
@@ -487,6 +489,34 @@ class TestReconstruct:
         _, trace = eliminate_clauses(ex_varelim, cfg)
         out = reconstruct_model(trace, ex_varelim, Assignment({}))
         assert all(out.satisfies_clause(d) for d in ex_varelim)
+
+    def test_compact_and_table_traces_repair_alike(self, monkeypatch):
+        # A compact entry recomputes the set its table row holds: read back
+        # from text, both traces repair every model of the simplified
+        # formula into the same model of the original.
+        recomputed = []
+        under = engine.blocking_set_under
+
+        def counting(g, c, value):
+            recomputed.append(c)
+            return under(g, c, value)
+
+        monkeypatch.setattr(engine, "blocking_set_under", counting)
+        rng = random.Random("compact repair")
+        for _ in range(60):
+            f = random_formula(rng, 6, rng.randint(6, 14), 3)
+            for k in (None, 1):
+                table, compact = (
+                    EliminationTrace.from_text(eliminate_clauses(f, EliminationConfig(
+                        property="supbc", k=k, compact_witnesses=flag))[1].to_text())
+                    for flag in (False, True)
+                )
+                g = replay(table, f)
+                for model in enumerate_models(g, f.variables()):
+                    want = reconstruct_model(table, f, model)
+                    assert reconstruct_model(compact, f, model) == want, (f, k, model)
+        # falsified compact super entries whose set was recomputed
+        assert len(recomputed) >= 100
 
     def test_set_witness_sets_every_literal(self, setblocked_not_rat):
         f, _ = setblocked_not_rat
