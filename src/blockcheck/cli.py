@@ -20,13 +20,7 @@ import sys
 from functools import cache
 from random import Random
 
-from .blocking import (
-    check_super_blocked,
-    is_literal_blocked,
-    is_set_blocked,
-    restriction_rows,
-    sample_super_blocked,
-)
+from .blocking import check_super_blocked, is_set_blocked, restriction_rows, sample_super_blocked
 from .cnf import Clause, Formula, parse_dimacs, read_literals, write_dimacs
 from .engine import (
     PROPERTIES,
@@ -51,7 +45,8 @@ from .varelim import encode_qbf, parse_qdimacs, sem_blocked_via_elimination, wri
 
 CHECKABLE = PROPERTIES + ("varelim", "sem-oracle", "redundant-oracle")
 
-_REDUNDANCY_TAGS = ("t", "s", "at", "as", "abc", "rt", "rs", "rat", "ras")
+# properties whose verdict reads BLOCKED / NOT-BLOCKED; the rest read REDUNDANT
+_BLOCKING = ("bc", "setbc", "supbc", "varelim", "sem-oracle")
 
 
 class _UsageError(Exception):
@@ -130,105 +125,84 @@ def _pick_clause(ns, f: Formula) -> Clause:
     return clauses[ns.clause_index]
 
 
-def _check_cap_arg(ns) -> None:
-    if ns.cap < 0:
-        raise _UsageError("--cap must be non-negative")
-
-
 def _lits(values) -> str:
     return " ".join(str(v) for v in values)
 
 
-def _cmd_check(ns) -> int:
+def _int_at_least(low: int, word: str):
+    """An argparse type: an int of at least `low`, else "must be <word>"."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be " + word)
+        return value
+
+    return parse
+
+
+_positive = _int_at_least(1, "positive")
+_non_negative = _int_at_least(0, "non-negative")
+
+
+def _decide(ns, f: Formula, c: Clause):
+    """(verdict, witness, failing restriction) for the property asked.
+
+    Raises CapExceeded when an enumeration would pass its cap.
+    """
     prop = ns.property
-    cfg = None
-    if prop in PROPERTIES:
-        cfg = EliminationConfig(property=prop, k=ns.k, ext_cap=ns.ext_cap)
-    if ns.incomplete is not None and ns.incomplete < 1:
-        raise _UsageError("--incomplete must be positive")
-    _check_cap_arg(ns)
+    if prop == "varelim":
+        return sem_blocked_via_elimination(f, c), None, None
+    if prop == "sem-oracle":
+        return is_semantically_blocked_oracle(f, c, ns.cap), None, None
+    if prop == "redundant-oracle":
+        return is_redundant(f, c, ns.cap), None, None
+    # setbc and supbc call the deciders by these module names, which the
+    # benchmark's tracer wraps; supbc also needs the failing restriction
+    if prop == "setbc":
+        w = is_set_blocked(f, c, ns.k)
+        return w is not None, w, None
+    if prop == "supbc":
+        res = check_super_blocked(f, c, ns.k, ns.ext_cap)
+        return res.blocked, res.witness, res.failing_tau
+    ok, w = check_property(f, c, EliminationConfig(property=prop, k=ns.k, ext_cap=ns.ext_cap))
+    return ok, w, None
+
+
+def _positive_answer(word: str, w) -> str:
+    if w is None:
+        return word
+    if w.kind == "literal":
+        return "%s witness-literal %d" % (word, w.literal)
+    if w.kind == "set":
+        return "%s witness-set %s" % (word, _lits(w.blocking_set))
+    lines = ["%s witness-per-tau %d" % (word, len(w.per_tau))]
+    lines.extend("tau %s set %s" % row for row in restriction_rows(w.per_tau))
+    return "\n".join(lines)
+
+
+def _cmd_check(ns) -> int:
     f = _load_formula(ns.path, ns.strict)
     c = _pick_clause(ns, f)
-
-    if prop == "bc":
-        w = is_literal_blocked(f, c)
-        if w is not None:
-            print("BLOCKED witness-literal %d" % (w.literal,))
-            return 0
-        print("NOT-BLOCKED")
-        return 1
-
-    if prop == "setbc":
-        w = is_set_blocked(f, c, cfg.k)
-        if w is not None:
-            print("BLOCKED witness-set %s" % (_lits(w.blocking_set),))
-            return 0
-        print("NOT-BLOCKED")
-        return 1
-
-    if prop == "supbc":
-        try:
-            res = check_super_blocked(f, c, cfg.k, cfg.ext_cap)
-        except CapExceeded as exc:
-            if ns.incomplete:
-                scan = sample_super_blocked(f, c, Random(ns.seed), ns.incomplete, cfg.k)
-                if scan.refuted:
-                    print("NOT-BLOCKED failing-tau %s" % (_lits(scan.failing_tau.to_literals()),))
-                    return 1
-                print("UNKNOWN sampled %d" % (scan.samples,))
-                return 2
-            print("UNKNOWN cap-exceeded %d" % (exc.count,))
-            return 2
-        if res.blocked:
-            w = res.witness
-            if w.kind == "set":
-                print("BLOCKED witness-set %s" % (_lits(w.blocking_set),))
-                return 0
-            lines = ["BLOCKED witness-per-tau %d" % (len(w.per_tau),)]
-            lines.extend("tau %s set %s" % row for row in restriction_rows(w.per_tau))
-            print("\n".join(lines))
-            return 0
-        print("NOT-BLOCKED failing-tau %s" % (_lits(res.failing_tau.to_literals()),))
-        return 1
-
-    if prop == "varelim":
-        if sem_blocked_via_elimination(f, c):
-            print("BLOCKED")
-            return 0
-        print("NOT-BLOCKED")
-        return 1
-
-    if prop == "sem-oracle":
-        try:
-            blocked = is_semantically_blocked_oracle(f, c, ns.cap)
-        except CapExceeded as exc:
-            print("UNKNOWN cap-exceeded %d" % (exc.count,))
-            return 2
-        print("BLOCKED" if blocked else "NOT-BLOCKED")
-        return 0 if blocked else 1
-
-    if prop == "redundant-oracle":
-        try:
-            verdict = is_redundant(f, c, ns.cap)
-        except CapExceeded as exc:
-            print("UNKNOWN cap-exceeded %d" % (exc.count,))
-            return 2
-        print("REDUNDANT" if verdict else "NOT-REDUNDANT")
-        return 0 if verdict else 1
-
-    # remaining redundancy-style properties run through the engine registry
+    word = "BLOCKED" if ns.property in _BLOCKING else "REDUNDANT"
     try:
-        ok, w = check_property(f, c, cfg)
+        ok, w, tau = _decide(ns, f, c)
     except CapExceeded as exc:
-        print("UNKNOWN cap-exceeded %d" % (exc.count,))
-        return 2
+        if ns.property != "supbc" or ns.incomplete is None:
+            print("UNKNOWN cap-exceeded %d" % (exc.count,))
+            return 2
+        scan = sample_super_blocked(f, c, Random(ns.seed), ns.incomplete, ns.k)
+        if not scan.refuted:
+            print("UNKNOWN sampled %d" % (scan.samples,))
+            return 2
+        ok, tau = False, scan.failing_tau
     if ok:
-        if w is not None and w.kind == "literal":
-            print("REDUNDANT witness-literal %d" % (w.literal,))
-        else:
-            print("REDUNDANT")
+        print(_positive_answer(word, w))
         return 0
-    print("NOT-REDUNDANT")
+    print("NOT-" + word + ("" if tau is None else " failing-tau " + _lits(tau.to_literals())))
     return 1
 
 
@@ -285,7 +259,6 @@ def _cmd_encode_qbf(ns) -> int:
 
 
 def _cmd_solve_brute(ns) -> int:
-    _check_cap_arg(ns)
     f = _load_formula(ns.path, ns.strict)
     model = first_model(f, cap=ns.cap)
     if model is None:
@@ -317,12 +290,6 @@ def _cmd_gen_reduction(ns) -> int:
 
 
 def _cmd_gen_random(ns) -> int:
-    if ns.vars < 1:
-        raise _UsageError("--vars must be positive")
-    if ns.width < 1:
-        raise _UsageError("--width must be positive")
-    if ns.clauses < 0:
-        raise _UsageError("--clauses must be non-negative")
     f = random_formula(Random(ns.seed), ns.vars, ns.clauses, ns.width)
     _write_out(ns.out, "c seed %d\n" % (ns.seed,) + write_dimacs(f))
     return 0
@@ -344,10 +311,10 @@ def _build_parser() -> _Parser:
     p.add_argument("path", help="DIMACS file, or - for stdin")
     p.add_argument("--property", required=True, choices=CHECKABLE)
     clause_opts(p)
-    p.add_argument("--k", type=int, help="bound on blocking-set size")
-    p.add_argument("--ext-cap", type=int, default=16)
-    p.add_argument("--cap", type=int, default=24, help="oracle variable cap")
-    p.add_argument("--incomplete", type=int, metavar="N",
+    p.add_argument("--k", type=_positive, help="bound on blocking-set size")
+    p.add_argument("--ext-cap", type=_non_negative, default=16)
+    p.add_argument("--cap", type=_non_negative, default=24, help="oracle variable cap")
+    p.add_argument("--incomplete", type=_positive, metavar="N",
                    help="past the cap, sample N restrictions instead (supbc only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true")
@@ -357,8 +324,8 @@ def _build_parser() -> _Parser:
     p.add_argument("path")
     p.add_argument("--property", action="append",
                    help="property to include (repeatable, comma-separable); default all")
-    p.add_argument("--k", type=int)
-    p.add_argument("--ext-cap", type=int, default=16)
+    p.add_argument("--k", type=_positive)
+    p.add_argument("--ext-cap", type=_non_negative, default=16)
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_classify)
@@ -366,11 +333,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eliminate", help="remove redundant clauses to fixpoint")
     p.add_argument("path")
     p.add_argument("--property", required=True, choices=PROPERTIES)
-    p.add_argument("--k", type=int)
-    p.add_argument("--ext-cap", type=int, default=16)
+    p.add_argument("--k", type=_positive)
+    p.add_argument("--ext-cap", type=_non_negative, default=16)
     p.add_argument("--order", choices=("ascending-id", "descending-length"),
                    default="ascending-id")
-    p.add_argument("--rounds", type=int, default=1000)
+    p.add_argument("--rounds", type=_positive, default=1000)
     p.add_argument("--compact", action="store_true",
                    help="store super-blocking witnesses compactly (recompute at repair)")
     p.add_argument("--out")
@@ -395,7 +362,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve-brute", help="brute-force satisfiability")
     p.add_argument("path")
-    p.add_argument("--cap", type=int, default=24)
+    p.add_argument("--cap", type=_non_negative, default=24)
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_solve_brute)
@@ -409,9 +376,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_gen_reduction)
 
     p = sub.add_parser("gen-random", help="seeded random CNF")
-    p.add_argument("--vars", type=int, default=8)
-    p.add_argument("--clauses", type=int, default=12)
-    p.add_argument("--width", type=int, default=4)
+    p.add_argument("--vars", type=_positive, default=8)
+    p.add_argument("--clauses", type=_non_negative, default=12)
+    p.add_argument("--width", type=_positive, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen_random)

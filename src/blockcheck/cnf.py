@@ -291,14 +291,11 @@ class Formula:
             part = slots[1] = (without, *derive(self, without))
         return part[1]
 
-    def clauses_except(self, clause: Clause) -> list[Clause]:
+    def without(self, clause: "Clause | Iterable[int]") -> "Formula":
         """All clauses other than `clause`, in insertion order."""
         rest = dict(self._seq)
-        rest.pop(clause, None)
-        return list(rest)
-
-    def without(self, clause: "Clause | Iterable[int]") -> "Formula":
-        return Formula(self.clauses_except(as_clause(clause)))
+        rest.pop(as_clause(clause), None)
+        return Formula(rest)
 
     def with_clause(self, clause: "Clause | Iterable[int]") -> "Formula":
         out = self.copy()

@@ -6,31 +6,43 @@ import random
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import blockcheck
 from blockcheck import (
+    BASES,
     is_ABC,
     is_AS,
     is_AT,
+    is_literal_blocked,
+    is_redundant,
     is_satisfiable,
+    is_semantically_blocked_oracle,
     is_set_blocked,
+    is_subsumed,
     is_super_blocked,
     parse_dimacs,
+    asymmetric_blocking_literal,
+    CapExceeded,
     EliminationConfig,
     EliminationTrace,
     check_super_blocked,
     eliminate_clauses,
     first_model,
+    r_lift_witness,
     reconstruct_model,
+    sample_super_blocked,
+    sem_blocked_via_elimination,
     write_dimacs,
 )
 from blockcheck import cli
+from blockcheck.asymmetric import ala_closure
 from blockcheck.blocking import BlockingWitness, RestrictionTable, SuperBlockingResult
 from blockcheck.cli import run
-from blockcheck.gen import random_formula, random_qbf
+from blockcheck.gen import random_formula, random_instance, random_qbf
 from blockcheck.reductions import forall_exists_to_superblocking, unsat_to_1superblocking
 
 from conftest import clause, formula
@@ -597,6 +609,120 @@ class TestParserReuse:
         assert left == []
 
 
+def _library_check(f, c, prop, k=None, ext_cap=16, cap=24, incomplete=None, seed=0):
+    """(exit code, stdout) that `check` owes, built from library calls alone."""
+    word = "BLOCKED" if prop in ("bc", "setbc", "supbc", "varelim", "sem-oracle") else "REDUNDANT"
+
+    def lits(values):
+        return " ".join(str(v) for v in values)
+
+    def yes(detail=""):
+        return 0, word + detail + "\n"
+
+    def no(tau=None):
+        tail = "" if tau is None else " failing-tau " + lits(tau.to_literals())
+        return 1, "NOT-%s%s\n" % (word, tail)
+
+    def literal(lit):
+        return yes() if lit is None else yes(" witness-literal %d" % lit)
+
+    try:
+        if prop == "bc":
+            w = is_literal_blocked(f, c)
+            return no() if w is None else literal(w.literal)
+        if prop == "setbc":
+            w = is_set_blocked(f, c, k)
+            return no() if w is None else yes(" witness-set " + lits(w.blocking_set))
+        if prop == "supbc":
+            try:
+                res = check_super_blocked(f, c, k, ext_cap)
+            except CapExceeded:
+                if incomplete is None:
+                    raise
+                scan = sample_super_blocked(f, c, random.Random(seed), incomplete, k)
+                if scan.refuted:
+                    return no(scan.failing_tau)
+                return 2, "UNKNOWN sampled %d\n" % scan.samples
+            w = res.witness
+            if w is None:
+                return no(res.failing_tau)
+            if w.kind == "set":
+                return yes(" witness-set " + lits(w.blocking_set))
+            rows = sorted((tau.to_literals(), s) for tau, s in w.per_tau.items())
+            return yes(" witness-per-tau %d\n" % len(rows) + "\n".join(
+                "tau %s set %s" % (lits(t + (0,)), s.dimacs()) for t, s in rows))
+        verdict = {
+            "varelim": lambda: sem_blocked_via_elimination(f, c),
+            "sem-oracle": lambda: is_semantically_blocked_oracle(f, c, cap),
+            "redundant-oracle": lambda: is_redundant(f, c, cap),
+            "t": c.is_tautology,
+            "s": lambda: is_subsumed(f, c),
+            "at": lambda: is_AT(f, c),
+            "as": lambda: is_AS(f, c),
+        }
+        if prop in verdict:
+            return yes() if verdict[prop]() else no()
+        if prop == "abc":
+            # a tautological closure needs no witness literal
+            if ala_closure(f, c).is_tautology():
+                return yes()
+            lit = asymmetric_blocking_literal(f, c)
+            return no() if lit is None else literal(lit)
+        ok, lit = r_lift_witness(BASES[prop[1:]], f, c)
+        return literal(lit) if ok else no()
+    except CapExceeded as exc:
+        return 2, "UNKNOWN cap-exceeded %d\n" % exc.count
+
+
+class TestCheckMatchesLibrary:
+    """Every `check` answer, for every property, against the library's own."""
+
+    FLAG_SETS = (
+        ((), {}),
+        (("--k", "1"), {"k": 1}),
+        (("--ext-cap", "1"), {"ext_cap": 1}),
+        (("--cap", "3"), {"cap": 3}),
+        (("--ext-cap", "1", "--incomplete", "3", "--seed", "2"),
+         {"ext_cap": 1, "incomplete": 3, "seed": 2}),
+    )
+
+    @staticmethod
+    def _questions():
+        rng = random.Random(11)
+        questions = [random_instance(rng) for _ in range(60)]
+        for i in range(16):
+            # small sources keep the gadget's oracle questions cheap
+            source = random_instance(random.Random(300 + i), max_vars=3, max_clauses=8)[0]
+            g = unsat_to_1superblocking(source)
+            questions.append((g.formula, g.clause))
+            g = forall_exists_to_superblocking(random_qbf(random.Random(400 + i)))
+            questions.append((g.formula, g.clause))
+        return questions
+
+    def test_every_property_and_flag_set(self, tmp_path, capsys):
+        kinds = Counter()
+        for i, (f, c) in enumerate(self._questions()):
+            path = put(tmp_path, "q%d.cnf" % i, write_dimacs(f))
+            for prop in cli.CHECKABLE:
+                for flags, kwargs in self.FLAG_SETS:
+                    argv = ["check", path, "--property", prop, "--clause", c.dimacs(), *flags]
+                    code = run(argv)
+                    got = capsys.readouterr()
+                    want = _library_check(f, c, prop, **kwargs)
+                    assert (code, got.out) == want, argv
+                    assert got.err == ""
+                    head = got.out.split("\n")[0].split()
+                    kind = " ".join(head[:2])
+                    if kind == "UNKNOWN cap-exceeded":
+                        kind += " oracle" if prop.endswith("oracle") else " scan"
+                    kinds[kind] += 1
+        for kind in ("BLOCKED witness-literal", "BLOCKED witness-set", "BLOCKED witness-per-tau",
+                     "NOT-BLOCKED failing-tau", "UNKNOWN cap-exceeded scan",
+                     "UNKNOWN cap-exceeded oracle", "UNKNOWN sampled", "REDUNDANT"):
+            assert kinds[kind] >= 20, (kind, kinds)
+        assert kinds["REDUNDANT witness-literal"] >= 20, kinds
+
+
 class TestExitCodes:
     def test_usage_errors(self, tmp_path, capsys):
         path = put(tmp_path, "f.cnf", BLOCKED_3)
@@ -628,7 +754,16 @@ class TestExitCodes:
             (["check", path, "--property", "sem-oracle", "--clause", "1 2 0", "--cap", "-1"],
              "--cap"),
             (["solve-brute", path, "--cap", "-1"], "--cap"),
+            (["classify", path, "--k", "0"], "--k"),
+            (["classify", path, "--ext-cap", "-1"], "--ext-cap"),
+            (["eliminate", path, "--property", "bc", "--k", "0"], "--k"),
+            (["eliminate", path, "--property", "bc", "--ext-cap", "-1"], "--ext-cap"),
         ]
+        # the ranges hold for the properties that never read these flags too
+        for prop in ("sem-oracle", "varelim", "redundant-oracle"):
+            for flag, value in (("--k", "0"), ("--ext-cap", "-1")):
+                flagged.append(
+                    (["check", path, "--property", prop, "--clause", "1 2 0", flag, value], flag))
         for argv, flag in flagged:
             assert run(argv) == 64, argv
             captured = capsys.readouterr()
