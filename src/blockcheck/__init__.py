@@ -1,171 +1,43 @@
-"""Deciding, eliminating, and verifying local redundancy in CNF formulas."""
+"""Deciding, eliminating, and verifying local redundancy in CNF formulas.
 
-from .asymmetric import (
-    AlaStep,
-    AlaTrace,
-    BASES,
-    ala_fixpoint,
-    asymmetric_blocking_literal,
-    is_ABC,
-    is_AS,
-    is_AT,
-    is_RAS,
-    is_RAT,
-    is_RS,
-    is_RT,
-    is_subsumed,
-    r_lift,
-    r_lift_witness,
-)
-from .blocking import (
-    BlockingWitness,
-    IncompleteScan,
-    SuperBlockingResult,
-    candidate_sets,
-    check_super_blocked,
-    count_candidate_sets,
-    is_literal_blocked,
-    is_set_blocked,
-    is_super_blocked,
-    literal_blocks,
-    sample_super_blocked,
-    set_blocks,
-)
-from .cnf import (
-    Assignment,
-    Clause,
-    Formula,
-    as_clause,
-    external_variables,
-    literal_key,
-    parse_dimacs,
-    resolution_environment,
-    resolvent,
-    restrict,
-    write_dimacs,
-)
+The top level holds the documented entry points; everything else is
+imported from its own module (`blockcheck.blocking`, `.asymmetric`,
+`.oracle`, `.varelim`, `.reductions`, `.gen`, `.cnf`, `.engine`).
+"""
+
+from .blocking import check_super_blocked, is_literal_blocked, is_set_blocked
+from .cnf import Assignment, Clause, Formula, parse_dimacs, write_dimacs
 from .engine import (
     PROPERTIES,
-    ClassifyReport,
     EliminationConfig,
     EliminationTrace,
-    TraceEntry,
     check_property,
     classify,
     eliminate_clauses,
-    parse_model,
     reconstruct_model,
-    write_model,
 )
 from .errors import CapExceeded, ParseError, ReconstructionError, ResourceLimit
-from .gen import random_clause, random_formula, random_instance, random_qbf
-from .oracle import (
-    ModelSet,
-    enumerate_models,
-    eval_forall_exists,
-    first_model,
-    is_redundant,
-    is_satisfiable,
-    is_semantically_blocked_oracle,
-    nonlocality_witness,
-    satisfies,
-)
-from .reductions import (
-    ReductionInstance,
-    forall_exists_to_superblocking,
-    sat_to_setblocking,
-    unsat_to_1superblocking,
-)
-from .varelim import (
-    QbfInstance,
-    all_resolvents,
-    eliminate_variable,
-    eliminate_variables,
-    encode_qbf,
-    literal_blocked_via_elimination,
-    parse_qdimacs,
-    sem_blocked_via_elimination,
-    write_qdimacs,
-)
+from .oracle import first_model
 
 __all__ = [
-    "AlaStep",
-    "AlaTrace",
     "Assignment",
-    "BASES",
-    "BlockingWitness",
     "CapExceeded",
-    "ClassifyReport",
     "Clause",
     "EliminationConfig",
     "EliminationTrace",
     "Formula",
-    "IncompleteScan",
-    "ModelSet",
     "PROPERTIES",
     "ParseError",
-    "QbfInstance",
     "ReconstructionError",
-    "ReductionInstance",
     "ResourceLimit",
-    "SuperBlockingResult",
-    "TraceEntry",
-    "ala_fixpoint",
-    "all_resolvents",
-    "as_clause",
-    "asymmetric_blocking_literal",
-    "candidate_sets",
     "check_property",
     "check_super_blocked",
     "classify",
-    "count_candidate_sets",
     "eliminate_clauses",
-    "eliminate_variable",
-    "eliminate_variables",
-    "encode_qbf",
-    "enumerate_models",
-    "eval_forall_exists",
-    "external_variables",
     "first_model",
-    "forall_exists_to_superblocking",
-    "is_ABC",
-    "is_AS",
-    "is_AT",
-    "is_RAS",
-    "is_RAT",
-    "is_RS",
-    "is_RT",
     "is_literal_blocked",
-    "is_redundant",
-    "is_satisfiable",
-    "is_semantically_blocked_oracle",
     "is_set_blocked",
-    "is_subsumed",
-    "is_super_blocked",
-    "literal_blocked_via_elimination",
-    "literal_blocks",
-    "literal_key",
-    "nonlocality_witness",
     "parse_dimacs",
-    "parse_model",
-    "parse_qdimacs",
-    "r_lift",
-    "r_lift_witness",
-    "random_clause",
-    "random_formula",
-    "random_instance",
-    "random_qbf",
     "reconstruct_model",
-    "resolution_environment",
-    "resolvent",
-    "restrict",
-    "sample_super_blocked",
-    "sat_to_setblocking",
-    "satisfies",
-    "sem_blocked_via_elimination",
-    "set_blocks",
-    "unsat_to_1superblocking",
     "write_dimacs",
-    "write_model",
-    "write_qdimacs",
 ]

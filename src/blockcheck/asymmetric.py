@@ -39,8 +39,8 @@ U stops at its first complementary pair, so a formula refuted by unit
 propagation keeps few donors, and a removal rarely drops U. Every closure
 is then tautological: AT, ABC and AS of a non-tautological clause answer
 yes at once. The full closures (the step log, `ala_closure` without the
-stop, `asymmetric_blocking_literal`, AS of a tautology) fall back to
-unseeded rounds, because a stopped U is no fixpoint.
+stop, AS of a tautology) fall back to unseeded rounds, because a stopped U
+is no fixpoint.
 
 The yes/no checks stop at the first complementary pair too; tautology
 survives literal addition, so no verdict depends on the rest. AS stops
@@ -231,11 +231,6 @@ def _tautological(lits: "set[int] | frozenset[int]") -> bool:
     return not lits.isdisjoint(map(neg, lits))
 
 
-def _closure(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool = False) -> Clause:
-    """The saturation closure of x as a clause (see `_closure_lits`)."""
-    return Clause(_closure_lits(f, c, x, stop_at_tautology))
-
-
 # The base properties judge a clause x against f with c excluded: c is the
 # clause under test, x is c itself or one of its lifted resolvents.
 BaseProperty = Callable[[Formula, Clause, Clause], bool]
@@ -300,7 +295,7 @@ def ala_closure(f: Formula, c: "Clause | Iterable[int]", stop_at_tautology: bool
     holds a complementary pair (enough for yes/no checks).
     """
     c = as_clause(c)
-    return _closure(f, c, c, stop_at_tautology)
+    return Clause(_closure_lits(f, c, c, stop_at_tautology))
 
 
 def is_AT(f: Formula, c: "Clause | Iterable[int]") -> bool:
@@ -321,24 +316,28 @@ def is_AS(f: Formula, c: "Clause | Iterable[int]") -> bool:
     return _base_as(f, c, c)
 
 
-def asymmetric_blocking_literal(f: Formula, c: "Clause | Iterable[int]") -> int | None:
-    """The first literal blocking the saturation closure of c in f, or None.
+def asymmetric_blocking(f: Formula, c: "Clause | Iterable[int]") -> tuple[bool, int | None]:
+    """Asymmetric blocking (ABC): (verdict, repair literal) for c in f.
 
-    When the closure is non-tautological, a blocking literal is necessarily a
-    literal of c itself: an added literal cannot block, because its own donor
-    resolves with it back into a subset of the closure. So only c's literals
-    are tried then.
+    The closure stops at its first complementary pair. A tautological
+    closure is blocked (every resolvent of a tautology is one) and c, being
+    implied by the rest of f, needs no repair: (True, None). Otherwise the
+    closure is the full fixpoint, and (True, lit) names the first literal of
+    c, in canonical order, that blocks it. Only c's literals are tried: an
+    added literal never blocks, because its own donor resolves with it back
+    into a subset of the closure; and flipping a literal of c repairs c.
     """
     c = as_clause(c)
-    closure = _closure(f, c, c)
-    among = None if closure.is_tautology() else c._lits
-    witness = is_literal_blocked(f, closure, among)
-    return None if witness is None else witness.literal
+    lits = _closure_lits(f, c, c, stop_at_tautology=True)
+    if _tautological(lits):
+        return True, None
+    witness = is_literal_blocked(f, Clause(lits), c._lits)
+    return (False, None) if witness is None else (True, witness.literal)
 
 
 def is_ABC(f: Formula, c: "Clause | Iterable[int]") -> bool:
     """Asymmetric blocking: the saturation closure of c is literal-blocked in f."""
-    return asymmetric_blocking_literal(f, c) is not None
+    return asymmetric_blocking(f, c)[0]
 
 
 def r_lift_witness(

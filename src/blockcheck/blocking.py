@@ -302,6 +302,14 @@ def _search_blocking_set(
     k: int | None,
     stats: "dict[str, int] | None" = None,
 ) -> Clause | None:
+    # Streams the candidates rather than calling
+    # `_RestrictionScan(f, c, k).blocking_set()`, which finds the same set
+    # but also keeps each candidate's rule-out bitset for later restrictions
+    # and tests it against an `alive` mask; a question with no restrictions
+    # pays for that and gains nothing. Through the scan, each
+    # sat_to_setblocking question (random 3-CNF, 5 variables, 21 clauses; 50
+    # questions, best of 40 interleaved runs on a 2-core x86 host) took
+    # 3-17% longer, 9-10% at the median.
     if len(c) == 0:
         return None
     if stats is not None:

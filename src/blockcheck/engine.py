@@ -40,9 +40,10 @@ produce identical repairs, which the tests check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from .asymmetric import BASES, ala_closure, is_AS, is_AT, is_subsumed, r_lift_witness
+from .asymmetric import BASES, BaseProperty, asymmetric_blocking, r_lift_witness
 from .blocking import (
     BlockingWitness,
     blocking_set_under,
@@ -65,12 +66,25 @@ PROPERTIES: tuple[str, ...] = (
 )
 
 
-def _check_t(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
-    return c.is_tautology(), None
+def _base_check(base: BaseProperty):
+    """A check from a base property: the verdict for c itself, no witness
+    (tautology, subsumption and their asymmetric variants need no repair)."""
+
+    def check(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
+        return base(g, c, c), None
+
+    return check
 
 
-def _check_s(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
-    return is_subsumed(g, c), None
+def _literal_check(decide: Callable[[Formula, Clause], "tuple[bool, int | None]"]):
+    """A check from a (verdict, repair literal) decider; no literal means
+    the clause never needs a repair."""
+
+    def check(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
+        ok, lit = decide(g, c)
+        return ok, None if lit is None else BlockingWitness(kind="literal", literal=lit)
+
+    return check
 
 
 def _check_bc(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
@@ -90,55 +104,23 @@ def _check_supbc(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
     return w is not None, w
 
 
-def _check_at(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
-    return is_AT(g, c), None
-
-
-def _check_as(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
-    return is_AS(g, c), None
-
-
-def _check_abc(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
-    closure = ala_closure(g, c, stop_at_tautology=True)
-    if closure.is_tautology():
-        # Tautological closure means the clause is implied by the rest of
-        # the formula; it can never be falsified at repair time. Every
-        # resolvent of it is tautological too, so it is blocked whatever
-        # the rest of the saturation would add.
-        return True, None
-    # For a non-tautological closure the blocking literal necessarily lies
-    # in c itself (an added literal's own donor defeats it), so only c's
-    # literals are tried, and flipping the one found is a valid repair.
-    w = is_literal_blocked(g, closure, c._lits)
-    return w is not None, w
-
-
-def _lift_check(base_key: str):
-    def check(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
-        ok, lit = r_lift_witness(BASES[base_key], g, c)
-        w = BlockingWitness(kind="literal", literal=lit) if lit is not None else None
-        return ok, w
-
-    return check
-
-
 # check(g, c, cfg, touched) -> (verdict, witness). `touched` is None for a
 # first check; on a recheck it holds the literals of c whose environment
 # (the clauses with their complement) lost a clause since c was refuted.
 # Only the literal-blocking check uses it, to try just those literals.
 _CHECKS: dict[str, Callable] = {
-    "t": _check_t,
-    "s": _check_s,
+    "t": _base_check(BASES["t"]),
+    "s": _base_check(BASES["s"]),
     "bc": _check_bc,
     "setbc": _check_setbc,
     "supbc": _check_supbc,
-    "at": _check_at,
-    "as": _check_as,
-    "abc": _check_abc,
-    "rt": _lift_check("t"),
-    "rs": _lift_check("s"),
-    "rat": _lift_check("at"),
-    "ras": _lift_check("as"),
+    "at": _base_check(BASES["at"]),
+    "as": _base_check(BASES["as"]),
+    "abc": _literal_check(asymmetric_blocking),
+    "rt": _literal_check(partial(r_lift_witness, BASES["t"])),
+    "rs": _literal_check(partial(r_lift_witness, BASES["s"])),
+    "rat": _literal_check(partial(r_lift_witness, BASES["at"])),
+    "ras": _literal_check(partial(r_lift_witness, BASES["as"])),
 }
 
 _ORDERS = ("ascending-id", "descending-length")
@@ -310,7 +292,9 @@ def eliminate_clauses(
 
     Clauses the checker refuses due to a cap are skipped and reported in
     the trace; they are retried only if a removal changes their
-    environment. The result is satisfiability-equivalent to the input.
+    environment. A run stopped by cfg.rounds_cap reports every clause the
+    last round queued as skipped, with the cap as the reason. The result is
+    satisfiability-equivalent to the input.
     """
     cfg = cfg if cfg is not None else EliminationConfig()
     check = _CHECKS[cfg.property]
@@ -364,6 +348,8 @@ def eliminate_clauses(
                     elif seen is not None:
                         seen.add(-m)
 
+    if pending:  # stopped by the rounds cap, not at a fixpoint
+        capped.update(dict.fromkeys(pending, "rounds cap %d reached" % (cfg.rounds_cap,)))
     still = [(c, reason) for c, reason in capped.items() if c in g]
     still.sort(key=lambda pair: g.seq_of(pair[0]))
     return g, EliminationTrace(entries, still)

@@ -14,37 +14,40 @@ from blockcheck import (
     EliminationConfig,
     Formula,
     PROPERTIES,
-    ala_fixpoint,
     check_property,
     check_super_blocked,
-    count_candidate_sets,
     eliminate_clauses,
-    eliminate_variable,
-    eliminate_variables,
-    encode_qbf,
-    eval_forall_exists,
     first_model,
-    forall_exists_to_superblocking,
-    is_RAT,
-    is_RT,
-    is_AT,
     is_literal_blocked,
+    is_set_blocked,
+    reconstruct_model,
+)
+from blockcheck.asymmetric import ala_fixpoint, is_AT, is_RAT, is_RT
+from blockcheck.blocking import (
+    _search_blocking_set,
+    count_candidate_sets,
+    is_super_blocked,
+)
+from blockcheck.cnf import resolution_environment
+from blockcheck.gen import random_formula, random_instance, random_qbf
+from blockcheck.oracle import (
+    eval_forall_exists,
     is_redundant,
     is_satisfiable,
     is_semantically_blocked_oracle,
-    is_set_blocked,
-    is_super_blocked,
     nonlocality_witness,
-    random_formula,
-    random_instance,
-    random_qbf,
-    reconstruct_model,
-    resolution_environment,
+)
+from blockcheck.reductions import (
+    forall_exists_to_superblocking,
     sat_to_setblocking,
-    sem_blocked_via_elimination,
     unsat_to_1superblocking,
 )
-from blockcheck.blocking import _search_blocking_set
+from blockcheck.varelim import (
+    eliminate_variable,
+    eliminate_variables,
+    encode_qbf,
+    sem_blocked_via_elimination,
+)
 
 from conftest import clause, formula, sequential_closure
 

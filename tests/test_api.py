@@ -1,0 +1,56 @@
+"""The package's top level holds exactly the documented API, and the README's
+library quick tour runs and does what its comments say."""
+
+import re
+from pathlib import Path
+
+import blockcheck
+from blockcheck import Assignment
+from blockcheck.oracle import satisfies
+
+from conftest import clause
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+DOCUMENTED = {
+    "Clause", "Formula", "Assignment", "parse_dimacs", "write_dimacs",
+    "PROPERTIES", "check_property", "classify",
+    "is_literal_blocked", "is_set_blocked", "check_super_blocked",
+    "EliminationConfig", "EliminationTrace", "eliminate_clauses", "reconstruct_model",
+    "first_model",
+    "CapExceeded", "ParseError", "ReconstructionError", "ResourceLimit",
+}
+
+
+def quick_tour_code():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick tour", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_top_level_exports_exactly_the_documented_names():
+    assert len(blockcheck.__all__) == len(DOCUMENTED) == 20
+    assert set(blockcheck.__all__) == DOCUMENTED
+    for name in blockcheck.__all__:
+        assert getattr(blockcheck, name) is not None, name
+
+
+def test_star_import_brings_only_the_documented_names():
+    scope = {}
+    exec("from blockcheck import *", scope)
+    assert set(scope) - {"__builtins__"} == DOCUMENTED
+
+
+def test_readme_quick_tour_runs_as_documented():
+    scope = {}
+    exec(compile(quick_tour_code(), "README quick tour", "exec"), scope)
+    f, c, res = scope["f"], scope["c"], scope["res"]
+    assert scope["is_literal_blocked"](f, c) is None
+    assert scope["is_set_blocked"](f, c) is None
+    assert res.blocked
+    assert dict(res.witness.per_tau) == {
+        Assignment({3: 0}): clause(1, 2),
+        Assignment({3: 1}): clause(1),
+    }
+    assert satisfies(scope["model"], scope["g"])
+    assert satisfies(scope["full"], f)

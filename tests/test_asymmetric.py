@@ -1,13 +1,18 @@
 import random
 
 from blockcheck import (
-    BASES,
     Clause,
     EliminationConfig,
     Formula,
-    ala_fixpoint,
-    asymmetric_blocking_literal,
     check_property,
+    is_literal_blocked,
+)
+from blockcheck import asymmetric
+from blockcheck.asymmetric import (
+    BASES,
+    ala_closure,
+    ala_fixpoint,
+    asymmetric_blocking,
     is_ABC,
     is_AS,
     is_AT,
@@ -15,17 +20,13 @@ from blockcheck import (
     is_RAT,
     is_RS,
     is_RT,
-    is_literal_blocked,
     is_subsumed,
-    is_super_blocked,
-    literal_blocks,
-    literal_key,
     r_lift,
     r_lift_witness,
-    random_instance,
 )
-from blockcheck import asymmetric
-from blockcheck.asymmetric import ala_closure
+from blockcheck.blocking import is_super_blocked, literal_blocks
+from blockcheck.cnf import literal_key
+from blockcheck.gen import random_instance
 
 from conftest import clause, formula
 
@@ -141,11 +142,43 @@ class TestASandABC:
 
     def test_abc_witness_literal(self, ex_blocked):
         f, c = ex_blocked
-        assert asymmetric_blocking_literal(f, c) == 2
+        assert asymmetric_blocking(f, c) == (True, 2)
 
     def test_at_implies_abc(self, at_not_setblocked):
         f, c = at_not_setblocked
         assert is_ABC(f, c)
+
+    def test_tautological_closure_needs_no_witness(self):
+        # the closure of (2) is tautological, so c is implied by the rest
+        # and blocked with no literal to flip; -1, a literal of the closure
+        # outside c, blocks it too but could never repair c
+        f = formula((1,), (1, -2), (-2,), (-1, -2), (-1, 2), (2,))
+        c = clause(2)
+        assert ala_closure(f, c).is_tautology()
+        assert asymmetric_blocking(f, c) == (True, None)
+        ok, w = check_property(f, c, EliminationConfig(property="abc"))
+        assert ok and w is None
+
+    def test_witness_rule_on_random_instances(self):
+        rng = random.Random(5)
+        seen = dict(literal=0, tautology=0, no=0)
+        for _ in range(3000):
+            f, c = random_instance(rng)
+            ok, lit = asymmetric_blocking(f, c)
+            closure = ala_closure(f, c)
+            if not ok:
+                assert lit is None and not closure.is_tautology()
+                assert is_literal_blocked(f, closure) is None
+                seen["no"] += 1
+            elif lit is None:
+                assert closure.is_tautology(), (f.clauses, c)
+                seen["tautology"] += 1
+            else:
+                assert not closure.is_tautology()
+                assert lit in c and literal_blocks(f, closure, lit), (f.clauses, c, lit)
+                assert lit == next(l for l in c if literal_blocks(f, closure, l))
+                seen["literal"] += 1
+        assert seen["literal"] >= 900 and seen["tautology"] >= 900, seen
 
 
 class TestRLift:
@@ -319,7 +352,7 @@ class TestAgainstReference:
             assert is_ABC(f, c) == abc[0]
             ok, w = check_property(f, c, EliminationConfig(property="abc"))
             assert (ok, None if w is None else w.literal) == abc
-            assert asymmetric_blocking_literal(f, c) == reference_blocking_literal(f, ref_closure)
+            assert asymmetric_blocking(f, c) == abc
             for lit in c:
                 assert literal_blocks(f, c, lit) == reference_literal_blocks(f, c, lit), (c, lit)
             for key, base in REFERENCE_BASES.items():
@@ -356,7 +389,7 @@ def assert_matches_reference(f, c):
     assert is_ABC(f, c) == abc[0]
     ok, w = check_property(f, c, EliminationConfig(property="abc"))
     assert (ok, None if w is None else w.literal) == abc
-    assert asymmetric_blocking_literal(f, c) == reference_blocking_literal(f, ref_closure)
+    assert asymmetric_blocking(f, c) == abc
     for key in ("at", "as"):
         want = reference_lift_witness(REFERENCE_BASES[key], f, c)
         assert r_lift_witness(BASES[key], f, c) == want, (key, f.clauses, c)

@@ -9,20 +9,9 @@ from blockcheck import (
     CapExceeded,
     Clause,
     Formula,
-    candidate_sets,
     check_super_blocked,
-    count_candidate_sets,
-    external_variables,
     is_literal_blocked,
-    is_satisfiable,
     is_set_blocked,
-    is_super_blocked,
-    literal_blocks,
-    random_instance,
-    resolution_environment,
-    restrict,
-    sample_super_blocked,
-    set_blocks,
 )
 from blockcheck import blocking
 from blockcheck.blocking import (
@@ -33,9 +22,17 @@ from blockcheck.blocking import (
     _Environment,
     _RestrictionScan,
     _search_blocking_set,
+    candidate_sets,
+    count_candidate_sets,
+    is_super_blocked,
+    literal_blocks,
     restriction_rows,
+    sample_super_blocked,
+    set_blocks,
 )
-from blockcheck.gen import random_formula, random_qbf
+from blockcheck.cnf import external_variables, resolution_environment, restrict
+from blockcheck.gen import random_formula, random_instance, random_qbf
+from blockcheck.oracle import is_satisfiable
 from blockcheck.reductions import (
     forall_exists_to_superblocking,
     sat_to_setblocking,

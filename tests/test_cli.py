@@ -13,37 +13,41 @@ import pytest
 
 import blockcheck
 from blockcheck import (
-    BASES,
-    is_ABC,
-    is_AS,
-    is_AT,
-    is_literal_blocked,
-    is_redundant,
-    is_satisfiable,
-    is_semantically_blocked_oracle,
-    is_set_blocked,
-    is_subsumed,
-    is_super_blocked,
-    parse_dimacs,
-    asymmetric_blocking_literal,
     CapExceeded,
     EliminationConfig,
     EliminationTrace,
     check_super_blocked,
     eliminate_clauses,
     first_model,
-    r_lift_witness,
+    is_literal_blocked,
+    is_set_blocked,
+    parse_dimacs,
     reconstruct_model,
-    sample_super_blocked,
-    sem_blocked_via_elimination,
     write_dimacs,
 )
 from blockcheck import cli
-from blockcheck.asymmetric import ala_closure
-from blockcheck.blocking import BlockingWitness, RestrictionTable, SuperBlockingResult
+from blockcheck.asymmetric import (
+    BASES,
+    ala_closure,
+    asymmetric_blocking,
+    is_ABC,
+    is_AS,
+    is_AT,
+    is_subsumed,
+    r_lift_witness,
+)
+from blockcheck.blocking import (
+    BlockingWitness,
+    RestrictionTable,
+    SuperBlockingResult,
+    is_super_blocked,
+    sample_super_blocked,
+)
 from blockcheck.cli import run
 from blockcheck.gen import random_formula, random_instance, random_qbf
+from blockcheck.oracle import is_redundant, is_satisfiable, is_semantically_blocked_oracle
 from blockcheck.reductions import forall_exists_to_superblocking, unsat_to_1superblocking
+from blockcheck.varelim import sem_blocked_via_elimination
 
 from conftest import clause, formula
 
@@ -70,6 +74,10 @@ REFUTABLE = "p cnf 4 6\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n-1 3 0\n-2 4 0\n"
 FULL_BLOCKING_WIDE = "p cnf 5 5\n3 2 -1 0\n-2 -3 0\n-2 1 0\n-2 -3 5 0\n1 2 0\n"
 
 THREE_SQUARE = "p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n"
+
+# The saturation closure of the last clause, (2), is tautological: abc holds
+# and needs no repair literal.
+ABC_TAUTOLOGY = "p cnf 2 6\n1 0\n1 -2 0\n-2 0\n-1 -2 0\n-1 2 0\n2 0\n"
 
 # Two tautologies, (1 4 -5 5) and (-2 -3 -5 5), beside clauses that supbc
 # removes only through a restriction table; what is left is satisfiable.
@@ -119,6 +127,11 @@ class TestCheckVerdicts:
         path = put(tmp_path, "f.cnf", AT_INSTANCE)
         assert run(["check", path, "--property", "supbc", "--clause", "1 2 4 0"]) == 1
         assert capsys.readouterr().out == "NOT-BLOCKED failing-tau -3\n"
+
+    def test_abc_with_a_tautological_closure_prints_a_bare_verdict(self, tmp_path, capsys):
+        path = put(tmp_path, "f.cnf", ABC_TAUTOLOGY)
+        assert run(["check", path, "--property", "abc", "--clause", "2 0"]) == 0
+        assert capsys.readouterr().out == "REDUNDANT\n"
 
     def test_clause_index_selects_from_the_file(self, tmp_path, capsys):
         path = put(tmp_path, "f.cnf", FULL_BLOCKING)
@@ -235,6 +248,11 @@ class TestClassifyCommand:
         assert text.splitlines()[0].startswith("clause\tt\ts\tbc\t")
         assert len(text.splitlines()) == 5
 
+    def test_abc_with_a_tautological_closure_reads_yes(self, tmp_path, capsys):
+        path = put(tmp_path, "f.cnf", ABC_TAUTOLOGY)
+        assert run(["classify", path, "--property", "abc"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "2 0\tyes"
+
     def test_unknown_property_is_a_usage_error(self, tmp_path, capsys):
         path = put(tmp_path, "f.cnf", SETBLOCKED)
         assert run(["classify", path, "--property", "bc,qbf"]) == 64
@@ -263,9 +281,11 @@ class TestEliminateAndReconstruct:
 
     def test_eliminate_respects_order_and_rounds(self, tmp_path, capsys):
         src = put(tmp_path, "f.cnf", "p cnf 4 3\n1 2 0\n-1 3 0\n-2 4 0\n")
-        rc = run(["eliminate", src, "--property", "bc", "--rounds", "1"])
+        tracef = tmp_path / "steps.trace"
+        rc = run(["eliminate", src, "--property", "bc", "--rounds", "1", "--trace", str(tracef)])
         assert rc == 0
         assert capsys.readouterr().out == "p cnf 2 1\n1 2 0\n"
+        assert tracef.read_text().splitlines()[-1] == "x 1 2 0 rounds cap 1 reached"
         rc = run(["eliminate", src, "--property", "bc"])
         assert rc == 0
         assert capsys.readouterr().out == "p cnf 0 0\n"
@@ -666,8 +686,8 @@ def _library_check(f, c, prop, k=None, ext_cap=16, cap=24, incomplete=None, seed
             # a tautological closure needs no witness literal
             if ala_closure(f, c).is_tautology():
                 return yes()
-            lit = asymmetric_blocking_literal(f, c)
-            return no() if lit is None else literal(lit)
+            ok, lit = asymmetric_blocking(f, c)
+            return literal(lit) if ok else no()
         ok, lit = r_lift_witness(BASES[prop[1:]], f, c)
         return literal(lit) if ok else no()
     except CapExceeded as exc:

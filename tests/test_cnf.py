@@ -8,18 +8,22 @@ from blockcheck import (
     EliminationTrace,
     Formula,
     ParseError,
+    parse_dimacs,
+    write_dimacs,
+)
+from blockcheck.cnf import (
     external_variables,
     literal_key,
-    parse_dimacs,
-    parse_model,
-    parse_qdimacs,
-    random_clause,
+    numbered_lines,
+    read_dimacs_body,
+    read_literals,
     resolution_environment,
     resolvent,
     restrict,
-    write_dimacs,
 )
-from blockcheck.cnf import numbered_lines, read_dimacs_body, read_literals
+from blockcheck.engine import parse_model
+from blockcheck.gen import random_clause
+from blockcheck.varelim import parse_qdimacs
 
 from conftest import clause, formula
 

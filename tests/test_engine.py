@@ -4,31 +4,26 @@ import pytest
 
 from blockcheck import (
     Assignment,
-    BlockingWitness,
     CapExceeded,
     Clause,
     EliminationConfig,
     EliminationTrace,
     Formula,
-    ParseError,
     PROPERTIES,
+    ParseError,
     ReconstructionError,
-    TraceEntry,
     check_property,
     classify,
     eliminate_clauses,
-    enumerate_models,
     first_model,
-    is_satisfiable,
-    parse_model,
-    random_clause,
-    random_formula,
-    random_instance,
     reconstruct_model,
     write_dimacs,
-    write_model,
 )
 from blockcheck import blocking, engine
+from blockcheck.blocking import BlockingWitness
+from blockcheck.engine import TraceEntry, parse_model, write_model
+from blockcheck.gen import random_clause, random_formula, random_instance
+from blockcheck.oracle import enumerate_models, is_satisfiable
 
 from conftest import clause, formula
 
@@ -157,6 +152,7 @@ class TestEliminate:
         g1, t1 = eliminate_clauses(f, EliminationConfig(property="bc", rounds_cap=1))
         assert set(g1.clauses) == {clause(1, 2)}
         assert len(t1.entries) == 2
+        assert t1.skipped == [(clause(1, 2), "rounds cap 1 reached")]
         g2, t2 = eliminate_clauses(f, EliminationConfig(property="bc"))
         assert len(g2) == 0
         assert [e.clause for e in t2.entries[:2]] == [e.clause for e in t1.entries]
@@ -204,8 +200,10 @@ def reference_eliminate(f, cfg, fresh=False):
 
     Same batches, order and rounds as `eliminate_clauses`, but no clause is
     skipped for an unchanged environment and every check tries every
-    literal; the engine must match it byte for byte. With `fresh`, every
-    check runs on a new copy of the formula state that keeps no value
+    literal; the engine must match it byte for byte. A run stopped by the
+    rounds cap reports every clause the last round queued, and that is still
+    in the formula, as skipped with the cap as its reason. With `fresh`,
+    every check runs on a new copy of the formula state that keeps no value
     derived before.
     """
     check = engine._CHECKS[cfg.property]
@@ -238,6 +236,8 @@ def reference_eliminate(f, cfg, fresh=False):
             entries.append(TraceEntry(c, cfg.property, w))
             pending.update(g.clauses_with_any(c.complements()))
 
+    for c in pending:
+        capped[c] = "rounds cap %d reached" % cfg.rounds_cap
     still = [(c, reason) for c, reason in capped.items() if c in g]
     still.sort(key=lambda pair: g.seq_of(pair[0]))
     return g, EliminationTrace(entries, still)

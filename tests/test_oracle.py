@@ -1,21 +1,17 @@
 import pytest
 
-from blockcheck import (
-    Assignment,
-    CapExceeded,
-    Clause,
-    Formula,
-    QbfInstance,
+from blockcheck import Assignment, CapExceeded, Clause, Formula, first_model
+from blockcheck.cnf import resolution_environment
+from blockcheck.oracle import (
     enumerate_models,
     eval_forall_exists,
-    first_model,
     is_redundant,
     is_satisfiable,
     is_semantically_blocked_oracle,
     nonlocality_witness,
-    resolution_environment,
     satisfies,
 )
+from blockcheck.varelim import QbfInstance
 
 from conftest import clause, formula
 

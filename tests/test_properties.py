@@ -13,28 +13,21 @@ from blockcheck import (
     Clause,
     EliminationConfig,
     Formula,
-    QbfInstance,
-    ala_fixpoint,
+    PROPERTIES,
     check_property,
     check_super_blocked,
     eliminate_clauses,
-    enumerate_models,
-    external_variables,
     first_model,
     is_literal_blocked,
-    is_redundant,
-    is_satisfiable,
     is_set_blocked,
     parse_dimacs,
-    parse_qdimacs,
-    PROPERTIES,
     reconstruct_model,
-    resolution_environment,
-    resolvent,
-    restrict,
     write_dimacs,
-    write_qdimacs,
 )
+from blockcheck.asymmetric import ala_fixpoint
+from blockcheck.cnf import external_variables, resolution_environment, resolvent, restrict
+from blockcheck.oracle import enumerate_models, is_redundant, is_satisfiable
+from blockcheck.varelim import QbfInstance, parse_qdimacs, write_qdimacs
 
 from conftest import sequential_closure
 

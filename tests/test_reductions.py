@@ -1,19 +1,16 @@
 import random
 
-from blockcheck import (
-    Clause,
-    Formula,
-    QbfInstance,
-    eval_forall_exists,
+from blockcheck import Clause, Formula, is_set_blocked
+from blockcheck.blocking import is_super_blocked
+from blockcheck.cnf import external_variables
+from blockcheck.gen import random_formula, random_qbf
+from blockcheck.oracle import eval_forall_exists, is_satisfiable
+from blockcheck.reductions import (
     forall_exists_to_superblocking,
-    is_satisfiable,
-    is_set_blocked,
-    is_super_blocked,
-    random_formula,
-    random_qbf,
     sat_to_setblocking,
     unsat_to_1superblocking,
 )
+from blockcheck.varelim import QbfInstance
 
 from conftest import clause, formula
 
@@ -72,8 +69,6 @@ class TestForallExistsToSuperblocking:
         assert is_super_blocked(inst.formula, inst.clause) is None
 
     def test_universals_become_the_external_variables(self):
-        from blockcheck import external_variables
-
         q = QbfInstance((1, 3), (2,), formula((1, 2), (3, -2)))
         inst = forall_exists_to_superblocking(q)
         assert external_variables(inst.formula, inst.clause) == {1, 3}

@@ -3,23 +3,22 @@ import random
 
 import pytest
 
-from blockcheck import (
-    Clause,
-    Formula,
-    ParseError,
+from blockcheck import Clause, Formula, ParseError, ResourceLimit
+from blockcheck.blocking import literal_blocks
+from blockcheck.gen import random_formula
+from blockcheck.oracle import (
+    eval_forall_exists,
+    is_satisfiable,
+    is_semantically_blocked_oracle,
+)
+from blockcheck.varelim import (
     QbfInstance,
-    ResourceLimit,
     all_resolvents,
     eliminate_variable,
     eliminate_variables,
     encode_qbf,
-    eval_forall_exists,
-    is_satisfiable,
-    is_semantically_blocked_oracle,
     literal_blocked_via_elimination,
-    literal_blocks,
     parse_qdimacs,
-    random_formula,
     sem_blocked_via_elimination,
     write_qdimacs,
 )
