@@ -124,10 +124,10 @@ def _rounds(
     while donors:
         found: dict[int, Clause] = {}
         for d in donors:
-            outside = d._lits - current
-            if len(outside) > 1 or d._lits == c._lits:
+            outside = d.difference(current)
+            if len(outside) > 1 or d == c:
                 continue
-            for m in outside or d._lits:
+            for m in outside or d._canon:
                 if -m not in current and -m not in found:
                     found[-m] = d
                     if stop_at_tautology and (m in current or m in found):
@@ -186,7 +186,7 @@ def _saturate(f: Formula, c: Clause, x: Clause) -> AlaTrace:
     it order-dependent; only the yes/no checks stop there.
     """
     steps: list[AlaStep] = []
-    for _, found in _rounds(f, c, set(x._lits), _first_donors(f, x)):
+    for _, found in _rounds(f, c, set(x), _first_donors(f, x)):
         steps.extend(AlaStep(lit, found[lit]) for lit in sorted(found, key=literal_key))
     return AlaTrace(x, tuple(steps))
 
@@ -195,7 +195,7 @@ def _first_donors(f: Formula, x: Clause) -> list[Clause]:
     """Round 1 donors of unseeded literal addition on x: the clauses holding a
     literal of x plus the unit clauses (any other clause has no literal to
     add or two outside x)."""
-    return f.clauses_with_any(x._lits, units=True)
+    return f.clauses_with_any(x._canon, units=True)
 
 
 def _closure_lits(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool) -> set[int]:
@@ -210,18 +210,17 @@ def _closure_lits(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool) -> 
     tautological too. Without it, a stopped U is no fixpoint, so a
     tautological U falls back to unseeded rounds.
     """
-    xs = x._lits
     if stop_at_tautology and x.is_tautology():
-        return set(xs)
+        return set(x)
     units = _units_without(f, c)
     if units.tautological and not stop_at_tautology:
-        current, donors = set(xs), _first_donors(f, x)
+        current, donors = set(x), _first_donors(f, x)
     else:
         seed = units.lits
-        current = set(xs | seed)
-        if stop_at_tautology and (units.tautological or not seed.isdisjoint(map(neg, xs))):
+        current = set(x.union(seed))
+        if stop_at_tautology and (units.tautological or not seed.isdisjoint(map(neg, x._canon))):
             return current
-        donors = f.clauses_with_any(xs - seed)
+        donors = f.clauses_with_any(x.difference(seed))
     for current, _ in _rounds(f, c, current, donors, stop_at_tautology):
         pass
     return current
@@ -245,17 +244,17 @@ def _subsumed(f: Formula, c: Clause, within: "set[int] | frozenset[int]") -> boo
     # A subsumer holds only literals of `within`, so it sits in their
     # occurrence lists — unless it is the empty clause, which subsumes
     # everything.
-    if c._lits and _EMPTY in f:
+    if c and _EMPTY in f:
         return True
     for lit in within:
         for d in f.occurrences(lit):
-            if d._lits <= within and d._lits != c._lits:
+            if d <= within and d != c:
                 return True
     return False
 
 
 def _base_s(f: Formula, c: Clause, x: Clause) -> bool:
-    return _subsumed(f, c, x._lits)
+    return _subsumed(f, c, x)
 
 
 def _base_at(f: Formula, c: Clause, x: Clause) -> bool:
@@ -331,7 +330,7 @@ def asymmetric_blocking(f: Formula, c: "Clause | Iterable[int]") -> tuple[bool, 
     lits = _closure_lits(f, c, c, stop_at_tautology=True)
     if _tautological(lits):
         return True, None
-    witness = is_literal_blocked(f, Clause(lits), c._lits)
+    witness = is_literal_blocked(f, Clause(lits), c)
     return (False, None) if witness is None else (True, witness.literal)
 
 

@@ -134,20 +134,19 @@ def literal_blocks(f: Formula, c: "Clause | Iterable[int]", lit: int) -> bool:
     than lit; this is decided on the literal sets, building no resolvent.
     """
     c = as_clause(c)
-    if lit not in c._lits:
+    if lit not in c:
         raise ValueError("blocking literal must belong to the clause")
     bucket = f.occurrences(-lit)
     if not bucket:  # no resolvent at all: lit is pure
         return True
-    flipped = set(map(neg, c._lits))
+    flipped = set(map(neg, c._canon))
     flipped.discard(-lit)
-    if not flipped.isdisjoint(c._lits):  # c is a tautology
+    if not flipped.isdisjoint(c):  # c is a tautology
         return True
     for d in bucket:
-        lits = d._lits
-        if flipped.isdisjoint(lits) and (
-            lits.isdisjoint(map(neg, lits))
-            or not any(-m in lits for m in lits if m != lit and m != -lit)
+        if flipped.isdisjoint(d) and (
+            d.isdisjoint(map(neg, d._canon))
+            or not any(-m in d for m in d._canon if m != lit and m != -lit)
         ):
             return False
     return True
@@ -223,19 +222,18 @@ class _Environment:
         self.lits = lits = c.literals
         where = {x: q for q, x in enumerate(lits)}
         self.pairs = [(q, where[-x]) for q, x in enumerate(lits) if x > 0 and -x in where]
-        shared, flipped = c._lits, c.complements()
+        flipped = c.complements()
         has_p = [0] * len(lits)
         has_n = [0] * len(lits)
         live = 0
         for i, d in enumerate(env):
-            ds = d._lits
-            if not ds.isdisjoint(map(neg, ds)):  # tautological: left out of every rule-out set
+            if not d.isdisjoint(map(neg, d._canon)):  # tautological: left out of every rule-out set
                 continue
             bit = 1 << i
             live |= bit
-            for m in ds & shared:
+            for m in d.intersection(c):
                 has_p[where[m]] |= bit
-            for m in ds & flipped:
+            for m in d.intersection(flipped):
                 has_n[where[-m]] |= bit
         self.no_p = [live & ~h for h in has_p]
         self.no_n = [live & ~h for h in has_n]
@@ -394,7 +392,7 @@ class _RestrictionScan:
     @cached_property
     def ext(self) -> "list[int]":
         """The external variables, sorted: those of the environment outside c."""
-        seen = frozenset().union(*[d._lits for d in self._env])
+        seen = frozenset().union(*self._env)
         return sorted(set(map(abs, seen)) - self._c.variables())
 
     @cached_property
@@ -406,7 +404,7 @@ class _RestrictionScan:
             acc[v] = acc[-v] = 0
         for i, d in enumerate(self._env):
             bit = 1 << i
-            for lit in d._lits:
+            for lit in d._canon:
                 if lit in acc:
                     acc[lit] |= bit
         return [[acc[-v], acc[v]] for v in reversed(self.ext)]

@@ -5,6 +5,12 @@ as v (positive) or -v (negative), and -l is the complement of l. The canonical
 literal order is by variable id, with the negative literal before the positive
 one; clauses iterate in that order so every search and witness in the package
 is deterministic.
+
+A `Clause` is a frozenset of int literals that iterates in canonical order.
+Its operators `|`, `-` and `&` return a `Clause`; the inherited methods
+(`union`, `difference`, `intersection`, ...) return a plain frozenset. Hash
+and equality are frozenset's, so a `Clause` equals the frozenset of its
+literals; a `Formula` still holds and finds only `Clause` objects.
 """
 
 from __future__ import annotations
@@ -22,24 +28,27 @@ def literal_key(lit: int) -> tuple[int, bool]:
     return (abs(lit), lit > 0)
 
 
-class Clause:
-    """A duplicate-free set of literals.
+class Clause(frozenset):
+    """A duplicate-free set of literals, iterated in canonical order.
 
-    Construction deduplicates; iteration is in canonical order. Clauses are
-    immutable, hashable, and compare by literal set. The empty clause is
-    representable (and is never a tautology).
+    Construction deduplicates and rejects 0. The operators `|`, `-` and `&`
+    take any iterable of literals and return a Clause; everything else,
+    equality with a plain frozenset included, is frozenset's (see the module
+    docstring). The empty clause is representable (and is never a
+    tautology).
     """
 
-    __slots__ = ("_lits", "_canon")
+    __slots__ = ("_canon",)
 
-    def __init__(self, literals: Iterable[int] = ()):
-        lits = frozenset(map(int, literals))
-        if 0 in lits:
-            raise ValueError("0 is not a literal")
-        self._lits = lits
+    def __new__(cls, literals: Iterable[int] = ()):
         # a stable sort by variable keeps the negative literal (the smaller
-        # int) first, which is the canonical order
-        self._canon = tuple(sorted(sorted(lits), key=abs))
+        # int) first, which is the canonical order; 0 would sort first
+        canon = sorted(sorted(set(map(int, literals))), key=abs)
+        if canon and not canon[0]:
+            raise ValueError("0 is not a literal")
+        self = frozenset.__new__(cls, canon)
+        self._canon = tuple(canon)
+        return self
 
     @property
     def literals(self) -> tuple[int, ...]:
@@ -48,41 +57,24 @@ class Clause:
     def __iter__(self) -> Iterator[int]:
         return iter(self._canon)
 
-    def __len__(self) -> int:
-        return len(self._lits)
+    def __or__(self, other: Iterable[int]) -> "Clause":
+        return Clause(self.union(other))
 
-    def __contains__(self, lit: int) -> bool:
-        return lit in self._lits
+    def __sub__(self, other: Iterable[int]) -> "Clause":
+        return Clause(self.difference(other))
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Clause):
-            return self._lits == other._lits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._lits)
-
-    def __or__(self, other: "Clause | Iterable[int]") -> "Clause":
-        return Clause(self._lits | _litset(other))
-
-    def __sub__(self, other: "Clause | Iterable[int]") -> "Clause":
-        return Clause(self._lits - _litset(other))
-
-    def __and__(self, other: "Clause | Iterable[int]") -> "Clause":
-        return Clause(self._lits & _litset(other))
-
-    def issubset(self, other: "Clause") -> bool:
-        return self._lits <= other._lits
+    def __and__(self, other: Iterable[int]) -> "Clause":
+        return Clause(self.intersection(other))
 
     def variables(self) -> frozenset[int]:
-        return frozenset(map(abs, self._lits))
+        return frozenset(map(abs, self._canon))
 
     def complements(self) -> frozenset[int]:
         """The set of complements of this clause's literals."""
-        return frozenset(map(neg, self._lits))
+        return frozenset(map(neg, self._canon))
 
     def is_tautology(self) -> bool:
-        return not self._lits.isdisjoint(map(neg, self._lits))
+        return not self.isdisjoint(map(neg, self._canon))
 
     def dimacs(self) -> str:
         """The clause as a zero-terminated DIMACS token string, e.g. '1 -2 0'."""
@@ -99,12 +91,6 @@ class Clause:
 
 def as_clause(c: "Clause | Iterable[int]") -> Clause:
     return c if isinstance(c, Clause) else Clause(c)
-
-
-def _litset(x: "Clause | Iterable[int]") -> frozenset[int]:
-    if isinstance(x, Clause):
-        return x._lits
-    return frozenset(map(int, x))
 
 
 # shared by every formula for a literal that occurs nowhere
@@ -146,7 +132,7 @@ class Formula:
                     occ[l] = {c: n}
                 else:
                     bucket[c] = n
-            if len(c._lits) == 1:
+            if len(c) == 1:
                 units[c] = n
             n += 1
         self._seq = seq

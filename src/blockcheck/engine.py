@@ -293,8 +293,9 @@ def eliminate_clauses(
     Clauses the checker refuses due to a cap are skipped and reported in
     the trace; they are retried only if a removal changes their
     environment. A run stopped by cfg.rounds_cap reports every clause the
-    last round queued as skipped, with the cap as the reason. The result is
-    satisfiability-equivalent to the input.
+    last round queued and did not check again afterwards as skipped, with
+    the rounds cap as the reason. The result is satisfiability-equivalent
+    to the input.
     """
     cfg = cfg if cfg is not None else EliminationConfig()
     check = _CHECKS[cfg.property]
@@ -348,8 +349,10 @@ def eliminate_clauses(
                     elif seen is not None:
                         seen.add(-m)
 
-    if pending:  # stopped by the rounds cap, not at a fixpoint
-        capped.update(dict.fromkeys(pending, "rounds cap %d reached" % (cfg.rounds_cap,)))
+    # a queued clause refuted since it was queued would be skipped by the
+    # next round, so only the others were cut short by the rounds cap
+    cut = "rounds cap %d reached" % (cfg.rounds_cap,)
+    capped.update((c, cut) for c in pending if touched.get(c) is not _UNTOUCHED)
     still = [(c, reason) for c, reason in capped.items() if c in g]
     still.sort(key=lambda pair: g.seq_of(pair[0]))
     return g, EliminationTrace(entries, still)
@@ -387,7 +390,7 @@ def reconstruct_model(
         return 1 if v in true else 0
 
     def sat(clause: Clause) -> bool:
-        return not true.isdisjoint(clause._lits)
+        return not true.isdisjoint(clause)
 
     for v, val in model.items():
         make_true(v if val else -v)

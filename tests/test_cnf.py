@@ -1,6 +1,8 @@
-import pytest
-
+import copy
+import pickle
 import random
+
+import pytest
 
 from blockcheck import (
     Assignment,
@@ -75,6 +77,38 @@ class TestClause:
     def test_dimacs_line(self):
         assert clause(2, -1).dimacs() == "-1 2 0"
         assert Clause().dimacs() == "0"
+
+    def test_is_a_frozenset_that_iterates_in_canonical_order(self):
+        c = Clause([3, -1, 2, 1, -3])
+        assert isinstance(c, frozenset)
+        assert list(c) == [-1, 1, 2, -3, 3]
+        assert tuple(c) == c.literals == (-1, 1, 2, -3, 3)
+        assert c.dimacs() == "-1 1 2 -3 3 0"
+
+    def test_operators_return_clauses_inherited_methods_frozensets(self):
+        c = clause(3, 1)
+        for got in (c | (2,), c - (3,), c & (1, 2), c | clause(-1), c - frozenset({1})):
+            assert type(got) is Clause
+            assert tuple(got) == tuple(sorted(got, key=literal_key))
+        assert type(c.union((2,))) is frozenset
+        assert type(c.difference((3,))) is frozenset
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c)),
+    ])
+    def test_copies_keep_the_type_and_the_order(self, copier):
+        c = Clause([4, -2, 2, -7])
+        got = copier(c)
+        assert type(got) is Clause
+        assert got == c and got.literals == c.literals == (-2, 2, 4, -7)
+        assert repr(got) == repr(c) == "Clause(-2 2 4 -7)"
+
+    def test_equals_the_frozenset_of_its_literals(self):
+        assert Clause([1]) == frozenset({1})
+        assert hash(Clause([1, -2])) == hash(frozenset({1, -2}))
+        # a formula still holds only clauses
+        assert frozenset({1}) not in Formula([[1]])
+        assert Clause([1]) in Formula([[1]])
 
 
 class TestFormula:

@@ -157,6 +157,15 @@ class TestEliminate:
         assert len(g2) == 0
         assert [e.clause for e in t2.entries[:2]] == [e.clause for e in t1.entries]
 
+    def test_rounds_cap_ignores_a_clause_refuted_after_it_was_queued(self):
+        # removing (1 2 -3) queues (3), which the same round refutes: the
+        # run is at its fixpoint, and a second round would remove nothing
+        f = formula((-3,), (1, 2, -3), (3,))
+        got = eliminate_clauses(f, EliminationConfig(property="bc", rounds_cap=1))
+        assert got[1].skipped == []
+        assert got[1].to_text() == "t blockcheck 1\nd bc 1 2 -3 0 w 1 0\n"
+        assert outputs(got) == outputs(eliminate_clauses(f, EliminationConfig(property="bc")))
+
     def test_replay_reproduces_simplified(self, ex_varelim):
         for prop in ("bc", "setbc", "supbc"):
             g, trace = eliminate_clauses(ex_varelim, EliminationConfig(property=prop))
@@ -201,15 +210,16 @@ def reference_eliminate(f, cfg, fresh=False):
     Same batches, order and rounds as `eliminate_clauses`, but no clause is
     skipped for an unchanged environment and every check tries every
     literal; the engine must match it byte for byte. A run stopped by the
-    rounds cap reports every clause the last round queued, and that is still
-    in the formula, as skipped with the cap as its reason. With `fresh`,
-    every check runs on a new copy of the formula state that keeps no value
-    derived before.
+    rounds cap reports every clause the last round queued, that is still in
+    the formula and that was not checked after it was last queued, as
+    skipped with the cap as its reason. With `fresh`, every check runs on a
+    new copy of the formula state that keeps no value derived before.
     """
     check = engine._CHECKS[cfg.property]
     g = f.copy()
     entries, capped = [], {}
     pending = set(g.clauses)
+    settled = set()  # refuted (answer no or a cap) since last queued
 
     def order_key(c):
         if cfg.clause_order == "descending-length":
@@ -228,15 +238,19 @@ def reference_eliminate(f, cfg, fresh=False):
                 ok, w = check(Formula(g) if fresh else g, c, cfg)
             except CapExceeded as exc:
                 capped[c] = str(exc)
+                settled.add(c)
                 continue
             if not ok:
+                settled.add(c)
                 continue
             g.remove(c)
             capped.pop(c, None)
             entries.append(TraceEntry(c, cfg.property, w))
-            pending.update(g.clauses_with_any(c.complements()))
+            queued = g.clauses_with_any(c.complements())
+            pending.update(queued)
+            settled.difference_update(queued)
 
-    for c in pending:
+    for c in pending - settled:
         capped[c] = "rounds cap %d reached" % cfg.rounds_cap
     still = [(c, reason) for c, reason in capped.items() if c in g]
     still.sort(key=lambda pair: g.seq_of(pair[0]))
@@ -294,6 +308,38 @@ class TestRecheckQueue:
                             skipped += len(got[1].skipped)
         assert removed > 0
         assert skipped > 0 or prop != "supbc"
+
+    @pytest.mark.parametrize("prop", PROPERTIES)
+    def test_a_rounds_cap_entry_means_the_run_was_cut_short(self, prop, monkeypatch):
+        # A capped run reports a rounds-cap entry exactly when the full run
+        # checks some clause after the cap; without one it is the full run.
+        check = engine._CHECKS[prop]
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return check(*args)
+
+        monkeypatch.setitem(engine._CHECKS, prop, counted)
+
+        def run(f, rounds_cap):
+            calls.clear()
+            got = eliminate_clauses(f, EliminationConfig(property=prop, rounds_cap=rounds_cap))
+            return got, len(calls)
+
+        rng = random.Random("rounds cap " + prop)
+        seen = set()
+        for _ in range(30):
+            f = mixed_formula(rng, rng.randint(2, 8), rng.randint(1, 14))
+            full, full_checks = run(f, 1000)
+            for rounds_cap in (1, 2):
+                got, checks = run(f, rounds_cap)
+                cut = any(reason.startswith("rounds cap") for _, reason in got[1].skipped)
+                assert cut == (full_checks > checks), (f.clauses, rounds_cap)
+                if not cut:
+                    assert outputs(got) == outputs(full), (f.clauses, rounds_cap)
+                seen.add(cut)
+        assert seen == {False, True}
 
     @pytest.mark.parametrize("prop", ["at", "as", "abc", "rat", "ras"])
     def test_kept_unit_closures_match_fresh_formulas(self, prop):
