@@ -127,29 +127,11 @@ def restriction_rows(per_tau: "Mapping[Assignment, Clause]") -> "Iterator[tuple[
 
 
 def literal_blocks(f: Formula, c: "Clause | Iterable[int]", lit: int) -> bool:
-    """True iff every resolvent of c upon lit against f is a tautology.
-
-    The resolvent c | (D \\ {-lit}) is a tautology iff c is one, or
-    D \\ {-lit} is one, or D holds the complement of a literal of c other
-    than lit; this is decided on the literal sets, building no resolvent.
-    """
+    """True iff every resolvent of c upon lit against f is a tautology."""
     c = as_clause(c)
     if lit not in c:
         raise ValueError("blocking literal must belong to the clause")
-    bucket = f.occurrences(-lit)
-    if not bucket:  # no resolvent at all: lit is pure
-        return True
-    flipped = set(map(neg, c._canon))
-    flipped.discard(-lit)
-    if not flipped.isdisjoint(c):  # c is a tautology
-        return True
-    for d in bucket:
-        if flipped.isdisjoint(d) and (
-            d.isdisjoint(map(neg, d._canon))
-            or not any(-m in d for m in d._canon if m != lit and m != -lit)
-        ):
-            return False
-    return True
+    return is_literal_blocked(f, c, (lit,)) is not None
 
 
 def is_literal_blocked(
@@ -160,12 +142,34 @@ def is_literal_blocked(
     """The first blocking literal of c in canonical order, as a witness.
 
     With `among`, only c's literals in it are tried, still in canonical order.
+
+    The resolvent of c upon lit with D is c | (D \\ {-lit}), a tautology iff
+    c is one, or D \\ {-lit} is one, or D holds the complement of a literal
+    of c other than lit. This is decided on the literal sets, building no
+    resolvent: c's complement set is built and c tested for tautology once
+    per check, and each literal tried takes its own complement out of that
+    set while it runs.
     """
     c = as_clause(c)
     lits = c._canon if among is None else [l for l in c._canon if l in among]
+    if not lits:
+        return None
+    flipped = set(map(neg, c._canon))
+    if not c.isdisjoint(flipped):  # c is a tautology, and so is every resolvent
+        return BlockingWitness(kind="literal", literal=lits[0])
+    occurrences = f.occurrences
     for lit in lits:
-        if literal_blocks(f, c, lit):
+        flipped.remove(-lit)
+        for d in occurrences(-lit):
+            # the Clause is the receiver: a set argument keeps isdisjoint in C
+            if d.isdisjoint(flipped) and (
+                d.isdisjoint(map(neg, d._canon))
+                or not any(-m in d for m in d._canon if m != lit and m != -lit)
+            ):
+                break  # a resolvent that is not a tautology
+        else:
             return BlockingWitness(kind="literal", literal=lit)
+        flipped.add(-lit)
     return None
 
 
@@ -449,6 +453,7 @@ def check_super_blocked(
     c: "Clause | Iterable[int]",
     k: int | None = None,
     ext_cap: int = 16,
+    sample: "tuple[Random, int] | None" = None,
 ) -> SuperBlockingResult:
     """Decide super-blocking by scanning every external assignment.
 
@@ -457,6 +462,11 @@ def check_super_blocked(
     it in every restriction and no assignment needs a look (nor does the
     cap apply). Otherwise each assignment gets its own witness, and the
     first assignment without one refutes.
+
+    Past the cap, `sample` (a random source and a count) tests that many
+    random assignments on the same compiled question, as
+    `sample_super_blocked` does: one without a set refutes, and when none
+    refutes the cap error stands.
     """
     scan = _RestrictionScan(f, as_clause(c), k)
     found = scan.blocking_set()
@@ -465,6 +475,10 @@ def check_super_blocked(
 
     n = len(scan.ext)
     if n > ext_cap:
+        if sample is not None:
+            sampled = _sample(scan, *sample)
+            if sampled.refuted:
+                return SuperBlockingResult(None, sampled.failing_tau)
         raise CapExceeded(
             "restriction scan over %d external variables exceeds cap %d" % (n, ext_cap),
             count=n,
@@ -524,6 +538,11 @@ def sample_super_blocked(
     scan = _RestrictionScan(f, as_clause(c), k)
     if scan.blocking_set() is not None:
         return IncompleteScan(False, None, 0)
+    return _sample(scan, rng, samples)
+
+
+def _sample(scan: _RestrictionScan, rng: Random, samples: int) -> IncompleteScan:
+    """Random assignments of a question not set-blocked in the whole formula."""
     n = len(scan.ext)
     for i in range(samples):
         m = rng.getrandbits(n)

@@ -20,7 +20,7 @@ import sys
 from functools import cache
 from random import Random
 
-from .blocking import check_super_blocked, is_set_blocked, restriction_rows, sample_super_blocked
+from .blocking import check_super_blocked, is_set_blocked, restriction_rows
 from .cnf import Clause, Formula, parse_dimacs, read_literals, write_dimacs
 from .engine import (
     PROPERTIES,
@@ -166,7 +166,8 @@ def _decide(ns, f: Formula, c: Clause):
         w = is_set_blocked(f, c, ns.k)
         return w is not None, w, None
     if prop == "supbc":
-        res = check_super_blocked(f, c, ns.k, ns.ext_cap)
+        sample = None if ns.incomplete is None else (Random(ns.seed), ns.incomplete)
+        res = check_super_blocked(f, c, ns.k, ns.ext_cap, sample)
         return res.blocked, res.witness, res.failing_tau
     ok, w = check_property(f, c, EliminationConfig(property=prop, k=ns.k, ext_cap=ns.ext_cap))
     return ok, w, None
@@ -191,14 +192,12 @@ def _cmd_check(ns) -> int:
     try:
         ok, w, tau = _decide(ns, f, c)
     except CapExceeded as exc:
-        if ns.property != "supbc" or ns.incomplete is None:
+        if ns.property == "supbc" and ns.incomplete is not None:
+            # every sample was taken, and none refuted
+            print("UNKNOWN sampled %d" % (ns.incomplete,))
+        else:
             print("UNKNOWN cap-exceeded %d" % (exc.count,))
-            return 2
-        scan = sample_super_blocked(f, c, Random(ns.seed), ns.incomplete, ns.k)
-        if not scan.refuted:
-            print("UNKNOWN sampled %d" % (scan.samples,))
-            return 2
-        ok, tau = False, scan.failing_tau
+        return 2
     if ok:
         print(_positive_answer(word, w))
         return 0

@@ -10,7 +10,11 @@ A `Clause` is a frozenset of int literals that iterates in canonical order.
 Its operators `|`, `-` and `&` return a `Clause`; the inherited methods
 (`union`, `difference`, `intersection`, ...) return a plain frozenset. Hash
 and equality are frozenset's, so a `Clause` equals the frozenset of its
-literals; a `Formula` still holds and finds only `Clause` objects.
+literals; a `Formula` still holds and finds only `Clause` objects. Set
+operations take a `Clause` as the receiver (`clause.isdisjoint(s)`, not
+`s.isdisjoint(clause)`), because CPython's fast path for a set argument
+needs an exact set or frozenset, and any other argument is walked through
+the Python-level `Clause.__iter__`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ def literal_key(lit: int) -> tuple[int, bool]:
     return (abs(lit), lit > 0)
 
 
+# a Clause's own members, before it has its canonical order
+_frozenset_iter = frozenset.__iter__
+
+
 class Clause(frozenset):
     """A duplicate-free set of literals, iterated in canonical order.
 
@@ -41,12 +49,13 @@ class Clause(frozenset):
     __slots__ = ("_canon",)
 
     def __new__(cls, literals: Iterable[int] = ()):
+        self = frozenset.__new__(cls, map(int, literals))
         # a stable sort by variable keeps the negative literal (the smaller
         # int) first, which is the canonical order; 0 would sort first
-        canon = sorted(sorted(set(map(int, literals))), key=abs)
+        canon = sorted(_frozenset_iter(self))
+        canon.sort(key=abs)
         if canon and not canon[0]:
             raise ValueError("0 is not a literal")
-        self = frozenset.__new__(cls, canon)
         self._canon = tuple(canon)
         return self
 
@@ -210,7 +219,7 @@ class Formula:
         return self._seq[clause]
 
     def variables(self) -> set[int]:
-        return {abs(l) for l in self._occ}
+        return set(map(abs, self._occ))
 
     def occurrences(self, lit: int) -> Mapping[Clause, int]:
         """The clauses containing the literal, each mapped to its insertion id,
@@ -525,8 +534,31 @@ def read_dimacs_body(
     clauses: list[Clause] = []
     clause_lines: list[int] = []
     pending: list[int] = []
+    # The last line read on the general path, named by the errors that
+    # belong to no single line. Without a header no line goes the fast way,
+    # and from an unterminated clause's first line on every line that is not
+    # blank or a comment goes the general way, so it is the last such line.
     lineno = 1
-    for lineno, line in numbered_lines(text):
+    for i, raw in enumerate(text.splitlines(), 1):
+        if header is not None and not pending:
+            # fast path: a line holding exactly one zero-terminated clause;
+            # any other line, bad tokens included, goes the general way
+            toks = raw.split()
+            try:
+                lits = list(map(int, toks))
+            except ValueError:
+                lits = None
+            if lits and not lits[-1]:
+                lits.pop()
+                if 0 not in lits:
+                    if prefix is None or not prefix(i, toks):
+                        clauses.append(Clause(lits))
+                        clause_lines.append(i)
+                    continue
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        lineno = i
         if line.startswith("%"):
             break
         if line.startswith("p"):
@@ -547,18 +579,6 @@ def read_dimacs_body(
         toks = line.split()
         if prefix is not None and prefix(lineno, toks):
             continue
-        if not pending:
-            # fast path: a line holding exactly one zero-terminated clause;
-            # any other line, bad tokens included, goes the general way
-            try:
-                lits = list(map(int, toks))
-            except ValueError:
-                lits = []
-            if lits and lits[-1] == 0 and lits.count(0) == 1:
-                lits.pop()
-                clauses.append(Clause(lits))
-                clause_lines.append(lineno)
-                continue
         start: "int | None" = 0
         while start is not None and start < len(toks):
             lits, start = read_literals(toks, start, lineno)
@@ -586,19 +606,14 @@ def parse_dimacs(source: "str | bytes", strict: bool = False) -> Formula:
     Every ParseError message starts with the line it concerns.
     """
     body = read_dimacs_body(source)
-    body.check_counts(_max_variable(body.clauses), strict)
-    return Formula(body.clauses)
-
-
-def _max_variable(clauses: Iterable[Clause]) -> int:
-    """The largest variable id in the clauses, 0 if there is none."""
-    # a canonical clause ends with its largest variable
-    return max((abs(c._canon[-1]) for c in clauses if c._canon), default=0)
+    f = Formula(body.clauses)
+    body.check_counts(max(f.variables(), default=0), strict)
+    return f
 
 
 def write_dimacs(f: Formula) -> str:
     """Serialize a formula as DIMACS CNF with canonically ordered clauses."""
     body = sorted(f, key=Clause.sort_key)
-    lines = ["p cnf %d %d" % (_max_variable(body), len(body))]
-    lines.extend(c.dimacs() for c in body)
+    lines = ["p cnf %d %d" % (max(f.variables(), default=0), len(body))]
+    lines.extend(map(Clause.dimacs, body))
     return "\n".join(lines) + "\n"

@@ -34,7 +34,8 @@ Super-blocking witnesses can be bulky (one blocking set per external
 assignment), so traces optionally store them compactly and the repair step
 recomputes the needed set against the replayed formula state, from the
 clause's compiled environment under the model's external values; both paths
-produce identical repairs, which the tests check.
+produce identical repairs, which the tests check. Only such an entry reads
+the replayed formula, so a repair builds it at the first one it meets.
 """
 
 from __future__ import annotations
@@ -216,12 +217,7 @@ class EliminationTrace:
                 tag = toks[1]
                 if tag not in _CHECKS:
                     raise ParseError("line %d: unknown property tag %r" % (lineno, tag))
-                clause_lits, i = _terminated_literals(toks, 2, lineno)
-                if i == len(toks) or toks[i] != "w":
-                    raise ParseError("line %d: missing witness section: %r" % (lineno, line))
-                wlits, i = _terminated_literals(toks, i + 1, lineno)
-                if i != len(toks):
-                    raise ParseError("line %d: trailing tokens on trace line: %r" % (lineno, line))
+                clause_lits, wlits = _entry_literals(toks, lineno, line)
                 clause = Clause(clause_lits)
                 if tag == "supbc":
                     if wlits:
@@ -276,6 +272,31 @@ class EliminationTrace:
         return cls(entries, skipped)
 
 
+def _entry_literals(toks: Sequence[str], lineno: int, line: str) -> tuple[list[int], list[int]]:
+    """The clause and the witness literals of a 'd' trace line."""
+    # fast path: "d TAG <clause> 0 w <witness> 0" with no other 0; any
+    # other line, bad tokens included, goes the general way
+    try:
+        at = toks.index("w", 2)
+        clause_lits = list(map(int, toks[2:at]))
+        wlits = list(map(int, toks[at + 1:]))
+    except ValueError:
+        pass
+    else:
+        if clause_lits and not clause_lits[-1] and wlits and not wlits[-1]:
+            clause_lits.pop()
+            wlits.pop()
+            if 0 not in clause_lits and 0 not in wlits:
+                return clause_lits, wlits
+    clause_lits, i = _terminated_literals(toks, 2, lineno)
+    if i == len(toks) or toks[i] != "w":
+        raise ParseError("line %d: missing witness section: %r" % (lineno, line))
+    wlits, i = _terminated_literals(toks, i + 1, lineno)
+    if i != len(toks):
+        raise ParseError("line %d: trailing tokens on trace line: %r" % (lineno, line))
+    return clause_lits, wlits
+
+
 def _terminated_literals(tokens: Sequence[str], start: int, lineno: int) -> tuple[list[int], int]:
     """A trace line's literal list, whose 0 must come on the same line."""
     lits, end = read_literals(tokens, start, lineno)
@@ -305,6 +326,9 @@ def eliminate_clauses(
     # checked clause -> its literals touched since it was last refuted
     # (answer no or cap); a clause never checked has no entry
     touched: dict[Clause, "set[int] | frozenset[int]"] = {}
+    # the clauses removed so far: g only shrinks, so membership in g is a
+    # set lookup instead of a call per clause
+    gone: set[Clause] = set()
     pending = set(g)
     seq_of = g.seq_of
 
@@ -317,10 +341,10 @@ def eliminate_clauses(
     rounds = 0
     while pending and rounds < cfg.rounds_cap:
         rounds += 1
-        batch = sorted((c for c in pending if c in g), key=order_key)
+        batch = sorted(pending - gone, key=order_key)
         pending = set()
         for c in batch:
-            if c not in g:
+            if c in gone:
                 continue
             lits = touched.get(c)
             if lits is _UNTOUCHED:
@@ -335,6 +359,7 @@ def eliminate_clauses(
                 touched[c] = _UNTOUCHED
                 continue
             g.remove(c)
+            gone.add(c)
             capped.pop(c, None)
             entries.append(TraceEntry(c, cfg.property, w))
             for m in c._canon:
@@ -372,12 +397,14 @@ def reconstruct_model(
     not taking, implied clause falsified — is reported as a reconstruction
     error, since it means trace and formula do not belong together.
     """
-    g = original.copy()
-    for e in trace.entries:
-        if not g.discard(e.clause):
+    entries = trace.entries
+    removed: set[Clause] = set()
+    for e in entries:
+        if e.clause in removed or e.clause not in original:
             raise ReconstructionError(
                 "trace removes a clause the formula does not contain: %r" % (e.clause,)
             )
+        removed.add(e.clause)
 
     # the assignment as the set of its true literals, one per variable
     true = {-v for v in original.variables()}
@@ -389,20 +416,23 @@ def reconstruct_model(
     def value(v: int) -> int:
         return 1 if v in true else 0
 
-    def sat(clause: Clause) -> bool:
-        return not true.isdisjoint(clause)
-
     for v, val in model.items():
         make_true(v if val else -v)
-    if not all(sat(d) for d in g):
+    # a satisfied clause shares a literal with `true`; the Clause is the
+    # receiver, which keeps isdisjoint in C
+    if any(d.isdisjoint(true) for d in original if d not in removed):
         raise ReconstructionError("model does not satisfy the simplified formula")
 
-    for e in reversed(trace.entries):
-        c = e.clause
-        if sat(c):
+    # The formula as it was when the entry at hand removed its clause. Only
+    # a compact super-blocking witness reads it, so it is built at the first
+    # such entry and kept in step from then on.
+    g: "Formula | None" = None
+    for j in reversed(range(len(entries))):
+        c, w = entries[j].clause, entries[j].witness
+        if g is not None:
             g.add(c)
+        if not c.isdisjoint(true):
             continue
-        w = e.witness
         if w is None:
             raise ReconstructionError(
                 "removed clause is falsified but carries no repair witness: %r" % (c,)
@@ -426,7 +456,10 @@ def reconstruct_model(
                         "stored restriction table lacks the current external assignment"
                     )
             else:
-                g.add(c)  # the formula as it was when c was removed
+                if g is None:
+                    g = Formula(d for d in original if d not in removed)
+                    for later in reversed(entries[j:]):
+                        g.add(later.clause)
                 chosen = blocking_set_under(g, c, value)
                 if chosen is None:
                     raise ReconstructionError("failed to recompute a blocking set during repair")
@@ -434,11 +467,10 @@ def reconstruct_model(
                 make_true(lit)
         else:
             raise ReconstructionError("unknown witness kind %r" % (w.kind,))
-        if not sat(c):
+        if c.isdisjoint(true):
             raise ReconstructionError("repair failed to satisfy the removed clause: %r" % (c,))
-        g.add(c)
 
-    if not all(sat(d) for d in original):
+    if any(d.isdisjoint(true) for d in original):
         raise ReconstructionError("reconstructed assignment does not satisfy the original formula")
     return Assignment({abs(l): 1 if l > 0 else 0 for l in true})
 

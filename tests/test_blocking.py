@@ -13,7 +13,7 @@ from blockcheck import (
     is_literal_blocked,
     is_set_blocked,
 )
-from blockcheck import blocking
+from blockcheck import blocking, cli
 from blockcheck.blocking import (
     BlockingWitness,
     IncompleteScan,
@@ -40,6 +40,8 @@ from blockcheck.reductions import (
 )
 
 from conftest import clause, formula
+from test_asymmetric import reference_literal_blocks
+from test_cli import FULL_BLOCKING_WIDE, REFUTABLE
 
 
 class TestLiteralBlocking:
@@ -67,6 +69,31 @@ class TestLiteralBlocking:
     def test_absent_witnesses(self, ex_setblocked, ex_full_blocking):
         for f, c in (ex_setblocked, ex_full_blocking):
             assert is_literal_blocked(f, c) is None
+
+    def test_witness_is_the_first_blocking_literal_within_among(self):
+        # against literal_blocks and against resolvents built one by one
+        rng = random.Random("first blocking literal")
+        shapes = dict.fromkeys(("taut c", "taut d", "pure", "empty among", "partial among"), 0)
+        for i in range(400):
+            f, c = random_instance(rng, max_vars=6, max_clauses=10, max_width=3)
+            if i % 4 == 1:  # tautological c
+                v = rng.randint(1, 6)
+                c = c | (v, -v)
+            elif i % 4 == 2 and c.literals:  # a tautological D resolving with c
+                lit = rng.choice(c.literals)
+                f.add((-lit, 7, -7) if i % 8 == 2 else (-lit, lit, 7))
+            for among in (None, (), set(rng.sample(c.literals, len(c) // 2))):
+                tried = [l for l in c if among is None or l in among]
+                want = next((l for l in tried if reference_literal_blocks(f, c, l)), None)
+                w = is_literal_blocked(f, c, among)
+                assert (None if w is None else w.literal) == want, (f.clauses, c, among)
+                assert want == next((l for l in tried if literal_blocks(f, c, l)), None)
+                shapes["empty among"] += among == () and len(c) > 0
+                shapes["partial among"] += among is not None and 0 < len(among) < len(c)
+            shapes["taut c"] += c.is_tautology()
+            shapes["taut d"] += any(d.is_tautology() for d in resolution_environment(f, c))
+            shapes["pure"] += any(not f.occurrences(-l) for l in c)
+        assert min(shapes.values()) >= 50, shapes
 
     def test_vacuous_blocking(self):
         assert is_literal_blocked(Formula(), clause(1)).literal == 1
@@ -570,6 +597,20 @@ class TestOneCompilePerQuestion:
             scan = sample_super_blocked(f, c, random.Random(3), samples=8)
             assert scan.refuted == refuted
             assert (seen["read"], seen["compiled"]) == (1, 1)
+
+    @pytest.mark.parametrize("text, args, code, out", [
+        (REFUTABLE, ("--incomplete", "4", "--seed", "5"), 1, "NOT-BLOCKED failing-tau 3 -4\n"),
+        (FULL_BLOCKING_WIDE, ("--incomplete", "3"), 2, "UNKNOWN sampled 3\n"),
+    ])
+    def test_check_samples_the_capped_question_it_compiled(self, compiles, tmp_path, capsys,
+                                                          text, args, code, out):
+        path = tmp_path / "f.cnf"
+        path.write_text(text)
+        seen = compiles()
+        argv = ["check", str(path), "--property", "supbc", "--clause", "1 2 0", "--ext-cap", "1"]
+        assert cli.run(argv + list(args)) == code
+        assert capsys.readouterr().out == out
+        assert (seen["read"], seen["compiled"]) == (1, 1)
 
     def test_the_empty_clause_searches_no_set(self, compiles):
         seen = compiles()

@@ -496,11 +496,62 @@ class TestDimacsFastPath:
             "1 2 0\n3\n",       # unterminated at end of input
             "0 0 1 0\n",         # empty clauses before a clause
             "1 1 -2 0\n2 -2 0\n",
+            "1 0\nc note\n\n2 0\nc 3 0\n",    # comment and blank lines between clauses
+            "  1 2 0\n\t-3 0\n \t 2\t-1 0 \n",  # leading whitespace and tabs
+            "1 0\n%\n2 x 0\n",            # '%' ends the clauses
+            "1 0\n  %\n0\n",              # an indented '%'
+            "1 c 0\n",                      # a 'c' token inside a clause line
+            "1 p 0\n",                      # a 'p' token inside a clause line
+            "1 2 0 c\n",                    # a comment token after the 0
+            "1 2\nc trailing\n\n",          # unterminated, then a comment and a blank line
+            "1 2 0\n3\n\nc end\n  \n",       # the error names line 3, the last one read
         ],
     )
     def test_agrees_with_the_general_path(self, body):
         text = "p cnf 3 2\n" + body
         assert outcome(fast_clauses, text) == outcome(general_clauses, text)
+
+    def test_unterminated_clause_names_the_last_line_read(self):
+        text = "c top\np cnf 3 2\n1 0\n2 3\n\nc trailing comment\n\t\n"
+        assert outcome(fast_clauses, text) == (
+            "error", "line 4: unterminated clause at end of input")
+
+    def test_random_mutations_agree_with_the_general_path(self):
+        # seeded edits of a well-formed body: the fast path must give the
+        # same clauses, clause lines and error text as the general one
+        rng = random.Random("dimacs fast path")
+        pieces = ["0", "-0", "00", "+2", "x", "c", "p", "%", "1.5", "\t", "  ", "-"]
+        kinds = {"clauses": 0, "error": 0}
+        for _ in range(600):
+            lines = [" ".join(map(str, random_clause(rng, 5, rng.randint(1, 3)).literals + (0,)))
+                     for _ in range(rng.randint(1, 6))]
+            for _ in range(rng.randint(1, 4)):
+                at = rng.randrange(len(lines) + 1)
+                edit = rng.randrange(6)
+                if edit == 0:
+                    lines.insert(at, rng.choice(["", "c comment", "  c 1 0", "\t"]))
+                elif at < len(lines):
+                    toks = lines[at].split(" ")
+                    where = rng.randrange(len(toks) + 1)
+                    if edit == 1:
+                        toks.insert(where, rng.choice(pieces))
+                    elif edit == 2 and where < len(toks):
+                        del toks[where]
+                    elif edit == 3:  # join with the next line
+                        toks.extend(lines.pop(at + 1).split(" ") if at + 1 < len(lines) else [])
+                    elif edit == 4:  # split the line in two
+                        lines.insert(at + 1, " ".join(toks[where:]))
+                        toks = toks[:where]
+                    else:
+                        toks.insert(0, rng.choice([" ", "\t", "  \t"]))
+                    lines[at] = " ".join(toks)
+            # a line opening with 'p' is a header, which the general loop skips
+            body = "".join("1 " + l + "\n" if l.strip().startswith("p") else l + "\n" for l in lines)
+            text = "c seeded\np cnf 5 3\n" + body
+            got = outcome(fast_clauses, text)
+            assert got == outcome(general_clauses, text), text
+            kinds["error" if got[0] == "error" else "clauses"] += 1
+        assert min(kinds.values()) >= 60, kinds
 
     def test_error_texts_are_the_general_ones(self):
         assert outcome(fast_clauses, "p cnf 2 1\n1 x 0\n") == ("error", "line 2: bad literal 'x'")

@@ -362,22 +362,23 @@ class TestRecheckQueue:
 
     def test_literal_blocking_tries_fewer_literals(self, monkeypatch):
         f = planted_3cnf(random.Random(5), 300, 600)
-        calls = []
-        real = blocking.literal_blocks
+        tried = 0
+        real = engine.is_literal_blocked
 
-        def counted(g, c, lit):
-            calls.append(lit)
-            return real(g, c, lit)
+        def counted(g, c, among=None):
+            # the literals the check may try: all of c, or those in `among`
+            nonlocal tried
+            tried += len(c) if among is None else sum(l in among for l in c)
+            return real(g, c, among)
 
-        monkeypatch.setattr(blocking, "literal_blocks", counted)
+        monkeypatch.setattr(engine, "is_literal_blocked", counted)
         cfg = EliminationConfig(property="bc")
         want = outputs(reference_eliminate(f, cfg))
-        full = len(calls)
-        calls.clear()
+        full, tried = tried, 0
         got = outputs(eliminate_clauses(f, cfg))
         assert got == want
         assert want[0].count("\nd bc") > 50
-        assert 0 < len(calls) < full
+        assert 0 < tried < full
 
 
 class TestTraceText:
@@ -490,6 +491,53 @@ class TestTraceText:
         with pytest.raises(ParseError):
             EliminationTrace.from_text(text)
 
+    def test_random_mutations_of_entry_lines_agree_with_the_general_path(self, monkeypatch):
+        # seeded edits of real traces' 'd' lines: the one-map(int) path must
+        # give the same entries, or the same error text, as reading each
+        # literal list token by token
+        def general(toks, lineno, line):
+            clause_lits, i = engine._terminated_literals(toks, 2, lineno)
+            if i == len(toks) or toks[i] != "w":
+                raise ParseError("line %d: missing witness section: %r" % (lineno, line))
+            wlits, i = engine._terminated_literals(toks, i + 1, lineno)
+            if i != len(toks):
+                raise ParseError("line %d: trailing tokens on trace line: %r" % (lineno, line))
+            return clause_lits, wlits
+
+        def read(text, entry_literals):
+            monkeypatch.setattr(engine, "_entry_literals", entry_literals)
+            try:
+                trace = EliminationTrace.from_text(text)
+            except ParseError as exc:
+                return "error", str(exc)
+            return trace.entries, trace.skipped
+
+        fast = engine._entry_literals
+        rng = random.Random("trace fast path")
+        pieces = ["0", "-0", "00", "+1", "w", "x", "-", "1.5", "bc"]
+        kinds = {"entries": 0, "error": 0}
+        for _ in range(300):
+            f = random_formula(rng, 5, rng.randint(4, 10), 3)
+            prop = rng.choice(["bc", "setbc", "supbc", "t", "s", "abc", "rat"])
+            lines = eliminate_clauses(f, EliminationConfig(property=prop))[1].to_text().splitlines()
+            entry = [i for i, line in enumerate(lines) if line.startswith("d ")]
+            for at in rng.sample(entry, min(len(entry), 2)):
+                toks = lines[at].split()
+                where = rng.randrange(2, len(toks) + 1)
+                edit = rng.randrange(3)
+                if edit == 0:
+                    toks.insert(where, rng.choice(pieces))
+                elif edit == 1 and where < len(toks):
+                    del toks[where]
+                else:
+                    toks[where - 1:where] = [toks[where - 1]] * 2
+                lines[at] = rng.choice(["", "  ", "\t"]) + " ".join(toks)
+            text = "\n".join(lines) + "\n"
+            got = read(text, fast)
+            assert got == read(text, general), text
+            kinds["error" if got[0] == "error" else "entries"] += 1
+        assert min(kinds.values()) >= 50, kinds
+
     def test_comments_and_blank_lines_are_ignored(self):
         text = "c produced by hand\n\nt blockcheck 1\nc mid\nd bc 1 0 w 1 0\n"
         trace = EliminationTrace.from_text(text)
@@ -586,6 +634,103 @@ class TestReconstruct:
         )
         with pytest.raises(ReconstructionError):
             reconstruct_model(trace, formula((1, 2)), Assignment({}))
+
+    def test_rejects_a_clause_removed_twice(self):
+        witness = BlockingWitness(kind="literal", literal=2)
+        trace = EliminationTrace(entries=[TraceEntry(clause(1, 2), "bc", witness)] * 2)
+        with pytest.raises(ReconstructionError,
+                           match=r"^trace removes a clause the formula does not contain: "
+                                 r"Clause\(1 2\)$"):
+            reconstruct_model(trace, formula((1, 2), (-1, 3)), Assignment({}))
+
+    def test_rejects_an_entry_the_formula_lacks(self):
+        witness = BlockingWitness(kind="literal", literal=3)
+        trace = EliminationTrace(entries=[
+            TraceEntry(clause(1, 2), "bc", BlockingWitness(kind="literal", literal=2)),
+            TraceEntry(clause(-1, 3), "bc", witness),
+        ])
+        with pytest.raises(ReconstructionError,
+                           match=r"^trace removes a clause the formula does not contain: "
+                                 r"Clause\(-1 3\)$"):
+            reconstruct_model(trace, formula((1, 2), (-1, 4)), Assignment({}))
+
+    @pytest.fixture
+    def recomputes(self, monkeypatch):
+        """Check every recomputed compact entry's formula against the state
+        `expect(trace, f)` records: f's clauses when the entry removed its
+        clause. Returns expect and the list of recomputed clauses."""
+        at_removal = {}
+        recomputed = []
+        under = engine.blocking_set_under
+
+        def checked(g, c, value):
+            assert g.check_occ_consistent() and set(g) == at_removal[c], c
+            recomputed.append(c)
+            return under(g, c, value)
+
+        def expect(trace, f):
+            left = set(f)
+            for e in trace.entries:
+                at_removal[e.clause] = set(left)
+                left.remove(e.clause)
+
+        monkeypatch.setattr(engine, "blocking_set_under", checked)
+        return expect, recomputed
+
+    def test_mixed_trace_with_compact_entries_repairs_like_the_full_one(self, recomputes):
+        # bc and supbc entries in turn: a compact supbc entry recomputes its
+        # set on the formula as it was when the entry removed its clause,
+        # and repairs as its stored table does
+        expect, recomputed = recomputes
+        rng = random.Random("mixed compact repair")
+        stages = [("bc", 1), ("supbc", 1), ("bc", 1000), ("supbc", 1000)]
+        mixed = 0
+        for _ in range(200):
+            f = random_formula(rng, 6, rng.randint(8, 16), 3)
+            traces = []
+            for compact in (False, True):
+                g, entries = f, []
+                for prop, rounds in stages:
+                    g, part = eliminate_clauses(g, EliminationConfig(
+                        property=prop, rounds_cap=rounds, compact_witnesses=compact))
+                    entries += part.entries
+                traces.append(EliminationTrace.from_text(EliminationTrace(entries).to_text()))
+            table, compact = traces
+            tags = [e.tag for e in compact.entries]
+            kinds = [e.witness.kind for e in compact.entries if e.witness is not None]
+            if "super" not in kinds or "bc" not in tags[tags.index("supbc"):]:
+                continue
+            mixed += 1
+            expect(compact, f)
+            for model in enumerate_models(g, f.variables()):
+                want = reconstruct_model(table, f, model)
+                assert reconstruct_model(compact, f, model) == want, (f, model)
+        assert mixed >= 10 and len(recomputed) >= 50, (mixed, len(recomputed))
+
+    def test_replayed_formula_is_kept_in_step(self, recomputes):
+        # ex_full_blocking twice, on disjoint variables and with each
+        # super-blocked clause first, so it is removed before its
+        # environment: a model falsifying both recomputes two sets, the
+        # second on the formula put back in step after the first
+        expect, recomputed = recomputes
+
+        def gadget(o):
+            return [(1 + o, 2 + o), (3 + o, 2 + o, -1 - o), (-2 - o, -3 - o), (-2 - o, 1 + o)]
+
+        f = formula(*gadget(0), *gadget(3), (7, 8), (-7, 1))
+        table, compact = (
+            eliminate_clauses(f, EliminationConfig(property="supbc", compact_witnesses=flag))[1]
+            for flag in (False, True)
+        )
+        assert [e.clause for e in compact.entries if e.witness.kind == "super"] == [
+            clause(1, 2), clause(4, 5)]
+        expect(compact, f)
+        twice = 0
+        for model in enumerate_models(Formula(), f.variables()):
+            recomputed.clear()
+            assert reconstruct_model(compact, f, model) == reconstruct_model(table, f, model)
+            twice += recomputed == [clause(4, 5), clause(1, 2)]
+        assert twice >= 8, twice
 
     def test_rejects_model_that_misses_the_simplified_formula(self):
         original = formula((1,))
