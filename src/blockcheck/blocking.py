@@ -25,7 +25,8 @@ c's environment once per question: set-blocking in the whole formula is
 the scan's first step, and under each restriction only the set of
 surviving clauses changes, a bitset as well (see `_RestrictionScan`). Its
 witness keeps the sets in the scan's order (see `RestrictionTable`), which
-is also the order `check` and traces write them in.
+is also the order `check` and traces write them in; reading a trace back
+builds the same table.
 """
 
 from __future__ import annotations
@@ -55,15 +56,24 @@ class BlockingWitness:
 
     Exactly one payload is populated, matching `kind`: the blocking literal
     for kind="literal", the blocking set for kind="set", and for kind="super"
-    a map from each assignment over the external variables to the set that
-    blocks the clause in the correspondingly restricted formula (a
-    `RestrictionTable` when the scan built it).
+    the `RestrictionTable` of the set that blocks the clause under each
+    assignment to the external variables (None in a compact trace, where
+    repair recomputes the one set it needs).
     """
 
     kind: str
     literal: int | None = None
     blocking_set: Clause | None = None
-    per_tau: "Mapping[Assignment, Clause] | None" = None
+    per_tau: "RestrictionTable | None" = None
+
+
+def assignment_index(variables: Iterable[int], value: Callable[[int], int]) -> int:
+    """The index of the assignment `value` (0 or 1, or a bool) gives the sorted
+    `variables`: the smallest variable is the highest bit, as in `RestrictionTable`."""
+    m = 0
+    for v in variables:
+        m = (m << 1) | value(v)
+    return m
 
 
 class RestrictionTable(Mapping):
@@ -75,6 +85,10 @@ class RestrictionTable(Mapping):
     which is the order of iteration and of `rows()`. Assignments are built
     only when a caller asks for one; a key that is not an `Assignment` over
     exactly `variables` is absent.
+
+    It is the one form of a super-blocking witness table: the scan builds
+    it, `check` and the trace writer print its `rows()`, and the trace
+    reader builds it back from a `wt` block.
     """
 
     __slots__ = ("variables", "sets")
@@ -101,29 +115,9 @@ class RestrictionTable(Mapping):
             yield Assignment(dict(zip(self.variables, values)))
 
     def __getitem__(self, tau: Assignment) -> Clause:
-        if not isinstance(tau, Assignment) or len(tau) != len(self.variables):
+        if not isinstance(tau, Assignment) or tau.variables() != set(self.variables):
             raise KeyError(tau)
-        m = 0
-        for v in self.variables:
-            value = tau.value(v)
-            if value is None:
-                raise KeyError(tau)
-            m = (m << 1) | value
-        return self.sets[m]
-
-
-def restriction_rows(per_tau: "Mapping[Assignment, Clause]") -> "Iterator[tuple[str, str]]":
-    """The rows of a super-blocking witness as (τ, set) DIMACS texts.
-
-    Rows come in lexicographic order of τ's literals: a `RestrictionTable`
-    is already in that order, and any other mapping is sorted into it.
-    """
-    if isinstance(per_tau, RestrictionTable):
-        rows = per_tau.rows()
-    else:
-        ordered = sorted((tau.to_literals(), s) for tau, s in per_tau.items())
-        rows = ((" ".join(map(str, lits + (0,))), s) for lits, s in ordered)
-    return ((tau, s.dimacs()) for tau, s in rows)
+        return self.sets[assignment_index(self.variables, tau.value)]
 
 
 def literal_blocks(f: Formula, c: "Clause | Iterable[int]", lit: int) -> bool:
@@ -501,18 +495,15 @@ def blocking_set_under(
     c: "Clause | Iterable[int]",
     value: "Callable[[int], int]",
 ) -> Clause | None:
-    """The first set blocking c once f is restricted by `value` (0 or 1 per
-    variable) on c's external variables.
+    """The first set blocking c once f is restricted by `value` (0 or 1, or a
+    bool, per variable) on c's external variables.
 
     The same set as `is_set_blocked(restrict(f, tau), c)` for tau the
     assignment `value` gives `external_variables(f, c)`, read off c's
     compiled environment instead of a restricted copy of f.
     """
     scan = _RestrictionScan(f, as_clause(c), None)
-    m = 0
-    for v in scan.ext:
-        m = (m << 1) | value(v)
-    return scan.blocking_set_at(m)
+    return scan.blocking_set_at(assignment_index(scan.ext, value))
 
 
 def is_super_blocked(

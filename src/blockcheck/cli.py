@@ -20,7 +20,7 @@ import sys
 from functools import cache
 from random import Random
 
-from .blocking import check_super_blocked, is_set_blocked, restriction_rows
+from .blocking import check_super_blocked, is_set_blocked
 from .cnf import Clause, Formula, parse_dimacs, read_literals, write_dimacs
 from .engine import (
     PROPERTIES,
@@ -181,7 +181,7 @@ def _positive_answer(word: str, w) -> str:
     if w.kind == "set":
         return "%s witness-set %s" % (word, _lits(w.blocking_set))
     lines = ["%s witness-per-tau %d" % (word, len(w.per_tau))]
-    lines.extend("tau %s set %s" % row for row in restriction_rows(w.per_tau))
+    lines.extend("tau %s set %s" % (tau, s.dimacs()) for tau, s in w.per_tau.rows())
     return "\n".join(lines)
 
 

@@ -347,15 +347,18 @@ class Assignment:
 
     @classmethod
     def from_literals(cls, lits: Iterable[int]) -> "Assignment":
-        """Build an assignment from signed literals (v true, -v false)."""
-        out = {}
-        for l in lits:
-            var = abs(int(l))
+        """Build an assignment from signed literals (v true, -v false), each read once."""
+        out: dict[int, int] = {}
+        for l in map(int, lits):
             val = 1 if l > 0 else 0
-            if out.get(var, val) != val:
-                raise ValueError("conflicting literals for variable %d" % var)
-            out[var] = val
-        return cls(out)
+            if out.setdefault(abs(l), val) != val:
+                raise ValueError("conflicting literals for variable %d" % abs(l))
+        if 0 in out:
+            raise ValueError("variables are positive ints, got 0")
+        self = cls.__new__(cls)
+        self._map = out
+        self._hash = None
+        return self
 
     def value(self, var: int) -> int | None:
         return self._map.get(var)
@@ -479,10 +482,23 @@ def read_literals(tokens: Sequence[str], start: int, lineno: int) -> tuple[list[
 
     Returns the literals and the index just past the 0, or None in its place
     when the tokens ran out first; the caller decides whether the list may
-    continue on the next line. Every literal-list format of the package is
-    read here, so a bad token is always reported with its line.
+    continue on the next line. This is the package's one reader of literal
+    tokens (DIMACS, QDIMACS, traces, models, `--clause`), so a bad token is
+    always reported with its line.
+
+    Ints up to a "0" token are read with one `index` and one `map(int)`;
+    anything else (a bad token, "-0", "00" or "+0" as the terminator, no
+    terminator) is walked token by token, so results and errors are the walk's.
     """
-    lits: list[int] = []
+    try:
+        end = tokens.index("0", start)
+        lits = list(map(int, tokens[start:end]))
+    except ValueError:
+        pass
+    else:
+        if 0 not in lits:
+            return lits, end + 1
+    lits = []
     for i in range(start, len(tokens)):
         try:
             lit = int(tokens[i])
@@ -540,21 +556,19 @@ def read_dimacs_body(
     # blank or a comment goes the general way, so it is the last such line.
     lineno = 1
     for i, raw in enumerate(text.splitlines(), 1):
-        if header is not None and not pending:
+        if header is not None and not pending and raw.endswith("0"):
             # fast path: a line holding exactly one zero-terminated clause;
-            # any other line, bad tokens included, goes the general way
+            # any other line, comments and bad tokens included, goes the general way
             toks = raw.split()
             try:
-                lits = list(map(int, toks))
-            except ValueError:
-                lits = None
-            if lits and not lits[-1]:
-                lits.pop()
-                if 0 not in lits:
-                    if prefix is None or not prefix(i, toks):
-                        clauses.append(Clause(lits))
-                        clause_lines.append(i)
-                    continue
+                lits, end = read_literals(toks, 0, i)
+            except ParseError:
+                end = None
+            if end == len(toks):
+                if prefix is None or not prefix(i, toks):
+                    clauses.append(Clause(lits))
+                    clause_lines.append(i)
+                continue
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

@@ -47,11 +47,12 @@ from typing import Callable, Iterable, Sequence
 from .asymmetric import BASES, BaseProperty, asymmetric_blocking, r_lift_witness
 from .blocking import (
     BlockingWitness,
+    RestrictionTable,
+    assignment_index,
     blocking_set_under,
     is_literal_blocked,
     is_set_blocked,
     is_super_blocked,
-    restriction_rows,
 )
 from .cnf import (
     Assignment,
@@ -182,25 +183,35 @@ class EliminationTrace:
                 wpart = w.blocking_set.dimacs()
             lines.append("d %s %s w %s" % (e.tag, e.clause.dimacs(), wpart))
             if w is not None and w.kind == "super" and w.per_tau is not None:
-                lines.extend("wt %s %s" % row for row in restriction_rows(w.per_tau))
+                lines.extend("wt %s %s" % (tau, s.dimacs()) for tau, s in w.per_tau.rows())
         for clause, reason in self.skipped:
             lines.append(("x %s %s" % (clause.dimacs(), reason)).rstrip())
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "EliminationTrace":
+        """Read a trace back into the entries and tables the writer wrote.
+
+        A `wt` block's rows may come in any order but must cover every
+        assignment of their variables. Witness literals lie in their clause.
+        """
         entries: list[TraceEntry] = []
         skipped: list[tuple[Clause, str]] = []
-        pending: "dict | None" = None
+        # the open supbc entry: [clause, 'd' line, variables, sets by mask]
+        block: "list | None" = None
         header_seen = False
 
         def finalize() -> None:
-            nonlocal pending
-            if pending is not None:
-                per = pending["per_tau"]
-                w = BlockingWitness(kind="super", per_tau=per if per else None)
-                entries.append(TraceEntry(pending["clause"], "supbc", w))
-                pending = None
+            nonlocal block
+            if block is not None:
+                clause, at, variables, rows = block
+                # the rows are counted before any list of 2^n sets is built
+                if rows and len(rows) != 1 << len(variables):
+                    raise ParseError("line %d: restriction table covers %d of %d assignments"
+                                     % (at, len(rows), 1 << len(variables)))
+                table = RestrictionTable(variables, map(rows.get, range(len(rows)))) if rows else None
+                entries.append(TraceEntry(clause, "supbc", BlockingWitness(kind="super", per_tau=table)))
+                block = None
 
         lineno = 1
         for lineno, line in numbered_lines(text):
@@ -219,32 +230,25 @@ class EliminationTrace:
                     raise ParseError("line %d: unknown property tag %r" % (lineno, tag))
                 clause_lits, wlits = _entry_literals(toks, lineno, line)
                 clause = Clause(clause_lits)
-                if tag == "supbc":
-                    if wlits:
-                        w = BlockingWitness(kind="set", blocking_set=Clause(wlits))
-                        entries.append(TraceEntry(clause, tag, w))
-                    else:
-                        pending = {"clause": clause, "per_tau": {}}
-                elif tag == "setbc":
-                    if not wlits:
-                        raise ParseError("line %d: set-blocking entry without a witness" % lineno)
+                if tag in BASES and wlits:
+                    raise ParseError("line %d: unexpected witness for %r" % (lineno, tag))
+                if tag == "bc" and len(wlits) != 1:
+                    raise ParseError("line %d: literal-blocking entry needs one witness" % lineno)
+                if tag == "setbc" and not wlits:
+                    raise ParseError("line %d: set-blocking entry without a witness" % lineno)
+                if tag not in ("setbc", "supbc") and len(wlits) > 1:
+                    raise ParseError("line %d: at most one witness literal allowed" % lineno)
+                _check_within(clause, wlits, lineno)
+                if tag == "supbc" and not wlits:
+                    block = [clause, lineno, None, {}]
+                    continue
+                if tag in ("setbc", "supbc"):
                     w = BlockingWitness(kind="set", blocking_set=Clause(wlits))
-                    entries.append(TraceEntry(clause, tag, w))
-                elif tag == "bc":
-                    if len(wlits) != 1:
-                        raise ParseError("line %d: literal-blocking entry needs one witness" % lineno)
-                    entries.append(TraceEntry(clause, tag, BlockingWitness(kind="literal", literal=wlits[0])))
-                elif tag in ("t", "s", "at", "as"):
-                    if wlits:
-                        raise ParseError("line %d: unexpected witness for %r" % (lineno, tag))
-                    entries.append(TraceEntry(clause, tag, None))
                 else:
-                    if len(wlits) > 1:
-                        raise ParseError("line %d: at most one witness literal allowed" % lineno)
                     w = BlockingWitness(kind="literal", literal=wlits[0]) if wlits else None
-                    entries.append(TraceEntry(clause, tag, w))
+                entries.append(TraceEntry(clause, tag, w))
             elif toks[0] == "wt":
-                if pending is None:
+                if block is None:
                     raise ParseError("line %d: restriction line outside a supbc entry" % lineno)
                 tlits, i = _terminated_literals(toks, 1, lineno)
                 slits, i = _terminated_literals(toks, i, lineno)
@@ -254,12 +258,18 @@ class EliminationTrace:
                     tau = Assignment.from_literals(tlits)
                 except ValueError as exc:
                     raise ParseError("line %d: %s" % (lineno, exc)) from exc
-                per = pending["per_tau"]
-                if tau in per:
-                    raise ParseError("line %d: second restriction line for one assignment" % lineno)
-                if per and tau.variables() != next(iter(per)).variables():
+                clause, _, variables, rows = block
+                if not rows:
+                    block[2] = variables = sorted(tau.variables())
+                elif sorted(tau.variables()) != variables:
                     raise ParseError("line %d: restriction over other variables than the first" % lineno)
-                per[tau] = Clause(slits)
+                m = assignment_index(variables, tau.value)
+                if m in rows:
+                    raise ParseError("line %d: second restriction line for one assignment" % lineno)
+                if not slits:
+                    raise ParseError("line %d: empty blocking set in restriction line" % lineno)
+                _check_within(clause, slits, lineno)
+                rows[m] = Clause(slits)
             elif toks[0] == "x":
                 finalize()
                 lits, i = _terminated_literals(toks, 1, lineno)
@@ -274,20 +284,6 @@ class EliminationTrace:
 
 def _entry_literals(toks: Sequence[str], lineno: int, line: str) -> tuple[list[int], list[int]]:
     """The clause and the witness literals of a 'd' trace line."""
-    # fast path: "d TAG <clause> 0 w <witness> 0" with no other 0; any
-    # other line, bad tokens included, goes the general way
-    try:
-        at = toks.index("w", 2)
-        clause_lits = list(map(int, toks[2:at]))
-        wlits = list(map(int, toks[at + 1:]))
-    except ValueError:
-        pass
-    else:
-        if clause_lits and not clause_lits[-1] and wlits and not wlits[-1]:
-            clause_lits.pop()
-            wlits.pop()
-            if 0 not in clause_lits and 0 not in wlits:
-                return clause_lits, wlits
     clause_lits, i = _terminated_literals(toks, 2, lineno)
     if i == len(toks) or toks[i] != "w":
         raise ParseError("line %d: missing witness section: %r" % (lineno, line))
@@ -303,6 +299,13 @@ def _terminated_literals(tokens: Sequence[str], start: int, lineno: int) -> tupl
     if end is None:
         raise ParseError("line %d: unterminated literal list" % lineno)
     return lits, end
+
+
+def _check_within(clause: Clause, lits: Iterable[int], lineno: int) -> None:
+    """Every witness a checker writes is made of its clause's literals."""
+    for lit in lits:
+        if lit not in clause:
+            raise ParseError("line %d: witness literal %d is not in the clause" % (lineno, lit))
 
 
 def eliminate_clauses(
@@ -413,10 +416,7 @@ def reconstruct_model(
         true.discard(-lit)
         true.add(lit)
 
-    def value(v: int) -> int:
-        return 1 if v in true else 0
-
-    for v, val in model.items():
+    for v, val in model._map.items():
         make_true(v if val else -v)
     # a satisfied clause shares a literal with `true`; the Clause is the
     # receiver, which keeps isdisjoint in C
@@ -444,23 +444,17 @@ def reconstruct_model(
                 make_true(lit)
         elif w.kind == "super":
             if w.per_tau is not None:
-                dom = next(iter(w.per_tau)).variables()
-                if not all(v in true or -v in true for v in dom):
+                if not all(v in true or -v in true for v in w.per_tau.variables):
                     raise ReconstructionError(
                         "stored restriction table names variables outside the formula"
                     )
-                tau = Assignment({v: value(v) for v in dom})
-                chosen = w.per_tau.get(tau)
-                if chosen is None:
-                    raise ReconstructionError(
-                        "stored restriction table lacks the current external assignment"
-                    )
+                chosen = w.per_tau.sets[assignment_index(w.per_tau.variables, true.__contains__)]
             else:
                 if g is None:
                     g = Formula(d for d in original if d not in removed)
                     for later in reversed(entries[j:]):
                         g.add(later.clause)
-                chosen = blocking_set_under(g, c, value)
+                chosen = blocking_set_under(g, c, true.__contains__)
                 if chosen is None:
                     raise ReconstructionError("failed to recompute a blocking set during repair")
             for lit in chosen:
@@ -472,7 +466,7 @@ def reconstruct_model(
 
     if any(d.isdisjoint(true) for d in original):
         raise ReconstructionError("reconstructed assignment does not satisfy the original formula")
-    return Assignment({abs(l): 1 if l > 0 else 0 for l in true})
+    return Assignment.from_literals(true)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ takes the next free id in each instance.
 
 import pytest
 
-from blockcheck import Clause, Formula
+from blockcheck import Clause, Formula, ParseError
 
 
 def clause(*lits):
@@ -16,6 +16,21 @@ def clause(*lits):
 
 def formula(*clauses):
     return Formula(clauses)
+
+
+def walk_literals(tokens, start, lineno):
+    """The token-by-token literal reader, kept as the reference for
+    `cnf.read_literals`: one `int` per token, up to the first that reads 0."""
+    lits = []
+    for i in range(start, len(tokens)):
+        try:
+            lit = int(tokens[i])
+        except ValueError:
+            raise ParseError("line %d: bad literal %r" % (lineno, tokens[i])) from None
+        if lit == 0:
+            return lits, i + 1
+        lits.append(lit)
+    return lits, None
 
 
 @pytest.fixture

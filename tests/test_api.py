@@ -1,11 +1,12 @@
-"""The package's top level holds exactly the documented API, and the README's
-library quick tour runs and does what its comments say."""
+"""The package's top level holds exactly the documented API, the README's
+library quick tour runs and does what its comments say, and its trace
+example is a trace the writer reproduces."""
 
 import re
 from pathlib import Path
 
 import blockcheck
-from blockcheck import Assignment
+from blockcheck import Assignment, EliminationTrace
 from blockcheck.oracle import satisfies
 
 from conftest import clause
@@ -54,3 +55,12 @@ def test_readme_quick_tour_runs_as_documented():
     }
     assert satisfies(scope["model"], scope["g"])
     assert satisfies(scope["full"], f)
+
+
+def test_readme_trace_example_round_trips():
+    # the example without its comments is a trace the writer reproduces
+    section = README.read_text(encoding="utf-8").split("**Traces**", 1)[1]
+    example = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    text = "".join(line.split("#", 1)[0].rstrip() + "\n" for line in example.splitlines())
+    assert text.startswith("t blockcheck 1\nd bc -1 3 0 w 3 0\n")
+    assert EliminationTrace.from_text(text).to_text() == text

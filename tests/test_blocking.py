@@ -26,7 +26,6 @@ from blockcheck.blocking import (
     count_candidate_sets,
     is_super_blocked,
     literal_blocks,
-    restriction_rows,
     sample_super_blocked,
     set_blocks,
 )
@@ -285,7 +284,6 @@ class TestRestrictionTable:
         assert table[Assignment()] == clause(1)
         assert Assignment({1: 0}) not in table
         assert list(table.rows()) == [("0", clause(1))]
-        assert list(restriction_rows(table)) == [("0", "1 0")]
         assert table == {Assignment(): clause(1)}
 
     def test_needs_one_set_per_assignment_over_sorted_variables(self):
@@ -305,9 +303,6 @@ class TestRestrictionTable:
         assert [tau.to_literals() for tau in table] == sorted(tau.to_literals() for tau in table)
         assert table[Assignment({2: 1, 5: 0, 7: 1})] == sets[0b101]
         assert dict(table) == {tau: table[tau] for tau in table}
-        # a plain mapping is written in the same order, however it was filled
-        backwards = dict(reversed(list(table.items())))
-        assert list(restriction_rows(backwards)) == list(restriction_rows(table))
 
 
 # -- the bitset search against the search it replaced --------------------------
@@ -426,7 +421,6 @@ def assert_table_contract(table, want):
     assert list(table.rows()) == [
         (" ".join(map(str, tau.to_literals() + (0,))), s) for tau, s in want.items()
     ]
-    assert list(restriction_rows(table)) == list(restriction_rows(want))
     for tau, s in want.items():
         assert tau in table and table[tau] == s and table.get(tau) == s
     tau = next(reversed(want))  # the all-true row

@@ -336,7 +336,8 @@ class TestEliminateAndReconstruct:
 
     def test_reconstruct_restriction_on_unknown_variable_fails(self, tmp_path, capsys):
         src = put(tmp_path, "f.cnf", "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n")
-        tracef = put(tmp_path, "bad.trace", "t blockcheck 1\nd supbc 1 2 0 w 0\nwt 9 0 1 0\n")
+        tracef = put(tmp_path, "bad.trace",
+                     "t blockcheck 1\nd supbc 1 2 0 w 0\nwt -9 0 1 0\nwt 9 0 1 0\n")
         model = put(tmp_path, "m.txt", "v -1 -2 -3 0\n")
         assert run(["reconstruct", src, "--trace", tracef, "--model", model]) == 70
         assert capsys.readouterr().err.startswith("error:")
@@ -352,6 +353,17 @@ class TestEliminateAndReconstruct:
         model = put(tmp_path, "m.txt", "v -1 -2 -3 0\n")
         assert run(["reconstruct", src, "--trace", tracef, "--model", model]) == 65
         assert capsys.readouterr().err.startswith("error: line 4: ")
+
+    @pytest.mark.parametrize("model", ["v 0\n", "v 1 -2 3 0\n"])
+    def test_reconstruct_rejects_a_witness_outside_its_clause(self, tmp_path, capsys, model):
+        # under the second model repair never reads the witness; the trace
+        # is rejected all the same, before the model is read
+        src = put(tmp_path, "f.cnf", "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n")
+        modelf = put(tmp_path, "m.txt", model)
+        for entry in ("d bc 1 2 0 w 7 0", "d setbc 1 2 0 w 7 0"):
+            tracef = put(tmp_path, "bad.trace", "t blockcheck 1\n%s\n" % entry)
+            assert run(["reconstruct", src, "--trace", tracef, "--model", modelf]) == 65
+            assert capsys.readouterr().err == "error: line 2: witness literal 7 is not in the clause\n"
 
     def test_reconstruct_rejects_malformed_trace(self, tmp_path, capsys):
         src = put(tmp_path, "f.cnf", BLOCKED_3)
@@ -861,6 +873,127 @@ class TestExitCodes:
         rc = run(["check", path, "--property", "varelim", "--clause", "1 -1 0"])
         assert rc == 64  # the elimination characterization rejects tautologies
         assert capsys.readouterr().err.startswith("error:")
+
+
+# -- reader error texts: every malformed input ends in one stderr line -------
+
+READER_CNF = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
+READER_TRACE = "t blockcheck 1\nd bc 1 2 0 w 1 0\n"
+READER_MODEL = "v 1 -2 3 0\n"
+T = "t blockcheck 1\n"
+S = T + "d supbc 1 2 0 w 0\n"
+NO_ROW_OF_40 = S + "wt " + " ".join(str(-v) for v in range(3, 43)) + " 0 1 0\n"
+
+# (reader, input text, exit code, stderr line after "error: "). The input is
+# a DIMACS file for `check` (also with --strict), a QDIMACS file for
+# `gen-reduction qbf2supbc`, a trace or a model for `reconstruct` (the other
+# two inputs being READER_CNF with READER_TRACE or READER_MODEL), or the
+# text of `check --clause`.
+READER_ERRORS = [
+    ("dimacs", "", 65, "line 1: missing header"),
+    ("dimacs", "1 0\n", 65, "line 1: clause data before header: '1 0'"),
+    ("dimacs", "c only a comment\n\n", 65, "line 1: missing header"),
+    ("dimacs", "p cnf 2\n", 65, "line 1: malformed header: 'p cnf 2'"),
+    ("dimacs", "p cnf a 1\n", 65, "line 1: malformed header: 'p cnf a 1'"),
+    ("dimacs", "p dnf 2 1\n", 65, "line 1: malformed header: 'p dnf 2 1'"),
+    ("dimacs", "p cnf -1 1\n", 65, "line 1: negative counts in header: 'p cnf -1 1'"),
+    ("dimacs", "p cnf 2 1\np cnf 2 1\n1 0\n", 65, "line 2: duplicate header line"),
+    ("dimacs", "p cnf 2 2\n1 2 0\n-1 x 0\n", 65, "line 3: bad literal 'x'"),
+    ("dimacs", "p cnf 2 1\n1 1.5 0\n", 65, "line 2: bad literal '1.5'"),
+    ("dimacs", "p cnf 2 2\n1 2 0 x\n", 65, "line 2: bad literal 'x'"),
+    ("dimacs", "p cnf 2 1\n1 2\n", 65, "line 2: unterminated clause at end of input"),
+    ("dimacs", "p cnf 2 1\n1 2\nc trailing\n\n", 65, "line 2: unterminated clause at end of input"),
+    ("dimacs", "p cnf 2 1\n1 -\n2 0\n", 65, "line 2: bad literal '-'"),
+    ("dimacs", "p cnf 2 1\n1 2 0\n3 4 0\n1 2 3 0 4\n", 65,
+     "line 4: unterminated clause at end of input"),
+    ("strict", "p cnf 1 1\n1 0\n2 0\n", 65, "line 1: declared 1 variables but found id 2"),
+    ("strict", "p cnf 2 2\n1 0\n", 65, "line 1: declared 2 clauses, parsed 1"),
+    ("qdimacs", "p cnf 2 1\ne 1 x 0\n1 2 0\n", 65, "line 2: bad literal 'x'"),
+    ("qdimacs", "p cnf 2 1\na 1\ne 2 0\n1 2 0\n", 65, "line 2: unterminated quantifier line"),
+    ("qdimacs", "p cnf 2 1\na 1 0 2\ne 2 0\n1 2 0\n", 65, "line 2: unterminated quantifier line"),
+    ("qdimacs", "p cnf 2 1\na 1 0\n1 2 0\ne 2 0\n", 65,
+     "line 4: quantifier line after matrix clauses"),
+    ("qdimacs", "p cnf 2 1\ne 1 0\na 2 0\n1 2 0\n", 65, "line 3: misplaced or repeated 'a' block"),
+    ("qdimacs", "p cnf 2 1\na -1 0\ne 2 0\n1 2 0\n", 65, "line 2: bad quantified variable -1"),
+    ("qdimacs", "p cnf 2 1\na 1 0\ne 1 0\n1 2 0\n", 65, "line 3: variable 1 quantified twice"),
+    ("qdimacs", "p cnf 2 1\na 1 0\n1 2 0\n", 65, "line 3: free matrix variables [2]"),
+    ("qdimacs", "a 1 0\np cnf 2 1\n", 65, "line 1: clause data before header: 'a 1 0'"),
+    ("trace", "", 65, "line 1: empty trace"),
+    ("trace", "t blockcheck 2\n", 65, "line 1: unrecognized trace header: 't blockcheck 2'"),
+    ("trace", "d bc 1 2 0 w 1 0\n", 65,
+     "line 1: unrecognized trace header: 'd bc 1 2 0 w 1 0'"),
+    ("trace", T + "d\n", 65, "line 2: truncated trace line: 'd'"),
+    ("trace", T + "d qrat 1 0 w 1 0\n", 65, "line 2: unknown property tag 'qrat'"),
+    ("trace", T + "d bc 1 2 0 1 0\n", 65, "line 2: missing witness section: 'd bc 1 2 0 1 0'"),
+    ("trace", T + "d bc 1 2 0 w 1 0 junk\n", 65,
+     "line 2: trailing tokens on trace line: 'd bc 1 2 0 w 1 0 junk'"),
+    ("trace", T + "d bc 1 2 w 1 0\n", 65, "line 2: bad literal 'w'"),
+    ("trace", T + "d bc 1 2 0 w 1\n", 65, "line 2: unterminated literal list"),
+    ("trace", T + "d bc 1 2 0 w 0\n", 65, "line 2: literal-blocking entry needs one witness"),
+    ("trace", T + "d bc 1 2 0 w 1 2 0\n", 65, "line 2: literal-blocking entry needs one witness"),
+    ("trace", T + "d setbc 1 2 0 w 0\n", 65, "line 2: set-blocking entry without a witness"),
+    ("trace", T + "d at 1 -1 0 w 1 0\n", 65, "line 2: unexpected witness for 'at'"),
+    ("trace", T + "d rat 1 2 0 w 1 2 0\n", 65, "line 2: at most one witness literal allowed"),
+    ("trace", T + "q 1 0\n", 65, "line 2: unrecognized trace line: 'q 1 0'"),
+    ("trace", T + "x 1 2\n", 65, "line 2: unterminated literal list"),
+    ("trace", T + "wt 3 0 1 0\n", 65, "line 2: restriction line outside a supbc entry"),
+    ("trace", S + "wt 3 -3 0 1 0\nwt -3 0 1 0\n", 65,
+     "line 3: conflicting literals for variable 3"),
+    ("trace", S + "wt 3 0 1 0 2\n", 65, "line 3: trailing tokens on trace line: 'wt 3 0 1 0 2'"),
+    ("trace", S + "wt 3 0 1\n", 65, "line 3: unterminated literal list"),
+    ("trace", S + "wt -3 0 1 0\nc note\nwt -3 0 2 0\n", 65,
+     "line 5: second restriction line for one assignment"),
+    ("trace", S + "wt -3 0 1 0\nwt 4 0 1 0\n", 65,
+     "line 4: restriction over other variables than the first"),
+    ("trace", T + "d bc 1 2 0 w 7 0\n", 65, "line 2: witness literal 7 is not in the clause"),
+    ("trace", T + "d setbc 1 2 0 w 7 0\n", 65, "line 2: witness literal 7 is not in the clause"),
+    ("trace", T + "d supbc 1 2 0 w 1 7 0\n", 65, "line 2: witness literal 7 is not in the clause"),
+    ("trace", T + "d rat 1 2 0 w -1 0\n", 65, "line 2: witness literal -1 is not in the clause"),
+    ("trace", T + "d abc 1 2 0 w 3 0\n", 65, "line 2: witness literal 3 is not in the clause"),
+    ("trace", S + "wt -3 0 1 0\nwt 3 0 7 0\n", 65,
+     "line 4: witness literal 7 is not in the clause"),
+    ("trace", S + "wt -3 0 0\nwt 3 0 1 0\n", 65, "line 3: empty blocking set in restriction line"),
+    ("trace", S + "wt -3 0 1 0\n", 65, "line 2: restriction table covers 1 of 2 assignments"),
+    ("trace", NO_ROW_OF_40, 65, "line 2: restriction table covers 1 of 1099511627776 assignments"),
+    ("trace", S + "wt -3 -4 0 1 0\nwt 3 4 0 2 0\nd bc 1 2 0 w 1 0\n", 65,
+     "line 2: restriction table covers 2 of 4 assignments"),
+    ("model", "", 65, "line 1: model not zero-terminated"),
+    ("model", "v 1 x 0\n", 65, "line 1: bad literal 'x'"),
+    ("model", "c note\nv 1\nv x 0\n", 65, "line 3: bad literal 'x'"),
+    ("model", "v 1 2\n", 65, "line 1: model not zero-terminated"),
+    ("model", "v 1 0\nv 2 0\n", 65, "line 2: content after model terminator: 'v 2 0'"),
+    ("model", "v 1 0 2\n", 65, "line 1: content after model terminator: 'v 1 0 2'"),
+    ("model", "x 1 0\n", 65, "line 1: unrecognized model line: 'x 1 0'"),
+    ("model", "v 1 -1 0\n", 65, "line 1: conflicting literals for variable 1"),
+    ("clause", "1 x 0", 64, "--clause '1 x 0': line 1: bad literal 'x'"),
+    ("clause", "1 0 2", 64, "literal 0 may only terminate --clause"),
+    ("clause", "1 -0 2", 64, "literal 0 may only terminate --clause"),
+    ("clause", "1 2 00 x", 64, "literal 0 may only terminate --clause"),
+]
+
+
+def reader_argv(tmp_path, reader, text):
+    """The command line that feeds `text` to one reader."""
+    if reader == "clause":
+        return ["check", put(tmp_path, "f.cnf", READER_CNF), "--property", "bc", "--clause", text]
+    path = put(tmp_path, "input", text)
+    if reader in ("dimacs", "strict"):
+        argv = ["check", path, "--property", "bc", "--clause", "1 0"]
+        return argv + ["--strict"] if reader == "strict" else argv
+    if reader == "qdimacs":
+        out = str(tmp_path / "out.cnf")
+        return ["gen-reduction", "qbf2supbc", path, "--out", out, "--clause-out", out + ".clause"]
+    src = put(tmp_path, "f.cnf", READER_CNF)
+    if reader == "trace":
+        return ["reconstruct", src, "--trace", path, "--model", put(tmp_path, "m", READER_MODEL)]
+    return ["reconstruct", src, "--trace", put(tmp_path, "t", READER_TRACE), "--model", path]
+
+
+class TestReaderErrorTexts:
+    @pytest.mark.parametrize("reader, text, code, message", READER_ERRORS)
+    def test_exit_code_and_stderr_line(self, tmp_path, capsys, reader, text, code, message):
+        assert run(reader_argv(tmp_path, reader, text)) == code
+        assert capsys.readouterr().err == ("error: %s\n" % message if message else "")
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

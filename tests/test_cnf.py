@@ -27,7 +27,7 @@ from blockcheck.engine import parse_model
 from blockcheck.gen import random_clause
 from blockcheck.varelim import parse_qdimacs
 
-from conftest import clause, formula
+from conftest import clause, formula, walk_literals
 
 
 def test_literal_key_orders_negative_before_positive():
@@ -329,6 +329,21 @@ class TestAssignment:
         with pytest.raises(ValueError):
             Assignment.from_literals([1, -1])
 
+    def test_from_literals_keeps_the_constructor_errors(self):
+        # a conflict is reported before a 0, wherever the 0 stands
+        cases = [
+            ([0], "variables are positive ints, got 0"),
+            ([2, 0, 0], "variables are positive ints, got 0"),
+            ([0, 3, 2, -3], "conflicting literals for variable 3"),
+            ([-4, 1, 4, 0], "conflicting literals for variable 4"),
+        ]
+        for lits, message in cases:
+            with pytest.raises(ValueError, match="^%s$" % message):
+                Assignment.from_literals(lits)
+        a = Assignment.from_literals([3, -1, 3])
+        assert a == Assignment({1: 0, 3: 1}) and hash(a) == hash(Assignment({3: 1, 1: 0}))
+        assert a.items() == [(1, 0), (3, 1)]
+
     def test_clause_satisfaction(self):
         t = Assignment({1: 0, 2: 0})
         assert t.falsifies_clause(clause(1, 2))
@@ -445,7 +460,7 @@ class TestDimacs:
 
 
 def general_clauses(text):
-    """read_dimacs_body's clause loop with every line going through read_literals."""
+    """read_dimacs_body's clause loop with every line read token by token."""
     clauses, lines, pending = [], [], []
     lineno = 1
     for lineno, line in numbered_lines(text):
@@ -456,7 +471,7 @@ def general_clauses(text):
         toks = line.split()
         start = 0
         while start is not None and start < len(toks):
-            lits, start = read_literals(toks, start, lineno)
+            lits, start = walk_literals(toks, start, lineno)
             pending.extend(lits)
             if start is not None:
                 clauses.append(Clause(pending))
@@ -477,6 +492,55 @@ def outcome(read, text):
 def fast_clauses(text):
     body = read_dimacs_body(text)
     return body.clauses, body.clause_lines
+
+
+def literals_outcome(read, tokens, start):
+    try:
+        return read(tokens, start, 7)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+# tokens that `int` reads differently from how they look: terminators other
+# than the string "0", signs, underscores, an Arabic-Indic zero and three,
+# bad tokens, and an int past Python's default digit limit
+ODD_TOKENS = ["-0", "00", "+0", "+1", "1_0", "-1_0", "٠", "٣",
+              "x", "1.5", "-", "w", "1" * 5000]
+
+
+class TestReadLiterals:
+    @pytest.mark.parametrize("tokens, start, want", [
+        (["1", "-2", "0"], 0, ([1, -2], 3)),
+        (["0"], 0, ([], 1)),
+        ([], 0, ([], None)),
+        (["1", "-0", "2", "0"], 0, ([1], 2)),
+        (["1", "00"], 0, ([1], 2)),
+        (["+0", "x", "0"], 0, ([], 1)),
+        (["+1", "1_0", "0"], 0, ([1, 10], 3)),
+        (["1", "٠", "2", "0"], 0, ([1], 2)),
+        (["1", "x", "0"], 0, ("error", "line 7: bad literal 'x'")),
+        (["1", "0", "x"], 0, ([1], 2)),
+        (["1", "2"], 0, ([1, 2], None)),
+        (["1", "2", "x"], 0, ("error", "line 7: bad literal 'x'")),
+        (["d", "bc", "1", "0", "w", "1", "0"], 2, ([1], 4)),
+        (["3", "1" * 5000, "0"], 0, ("error", "line 7: bad literal '%s'" % ("1" * 5000))),
+    ])
+    def test_edge_cases(self, tokens, start, want):
+        assert literals_outcome(read_literals, tokens, start) == want
+        assert literals_outcome(walk_literals, tokens, start) == want
+
+    def test_random_token_lists_agree_with_the_walk(self):
+        # the literals, the end index and the error text are the walk's
+        rng = random.Random("read_literals against the walk")
+        kinds = {"ended": 0, "ran out": 0, "error": 0}
+        for _ in range(6000):
+            tokens = [rng.choice(ODD_TOKENS) if rng.random() < 0.15 else str(rng.randint(-9, 9))
+                      for _ in range(rng.randint(0, 12))]
+            start = rng.randint(0, len(tokens))
+            got = literals_outcome(read_literals, tokens, start)
+            assert got == literals_outcome(walk_literals, tokens, start), (tokens, start)
+            kinds["error" if got[0] == "error" else "ran out" if got[1] is None else "ended"] += 1
+        assert min(kinds.values()) >= 500, kinds
 
 
 class TestDimacsFastPath:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from blockcheck import (
     ParseError,
     ReconstructionError,
     check_property,
+    check_super_blocked,
     classify,
     eliminate_clauses,
     first_model,
@@ -24,8 +26,9 @@ from blockcheck.blocking import BlockingWitness
 from blockcheck.engine import TraceEntry, parse_model, write_model
 from blockcheck.gen import random_clause, random_formula, random_instance
 from blockcheck.oracle import enumerate_models, is_satisfiable
+from blockcheck.reductions import unsat_to_1superblocking
 
-from conftest import clause, formula
+from conftest import clause, formula, walk_literals
 
 
 def replay(trace, original):
@@ -402,10 +405,7 @@ class TestTraceText:
                     "supbc",
                     BlockingWitness(
                         kind="super",
-                        per_tau={
-                            Assignment({2: 0}): clause(1),
-                            Assignment({2: 1}): clause(1, -3),
-                        },
+                        per_tau=blocking.RestrictionTable((2,), [clause(1), clause(1, -3)]),
                     ),
                 ),
                 TraceEntry(clause(4,), "supbc", BlockingWitness(kind="super", per_tau=None)),
@@ -486,33 +486,96 @@ class TestTraceText:
             with pytest.raises(ParseError, match=r"^line 4: restriction over other variables"):
                 EliminationTrace.from_text(text)
 
+    def test_shuffled_restriction_rows_read_back_into_the_scan_table(self):
+        rng = random.Random("shuffled wt rows")
+        tables = 0
+        for _ in range(200):
+            source = random_formula(rng, 3, rng.randint(5, 9), 3)
+            inst = unsat_to_1superblocking(source)
+            w = check_super_blocked(inst.formula, inst.clause).witness
+            if w is None or w.kind != "super":
+                continue
+            tables += 1
+            trace = EliminationTrace(entries=[TraceEntry(inst.clause, "supbc", w)])
+            head, entry, *rows = trace.to_text().splitlines()
+            rng.shuffle(rows)
+            again = EliminationTrace.from_text("\n".join([head, entry, *rows]) + "\n")
+            table = again.entries[0].witness.per_tau
+            assert isinstance(table, blocking.RestrictionTable)
+            assert (table.variables, table.sets) == (w.per_tau.variables, w.per_tau.sets)
+            assert again.to_text() == trace.to_text()
+        assert tables >= 10, tables
+
+    def test_a_short_block_over_many_variables_fails_before_a_table_is_built(self):
+        row = " ".join(str(-v) for v in range(3, 43))
+        text = "t blockcheck 1\nd supbc 1 2 0 w 0\nwt %s 0 1 0\n" % row
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=(
+                    r"^line 2: restriction table covers 1 of 1099511627776 assignments$")):
+                EliminationTrace.from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("entry, outside", [
+        ("d bc 1 2 0 w 7 0", 7),
+        ("d bc 1 2 0 w -1 0", -1),
+    ])
+    def test_rejects_a_blocking_literal_outside_the_clause(self, entry, outside):
+        with pytest.raises(ParseError, match=r"^line 2: witness literal %d is not in the clause$"
+                           % outside):
+            EliminationTrace.from_text("t blockcheck 1\n%s\n" % entry)
+
+    @pytest.mark.parametrize("entry, outside", [
+        ("d setbc 1 2 0 w 7 0", 7),
+        ("d setbc 1 2 0 w 1 -2 0", -2),
+        ("d supbc 1 2 0 w 1 7 0", 7),
+    ])
+    def test_rejects_a_blocking_set_outside_the_clause(self, entry, outside):
+        with pytest.raises(ParseError, match=r"^line 2: witness literal %d is not in the clause$"
+                           % outside):
+            EliminationTrace.from_text("t blockcheck 1\n%s\n" % entry)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("wt -3 0 7 0\nwt 3 0 1 0\n", "line 3: witness literal 7 is not in the clause"),
+        ("wt -3 0 1 0\nwt 3 0 -1 0\n", "line 4: witness literal -1 is not in the clause"),
+        ("wt -3 0 1 0\nwt 3 0 0\n", "line 4: empty blocking set in restriction line"),
+        ("wt 0 0\n", "line 3: empty blocking set in restriction line"),
+    ])
+    def test_rejects_a_restriction_set_outside_the_clause_or_empty(self, rows, message):
+        text = "t blockcheck 1\nd supbc 1 2 0 w 0\n" + rows
+        with pytest.raises(ParseError, match="^%s$" % message):
+            EliminationTrace.from_text(text)
+
+    @pytest.mark.parametrize("tag", ["abc", "rt", "rs", "rat", "ras"])
+    def test_rejects_a_lifted_witness_outside_the_clause(self, tag):
+        for wlit in (3, -1):
+            text = "t blockcheck 1\nd %s 1 2 0 w %d 0\n" % (tag, wlit)
+            message = r"^line 2: witness literal %d is not in the clause$" % wlit
+            with pytest.raises(ParseError, match=message):
+                EliminationTrace.from_text(text)
+
     def test_rejects_orphan_restriction_line(self):
         text = "t blockcheck 1\nwt 3 0 1 0\n"
         with pytest.raises(ParseError):
             EliminationTrace.from_text(text)
 
     def test_random_mutations_of_entry_lines_agree_with_the_general_path(self, monkeypatch):
-        # seeded edits of real traces' 'd' lines: the one-map(int) path must
-        # give the same entries, or the same error text, as reading each
-        # literal list token by token
-        def general(toks, lineno, line):
-            clause_lits, i = engine._terminated_literals(toks, 2, lineno)
-            if i == len(toks) or toks[i] != "w":
-                raise ParseError("line %d: missing witness section: %r" % (lineno, line))
-            wlits, i = engine._terminated_literals(toks, i + 1, lineno)
-            if i != len(toks):
-                raise ParseError("line %d: trailing tokens on trace line: %r" % (lineno, line))
-            return clause_lits, wlits
-
-        def read(text, entry_literals):
-            monkeypatch.setattr(engine, "_entry_literals", entry_literals)
+        # seeded edits of real traces' 'd' lines: the reader must give the
+        # same entries, or the same error text, as it does with every
+        # literal list read token by token
+        def read(text, literals):
+            monkeypatch.setattr(engine, "read_literals", literals)
             try:
                 trace = EliminationTrace.from_text(text)
             except ParseError as exc:
                 return "error", str(exc)
             return trace.entries, trace.skipped
 
-        fast = engine._entry_literals
+        fast = engine.read_literals
+        general = walk_literals
         rng = random.Random("trace fast path")
         pieces = ["0", "-0", "00", "+1", "w", "x", "-", "1.5", "bc"]
         kinds = {"entries": 0, "error": 0}
@@ -744,11 +807,13 @@ class TestReconstruct:
             reconstruct_model(trace, original, Assignment({1: 0}))
 
     def test_rejects_restriction_table_missing_the_current_branch(self):
-        original = formula((1, 2), (-1, 3))
-        witness = BlockingWitness(kind="super", per_tau={Assignment({3: 1}): clause(1)})
-        trace = EliminationTrace(entries=[TraceEntry(clause(1, 2), "supbc", witness)])
-        with pytest.raises(ReconstructionError):
-            reconstruct_model(trace, original, Assignment({1: 0, 2: 0, 3: 0}))
+        # a table lacking a row cannot be built, nor read from a trace, so
+        # repair always finds the row of the current values
+        with pytest.raises(ValueError, match="one set per assignment"):
+            blocking.RestrictionTable((3,), [clause(1)])
+        text = "t blockcheck 1\nd supbc 1 2 0 w 0\nwt 3 0 1 0\n"
+        with pytest.raises(ParseError, match=r"^line 2: restriction table covers 1 of 2 "):
+            EliminationTrace.from_text(text)
 
     def test_rejects_witness_that_does_not_repair(self):
         original = formula((1, 2), (-3,))
