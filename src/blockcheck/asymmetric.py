@@ -52,15 +52,16 @@ on. A tautological x keeps the full closure: with F = {(1 -1)} and
 c = (1 -1), c is AT but not AS. Subsumption walks the occurrence lists of
 the closure's own literals.
 
-`r_lift` then turns a base redundancy property into its resolution-lifted
-variant: c qualifies if the base holds for c itself, or some literal l in c
-makes the base hold for every c | (D \\ {-l}) with D a partner upon l. The
-base is always evaluated against the formula without c — letting c justify
-itself would admit clauses whose removal changes satisfiability. No clause
-other than c is ever excluded: when a lifted resolvent happens to coincide
-with a formula clause, that clause legitimately subsumes it / saturates it
-to a tautology, and dropping it would break the hierarchy (a clause whose
-closure is blocked could fail the lifted tautology check).
+`r_lift_witness` then turns a base redundancy property into its
+resolution-lifted variant: c qualifies if the base holds for c itself, or
+some literal l in c makes the base hold for every c | (D \\ {-l}) with D a
+partner upon l. The base is always evaluated against the formula without
+c — letting c justify itself would admit clauses whose removal changes
+satisfiability. No clause other than c is ever excluded: when a lifted
+resolvent happens to coincide with a formula clause, that clause
+legitimately subsumes it / saturates it to a tautology, and dropping it
+would break the hierarchy (a clause whose closure is blocked could fail the
+lifted tautology check).
 """
 
 from __future__ import annotations
@@ -297,24 +298,6 @@ def ala_closure(f: Formula, c: "Clause | Iterable[int]", stop_at_tautology: bool
     return Clause(_closure_lits(f, c, c, stop_at_tautology))
 
 
-def is_AT(f: Formula, c: "Clause | Iterable[int]") -> bool:
-    """Asymmetric tautology: the saturation closure of c is tautological."""
-    c = as_clause(c)
-    return _base_at(f, c, c)
-
-
-def is_subsumed(f: Formula, c: "Clause | Iterable[int]") -> bool:
-    """True iff a clause of f other than c itself is a subset of c."""
-    c = as_clause(c)
-    return _base_s(f, c, c)
-
-
-def is_AS(f: Formula, c: "Clause | Iterable[int]") -> bool:
-    """Asymmetric subsumption: some other clause subsumes the closure of c."""
-    c = as_clause(c)
-    return _base_as(f, c, c)
-
-
 def asymmetric_blocking(f: Formula, c: "Clause | Iterable[int]") -> tuple[bool, int | None]:
     """Asymmetric blocking (ABC): (verdict, repair literal) for c in f.
 
@@ -334,20 +317,19 @@ def asymmetric_blocking(f: Formula, c: "Clause | Iterable[int]") -> tuple[bool, 
     return (False, None) if witness is None else (True, witness.literal)
 
 
-def is_ABC(f: Formula, c: "Clause | Iterable[int]") -> bool:
-    """Asymmetric blocking: the saturation closure of c is literal-blocked in f."""
-    return asymmetric_blocking(f, c)[0]
-
-
 def r_lift_witness(
     base: BaseProperty,
     f: Formula,
     c: "Clause | Iterable[int]",
 ) -> tuple[bool, int | None]:
-    """Like r_lift, but also reports which branch fired.
+    """The resolution-lifted variant of a base property: (verdict, lift literal).
 
-    (True, None) means the base holds for c itself; (True, lit) names the
-    first literal of c for which every partner resolvent satisfies the base.
+    c qualifies when the base holds for c itself, answered (True, None), or
+    when some literal lit of c makes the base hold for every resolvent
+    c | (D \\ {-lit}) with D a clause holding -lit, answered (True, lit)
+    for the first such literal in canonical order. Every base sees f
+    without c. Lifting T gives resolution tautology, which coincides with
+    literal blocking by construction; S, AT and AS give RS, RAT and RAS.
     """
     c = as_clause(c)
     if base(f, c, c):
@@ -356,25 +338,3 @@ def r_lift_witness(
         if all(base(f, c, c | (d - (-lit,))) for d in f.clauses_with(-lit)):
             return True, lit
     return False, None
-
-
-def r_lift(base: BaseProperty, f: Formula, c: "Clause | Iterable[int]") -> bool:
-    """Resolution-lift a base property (see BASES for the four intended ones)."""
-    return r_lift_witness(base, f, c)[0]
-
-
-def is_RT(f: Formula, c: "Clause | Iterable[int]") -> bool:
-    """Resolution tautology: coincides with literal blocking, by construction."""
-    return r_lift(BASES["t"], f, c)
-
-
-def is_RS(f: Formula, c: "Clause | Iterable[int]") -> bool:
-    return r_lift(BASES["s"], f, c)
-
-
-def is_RAT(f: Formula, c: "Clause | Iterable[int]") -> bool:
-    return r_lift(BASES["at"], f, c)
-
-
-def is_RAS(f: Formula, c: "Clause | Iterable[int]") -> bool:
-    return r_lift(BASES["as"], f, c)

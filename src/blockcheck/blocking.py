@@ -120,14 +120,6 @@ class RestrictionTable(Mapping):
         return self.sets[assignment_index(self.variables, tau.value)]
 
 
-def literal_blocks(f: Formula, c: "Clause | Iterable[int]", lit: int) -> bool:
-    """True iff every resolvent of c upon lit against f is a tautology."""
-    c = as_clause(c)
-    if lit not in c:
-        raise ValueError("blocking literal must belong to the clause")
-    return is_literal_blocked(f, c, (lit,)) is not None
-
-
 def is_literal_blocked(
     f: Formula,
     c: "Clause | Iterable[int]",

@@ -184,13 +184,6 @@ class Formula:
             if part is not None and clause in part[2]:
                 slots[1] = None
 
-    def discard(self, clause: "Clause | Iterable[int]") -> bool:
-        clause = as_clause(clause)
-        if clause in self._seq:
-            self.remove(clause)
-            return True
-        return False
-
     def __contains__(self, clause: object) -> bool:
         if isinstance(clause, Clause):
             return clause in self._seq
@@ -372,39 +365,11 @@ class Assignment:
     def satisfies_clause(self, clause: "Clause | Iterable[int]") -> bool:
         return any(self.lit_value(l) == 1 for l in as_clause(clause))
 
-    def falsifies_clause(self, clause: "Clause | Iterable[int]") -> bool:
-        return all(self.lit_value(l) == 0 for l in as_clause(clause))
-
     def variables(self) -> set[int]:
         return set(self._map)
 
     def items(self) -> list[tuple[int, int]]:
         return sorted(self._map.items())
-
-    def is_total_over(self, variables: Iterable[int]) -> bool:
-        return all(v in self._map for v in variables)
-
-    def flip(self, lit: int) -> "Assignment":
-        """Toggle the value of var(lit); the variable must be assigned."""
-        var = abs(lit)
-        if var not in self._map:
-            raise ValueError("cannot flip unassigned variable %d" % var)
-        out = dict(self._map)
-        out[var] = 1 - out[var]
-        return Assignment(out)
-
-    def extended(self, var: int, val: int) -> "Assignment":
-        """Bind one more variable; rebinding to a different value is an error."""
-        old = self._map.get(var)
-        if old is not None and old != int(val):
-            raise ValueError("variable %d is already bound" % var)
-        out = dict(self._map)
-        out[var] = int(val)
-        return Assignment(out)
-
-    def restrict_to(self, variables: Iterable[int]) -> "Assignment":
-        keep = set(variables)
-        return Assignment({v: b for v, b in self._map.items() if v in keep})
 
     def to_literals(self) -> tuple[int, ...]:
         """The assignment as sorted signed literals."""

@@ -42,18 +42,7 @@ class _Table:
         self.vars = sorted(set(variables))
         self.n = len(self.vars)
         self._bit = {v: self.n - 1 - i for i, v in enumerate(self.vars)}
-        self._masks: list[tuple[int, int]] = []
-        for d in f:
-            pos = neg = 0
-            for lit in d:
-                b = self._bit.get(abs(lit))
-                if b is None:
-                    raise ValueError("clause variable %d outside table" % abs(lit))
-                if lit > 0:
-                    pos |= 1 << b
-                else:
-                    neg |= 1 << b
-            self._masks.append((pos, neg))
+        self._masks = [self.clause_mask(d) for d in f]
 
     def var_mask(self, variables: Iterable[int]) -> int:
         m = 0
@@ -64,7 +53,9 @@ class _Table:
     def clause_mask(self, c: Clause) -> tuple[int, int]:
         pos = neg = 0
         for lit in c:
-            b = self._bit[abs(lit)]
+            b = self._bit.get(abs(lit))
+            if b is None:
+                raise ValueError("clause variable %d outside table" % abs(lit))
             if lit > 0:
                 pos |= 1 << b
             else:
@@ -111,6 +102,16 @@ def satisfies(t: Assignment, f: Formula) -> bool:
     return all(t.satisfies_clause(d) for d in f)
 
 
+def _model_table(f: Formula, variables: "Iterable[int] | None", cap: int) -> _Table:
+    """The table over f's enumeration universe: var(f) by default, or an
+    explicit universe that must cover it; capped."""
+    universe = f.variables() if variables is None else set(variables)
+    if not f.variables() <= universe:
+        raise ValueError("formula variables must lie inside the enumeration universe")
+    _check_cap(len(universe), cap)
+    return _Table(universe, f)
+
+
 def enumerate_models(
     f: Formula,
     variables: "Iterable[int] | None" = None,
@@ -121,15 +122,11 @@ def enumerate_models(
     The universe defaults to var(f); an explicit one must cover it, and can
     widen it (each free variable then doubles the model count).
     """
-    universe = sorted(set(variables)) if variables is not None else sorted(f.variables())
-    if not set(f.variables()) <= set(universe):
-        raise ValueError("formula variables must lie inside the enumeration universe")
-    _check_cap(len(universe), cap)
-    table = _Table(universe, f)
+    table = _model_table(f, variables, cap)
     models = frozenset(
         table.assignment(m) for m in range(1 << table.n) if table.satisfied(m)
     )
-    return ModelSet(tuple(universe), models)
+    return ModelSet(tuple(table.vars), models)
 
 
 def first_model(
@@ -138,11 +135,7 @@ def first_model(
     cap: int = DEFAULT_CAP,
 ) -> Assignment | None:
     """The lexicographically first model of f, or None."""
-    universe = sorted(set(variables)) if variables is not None else sorted(f.variables())
-    if not set(f.variables()) <= set(universe):
-        raise ValueError("formula variables must lie inside the enumeration universe")
-    _check_cap(len(universe), cap)
-    table = _Table(universe, f)
+    table = _model_table(f, variables, cap)
     for m in range(1 << table.n):
         if table.satisfied(m):
             return table.assignment(m)

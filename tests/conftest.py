@@ -7,7 +7,7 @@ takes the next free id in each instance.
 
 import pytest
 
-from blockcheck import Clause, Formula, ParseError
+from blockcheck import Clause, EliminationConfig, Formula, ParseError, check_property
 
 
 def clause(*lits):
@@ -16,6 +16,11 @@ def clause(*lits):
 
 def formula(*clauses):
     return Formula(clauses)
+
+
+def holds(prop, f, c):
+    """The verdict of property `prop` for clause c in f, as `check` reports it."""
+    return check_property(f, c, EliminationConfig(property=prop))[0]
 
 
 def walk_literals(tokens, start, lineno):

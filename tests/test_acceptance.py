@@ -22,7 +22,7 @@ from blockcheck import (
     is_set_blocked,
     reconstruct_model,
 )
-from blockcheck.asymmetric import ala_fixpoint, is_AT, is_RAT, is_RT
+from blockcheck.asymmetric import ala_fixpoint
 from blockcheck.blocking import (
     _search_blocking_set,
     count_candidate_sets,
@@ -49,7 +49,7 @@ from blockcheck.varelim import (
     sem_blocked_via_elimination,
 )
 
-from conftest import clause, formula, sequential_closure
+from conftest import clause, formula, holds, sequential_closure
 
 
 def report(num, label, ok, detail=""):
@@ -101,14 +101,14 @@ def test_criterion_01_worked_example_regressions(
     }
 
     f, c = at_not_setblocked
-    ok &= is_AT(f, c)
+    ok &= holds("at", f, c)
     ok &= is_set_blocked(f, c) is None
     ok &= is_super_blocked(f, c) is None
-    ok &= is_RAT(f, c)
+    ok &= holds("rat", f, c)
 
     f, c = setblocked_not_rat
     ok &= is_set_blocked(f, c) is not None
-    ok &= not is_RAT(f, c)
+    ok &= not holds("rat", f, c)
 
     report(1, "worked-example regressions", ok)
 

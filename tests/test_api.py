@@ -1,7 +1,9 @@
 """The package's top level holds exactly the documented API, the README's
-library quick tour runs and does what its comments say, and its trace
-example is a trace the writer reproduces."""
+library quick tour runs and does what its comments say, its module table
+names only what exists, and its trace example is a trace the writer
+reproduces."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -55,6 +57,20 @@ def test_readme_quick_tour_runs_as_documented():
     }
     assert satisfies(scope["model"], scope["g"])
     assert satisfies(scope["full"], f)
+
+
+def test_readme_module_table_names_exist():
+    # a bare name lives in the row's module; a dotted one is a full path
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(blockcheck\.\w+)` *\|(.*)\|$", text, re.M)
+    assert len(rows) == 8
+    checked = 0
+    for module, cell in rows:
+        for name in re.findall(r"`([\w.]+)`", cell):
+            where, _, attr = name.rpartition(".")
+            assert hasattr(importlib.import_module(where or module), attr), (module, name)
+            checked += 1
+    assert checked >= 15
 
 
 def test_readme_trace_example_round_trips():

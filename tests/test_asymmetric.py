@@ -13,22 +13,13 @@ from blockcheck.asymmetric import (
     ala_closure,
     ala_fixpoint,
     asymmetric_blocking,
-    is_ABC,
-    is_AS,
-    is_AT,
-    is_RAS,
-    is_RAT,
-    is_RS,
-    is_RT,
-    is_subsumed,
-    r_lift,
     r_lift_witness,
 )
-from blockcheck.blocking import is_super_blocked, literal_blocks
+from blockcheck.blocking import is_super_blocked
 from blockcheck.cnf import literal_key
 from blockcheck.gen import random_instance
 
-from conftest import clause, formula
+from conftest import clause, formula, holds
 
 
 class TestAlaFixpoint:
@@ -93,52 +84,52 @@ class TestAlaFixpoint:
 class TestAT:
     def test_positive(self, at_not_setblocked):
         f, c = at_not_setblocked
-        assert is_AT(f, c)
+        assert holds("at", f, c)
 
     def test_empty_formula(self):
-        assert not is_AT(Formula(), clause(1))
+        assert not holds("at", Formula(), clause(1))
 
     def test_negative_on_the_setblocked_instance(self, setblocked_not_rat):
         f, c = setblocked_not_rat
-        assert not is_AT(f, c)
+        assert not holds("at", f, c)
 
     def test_plain_tautology(self):
-        assert is_AT(Formula(), clause(1, -1))
+        assert holds("at", Formula(), clause(1, -1))
 
 
 class TestSubsumption:
     def test_unit_subsumes(self):
-        assert is_subsumed(formula((1,)), clause(1, 2))
+        assert holds("s", formula((1,)), clause(1, 2))
 
     def test_self_is_excluded(self):
-        assert not is_subsumed(formula((1, 2)), clause(1, 2))
+        assert not holds("s", formula((1, 2)), clause(1, 2))
 
     def test_disjoint(self):
-        assert not is_subsumed(formula((1, 3)), clause(1, 2))
+        assert not holds("s", formula((1, 3)), clause(1, 2))
 
     def test_empty_clause_subsumes_every_other_clause_but_not_itself(self):
         f = formula((), (1, 2), (-3,))
         for c in (clause(1, 2), clause(-3), clause(4, 5)):
-            assert is_subsumed(f, c) and is_AS(f, c) and is_RS(f, c)
-        assert not is_subsumed(f, clause())
-        assert not is_AS(f, clause())
-        assert not is_RS(f, clause())
+            assert holds("s", f, c) and holds("as", f, c) and holds("rs", f, c)
+        assert not holds("s", f, clause())
+        assert not holds("as", f, clause())
+        assert not holds("rs", f, clause())
 
 
 class TestASandABC:
     def test_subsumed_is_as(self):
-        assert is_AS(formula((1,)), clause(1, 2))
+        assert holds("as", formula((1,)), clause(1, 2))
 
     def test_literal_blocked_is_abc(self, ex_blocked):
         f, c = ex_blocked
         assert is_literal_blocked(f, c) is not None
-        assert is_ABC(f, c)
+        assert holds("abc", f, c)
 
     def test_full_blocking_instance_is_not_abc(self, ex_full_blocking):
         f, c = ex_full_blocking
         trace = ala_fixpoint(f, c)
         assert trace.added == ()
-        assert not is_ABC(f, c)
+        assert not holds("abc", f, c)
 
     def test_abc_witness_literal(self, ex_blocked):
         f, c = ex_blocked
@@ -146,7 +137,7 @@ class TestASandABC:
 
     def test_at_implies_abc(self, at_not_setblocked):
         f, c = at_not_setblocked
-        assert is_ABC(f, c)
+        assert holds("abc", f, c)
 
     def test_tautological_closure_needs_no_witness(self):
         # the closure of (2) is tautological, so c is implied by the rest
@@ -175,8 +166,8 @@ class TestASandABC:
                 seen["tautology"] += 1
             else:
                 assert not closure.is_tautology()
-                assert lit in c and literal_blocks(f, closure, lit), (f.clauses, c, lit)
-                assert lit == next(l for l in c if literal_blocks(f, closure, l))
+                blocking = [l for l in c if is_literal_blocked(f, closure, (l,)) is not None]
+                assert blocking and blocking[0] == lit, (f.clauses, c, lit)
                 seen["literal"] += 1
         assert seen["literal"] >= 900 and seen["tautology"] >= 900, seen
 
@@ -188,29 +179,29 @@ class TestRLift:
         for _ in range(500):
             f, c = random_instance(rng, max_vars=6, max_clauses=8, max_width=3)
             bc = is_literal_blocked(f, c) is not None
-            assert is_RT(f, c) == bc
+            assert holds("rt", f, c) == bc
             hits += bc
         assert hits > 20
 
     def test_rat_spec_negative(self, setblocked_not_rat):
         f, c = setblocked_not_rat
-        assert not is_RAT(f, c)
+        assert not holds("rat", f, c)
 
     def test_at_instance_is_rat(self, at_not_setblocked):
         f, c = at_not_setblocked
         ok, lift = r_lift_witness(BASES["at"], f, c)
         assert ok and lift is None  # the direct branch, no lift needed
-        assert is_RAT(f, c)
+        assert holds("rat", f, c)
 
     def test_lift_witness_literal(self):
         # (1) resolved with (-1|2) gives (1|2), subsumed by (2); not subsumed
         # directly, so the witness must name the lifting literal
         f = formula((1,), (-1, 2), (2,))
         c = clause(1)
-        assert not is_subsumed(f, c)
+        assert not holds("s", f, c)
         ok, lift = r_lift_witness(BASES["s"], f, c)
         assert ok and lift == 1
-        assert is_RS(f, c)
+        assert holds("rs", f, c)
 
     def test_self_resolution_cannot_justify(self):
         # without removing c from the pool, c = (1) would lift itself through
@@ -218,12 +209,12 @@ class TestRLift:
         # since removing (1) flips the formula from unsatisfiable to not
         f = formula((1,), (-1, 2), (-2, -1))
         c = clause(1)
-        assert not is_RS(f, c)
-        assert not is_RAS(f, c)
+        assert not holds("rs", f, c)
+        assert not holds("ras", f, c)
 
     def test_vacuous_lift(self):
         # no clause contains the complement, so any base lifts vacuously
-        assert r_lift(BASES["t"], formula((1, 2)), clause(3))
+        assert holds("rt", formula((1, 2)), clause(3))
 
 
 class TestHierarchyInstances:
@@ -231,10 +222,10 @@ class TestHierarchyInstances:
         from blockcheck import is_set_blocked
 
         f, c = at_not_setblocked
-        assert is_AT(f, c)
+        assert holds("at", f, c)
         assert is_set_blocked(f, c) is None
         assert is_super_blocked(f, c) is None
-        assert is_RAT(f, c)
+        assert holds("rat", f, c)
 
     def test_setblocking_vs_at_gap(self):
         f, c = Formula(), clause(1)
@@ -242,15 +233,15 @@ class TestHierarchyInstances:
 
         assert is_set_blocked(f, c) is not None
         assert is_super_blocked(f, c) is not None
-        assert not is_AT(f, c)
-        assert is_RT(f, c)  # vacuously literal-blocked, so the lifts all hold
+        assert not holds("at", f, c)
+        assert holds("rt", f, c)  # vacuously literal-blocked, so the lifts all hold
 
     def test_setblocked_not_rat_gap(self, setblocked_not_rat):
         from blockcheck import is_set_blocked
 
         f, c = setblocked_not_rat
         assert is_set_blocked(f, c).blocking_set == clause(1, 2)
-        assert not is_RAT(f, c)
+        assert not holds("rat", f, c)
 
 
 # Reference implementations: the quadratic saturation that rescans every
@@ -345,16 +336,16 @@ class TestAgainstReference:
             trace = ala_fixpoint(f, c)
             assert steps(trace) == ref_log, (f.clauses, c)
             assert trace.clause == ref_closure
-            assert is_subsumed(f, c) == REFERENCE_BASES["s"](f, c, c)
-            assert is_AT(f, c) == ref_closure.is_tautology()
-            assert is_AS(f, c) == REFERENCE_BASES["as"](f, c, c)
+            assert holds("s", f, c) == REFERENCE_BASES["s"](f, c, c)
+            assert holds("at", f, c) == ref_closure.is_tautology()
+            assert holds("as", f, c) == REFERENCE_BASES["as"](f, c, c)
             abc = reference_abc(f, c)
-            assert is_ABC(f, c) == abc[0]
             ok, w = check_property(f, c, EliminationConfig(property="abc"))
             assert (ok, None if w is None else w.literal) == abc
             assert asymmetric_blocking(f, c) == abc
             for lit in c:
-                assert literal_blocks(f, c, lit) == reference_literal_blocks(f, c, lit), (c, lit)
+                blocked = is_literal_blocked(f, c, (lit,)) is not None
+                assert blocked == reference_literal_blocks(f, c, lit), (c, lit)
             for key, base in REFERENCE_BASES.items():
                 got = r_lift_witness(BASES[key], f, c)
                 assert got == reference_lift_witness(base, f, c), (key, f.clauses, c)
@@ -383,10 +374,9 @@ def assert_matches_reference(f, c):
     assert stopped.is_tautology() == ref_closure.is_tautology()
     if not stopped.is_tautology():
         assert stopped == ref_closure
-    assert is_AT(f, c) == ref_closure.is_tautology()
-    assert is_AS(f, c) == REFERENCE_BASES["as"](f, c, c)
+    assert holds("at", f, c) == ref_closure.is_tautology()
+    assert holds("as", f, c) == REFERENCE_BASES["as"](f, c, c)
     abc = reference_abc(f, c)
-    assert is_ABC(f, c) == abc[0]
     ok, w = check_property(f, c, EliminationConfig(property="abc"))
     assert (ok, None if w is None else w.literal) == abc
     assert asymmetric_blocking(f, c) == abc
@@ -404,7 +394,7 @@ class TestSeededClosure:
         assert c in units_of(f).donors
         assert units_of(f, c).lits == frozenset()
         assert_matches_reference(f, c)
-        assert not is_AT(f, c)
+        assert not holds("at", f, c)
 
     def test_c_is_a_non_unit_donor_of_u(self):
         f = formula((1,), (-1, 2), (-2, 3), (2, 4, 5), (-3, -4))
@@ -420,20 +410,20 @@ class TestSeededClosure:
         assert units_of(f).tautological
         for c in (clause(2, 3), clause(4, 5), clause(6), clause(-3, 4), clause(7, -7)):
             assert_matches_reference(f, c)
-            assert is_AT(f, c) and is_ABC(f, c)
+            assert holds("at", f, c) and holds("abc", f, c)
             assert ala_closure(f, c, stop_at_tautology=True).is_tautology()
         # c = (1) is a donor of U(F); without it U is no longer tautological
         c = clause(1)
         assert c in units_of(f).donors
         assert not units_of(f, c).tautological
         assert_matches_reference(f, c)
-        assert not is_AT(f, c) and not is_AS(f, c)
+        assert not holds("at", f, c) and not holds("as", f, c)
 
     def test_formula_with_the_empty_clause(self):
         f = formula((), (1,), (-1, 2), (3, 4))
         for c in (clause(), clause(3, 4), clause(-2), clause(5), clause(1)):
             assert_matches_reference(f, c)
-        assert is_AS(f, clause(5)) and not is_AS(f, clause())
+        assert holds("as", f, clause(5)) and not holds("as", f, clause())
 
     def test_lifted_resolvents(self):
         f = formula((1,), (-1, 2), (-2, 3, 4), (-3, 5), (-4, 5), (-5, 6), (-1, -6, 7))
@@ -446,12 +436,12 @@ class TestSeededClosure:
         # c = (1) is a donor of U(F); U(F without c) rests on (1|-2)
         f = formula((1,), (2,), (1, -2))
         c = clause(1)
-        assert is_AT(f, c)
+        assert holds("at", f, c)
         assert clause(1, -2) in units_of(f, c).donors
         assert clause(1, -2) not in units_of(f).donors
         f.remove(clause(1, -2))
         assert f.check_occ_consistent()
-        assert not is_AT(f, c)
+        assert not holds("at", f, c)
         assert_matches_reference(f, c)
 
     def test_removing_a_donor_of_only_u_keeps_the_closure_without_c(self):
@@ -479,9 +469,9 @@ class TestSeededClosure:
     def test_add_after_a_cached_check(self):
         f = formula((2, 3), (-4, 5))
         c = clause(3)
-        assert not is_AT(f, c)
+        assert not holds("at", f, c)
         f.add((-2,))
-        assert is_AT(f, c)
+        assert holds("at", f, c)
         assert_matches_reference(f, c)
         f.add((4,))
         assert units_of(f).lits == {2, -3, -4, -5}
@@ -516,7 +506,7 @@ class TestSeededClosure:
                     f = f.copy()
                 for c in f.clauses[:4] + [random_literal_clause(rng, nvars, 2)]:
                     assert_matches_reference(f, c)
-                    checked["at" if is_AT(f, c) else "not_at"] += 1
+                    checked["at" if holds("at", f, c) else "not_at"] += 1
                     checked["donor"] += c in units_of(f).donors
                 checked["tautological_u"] += units_of(f).tautological
         assert min(checked.values()) >= 20, checked
@@ -526,8 +516,8 @@ class TestASAgainstAT:
     def test_tautological_clause_is_at_but_not_as(self):
         f = formula((1, -1))
         c = clause(1, -1)
-        assert is_AT(f, c)
-        assert not is_AS(f, c)
+        assert holds("at", f, c)
+        assert not holds("as", f, c)
         assert_matches_reference(f, c)
 
     def test_as_stops_at_the_first_tautological_round(self, monkeypatch):
@@ -544,6 +534,6 @@ class TestASAgainstAT:
                 yield step
 
         monkeypatch.setattr(asymmetric, "_rounds", counted)
-        assert is_AS(f, c)
+        assert holds("as", f, c)
         assert seen and not any(-7 in found for found in seen)
         assert REFERENCE_BASES["as"](f, c, c)

@@ -30,10 +30,6 @@ from blockcheck.asymmetric import (
     BASES,
     ala_closure,
     asymmetric_blocking,
-    is_ABC,
-    is_AS,
-    is_AT,
-    is_subsumed,
     r_lift_witness,
 )
 from blockcheck.blocking import (
@@ -49,7 +45,7 @@ from blockcheck.oracle import is_redundant, is_satisfiable, is_semantically_bloc
 from blockcheck.reductions import forall_exists_to_superblocking, unsat_to_1superblocking
 from blockcheck.varelim import sem_blocked_via_elimination
 
-from conftest import clause, formula
+from conftest import clause, formula, holds
 
 BLOCKED_3 = "p cnf 3 3\n-1 3 0\n-2 -1 0\n1 2 0\n"
 SETBLOCKED = "p cnf 2 2\n-1 2 0\n-2 1 0\n"
@@ -211,7 +207,7 @@ class TestCheckVerdicts:
         for text, want in cases:
             c = clause(*map(int, text.split()[:-1]))
             assert c not in f
-            library = {"at": is_AT(f, c), "as": is_AS(f, c), "abc": is_ABC(f, c)}
+            library = {prop: holds(prop, f, c) for prop in want}
             for prop, line in want.items():
                 rc = run(["check", path, "--property", prop, "--clause", text])
                 assert capsys.readouterr().out == line + "\n", (text, prop)
@@ -688,9 +684,9 @@ def _library_check(f, c, prop, k=None, ext_cap=16, cap=24, incomplete=None, seed
             "sem-oracle": lambda: is_semantically_blocked_oracle(f, c, cap),
             "redundant-oracle": lambda: is_redundant(f, c, cap),
             "t": c.is_tautology,
-            "s": lambda: is_subsumed(f, c),
-            "at": lambda: is_AT(f, c),
-            "as": lambda: is_AS(f, c),
+            "s": lambda: holds("s", f, c),
+            "at": lambda: holds("at", f, c),
+            "as": lambda: holds("as", f, c),
         }
         if prop in verdict:
             return yes() if verdict[prop]() else no()

@@ -36,7 +36,7 @@ def replay(trace, original):
     g = original.copy()
     for e in trace.entries:
         assert e.clause in g, "trace removes a clause that is already gone"
-        g.discard(e.clause)
+        g.remove(e.clause)
     return g
 
 

@@ -35,7 +35,7 @@ class TestEnumeration:
         assert ms.universe == (1, 2)
         assert len(ms) == 2
         for m in ms:
-            assert m.is_total_over((1, 2))
+            assert m.variables() == {1, 2}
             assert satisfies(m, f)
         assert Assignment({1: 1, 2: 0}) in ms
         assert Assignment({1: 1, 2: 1}) not in ms
@@ -44,14 +44,17 @@ class TestEnumeration:
         f = formula((1, 2))
         ms = enumerate_models(f, variables=[1, 2, 3])
         assert len(ms) == 6
-        with pytest.raises(ValueError):
-            enumerate_models(f, variables=[1])
+        assert first_model(f, variables=[3, 2, 1]) == Assignment({1: 0, 2: 1, 3: 0})
+        for enumerate_ in (enumerate_models, first_model):
+            with pytest.raises(ValueError, match="^formula variables must lie inside"):
+                enumerate_(f, variables=[1])
 
     def test_cap(self):
         f = formula(tuple(range(1, 30)))
-        with pytest.raises(CapExceeded) as err:
-            enumerate_models(f, cap=24)
-        assert err.value.count == 29
+        for enumerate_ in (enumerate_models, first_model):
+            with pytest.raises(CapExceeded) as err:
+                enumerate_(f, cap=24)
+            assert err.value.count == 29
 
     def test_first_model_is_lexicographically_first(self):
         # all-false first, then raise the last variable in canonical order
