@@ -183,6 +183,18 @@ class TestRLift:
             hits += bc
         assert hits > 20
 
+    def test_lifted_verdicts_match_r_lift_witness(self):
+        # the registry's rt, rs, rat and ras are the lifts of their bases
+        rng = random.Random(52113)
+        seen = dict.fromkeys(("holds", "fails"), 0)
+        for _ in range(300):
+            f, c = random_instance(rng, max_vars=6, max_clauses=8, max_width=3)
+            for key, base in BASES.items():
+                ok = r_lift_witness(base, f, c)[0]
+                assert holds("r" + key, f, c) == ok, (key, f.clauses, c)
+                seen["holds" if ok else "fails"] += 1
+        assert min(seen.values()) >= 100, seen
+
     def test_rat_spec_negative(self, setblocked_not_rat):
         f, c = setblocked_not_rat
         assert not holds("rat", f, c)

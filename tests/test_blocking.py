@@ -48,6 +48,14 @@ class TestLiteralBlocking:
         assert is_literal_blocked(f, c, (2,)) is not None
         assert is_literal_blocked(f, c, (1,)) is None
 
+    def test_literal_must_be_in_clause(self, ex_blocked):
+        # -3 occurs nowhere, so 3 would block vacuously; it is not in c, so
+        # it is never tried, and neither is -2, the complement of c's literal
+        f, c = ex_blocked
+        assert is_literal_blocked(f, c, (3,)) is None
+        assert is_literal_blocked(f, c, (-2,)) is None
+        assert is_literal_blocked(f, c, (3, 2)).literal == 2
+
     def test_tautology_blocked_on_the_complementary_pair(self):
         f = formula((1, 2), (-1, 3), (1, -3))
         c = clause(1, -1, 2)

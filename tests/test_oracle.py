@@ -3,6 +3,7 @@ import pytest
 from blockcheck import Assignment, CapExceeded, Clause, Formula, first_model
 from blockcheck.cnf import resolution_environment
 from blockcheck.oracle import (
+    _Table,
     enumerate_models,
     eval_forall_exists,
     is_redundant,
@@ -55,6 +56,15 @@ class TestEnumeration:
             with pytest.raises(CapExceeded) as err:
                 enumerate_(f, cap=24)
             assert err.value.count == 29
+
+    def test_clause_variable_outside_the_table_is_rejected(self):
+        # the formula's clauses and a clause asked for alone meet one check
+        with pytest.raises(ValueError, match="^clause variable 3 outside table$"):
+            _Table([1, 2], formula((1, 2), (-3,)))
+        table = _Table([1, 2], formula((1, -2)))
+        assert table.clause_mask(clause(1, -2)) == (0b10, 0b01)
+        with pytest.raises(ValueError, match="^clause variable 4 outside table$"):
+            table.clause_mask(clause(1, 4))
 
     def test_first_model_is_lexicographically_first(self):
         # all-false first, then raise the last variable in canonical order
