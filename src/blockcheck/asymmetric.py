@@ -335,6 +335,6 @@ def r_lift_witness(
     if base(f, c, c):
         return True, None
     for lit in c:
-        if all(base(f, c, c | (d - (-lit,))) for d in f.clauses_with(-lit)):
+        if all(base(f, c, c | (d - (-lit,))) for d in f.occurrences(-lit)):
             return True, lit
     return False, None

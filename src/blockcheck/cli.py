@@ -21,7 +21,7 @@ from functools import cache
 from random import Random
 
 from .blocking import check_super_blocked, is_set_blocked
-from .cnf import Clause, Formula, parse_dimacs, read_literals, write_dimacs
+from .cnf import Clause, Formula, decode_text, parse_dimacs, read_literals, write_dimacs
 from .engine import (
     PROPERTIES,
     EliminationConfig,
@@ -76,13 +76,7 @@ def _read_text(path: str) -> str:
     except OSError as exc:
         where = "standard input" if path == "-" else path
         raise _InputError("cannot read %s: %s" % (where, exc.strerror or exc)) from exc
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(
-            "line %d: byte 0x%02x is not UTF-8 text" % (line, data[exc.start])
-        ) from exc
+    return decode_text(data)
 
 
 def _write_out(path: "str | None", text: str) -> None:

@@ -114,9 +114,11 @@ class Formula:
     leans on it. Equality is set equality and ignores order.
 
     The occurrence buckets and the unit-clause index map each clause to its
-    insertion id. `add` always appends with a fresh, larger id, so a bucket
-    lists its clauses in formula order without sorting, and a union of
-    buckets sorts on the stored ids without hashing a clause again.
+    insertion id. `_append`, which both the constructor and `add` run, is the
+    one place ids and buckets are assigned: it gives each new clause a fresh,
+    larger id, so a bucket lists its clauses in formula order without
+    sorting, and a union of buckets sorts on the stored ids without hashing a
+    clause again.
 
     A formula also keeps values derived from some of its clauses (see
     `derived`): `add` drops them all, `remove` only those derived from the
@@ -126,11 +128,19 @@ class Formula:
     __slots__ = ("_seq", "_occ", "_units", "_next", "_derived")
 
     def __init__(self, clauses: Iterable["Clause | Iterable[int]"] = ()):
-        # the indexes `add` would build, clause by clause, in one loop
-        seq: dict[Clause, int] = {}
-        occ: dict[int, dict[Clause, int]] = {}
-        units: dict[Clause, int] = {}
-        n = 0
+        self._seq: dict[Clause, int] = {}
+        self._occ: dict[int, dict[Clause, int]] = {}
+        self._units: dict[Clause, int] = {}
+        self._next = 0
+        # derive function -> [(value, donors) | None, (without, value, donors) | None]
+        self._derived: dict[Callable, list] = {}
+        self._append(clauses)
+
+    def _append(self, clauses: Iterable["Clause | Iterable[int]"]) -> bool:
+        """Append the clauses not yet present, in order, each with a fresh id;
+        returns False if none was new."""
+        seq, occ, units = self._seq, self._occ, self._units
+        n = self._next
         for c in clauses:
             c = as_clause(c)
             if seq.setdefault(c, n) != n:
@@ -144,26 +154,15 @@ class Formula:
             if len(c) == 1:
                 units[c] = n
             n += 1
-        self._seq = seq
-        self._occ = occ
-        self._units = units
+        if n == self._next:
+            return False
         self._next = n
-        # derive function -> [(value, donors) | None, (without, value, donors) | None]
-        self._derived: dict[Callable, list] = {}
+        self._derived.clear()
+        return True
 
     def add(self, clause: "Clause | Iterable[int]") -> bool:
         """Add a clause; returns False if it was already present."""
-        clause = as_clause(clause)
-        if clause in self._seq:
-            return False
-        seq = self._seq[clause] = self._next
-        self._next += 1
-        for l in clause:
-            self._occ.setdefault(l, {})[clause] = seq
-        if len(clause) == 1:
-            self._units[clause] = seq
-        self._derived.clear()
-        return True
+        return self._append((clause,))
 
     def remove(self, clause: "Clause | Iterable[int]") -> None:
         clause = as_clause(clause)
@@ -227,10 +226,6 @@ class Formula:
         """The unit clauses in insertion order: a live view, not a copy, held
         like `occurrences`."""
         return self._units.keys()
-
-    def clauses_with(self, lit: int) -> list[Clause]:
-        """All clauses containing the literal, in insertion order."""
-        return list(self._occ.get(lit, ()))
 
     def clauses_with_any(self, lits: Iterable[int], units: bool = False) -> list[Clause]:
         """All clauses containing at least one of the literals, in insertion order.
@@ -499,63 +494,61 @@ class DimacsBody(NamedTuple):
             warnings.warn(msg, stacklevel=3)
 
 
+def decode_text(data: bytes) -> str:
+    """The UTF-8 text of an input; a byte that is not UTF-8 raises ParseError
+    naming its line. Every reader of `bytes` input decodes through here."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        line = data.count(b"\n", 0, at) + 1
+        raise ParseError("line %d: byte 0x%02x is not UTF-8 text" % (line, data[at])) from exc
+
+
 def read_dimacs_body(
     source: "str | bytes",
     prefix: "Callable[[int, list[str]], bool] | None" = None,
 ) -> DimacsBody:
     """Read a 'p cnf V C' header, then clauses up to an optional '%' end marker.
 
-    A clause may span lines. `prefix(lineno, tokens)` is offered every line
-    after the header and returns True for lines it consumed itself (the
-    QDIMACS quantifier lines); all other lines are clause data. Errors that
-    belong to no single line name the last line read.
+    Each line is split into tokens once. Blank lines and lines whose first
+    token starts with 'c' are skipped; a first token starting with '%' ends
+    the input and one starting with 'p' is the header. Any other line before
+    the header is an error. After it, `prefix(lineno, tokens)` is offered
+    every such line and returns True for lines it consumed itself (the
+    QDIMACS quantifier lines); all other lines are clause data, and a clause
+    may span lines. Errors that belong to no single line name the last line
+    read that was not blank or a comment. `bytes` must be UTF-8 text (see
+    `decode_text`).
     """
-    text = source.decode("utf-8", errors="replace") if isinstance(source, bytes) else source
+    text = decode_text(source) if isinstance(source, bytes) else source
     header: "tuple[int, int, int] | None" = None
     clauses: list[Clause] = []
     clause_lines: list[int] = []
     pending: list[int] = []
-    # The last line read on the general path, named by the errors that
-    # belong to no single line. Without a header no line goes the fast way,
-    # and from an unterminated clause's first line on every line that is not
-    # blank or a comment goes the general way, so it is the last such line.
     lineno = 1
     for i, raw in enumerate(text.splitlines(), 1):
-        if header is not None and not pending and raw.endswith("0"):
-            # fast path: a line holding exactly one zero-terminated clause;
-            # any other line, comments and bad tokens included, goes the general way
-            toks = raw.split()
-            try:
-                lits, end = read_literals(toks, 0, i)
-            except ParseError:
-                end = None
-            if end == len(toks):
-                if prefix is None or not prefix(i, toks):
-                    clauses.append(Clause(lits))
-                    clause_lines.append(i)
-                continue
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        toks = raw.split()
+        first = toks[0][0] if toks else "c"  # a blank line is skipped like a comment
+        if first == "c":
             continue
         lineno = i
-        if line.startswith("%"):
+        if first == "%":
             break
-        if line.startswith("p"):
+        if first == "p":
             if header is not None:
                 raise ParseError("line %d: duplicate header line" % lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise ParseError("line %d: malformed header: %r" % (lineno, line))
+            if len(toks) != 4 or toks[0] != "p" or toks[1] != "cnf":
+                raise ParseError("line %d: malformed header: %r" % (lineno, raw.strip()))
             try:
-                header = (lineno, int(parts[2]), int(parts[3]))
+                header = (lineno, int(toks[2]), int(toks[3]))
             except ValueError:
-                raise ParseError("line %d: malformed header: %r" % (lineno, line)) from None
+                raise ParseError("line %d: malformed header: %r" % (lineno, raw.strip())) from None
             if header[1] < 0 or header[2] < 0:
-                raise ParseError("line %d: negative counts in header: %r" % (lineno, line))
+                raise ParseError("line %d: negative counts in header: %r" % (lineno, raw.strip()))
             continue
         if header is None:
-            raise ParseError("line %d: clause data before header: %r" % (lineno, line))
-        toks = line.split()
+            raise ParseError("line %d: clause data before header: %r" % (lineno, raw.strip()))
         if prefix is not None and prefix(lineno, toks):
             continue
         start: "int | None" = 0
@@ -582,7 +575,8 @@ def parse_dimacs(source: "str | bytes", strict: bool = False) -> Formula:
     the declared header counts and the actual content warns by default and
     raises ParseError under strict=True. Hard errors regardless of strictness:
     missing/malformed header, non-integer tokens, an unterminated final clause.
-    Every ParseError message starts with the line it concerns.
+    Every ParseError message starts with the line it concerns; `bytes` input
+    that is not UTF-8 text is a ParseError too (see `decode_text`).
     """
     body = read_dimacs_body(source)
     f = Formula(body.clauses)

@@ -31,8 +31,8 @@ from .errors import ParseError, ResourceLimit
 def all_resolvents(f: Formula, var: int) -> list[Clause]:
     """Every non-tautological resolvent upon var, in formula-order pairs."""
     out = []
-    for d1 in f.clauses_with(var):
-        for d2 in f.clauses_with(-var):
+    for d1 in f.occurrences(var):
+        for d2 in f.occurrences(-var):
             r = resolvent(d1, d2, var)
             if not r.is_tautology():
                 out.append(r)
@@ -109,7 +109,7 @@ def literal_blocked_via_elimination(f: Formula, c: "Clause | Iterable[int]", lit
     _require_not_tautology(c)
     if lit not in c:
         raise ValueError("literal %d does not occur in the clause" % lit)
-    return all(resolvent(c, d, lit).is_tautology() for d in f.clauses_with(-lit))
+    return all(resolvent(c, d, lit).is_tautology() for d in f.occurrences(-lit))
 
 
 @dataclass(frozen=True)
@@ -203,15 +203,12 @@ def parse_qdimacs(source: "str | bytes", strict: bool = False) -> QbfInstance:
         return True
 
     body = read_dimacs_body(source, prefix)
-    universals = blocks.get("a", [])
-    existentials = blocks.get("e", [])
-    bound = set(universals) | set(existentials)
+    universals, existentials = (frozenset(blocks.get(kind, ())) for kind in "ae")
+    bound = universals | existentials
     for c, lineno in zip(body.clauses, body.clause_lines):
         free = c.variables() - bound
         if free:
             raise ParseError("line %d: free matrix variables %s" % (lineno, sorted(free)))
-    body.check_counts(
-        max((abs(l) for c in body.clauses for l in c), default=max(bound, default=0)),
-        strict,
-    )
-    return QbfInstance(frozenset(universals), frozenset(existentials), Formula(body.clauses))
+    matrix = Formula(body.clauses)
+    body.check_counts(max(matrix.variables(), default=max(bound, default=0)), strict)
+    return QbfInstance(universals, existentials, matrix)

@@ -1,8 +1,9 @@
 """The package's top level holds exactly the documented API, the README's
 library quick tour runs and does what its comments say, its module table
 names only what exists, and its trace example is a trace the writer
-reproduces."""
+reproduces. Every module uses each name it imports."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -14,6 +15,7 @@ from blockcheck.oracle import satisfies
 from conftest import clause
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(blockcheck.__file__).resolve().parent
 
 DOCUMENTED = {
     "Clause", "Formula", "Assignment", "parse_dimacs", "write_dimacs",
@@ -80,3 +82,34 @@ def test_readme_trace_example_round_trips():
     text = "".join(line.split("#", 1)[0].rstrip() + "\n" for line in example.splitlines())
     assert text.startswith("t blockcheck 1\nd bc -1 3 0 w 3 0\n")
     assert EliminationTrace.from_text(text).to_text() == text
+
+
+def unused_imports(text):
+    """Names a module imports at its top level that its text, outside the
+    import statements, never mentions again (string annotations count)."""
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+            lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    rest = "\n".join(lines)
+    return [name for name in imported if not re.search(r"\b%s\b" % re.escape(name), rest)]
+
+
+def test_src_modules_use_every_import():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 10
+    for path in modules:
+        assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+    # the check itself: a leftover import is found, a use in a string annotation counts
+    text = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from typing import (\n    Sequence,\n    Mapping,\n)\n"
+        "def f(x: 'Sequence[int]'): pass\n"
+    )
+    assert unused_imports(text) == ["os", "Mapping"]

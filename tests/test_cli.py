@@ -914,6 +914,9 @@ READER_ERRORS = [
     ("qdimacs", "p cnf 2 1\na 1 0\ne 1 0\n1 2 0\n", 65, "line 3: variable 1 quantified twice"),
     ("qdimacs", "p cnf 2 1\na 1 0\n1 2 0\n", 65, "line 3: free matrix variables [2]"),
     ("qdimacs", "a 1 0\np cnf 2 1\n", 65, "line 1: clause data before header: 'a 1 0'"),
+    ("qdimacs", "p cnf 2 1\na 1 0\nc 1 0\ne 1 0\n1 2 0\n", 65,
+     "line 4: variable 1 quantified twice"),
+    ("qdimacs", "p cnf 2 1\na 1 0\n\te 2\n1 2 0\n", 65, "line 3: unterminated quantifier line"),
     ("trace", "", 65, "line 1: empty trace"),
     ("trace", "t blockcheck 2\n", 65, "line 1: unrecognized trace header: 't blockcheck 2'"),
     ("trace", "d bc 1 2 0 w 1 0\n", 65,

@@ -134,7 +134,7 @@ class TestFormula:
         f = formula((1, 2), (-1, 3), (2, 3), (-2,))
         for lit in (1, -1, 2, -2, 3, -3):
             expected = [c for c in f.clauses if lit in c]
-            assert f.clauses_with(lit) == expected
+            assert list(f.occurrences(lit)) == expected
         assert f.clauses_with_any((1, -2)) == [clause(1, 2), clause(-2)]
         assert f.check_occ_consistent()
 
@@ -149,7 +149,7 @@ class TestFormula:
         assert f.check_occ_consistent()
         assert f.seq_of(clause(-1, 3)) < f.seq_of(clause(1, 2))
         # a re-added clause goes to the end of its buckets, as in formula order
-        assert f.clauses_with(2) == [clause(2, -3), clause(1, 2)]
+        assert list(f.occurrences(2)) == [clause(2, -3), clause(1, 2)]
         assert f.clauses_with_any((2, -4)) == [clause(2, -3), clause(1, 2), clause(-4)]
 
     def test_without_and_with_clause_do_not_mutate(self):
@@ -234,7 +234,7 @@ class TestFormulaIndexes:
         f.remove(clause(1))
         assert list(f.occurrences(1).items()) == [
             (clause(1, 2), f.seq_of(clause(1, 2))), (clause(1, -3), f.seq_of(clause(1, -3)))]
-        assert list(f.occurrences(-1)) == f.clauses_with(-1) == [clause(-1, 3)]
+        assert list(f.occurrences(-1)) == [clause(-1, 3)]
         assert not f.occurrences(4) and not f.occurrences(-2)
         f.remove(clause(-1, 3))
         assert not f.occurrences(-1)
@@ -445,7 +445,8 @@ class TestDimacs:
 
 
 def general_clauses(text):
-    """read_dimacs_body's clause loop with every line read token by token."""
+    """A reference for read_dimacs_body's clause loop: lines from
+    `numbered_lines`, literals from the token-by-token walk."""
     clauses, lines, pending = [], [], []
     lineno = 1
     for lineno, line in numbered_lines(text):
@@ -474,7 +475,8 @@ def outcome(read, text):
         return "error", str(exc)
 
 
-def fast_clauses(text):
+def body_clauses(text):
+    """The clauses and clause lines that read_dimacs_body's one loop reads."""
     body = read_dimacs_body(text)
     return body.clauses, body.clause_lines
 
@@ -528,7 +530,7 @@ class TestReadLiterals:
         assert min(kinds.values()) >= 500, kinds
 
 
-class TestDimacsFastPath:
+class TestDimacsReader:
     @pytest.mark.parametrize(
         "body",
         [
@@ -556,18 +558,18 @@ class TestDimacsFastPath:
             "1 2 0\n3\n\nc end\n  \n",       # the error names line 3, the last one read
         ],
     )
-    def test_agrees_with_the_general_path(self, body):
+    def test_agrees_with_the_reference(self, body):
         text = "p cnf 3 2\n" + body
-        assert outcome(fast_clauses, text) == outcome(general_clauses, text)
+        assert outcome(body_clauses, text) == outcome(general_clauses, text)
 
     def test_unterminated_clause_names_the_last_line_read(self):
         text = "c top\np cnf 3 2\n1 0\n2 3\n\nc trailing comment\n\t\n"
-        assert outcome(fast_clauses, text) == (
+        assert outcome(body_clauses, text) == (
             "error", "line 4: unterminated clause at end of input")
 
-    def test_random_mutations_agree_with_the_general_path(self):
-        # seeded edits of a well-formed body: the fast path must give the
-        # same clauses, clause lines and error text as the general one
+    def test_random_mutations_agree_with_the_reference(self):
+        # seeded edits of a well-formed body: the reader must give the same
+        # clauses, clause lines and error text as the reference
         rng = random.Random("dimacs fast path")
         pieces = ["0", "-0", "00", "+2", "x", "c", "p", "%", "1.5", "\t", "  ", "-"]
         kinds = {"clauses": 0, "error": 0}
@@ -594,18 +596,30 @@ class TestDimacsFastPath:
                     else:
                         toks.insert(0, rng.choice([" ", "\t", "  \t"]))
                     lines[at] = " ".join(toks)
-            # a line opening with 'p' is a header, which the general loop skips
+            # a line opening with 'p' is a header, which the reference skips
             body = "".join("1 " + l + "\n" if l.strip().startswith("p") else l + "\n" for l in lines)
             text = "c seeded\np cnf 5 3\n" + body
-            got = outcome(fast_clauses, text)
+            got = outcome(body_clauses, text)
             assert got == outcome(general_clauses, text), text
             kinds["error" if got[0] == "error" else "clauses"] += 1
         assert min(kinds.values()) >= 60, kinds
 
-    def test_error_texts_are_the_general_ones(self):
-        assert outcome(fast_clauses, "p cnf 2 1\n1 x 0\n") == ("error", "line 2: bad literal 'x'")
-        assert outcome(fast_clauses, "p cnf 2 1\n1 2\n") == (
+    def test_error_texts_are_the_reference_ones(self):
+        assert outcome(body_clauses, "p cnf 2 1\n1 x 0\n") == ("error", "line 2: bad literal 'x'")
+        assert outcome(body_clauses, "p cnf 2 1\n1 2\n") == (
             "error", "line 2: unterminated clause at end of input")
+
+    @pytest.mark.parametrize("parse", [parse_dimacs, parse_qdimacs])
+    @pytest.mark.parametrize("data, message", [
+        (b"p cnf 1 1\nc caf\xe9\n1 0\n", "line 2: byte 0xe9 is not UTF-8 text"),
+        (b"p cnf 2 1\n1 \xff 0\n", "line 2: byte 0xff is not UTF-8 text"),
+    ])
+    def test_bytes_that_are_not_utf8_are_the_cli_error(self, parse, data, message):
+        # a Latin-1 comment and a bad byte in a clause: the library reads
+        # bytes by the rule the command line reads files with
+        with pytest.raises(ParseError) as exc:
+            parse(data)
+        assert str(exc.value) == message
 
     def test_write_keeps_the_canonical_order(self):
         clauses = [(2, -1, 1), (-2, 1), (2, 1), (-1,), (1,), (-1, -2), (), (3, -3, -2), (-3, 2)]
