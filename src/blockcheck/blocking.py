@@ -19,14 +19,14 @@ candidate's rule-out set is an AND of one of them per position (see
 no resolvent and no clause.
 
 The super-blocking decider enumerates all 2^|ext| restrictions, which is
-exact but exponential; it refuses to start past `ext_cap` and offers a
-sampling fallback that can refute but never confirm. Both read and compile
-c's environment once per question: set-blocking in the whole formula is
-the scan's first step, and under each restriction only the set of
-surviving clauses changes, a bitset as well (see `_RestrictionScan`). Its
-witness keeps the sets in the scan's order (see `RestrictionTable`), which
-is also the order `check` and traces write them in; reading a trace back
-builds the same table.
+exact but exponential. Past `ext_cap` it refuses, or, given a random
+source and a count, samples that many restrictions, which can refute but
+never confirm. It reads and compiles c's environment once per question:
+set-blocking in the whole formula is the scan's first step, and under
+each restriction only the set of surviving clauses changes, a bitset as
+well (see `_RestrictionScan`). Its witness keeps the sets in the scan's
+order (see `RestrictionTable`), which is also the order `check` and
+traces write them in; reading a trace back builds the same table.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ from .cnf import (
     resolution_environment,
 )
 from .errors import CapExceeded
+
+# The default cap on external variables for an exhaustive restriction scan.
+EXT_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -340,15 +343,6 @@ class SuperBlockingResult:
         return self.witness is not None
 
 
-@dataclass(frozen=True)
-class IncompleteScan:
-    """Outcome of a sampled restriction scan: refutation or no verdict."""
-
-    refuted: bool
-    failing_tau: Assignment | None
-    samples: int
-
-
 class _RestrictionScan:
     """One super-blocking question, compiled once, and its walk over the
     assignments to the external variables.
@@ -438,7 +432,7 @@ def check_super_blocked(
     f: Formula,
     c: "Clause | Iterable[int]",
     k: int | None = None,
-    ext_cap: int = 16,
+    ext_cap: int = EXT_CAP,
     sample: "tuple[Random, int] | None" = None,
 ) -> SuperBlockingResult:
     """Decide super-blocking by scanning every external assignment.
@@ -450,9 +444,8 @@ def check_super_blocked(
     first assignment without one refutes.
 
     Past the cap, `sample` (a random source and a count) tests that many
-    random assignments on the same compiled question, as
-    `sample_super_blocked` does: one without a set refutes, and when none
-    refutes the cap error stands.
+    random assignments on the same compiled question: the first without a
+    set refutes, and when none refutes the cap error stands.
     """
     scan = _RestrictionScan(f, as_clause(c), k)
     found = scan.blocking_set()
@@ -462,9 +455,11 @@ def check_super_blocked(
     n = len(scan.ext)
     if n > ext_cap:
         if sample is not None:
-            sampled = _sample(scan, *sample)
-            if sampled.refuted:
-                return SuperBlockingResult(None, sampled.failing_tau)
+            rng, samples = sample
+            for _ in range(samples):
+                m = rng.getrandbits(n)
+                if scan.blocking_set_at(m) is None:
+                    return SuperBlockingResult(None, scan.tau(m))
         raise CapExceeded(
             "restriction scan over %d external variables exceeds cap %d" % (n, ext_cap),
             count=n,
@@ -502,33 +497,8 @@ def is_super_blocked(
     f: Formula,
     c: "Clause | Iterable[int]",
     k: int | None = None,
-    ext_cap: int = 16,
+    ext_cap: int = EXT_CAP,
 ) -> BlockingWitness | None:
+    """`check_super_blocked`'s witness. The engine calls the decider through
+    this module-level name, which the benchmark's tracer wraps."""
     return check_super_blocked(f, c, k, ext_cap).witness
-
-
-def sample_super_blocked(
-    f: Formula,
-    c: "Clause | Iterable[int]",
-    rng: Random,
-    samples: int = 256,
-    k: int | None = None,
-) -> IncompleteScan:
-    """Test random external assignments; can refute super-blocking, not confirm it.
-
-    Intended for instances past the exhaustive cap, so no cap applies here.
-    """
-    scan = _RestrictionScan(f, as_clause(c), k)
-    if scan.blocking_set() is not None:
-        return IncompleteScan(False, None, 0)
-    return _sample(scan, rng, samples)
-
-
-def _sample(scan: _RestrictionScan, rng: Random, samples: int) -> IncompleteScan:
-    """Random assignments of a question not set-blocked in the whole formula."""
-    n = len(scan.ext)
-    for i in range(samples):
-        m = rng.getrandbits(n)
-        if scan.blocking_set_at(m) is None:
-            return IncompleteScan(True, scan.tau(m), i + 1)
-    return IncompleteScan(False, None, samples)

@@ -20,7 +20,7 @@ import sys
 from functools import cache
 from random import Random
 
-from .blocking import check_super_blocked, is_set_blocked
+from .blocking import EXT_CAP, check_super_blocked, is_set_blocked
 from .cnf import Clause, Formula, decode_text, parse_dimacs, read_literals, write_dimacs
 from .engine import (
     PROPERTIES,
@@ -35,7 +35,7 @@ from .engine import (
 )
 from .errors import CapExceeded, ParseError, ReconstructionError, ResourceLimit
 from .gen import random_formula
-from .oracle import first_model, is_redundant, is_semantically_blocked_oracle
+from .oracle import DEFAULT_CAP, first_model, is_redundant, is_semantically_blocked_oracle
 from .reductions import (
     forall_exists_to_superblocking,
     sat_to_setblocking,
@@ -305,8 +305,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--property", required=True, choices=CHECKABLE)
     clause_opts(p)
     p.add_argument("--k", type=_positive, help="bound on blocking-set size")
-    p.add_argument("--ext-cap", type=_non_negative, default=16)
-    p.add_argument("--cap", type=_non_negative, default=24, help="oracle variable cap")
+    p.add_argument("--ext-cap", type=_non_negative, default=EXT_CAP)
+    p.add_argument("--cap", type=_non_negative, default=DEFAULT_CAP, help="oracle variable cap")
     p.add_argument("--incomplete", type=_positive, metavar="N",
                    help="past the cap, sample N restrictions instead (supbc only)")
     p.add_argument("--seed", type=int, default=0)
@@ -318,7 +318,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--property", action="append",
                    help="property to include (repeatable, comma-separable); default all")
     p.add_argument("--k", type=_positive)
-    p.add_argument("--ext-cap", type=_non_negative, default=16)
+    p.add_argument("--ext-cap", type=_non_negative, default=EXT_CAP)
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_classify)
@@ -327,10 +327,10 @@ def _build_parser() -> _Parser:
     p.add_argument("path")
     p.add_argument("--property", required=True, choices=PROPERTIES)
     p.add_argument("--k", type=_positive)
-    p.add_argument("--ext-cap", type=_non_negative, default=16)
+    p.add_argument("--ext-cap", type=_non_negative, default=EXT_CAP)
     p.add_argument("--order", choices=("ascending-id", "descending-length"),
                    default="ascending-id")
-    p.add_argument("--rounds", type=_positive, default=1000)
+    p.add_argument("--rounds", type=_positive, default=EliminationConfig.rounds_cap)
     p.add_argument("--compact", action="store_true",
                    help="store super-blocking witnesses compactly (recompute at repair)")
     p.add_argument("--out")
@@ -355,7 +355,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve-brute", help="brute-force satisfiability")
     p.add_argument("path")
-    p.add_argument("--cap", type=_non_negative, default=24)
+    p.add_argument("--cap", type=_non_negative, default=DEFAULT_CAP)
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=_cmd_solve_brute)
@@ -379,29 +379,28 @@ def _build_parser() -> _Parser:
     return top
 
 
+# (exception class, exit code); the first row the exception is an instance
+# of gives the code. ParseError is a ValueError, so it comes first.
+_EXITS: tuple[tuple[type[Exception], int], ...] = (
+    (_UsageError, 64),
+    (ParseError, 65),
+    (_InputError, 66),
+    (_OutputError, 74),
+    (CapExceeded, 70),
+    (ResourceLimit, 70),
+    (ReconstructionError, 70),
+    (ValueError, 64),
+)
+
+
 def run(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
         return ns.func(ns)
-    except _UsageError as exc:
+    except tuple(cls for cls, _ in _EXITS) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
-        return 64
-    except ParseError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 65
-    except _InputError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 66
-    except _OutputError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 74
-    except (CapExceeded, ResourceLimit, ReconstructionError) as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 70
-    except ValueError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 64
+        return next(code for cls, code in _EXITS if isinstance(exc, cls))
 
 
 def main() -> None:

@@ -496,12 +496,13 @@ class DimacsBody(NamedTuple):
 
 def decode_text(data: bytes) -> str:
     """The UTF-8 text of an input; a byte that is not UTF-8 raises ParseError
-    naming its line. Every reader of `bytes` input decodes through here."""
+    naming its line. Every reader of `bytes` input decodes through here.
+    Lines are counted by `str.splitlines`, as the readers count them."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         at = exc.start
-        line = data.count(b"\n", 0, at) + 1
+        line = len((data[:at].decode("utf-8") + "x").splitlines())
         raise ParseError("line %d: byte 0x%02x is not UTF-8 text" % (line, data[at])) from exc
 
 

@@ -46,6 +46,7 @@ from typing import Callable, Iterable, Sequence
 
 from .asymmetric import BASES, BaseProperty, asymmetric_blocking, r_lift_witness
 from .blocking import (
+    EXT_CAP,
     BlockingWitness,
     RestrictionTable,
     assignment_index,
@@ -136,7 +137,7 @@ _UNTOUCHED: frozenset[int] = frozenset()
 class EliminationConfig:
     property: str = "bc"
     k: int | None = None
-    ext_cap: int = 16
+    ext_cap: int = EXT_CAP
     clause_order: str = "ascending-id"
     rounds_cap: int = 1000
     compact_witnesses: bool = False
@@ -486,7 +487,7 @@ def classify(
     properties: "Iterable[str] | None" = None,
     *,
     k: int | None = None,
-    ext_cap: int = 16,
+    ext_cap: int = EXT_CAP,
 ) -> ClassifyReport:
     """Per-clause membership matrix: yes / no / cap for each property.
 

@@ -2,9 +2,12 @@
 
 Each construction turns a source problem into a blocking question:
 
-* satisfiability of F  ⟺  the gadget clause is set-blocked in F′;
 * truth of a two-block ∀X∃Y formula  ⟺  the gadget clause is super-blocked
   in F′ (with X becoming exactly the external variables);
+* satisfiability of F  ⟺  the gadget clause is set-blocked in F′. This is
+  the ∃-only case of the one above: with no universal variables the gadget
+  clause has no external variables, and then super-blocking is
+  set-blocking;
 * unsatisfiability of F  ⟺  the gadget clause is 1-super-blocked in F′
   (and k-super-blocked for every k, which the tests exploit).
 
@@ -39,36 +42,14 @@ class ReductionInstance:
     primes: Mapping[int, int] = field(default_factory=dict)
 
 
-def _translate(d: Clause, u: int, primes: Mapping[int, int]) -> list[int]:
-    # Guard with ¬u; negative literals of primed variables become the twin.
-    out = [-u]
-    for lit in d:
-        if lit < 0 and -lit in primes:
-            out.append(primes[-lit])
-        else:
-            out.append(lit)
-    return out
-
-
-def _twin_ties(out: Formula, u: int, primes: Mapping[int, int]) -> None:
-    for v in sorted(primes):
-        out.add((-v, -primes[v]))
-        out.add((-v, u))
-        out.add((-primes[v], u))
-
-
 def sat_to_setblocking(f: Formula) -> ReductionInstance:
-    """F satisfiable ⟺ the gadget clause is set-blocked in the result."""
-    source = sorted(f.variables())
-    vmax = source[-1] if source else 0
-    u = vmax + 1
-    primes = {v: u + i for i, v in enumerate(source, start=1)}
-    out = Formula()
-    for d in f:
-        out.add(_translate(d, u, primes))
-    _twin_ties(out, u, primes)
-    c = Clause([u] + source + [primes[v] for v in source])
-    return ReductionInstance(out, c, (u,), primes)
+    """F satisfiable ⟺ the gadget clause is set-blocked in the result.
+
+    The ∃-only case of `forall_exists_to_superblocking`: every variable of F
+    is existential and primed, so the gadget clause has no external
+    variables, and with none super-blocking is set-blocking.
+    """
+    return forall_exists_to_superblocking(QbfInstance(frozenset(), frozenset(f.variables()), f))
 
 
 def forall_exists_to_superblocking(q: QbfInstance) -> ReductionInstance:
@@ -85,8 +66,12 @@ def forall_exists_to_superblocking(q: QbfInstance) -> ReductionInstance:
     primes = {y: u + i for i, y in enumerate(ys, start=1)}
     out = Formula()
     for d in q.matrix:
-        out.add(_translate(d, u, primes))
-    _twin_ties(out, u, primes)
+        # guard with ¬u; negative literals of primed variables become the twin
+        out.add([-u] + [primes[-lit] if -lit in primes else lit for lit in d])
+    for y in ys:
+        out.add((-y, -primes[y]))
+        out.add((-y, u))
+        out.add((-primes[y], u))
     c = Clause([u] + ys + [primes[y] for y in ys])
     return ReductionInstance(out, c, (u,), primes)
 

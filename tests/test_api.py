@@ -1,7 +1,10 @@
 """The package's top level holds exactly the documented API, the README's
 library quick tour runs and does what its comments say, its module table
 names only what exists, and its trace example is a trace the writer
-reproduces. Every module uses each name it imports."""
+reproduces, and its exit-code table lists the codes the command line
+exits with. Every module uses each name it imports, and every library
+function or class has a caller in the library, a mention in the README or
+a place on the list of kept references."""
 
 import ast
 import importlib
@@ -9,7 +12,7 @@ import re
 from pathlib import Path
 
 import blockcheck
-from blockcheck import Assignment, EliminationTrace
+from blockcheck import Assignment, EliminationTrace, cli
 from blockcheck.oracle import satisfies
 
 from conftest import clause
@@ -84,6 +87,13 @@ def test_readme_trace_example_round_trips():
     assert EliminationTrace.from_text(text).to_text() == text
 
 
+def test_readme_exit_codes_are_the_cli_codes():
+    # 0, 1 and 2 are verdicts; every other code comes from the one table
+    section = README.read_text(encoding="utf-8").split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    documented = {int(code) for code in re.findall(r"^\| (\d+) +\|", section, re.M)}
+    assert documented == {0, 1, 2} | {code for _, code in cli._EXITS}
+
+
 def unused_imports(text):
     """Names a module imports at its top level that its text, outside the
     import statements, never mentions again (string annotations count)."""
@@ -113,3 +123,39 @@ def test_src_modules_use_every_import():
         "def f(x: 'Sequence[int]'): pass\n"
     )
     assert unused_imports(text) == ["os", "Mapping"]
+
+
+# Kept with no library caller on purpose: references the tests check the
+# deciders and the paper's results against, and the tests' seeded generators.
+KEPT_REFERENCES = {
+    "blocking.set_blocks", "blocking.candidate_sets", "blocking.count_candidate_sets",
+    "varelim.literal_blocked_via_elimination", "oracle.nonlocality_witness",
+    "gen.random_instance", "gen.random_qbf",
+}
+
+
+def uncalled_definitions():
+    """Module-level functions and classes of `src/blockcheck`, as
+    "module.name", that no code there loads and the README does not name in
+    backticks."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    named = loaded | {word for span in spans for word in re.findall(r"\w+", span)}
+    return {
+        "%s.%s" % (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named
+    }
+
+
+def test_library_functions_have_a_library_caller():
+    # a kept reference that gains a caller leaves the list too
+    assert uncalled_definitions() == KEPT_REFERENCES

@@ -16,7 +16,6 @@ from blockcheck import (
 from blockcheck import blocking, cli
 from blockcheck.blocking import (
     BlockingWitness,
-    IncompleteScan,
     RestrictionTable,
     SuperBlockingResult,
     _Environment,
@@ -25,7 +24,6 @@ from blockcheck.blocking import (
     candidate_sets,
     count_candidate_sets,
     is_super_blocked,
-    sample_super_blocked,
     set_blocks,
 )
 from blockcheck.cnf import external_variables, resolution_environment, restrict
@@ -248,16 +246,16 @@ class TestSuperBlocking:
         import random
 
         f, c = at_not_setblocked
-        scan = sample_super_blocked(f, c, random.Random(0), samples=32)
-        assert scan.refuted
-        assert is_set_blocked(restrict(f, scan.failing_tau), c) is None
+        tau = sampled_tau(f, c, random.Random(0), 32)
+        assert tau is not None
+        assert is_set_blocked(restrict(f, tau), c) is None
 
     def test_sampling_cannot_refute_a_blocked_instance(self, ex_full_blocking):
         import random
 
         f, c = ex_full_blocking
-        scan = sample_super_blocked(f, c, random.Random(7), samples=16)
-        assert not scan.refuted and scan.samples == 16
+        with pytest.raises(CapExceeded):
+            check_super_blocked(f, c, None, 0, (random.Random(7), 16))
 
 
 class TestWitnessShape:
@@ -367,14 +365,24 @@ def reference_super(f, c, k):
 
 
 def reference_sample(f, c, rng, samples, k):
+    """The first sampled assignment without a blocking set, or None."""
     if reference_search(f, c, k) is not None:
-        return IncompleteScan(False, None, 0)
+        return None
     ext = sorted(external_variables(f, c))
-    for i in range(samples):
+    for _ in range(samples):
         tau = reference_tau(ext, rng.getrandbits(len(ext)))
         if reference_search(restrict(f, tau), c, k) is None:
-            return IncompleteScan(True, tau, i + 1)
-    return IncompleteScan(False, None, samples)
+            return tau
+    return None
+
+
+def sampled_tau(f, c, rng, samples, k=None):
+    """The failing assignment `check_super_blocked` samples past a cap of 0,
+    or None when it finds a witness or every sample has a blocking set."""
+    try:
+        return check_super_blocked(f, c, k, 0, (rng, samples)).failing_tau
+    except CapExceeded:
+        return None
 
 
 def differential_cases():
@@ -468,7 +476,7 @@ class TestAgainstTheReference:
                 seen["no-ext"] += not external_variables(f, c)
 
                 for seed in (n, n + 1000):
-                    assert sample_super_blocked(f, c, random.Random(seed), 8, k) == (
+                    assert sampled_tau(f, c, random.Random(seed), 8, k) == (
                         reference_sample(f, c, random.Random(seed), 8, k)
                     ), (f, c, k, seed)
         assert min(seen.values()) >= 30, seen
@@ -590,8 +598,7 @@ class TestOneCompilePerQuestion:
         for (f, c), refuted in ((ex_setblocked, False), (ex_full_blocking, False),
                                 (at_not_setblocked, True)):
             seen = compiles()
-            scan = sample_super_blocked(f, c, random.Random(3), samples=8)
-            assert scan.refuted == refuted
+            assert (sampled_tau(f, c, random.Random(3), 8) is not None) == refuted
             assert (seen["read"], seen["compiled"]) == (1, 1)
 
     @pytest.mark.parametrize("text, args, code, out", [

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import io
 import os
 import pkgutil
@@ -33,15 +34,20 @@ from blockcheck.asymmetric import (
     r_lift_witness,
 )
 from blockcheck.blocking import (
+    EXT_CAP,
     BlockingWitness,
     RestrictionTable,
     SuperBlockingResult,
     is_super_blocked,
-    sample_super_blocked,
 )
 from blockcheck.cli import run
 from blockcheck.gen import random_formula, random_instance, random_qbf
-from blockcheck.oracle import is_redundant, is_satisfiable, is_semantically_blocked_oracle
+from blockcheck.oracle import (
+    DEFAULT_CAP,
+    is_redundant,
+    is_satisfiable,
+    is_semantically_blocked_oracle,
+)
 from blockcheck.reductions import forall_exists_to_superblocking, unsat_to_1superblocking
 from blockcheck.varelim import sem_blocked_via_elimination
 
@@ -637,6 +643,22 @@ class TestParserReuse:
         assert left == []
 
 
+def test_flag_defaults_are_the_library_defaults():
+    parse = cli._build_parser().parse_args
+    for argv in (["check", "f", "--property", "bc"], ["classify", "f"],
+                 ["eliminate", "f", "--property", "bc"]):
+        assert parse(argv).ext_cap == EXT_CAP, argv
+    for argv in (["check", "f", "--property", "bc"], ["solve-brute", "f"]):
+        assert parse(argv).cap == DEFAULT_CAP, argv
+    assert parse(["eliminate", "f", "--property", "bc"]).rounds == (
+        EliminationConfig().rounds_cap
+    )
+    # and the library reads the one external cap too
+    assert EliminationConfig().ext_cap == EXT_CAP
+    for fn in (check_super_blocked, is_super_blocked, blockcheck.classify):
+        assert inspect.signature(fn).parameters["ext_cap"].default == EXT_CAP, fn
+
+
 def _library_check(f, c, prop, k=None, ext_cap=16, cap=24, incomplete=None, seed=0):
     """(exit code, stdout) that `check` owes, built from library calls alone."""
     word = "BLOCKED" if prop in ("bc", "setbc", "supbc", "varelim", "sem-oracle") else "REDUNDANT"
@@ -662,15 +684,13 @@ def _library_check(f, c, prop, k=None, ext_cap=16, cap=24, incomplete=None, seed
             w = is_set_blocked(f, c, k)
             return no() if w is None else yes(" witness-set " + lits(w.blocking_set))
         if prop == "supbc":
+            sample = None if incomplete is None else (random.Random(seed), incomplete)
             try:
-                res = check_super_blocked(f, c, k, ext_cap)
+                res = check_super_blocked(f, c, k, ext_cap, sample)
             except CapExceeded:
                 if incomplete is None:
                     raise
-                scan = sample_super_blocked(f, c, random.Random(seed), incomplete, k)
-                if scan.refuted:
-                    return no(scan.failing_tau)
-                return 2, "UNKNOWN sampled %d\n" % scan.samples
+                return 2, "UNKNOWN sampled %d\n" % incomplete
             w = res.witness
             if w is None:
                 return no(res.failing_tau)

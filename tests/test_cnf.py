@@ -621,6 +621,18 @@ class TestDimacsReader:
             parse(data)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("parse", [parse_dimacs, parse_qdimacs])
+    @pytest.mark.parametrize("brk", ["\r", "\u2028", "\r\n", "\x0c"])
+    def test_a_bad_byte_names_the_line_a_bad_literal_names(self, parse, brk):
+        # lines are counted by str.splitlines, so a break other than "\n"
+        # counts for the byte error as it does for the literal error
+        layout = brk.join(["p cnf 1 1", "1 0", "c caf%s", ""]).encode()
+        with pytest.raises(ParseError, match=r"^line (\d+): bad literal 'x'$") as literal:
+            parse(layout.replace(b"c caf%s", b"x 0"))
+        with pytest.raises(ParseError, match=r"^line (\d+): byte 0xe9 is not UTF-8 text$") as byte:
+            parse(layout.replace(b"%s", b"\xe9"))
+        assert str(byte.value).split(":")[0] == str(literal.value).split(":")[0] == "line 3"
+
     def test_write_keeps_the_canonical_order(self):
         clauses = [(2, -1, 1), (-2, 1), (2, 1), (-1,), (1,), (-1, -2), (), (3, -3, -2), (-3, 2)]
         f = formula(*clauses)
