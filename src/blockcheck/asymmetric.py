@@ -174,24 +174,6 @@ def _units_without(f: Formula, c: Clause) -> _Units:
     return units
 
 
-def _saturate(f: Formula, c: Clause, x: Clause) -> AlaTrace:
-    """Run literal addition on x to fixpoint, drawing donors from f without c.
-
-    The step log follows the batched-round rule: each round judges the
-    donors against the clause as it stood at the start of the round, then
-    commits the discovered literals in canonical order, each recorded with
-    the first donor in formula order that justified it. The closure does not
-    depend on any of this; only the step log is pinned down by it. The log
-    starts from x alone, not from the seed U, and runs through tautology to
-    the full fixpoint — stopping at the first complementary pair would make
-    it order-dependent; only the yes/no checks stop there.
-    """
-    steps: list[AlaStep] = []
-    for _, found in _rounds(f, c, set(x), _first_donors(f, x)):
-        steps.extend(AlaStep(lit, found[lit]) for lit in sorted(found, key=literal_key))
-    return AlaTrace(x, tuple(steps))
-
-
 def _first_donors(f: Formula, x: Clause) -> list[Clause]:
     """Round 1 donors of unseeded literal addition on x: the clauses holding a
     literal of x plus the unit clauses (any other clause has no literal to
@@ -283,9 +265,22 @@ BASES: dict[str, BaseProperty] = {
 
 
 def ala_fixpoint(f: Formula, c: "Clause | Iterable[int]") -> AlaTrace:
-    """Saturate literal addition on c, drawing donors from f without c."""
+    """Run literal addition on c to fixpoint, drawing donors from f without c.
+
+    The step log follows the batched-round rule: each round judges the
+    donors against the clause as it stood at the start of the round, then
+    commits the discovered literals in canonical order, each recorded with
+    the first donor in formula order that justified it. The closure does not
+    depend on any of this; only the step log is pinned down by it. The log
+    starts from c alone, not from the seed U, and runs through tautology to
+    the full fixpoint — stopping at the first complementary pair would make
+    it order-dependent; only the yes/no checks stop there.
+    """
     c = as_clause(c)
-    return _saturate(f, c, c)
+    steps: list[AlaStep] = []
+    for _, found in _rounds(f, c, set(c), _first_donors(f, c)):
+        steps.extend(AlaStep(lit, found[lit]) for lit in sorted(found, key=literal_key))
+    return AlaTrace(c, tuple(steps))
 
 
 def ala_closure(f: Formula, c: "Clause | Iterable[int]", stop_at_tautology: bool = False) -> Clause:

@@ -45,6 +45,8 @@ from .cnf import (
     Clause,
     Formula,
     as_clause,
+    assignment_at,
+    assignment_index,
     resolution_environment,
 )
 from .errors import CapExceeded
@@ -70,24 +72,14 @@ class BlockingWitness:
     per_tau: "RestrictionTable | None" = None
 
 
-def assignment_index(variables: Iterable[int], value: Callable[[int], int]) -> int:
-    """The index of the assignment `value` (0 or 1, or a bool) gives the sorted
-    `variables`: the smallest variable is the highest bit, as in `RestrictionTable`."""
-    m = 0
-    for v in variables:
-        m = (m << 1) | value(v)
-    return m
-
-
 class RestrictionTable(Mapping):
     """Read-only map from every assignment over `variables` to a blocking set.
 
-    `variables` is sorted and `sets[m]` belongs to the assignment whose bits,
-    smallest variable highest, spell m. Counting m upward walks the
-    assignments in lexicographic order of their literals, false before true,
-    which is the order of iteration and of `rows()`. Assignments are built
-    only when a caller asks for one; a key that is not an `Assignment` over
-    exactly `variables` is absent.
+    `variables` is sorted and `sets[m]` belongs to the assignment with index
+    m (`cnf.assignment_index`). Counting m upward walks the assignments in
+    lexicographic order, which is the order of iteration and of `rows()`.
+    Assignments are built only when a caller asks for one; a key that is
+    not an `Assignment` over exactly `variables` is absent.
 
     It is the one form of a super-blocking witness table: the scan builds
     it, `check` and the trace writer print its `rows()`, and the trace
@@ -114,8 +106,8 @@ class RestrictionTable(Mapping):
         return len(self.sets)
 
     def __iter__(self) -> "Iterator[Assignment]":
-        for values in product((0, 1), repeat=len(self.variables)):
-            yield Assignment(dict(zip(self.variables, values)))
+        for m in range(len(self.sets)):
+            yield assignment_at(self.variables, m)
 
     def __getitem__(self, tau: Assignment) -> Clause:
         if not isinstance(tau, Assignment) or tau.variables() != set(self.variables):
@@ -381,8 +373,8 @@ class _RestrictionScan:
 
     @cached_property
     def _sat(self) -> "list[list[int]]":
-        # Highest bit = smallest variable, so counting masks upward walks
-        # the assignments in lexicographic order, false before true.
+        # bit b of an index is the b-th largest external variable
+        # (`cnf.assignment_index`)
         acc = {}
         for v in self.ext:
             acc[v] = acc[-v] = 0
@@ -392,10 +384,6 @@ class _RestrictionScan:
                 if lit in acc:
                     acc[lit] |= bit
         return [[acc[-v], acc[v]] for v in reversed(self.ext)]
-
-    def tau(self, m: int) -> Assignment:
-        top = len(self.ext) - 1
-        return Assignment({v: (m >> (top - i)) & 1 for i, v in enumerate(self.ext)})
 
     def _survivors(self, m: int) -> int:
         dead = 0
@@ -459,7 +447,7 @@ def check_super_blocked(
             for _ in range(samples):
                 m = rng.getrandbits(n)
                 if scan.blocking_set_at(m) is None:
-                    return SuperBlockingResult(None, scan.tau(m))
+                    return SuperBlockingResult(None, assignment_at(scan.ext, m))
         raise CapExceeded(
             "restriction scan over %d external variables exceeds cap %d" % (n, ext_cap),
             count=n,
@@ -471,7 +459,7 @@ def check_super_blocked(
     for m in range(1 << n):
         found = scan.blocking_set_at(m)
         if found is None:
-            return SuperBlockingResult(None, scan.tau(m))
+            return SuperBlockingResult(None, assignment_at(scan.ext, m))
         sets.append(found)
     per_tau = RestrictionTable(scan.ext, sets)
     return SuperBlockingResult(BlockingWitness(kind="super", per_tau=per_tau), None)
@@ -492,13 +480,3 @@ def blocking_set_under(
     scan = _RestrictionScan(f, as_clause(c), None)
     return scan.blocking_set_at(assignment_index(scan.ext, value))
 
-
-def is_super_blocked(
-    f: Formula,
-    c: "Clause | Iterable[int]",
-    k: int | None = None,
-    ext_cap: int = EXT_CAP,
-) -> BlockingWitness | None:
-    """`check_super_blocked`'s witness. The engine calls the decider through
-    this module-level name, which the benchmark's tracer wraps."""
-    return check_super_blocked(f, c, k, ext_cap).witness

@@ -23,6 +23,7 @@ from random import Random
 from .blocking import EXT_CAP, check_super_blocked, is_set_blocked
 from .cnf import Clause, Formula, decode_text, parse_dimacs, read_literals, write_dimacs
 from .engine import (
+    ORDERS,
     PROPERTIES,
     EliminationConfig,
     EliminationTrace,
@@ -328,8 +329,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--property", required=True, choices=PROPERTIES)
     p.add_argument("--k", type=_positive)
     p.add_argument("--ext-cap", type=_non_negative, default=EXT_CAP)
-    p.add_argument("--order", choices=("ascending-id", "descending-length"),
-                   default="ascending-id")
+    p.add_argument("--order", choices=ORDERS, default=EliminationConfig.clause_order)
     p.add_argument("--rounds", type=_positive, default=EliminationConfig.rounds_cap)
     p.add_argument("--compact", action="store_true",
                    help="store super-blocking witnesses compactly (recompute at repair)")

@@ -387,6 +387,25 @@ class Assignment:
         return "Assignment(%s)" % " ".join(str(l) for l in self.to_literals())
 
 
+def assignment_index(variables: Iterable[int], value: Callable[[int], int]) -> int:
+    """The index of the assignment `value` (0 or 1, or a bool) gives the sorted
+    `variables`: the smallest variable is the highest bit. Counting indexes
+    upward walks the assignments in lexicographic order, false before true,
+    which keeps first models, first failing assignments and restriction
+    tables reproducible across the package."""
+    m = 0
+    for v in variables:
+        m = (m << 1) | value(v)
+    return m
+
+
+def assignment_at(variables: Sequence[int], m: int) -> Assignment:
+    """The assignment to the sorted `variables` with index m: the inverse of
+    `assignment_index`."""
+    top = len(variables) - 1
+    return Assignment({v: (m >> (top - i)) & 1 for i, v in enumerate(variables)})
+
+
 def resolvent(c: "Clause | Iterable[int]", d: "Clause | Iterable[int]", pivot: int) -> Clause:
     """The resolvent of c and d upon `pivot`: (c minus pivot) joined with (d minus its complement).
 
@@ -429,9 +448,22 @@ def restrict(f: Formula, assignment: Assignment) -> Formula:
     return Formula(c for c in f if not assignment.satisfies_clause(c))
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of a text, broken at "\\n", "\\r\\n" and "\\r" only.
+
+    This is the package's one line rule: every reader numbers lines by it.
+    A form feed, NEL or Unicode line separator is whitespace inside a line,
+    so one in a comment leaves the rest of the comment a comment.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) for every line that is not blank or a 'c' comment."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    """(line number, stripped line) for every line that is not blank or a 'c'
+    comment; lines are those of `split_lines`."""
+    for lineno, raw in enumerate(split_lines(text), 1):
         line = raw.strip()
         if line and not line.startswith("c"):
             yield lineno, line
@@ -497,12 +529,12 @@ class DimacsBody(NamedTuple):
 def decode_text(data: bytes) -> str:
     """The UTF-8 text of an input; a byte that is not UTF-8 raises ParseError
     naming its line. Every reader of `bytes` input decodes through here.
-    Lines are counted by `str.splitlines`, as the readers count them."""
+    Lines are counted by `split_lines`, as the readers count them."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         at = exc.start
-        line = len((data[:at].decode("utf-8") + "x").splitlines())
+        line = len(split_lines(data[:at].decode("utf-8")))
         raise ParseError("line %d: byte 0x%02x is not UTF-8 text" % (line, data[at])) from exc
 
 
@@ -512,15 +544,15 @@ def read_dimacs_body(
 ) -> DimacsBody:
     """Read a 'p cnf V C' header, then clauses up to an optional '%' end marker.
 
-    Each line is split into tokens once. Blank lines and lines whose first
-    token starts with 'c' are skipped; a first token starting with '%' ends
-    the input and one starting with 'p' is the header. Any other line before
-    the header is an error. After it, `prefix(lineno, tokens)` is offered
-    every such line and returns True for lines it consumed itself (the
-    QDIMACS quantifier lines); all other lines are clause data, and a clause
-    may span lines. Errors that belong to no single line name the last line
-    read that was not blank or a comment. `bytes` must be UTF-8 text (see
-    `decode_text`).
+    Lines are those of `split_lines`, and each is split into tokens once.
+    Blank lines and lines whose first token starts with 'c' are skipped; a
+    first token starting with '%' ends the input and one starting with 'p'
+    is the header. Any other line before the header is an error. After it,
+    `prefix(lineno, tokens)` is offered every such line and returns True for
+    lines it consumed itself (the QDIMACS quantifier lines); all other lines
+    are clause data, and a clause may span lines. Errors that belong to no
+    single line name the last line read that was not blank or a comment.
+    `bytes` must be UTF-8 text (see `decode_text`).
     """
     text = decode_text(source) if isinstance(source, bytes) else source
     header: "tuple[int, int, int] | None" = None
@@ -528,7 +560,7 @@ def read_dimacs_body(
     clause_lines: list[int] = []
     pending: list[int] = []
     lineno = 1
-    for i, raw in enumerate(text.splitlines(), 1):
+    for i, raw in enumerate(split_lines(text), 1):
         toks = raw.split()
         first = toks[0][0] if toks else "c"  # a blank line is skipped like a comment
         if first == "c":

@@ -11,10 +11,9 @@ of running for hours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .cnf import Assignment, Clause, Formula, as_clause, resolution_environment
+from .cnf import Assignment, Clause, Formula, as_clause, assignment_at, resolution_environment
 from .errors import CapExceeded
 
 DEFAULT_CAP = 24
@@ -32,10 +31,10 @@ def _check_cap(count: int, cap: int) -> None:
 class _Table:
     """Bit-mask evaluator over a fixed variable universe.
 
-    Bit (n-1-i) holds the i-th smallest variable, so counting masks upward
-    enumerates assignments in lexicographic order with false before true —
-    the same convention the restriction scan uses, which keeps "first model"
-    and "first failing assignment" reproducible across the package.
+    A mask is an assignment to the sorted universe by its index
+    (`cnf.assignment_index`; `cnf.assignment_at` turns it back into an
+    assignment), so counting masks upward walks the assignments in
+    lexicographic order.
     """
 
     def __init__(self, variables: Iterable[int], f: Formula):
@@ -66,9 +65,6 @@ class _Table:
         hidden = ~m & ((1 << self.n) - 1)
         return all((pos & m) or (neg & hidden) for pos, neg in self._masks)
 
-    def assignment(self, m: int) -> Assignment:
-        return Assignment({v: (m >> self._bit[v]) & 1 for v in self.vars})
-
 
 def _submasks(bits: int) -> Iterator[int]:
     """All subsets of the set bits, the full mask first, ending with 0."""
@@ -78,23 +74,6 @@ def _submasks(bits: int) -> Iterator[int]:
         if s == 0:
             return
         s = (s - 1) & bits
-
-
-@dataclass(frozen=True)
-class ModelSet:
-    """All satisfying total assignments over a fixed variable universe."""
-
-    universe: tuple[int, ...]
-    models: frozenset[Assignment]
-
-    def __len__(self) -> int:
-        return len(self.models)
-
-    def __iter__(self) -> Iterator[Assignment]:
-        return iter(sorted(self.models, key=lambda a: a.to_literals()))
-
-    def __contains__(self, a: object) -> bool:
-        return a in self.models
 
 
 def satisfies(t: Assignment, f: Formula) -> bool:
@@ -116,17 +95,15 @@ def enumerate_models(
     f: Formula,
     variables: "Iterable[int] | None" = None,
     cap: int = DEFAULT_CAP,
-) -> ModelSet:
-    """Every total assignment over the universe that satisfies f.
+) -> list[Assignment]:
+    """Every total assignment over the universe that satisfies f, in
+    lexicographic order.
 
     The universe defaults to var(f); an explicit one must cover it, and can
     widen it (each free variable then doubles the model count).
     """
     table = _model_table(f, variables, cap)
-    models = frozenset(
-        table.assignment(m) for m in range(1 << table.n) if table.satisfied(m)
-    )
-    return ModelSet(tuple(table.vars), models)
+    return [assignment_at(table.vars, m) for m in range(1 << table.n) if table.satisfied(m)]
 
 
 def first_model(
@@ -138,7 +115,7 @@ def first_model(
     table = _model_table(f, variables, cap)
     for m in range(1 << table.n):
         if table.satisfied(m):
-            return table.assignment(m)
+            return assignment_at(table.vars, m)
     return None
 
 
@@ -182,7 +159,7 @@ def _semantic_core(
             if ((cpos & m2) or (cneg & (~m2 & full))) and table.satisfied(m2):
                 break
         else:
-            return False, table.assignment(m)
+            return False, assignment_at(table.vars, m)
     return True, None
 
 
@@ -222,7 +199,7 @@ def nonlocality_witness(
     return out
 
 
-def eval_forall_exists(instance, cap: int = 20) -> bool:
+def eval_forall_exists(instance, cap: int = DEFAULT_CAP) -> bool:
     """Evaluate a two-block prefix ∀G ∃L over a CNF matrix by enumeration."""
     universals = sorted(instance.universals)
     existentials = sorted(instance.existentials)

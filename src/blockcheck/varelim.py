@@ -27,6 +27,9 @@ from .cnf import (
 )
 from .errors import ParseError, ResourceLimit
 
+# The default bound on the clauses an elimination may grow to.
+MAX_CLAUSES = 100_000
+
 
 def all_resolvents(f: Formula, var: int) -> list[Clause]:
     """Every non-tautological resolvent upon var, in formula-order pairs."""
@@ -50,7 +53,7 @@ def eliminate_variable(f: Formula, var: int) -> Formula:
 def eliminate_variables(
     f: Formula,
     variables: Sequence[int],
-    max_clauses: int = 100_000,
+    max_clauses: int = MAX_CLAUSES,
 ) -> Formula:
     """Eliminate the given variables in order, bailing out on clause blow-up."""
     out = f
@@ -74,7 +77,7 @@ def sem_blocked_via_elimination(
     f: Formula,
     c: "Clause | Iterable[int]",
     order: Sequence[int] | None = None,
-    max_clauses: int = 100_000,
+    max_clauses: int = MAX_CLAUSES,
 ) -> bool:
     """Decide semantic blocking of a non-tautological clause by elimination.
 

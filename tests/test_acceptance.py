@@ -26,7 +26,6 @@ from blockcheck.asymmetric import ala_fixpoint
 from blockcheck.blocking import (
     _search_blocking_set,
     count_candidate_sets,
-    is_super_blocked,
 )
 from blockcheck.cnf import resolution_environment
 from blockcheck.gen import random_formula, random_instance, random_qbf
@@ -103,7 +102,7 @@ def test_criterion_01_worked_example_regressions(
     f, c = at_not_setblocked
     ok &= holds("at", f, c)
     ok &= is_set_blocked(f, c) is None
-    ok &= is_super_blocked(f, c) is None
+    ok &= not check_super_blocked(f, c).blocked
     ok &= holds("rat", f, c)
 
     f, c = setblocked_not_rat
@@ -160,7 +159,7 @@ def test_criterion_04_hierarchy(ex_setblocked, ex_full_blocking):
     f, c = ex_setblocked
     strict = is_set_blocked(f, c) is not None and is_literal_blocked(f, c) is None
     f, c = ex_full_blocking
-    strict &= is_super_blocked(f, c) is not None and is_set_blocked(f, c) is None
+    strict &= check_super_blocked(f, c).blocked and is_set_blocked(f, c) is None
 
     report(
         4, "blocking hierarchy", violations == 0 and strict,
@@ -240,7 +239,7 @@ def test_criterion_08_reduction_round_trips():
     for _ in range(100):
         q = random_qbf(rng, max_vars=6, max_clauses=6, max_width=3)
         inst = forall_exists_to_superblocking(q)
-        got = is_super_blocked(inst.formula, inst.clause) is not None
+        got = check_super_blocked(inst.formula, inst.clause).blocked
         want = eval_forall_exists(q)
         if got != want:
             bad += 1
@@ -250,11 +249,11 @@ def test_criterion_08_reduction_round_trips():
     for _ in range(200):
         f = random_formula(rng, rng.randint(1, 5), rng.randint(1, 6), 3)
         inst = unsat_to_1superblocking(f)
-        one = is_super_blocked(inst.formula, inst.clause, 1) is not None
+        one = check_super_blocked(inst.formula, inst.clause, 1).blocked
         if one != (not is_satisfiable(f)):
             bad += 1
         for k in (2, 3):
-            if (is_super_blocked(inst.formula, inst.clause, k) is not None) != one:
+            if check_super_blocked(inst.formula, inst.clause, k).blocked != one:
                 bad += 1
 
     assert min(sat_hits, unsat_hits, true_hits, false_hits) > 5

@@ -4,7 +4,7 @@ names only what exists, and its trace example is a trace the writer
 reproduces, and its exit-code table lists the codes the command line
 exits with. Every module uses each name it imports, and every library
 function or class has a caller in the library, a mention in the README or
-a place on the list of kept references."""
+a place on the list of kept references. Lines are split by one rule."""
 
 import ast
 import importlib
@@ -123,6 +123,27 @@ def test_src_modules_use_every_import():
         "def f(x: 'Sequence[int]'): pass\n"
     )
     assert unused_imports(text) == ["os", "Mapping"]
+
+
+def splitlines_calls(text):
+    """Line numbers of the `.splitlines(` calls in a module's code."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "splitlines"
+    ]
+
+
+def test_src_modules_split_lines_by_the_one_rule():
+    # str.splitlines also breaks at a form feed, NEL or U+2028; the readers
+    # number lines by cnf.split_lines, which breaks at \n, \r\n and \r only
+    for path in sorted(SRC.glob("*.py")):
+        assert splitlines_calls(path.read_text(encoding="utf-8")) == [], path.name
+    # the check itself: a call is found, a mention in a string or comment is not
+    assert splitlines_calls("x = 1\ny = 'a'.splitlines()\n# .splitlines(\n") == [2]
+    assert splitlines_calls("s = '.splitlines('\n") == []
 
 
 # Kept with no library caller on purpose: references the tests check the

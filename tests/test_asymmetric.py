@@ -15,7 +15,7 @@ from blockcheck.asymmetric import (
     asymmetric_blocking,
     r_lift_witness,
 )
-from blockcheck.blocking import is_super_blocked
+from blockcheck.blocking import check_super_blocked
 from blockcheck.cnf import literal_key
 from blockcheck.gen import random_instance
 
@@ -236,7 +236,7 @@ class TestHierarchyInstances:
         f, c = at_not_setblocked
         assert holds("at", f, c)
         assert is_set_blocked(f, c) is None
-        assert is_super_blocked(f, c) is None
+        assert not check_super_blocked(f, c).blocked
         assert holds("rat", f, c)
 
     def test_setblocking_vs_at_gap(self):
@@ -244,7 +244,7 @@ class TestHierarchyInstances:
         from blockcheck import is_set_blocked
 
         assert is_set_blocked(f, c) is not None
-        assert is_super_blocked(f, c) is not None
+        assert check_super_blocked(f, c).blocked
         assert not holds("at", f, c)
         assert holds("rt", f, c)  # vacuously literal-blocked, so the lifts all hold
 

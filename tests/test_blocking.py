@@ -23,7 +23,6 @@ from blockcheck.blocking import (
     _search_blocking_set,
     candidate_sets,
     count_candidate_sets,
-    is_super_blocked,
     set_blocks,
 )
 from blockcheck.cnf import external_variables, resolution_environment, restrict
@@ -185,14 +184,14 @@ class TestCandidateCount:
 class TestSuperBlocking:
     def test_full_blocking_witness(self, ex_full_blocking):
         f, c = ex_full_blocking
-        w = is_super_blocked(f, c)
+        w = check_super_blocked(f, c).witness
         assert w is not None and w.kind == "super"
         per_tau = {tau.to_literals(): L for tau, L in w.per_tau.items()}
         assert per_tau == {(-3,): clause(1, 2), (3,): clause(1)}
 
     def test_per_tau_images_block_in_the_restriction(self, ex_full_blocking):
         f, c = ex_full_blocking
-        w = is_super_blocked(f, c)
+        w = check_super_blocked(f, c).witness
         assert set(external_variables(f, c)) == {3}
         for tau, L in w.per_tau.items():
             assert set_blocks(restrict(f, tau), c, L)
@@ -202,21 +201,31 @@ class TestSuperBlocking:
         res = check_super_blocked(f, c)
         assert not res.blocked and res.witness is None
         assert res.failing_tau.to_literals() == (-3,)
-        assert is_super_blocked(f, c) is None
 
     def test_set_blocked_instances_short_circuit(self, ex_setblocked):
         f, c = ex_setblocked
-        w = is_super_blocked(f, c)
+        w = check_super_blocked(f, c).witness
         assert w.kind == "set" and w.blocking_set == clause(1, 2)
 
     def test_tautology_is_super_blocked(self):
-        w = is_super_blocked(formula((1, 2), (-2, 3)), clause(2, -2))
+        w = check_super_blocked(formula((1, 2), (-2, 3)), clause(2, -2)).witness
         assert w is not None and w.blocking_set == clause(2, -2)
 
     def test_k_bound_respected(self, ex_full_blocking):
         f, c = ex_full_blocking
-        assert is_super_blocked(f, c, k=1) is None  # tau(x)=0 needs the pair
-        assert is_super_blocked(f, c, k=2) is not None
+        assert not check_super_blocked(f, c, k=1).blocked  # tau(x)=0 needs the pair
+        assert check_super_blocked(f, c, k=2).blocked
+
+    def test_the_first_failing_assignment_is_lexicographically_first(self):
+        # {1} blocks (1) once (-1 -3) and (-1 -4 5) are satisfied: 3 false,
+        # and 4 false or 5 true
+        f, c = formula((-1, -3), (-1, -4, 5)), clause(1)
+        failing = [
+            tau for tau in RestrictionTable((3, 4, 5), [c] * 8)
+            if is_set_blocked(restrict(f, tau), c) is None
+        ]
+        assert [tau.to_literals() for tau in failing][:2] == [(-3, 4, -5), (3, -4, -5)]
+        assert check_super_blocked(f, c).failing_tau == failing[0]
 
     def test_ext_cap(self):
         donors = [(-1, i) for i in range(2, 20)]
@@ -270,7 +279,7 @@ class TestWitnessShape:
 
     def test_super_witness_covers_all_assignments(self, ex_full_blocking):
         f, c = ex_full_blocking
-        w = is_super_blocked(f, c)
+        w = check_super_blocked(f, c).witness
         ext = external_variables(f, c)
         assert len(w.per_tau) == 2 ** len(ext)
         for tau in w.per_tau:

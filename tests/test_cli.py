@@ -38,18 +38,18 @@ from blockcheck.blocking import (
     BlockingWitness,
     RestrictionTable,
     SuperBlockingResult,
-    is_super_blocked,
 )
 from blockcheck.cli import run
 from blockcheck.gen import random_formula, random_instance, random_qbf
 from blockcheck.oracle import (
     DEFAULT_CAP,
+    eval_forall_exists,
     is_redundant,
     is_satisfiable,
     is_semantically_blocked_oracle,
 )
 from blockcheck.reductions import forall_exists_to_superblocking, unsat_to_1superblocking
-from blockcheck.varelim import sem_blocked_via_elimination
+from blockcheck.varelim import MAX_CLAUSES, eliminate_variables, sem_blocked_via_elimination
 
 from conftest import clause, formula, holds
 
@@ -553,7 +553,7 @@ class TestOtherCommands:
         assert run(["gen-reduction", "unsat2ksupbc", src, "--out", out, "--clause-out", side]) == 0
         f = parse_dimacs((tmp_path / "inst.cnf").read_text())
         c_lits = [int(t) for t in (tmp_path / "inst.clause").read_text().split()[:-1]]
-        assert is_super_blocked(f, c_lits, k=1) is not None
+        assert check_super_blocked(f, c_lits, k=1).blocked
 
     def test_gen_reduction_qbf2supbc(self, tmp_path):
         src = put(tmp_path, "src.qdimacs", "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n")
@@ -561,7 +561,7 @@ class TestOtherCommands:
         assert run(["gen-reduction", "qbf2supbc", src, "--out", out]) == 0
         f = parse_dimacs((tmp_path / "inst.cnf").read_text())
         c_lits = [int(t) for t in (tmp_path / "inst.cnf.clause").read_text().split()[:-1]]
-        assert is_super_blocked(f, c_lits) is not None  # the source QBF is true
+        assert check_super_blocked(f, c_lits).blocked  # the source QBF is true
 
     def test_gen_reduction_to_stdout_needs_clause_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -653,10 +653,16 @@ def test_flag_defaults_are_the_library_defaults():
     assert parse(["eliminate", "f", "--property", "bc"]).rounds == (
         EliminationConfig().rounds_cap
     )
-    # and the library reads the one external cap too
+    assert parse(["eliminate", "f", "--property", "bc"]).order == (
+        EliminationConfig().clause_order
+    )
+    # and the library reads the one default of each cap too
     assert EliminationConfig().ext_cap == EXT_CAP
-    for fn in (check_super_blocked, is_super_blocked, blockcheck.classify):
+    for fn in (check_super_blocked, blockcheck.classify):
         assert inspect.signature(fn).parameters["ext_cap"].default == EXT_CAP, fn
+    assert inspect.signature(eval_forall_exists).parameters["cap"].default == DEFAULT_CAP
+    for fn in (eliminate_variables, sem_blocked_via_elimination):
+        assert inspect.signature(fn).parameters["max_clauses"].default == MAX_CLAUSES, fn
 
 
 def _library_check(f, c, prop, k=None, ext_cap=16, cap=24, incomplete=None, seed=0):

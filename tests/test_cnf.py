@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,8 @@ from blockcheck import (
     write_dimacs,
 )
 from blockcheck.cnf import (
+    assignment_at,
+    assignment_index,
     external_variables,
     literal_key,
     numbered_lines,
@@ -22,6 +25,7 @@ from blockcheck.cnf import (
     resolution_environment,
     resolvent,
     restrict,
+    split_lines,
 )
 from blockcheck.engine import parse_model
 from blockcheck.gen import random_clause
@@ -357,6 +361,21 @@ class TestAssignment:
     def test_hashable(self):
         assert len({Assignment({1: 1}), Assignment({1: 1})}) == 1
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_assignment_at_inverts_assignment_index(self, n):
+        variables = [2 * i + 3 for i in range(n)]  # sorted, with gaps
+        walked = [assignment_at(variables, m) for m in range(1 << n)]
+        for m, a in enumerate(walked):
+            assert a.variables() == set(variables)
+            assert assignment_index(variables, a.value) == m
+            assert assignment_index(variables, lambda v: a.value(v) == 1) == m
+        # counting upward walks the assignments in lexicographic order,
+        # false before true
+        assert [a.to_literals() for a in walked] == [
+            tuple(v if bit else -v for v, bit in zip(variables, bits))
+            for bits in product((0, 1), repeat=n)
+        ]
+
 
 class TestResolvent:
     def test_worked_example(self):
@@ -624,14 +643,16 @@ class TestDimacsReader:
     @pytest.mark.parametrize("parse", [parse_dimacs, parse_qdimacs])
     @pytest.mark.parametrize("brk", ["\r", "\u2028", "\r\n", "\x0c"])
     def test_a_bad_byte_names_the_line_a_bad_literal_names(self, parse, brk):
-        # lines are counted by str.splitlines, so a break other than "\n"
-        # counts for the byte error as it does for the literal error
-        layout = brk.join(["p cnf 1 1", "1 0", "c caf%s", ""]).encode()
+        # lines are those of split_lines: "\r" and "\r\n" end a line, a line
+        # separator or form feed does not, and the byte error counts lines
+        # as the literal error does
+        layout = ("p cnf 1 1\n1 0" + brk + "c caf%s\n").encode()
         with pytest.raises(ParseError, match=r"^line (\d+): bad literal 'x'$") as literal:
             parse(layout.replace(b"c caf%s", b"x 0"))
         with pytest.raises(ParseError, match=r"^line (\d+): byte 0xe9 is not UTF-8 text$") as byte:
             parse(layout.replace(b"%s", b"\xe9"))
-        assert str(byte.value).split(":")[0] == str(literal.value).split(":")[0] == "line 3"
+        want = "line 3" if brk in ("\r", "\r\n") else "line 2"
+        assert str(byte.value).split(":")[0] == str(literal.value).split(":")[0] == want
 
     def test_write_keeps_the_canonical_order(self):
         clauses = [(2, -1, 1), (-2, 1), (2, 1), (-1,), (1,), (-1, -2), (), (3, -3, -2), (-3, 2)]
@@ -651,8 +672,33 @@ class TestDimacsReader:
         (parse_qdimacs, "p cnf 2 1\ne 1 2 0\n1 x 0\n"),
         (EliminationTrace.from_text, "t blockcheck 1\nd bc 1 0 w 1 0\nd bc 2 0 w x 0\n"),
         (parse_model, "c comment\nv 1\nv x 0\n"),
+        # a form feed, NEL or line separator in a comment ends no line
+        (parse_dimacs, "p cnf 2 2\nc page\x0c 1 0\n-1 x 0\n"),
+        (EliminationTrace.from_text, "t blockcheck 1\nc caf\x85 x 0\nd bc 2 0 w x 0\n"),
+        (parse_model, "c note\u2028 v 2 0\nv 1\nv x 0\n"),
     ],
 )
 def test_parse_errors_name_the_line(parse, text):
     with pytest.raises(ParseError, match=r"^line 3: bad literal 'x'"):
         parse(text)
+
+
+# whitespace that str.splitlines would also break a line at
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_only_newline_and_carriage_return_end_a_line():
+    text = "a\r\nb\rc\nd" + "".join(NOT_LINE_BREAKS) + "e\n"
+    assert split_lines(text) == ["a", "b", "c", "d" + "".join(NOT_LINE_BREAKS) + "e", ""]
+    assert split_lines("") == [""]
+
+
+@pytest.mark.parametrize("brk", NOT_LINE_BREAKS)
+def test_a_comment_keeps_its_tail_past_other_whitespace(brk):
+    # the tail of such a comment is comment text, not clauses or literals
+    assert parse_dimacs("p cnf 1 1\nc see page%s 5 0\n1 0\n" % brk).clauses == [clause(1)]
+    assert parse_dimacs("p cnf 1 1\nc caf%s x 0\n1 0\n" % brk).clauses == [clause(1)]
+    assert parse_qdimacs("p cnf 1 1\nc caf%s x 0\ne 1 0\n1 0\n" % brk).matrix == formula((1,))
+    trace = EliminationTrace.from_text("t blockcheck 1\nc caf%s x 0\nd bc 1 0 w 1 0\n" % brk)
+    assert [e.clause for e in trace.entries] == [clause(1)]
+    assert parse_model("c caf%s x 0\nv 1 0\n" % brk) == Assignment({1: 1})

@@ -33,7 +33,6 @@ class TestEnumeration:
     def test_models_are_total_and_exactly_the_satisfying_ones(self):
         f = formula((1, 2), (-1, -2))
         ms = enumerate_models(f)
-        assert ms.universe == (1, 2)
         assert len(ms) == 2
         for m in ms:
             assert m.variables() == {1, 2}
@@ -65,6 +64,13 @@ class TestEnumeration:
         assert table.clause_mask(clause(1, -2)) == (0b10, 0b01)
         with pytest.raises(ValueError, match="^clause variable 4 outside table$"):
             table.clause_mask(clause(1, 4))
+
+    def test_models_come_in_lexicographic_order(self):
+        # masks count upward, so the list is sorted without a sort; the
+        # universe's own order does not matter
+        ms = enumerate_models(formula((1, 2), (-2, 3)), variables=[3, 2, 1])
+        assert [m.to_literals() for m in ms] == [(-1, 2, 3), (1, -2, -3), (1, -2, 3), (1, 2, 3)]
+        assert ms[0] == first_model(formula((1, 2), (-2, 3)))
 
     def test_first_model_is_lexicographically_first(self):
         # all-false first, then raise the last variable in canonical order

@@ -193,7 +193,7 @@ def test_resolvents_are_entailed(c1, c2, data):
     pivot = data.draw(st.sampled_from(pivots))
     r = resolvent(c1, c2, pivot)
     both = Formula([c1, c2])
-    for m in enumerate_models(both, sorted(both.variables())).models:
+    for m in enumerate_models(both, sorted(both.variables())):
         assert m.satisfies_clause(r)
 
 
@@ -202,14 +202,13 @@ def test_resolvents_are_entailed(c1, c2, data):
 def test_model_enumeration_is_total_and_exact(f):
     universe = sorted(f.variables())
     res = enumerate_models(f, universe)
-    assert res.universe == tuple(universe)
-    for m in res.models:
+    for m in res:
         assert m.variables() == set(universe)
     # exactness: membership in the model set is exactly satisfaction
     for bits in range(2 ** len(universe)):
         a = Assignment({v: (bits >> i) & 1 for i, v in enumerate(universe)})
         sat = all(a.satisfies_clause(d) for d in f)
-        assert (a in res.models) == sat
+        assert (a in res) == sat
 
 
 @settings(deadline=None, max_examples=60)

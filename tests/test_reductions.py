@@ -1,7 +1,7 @@
 import random
 
 from blockcheck import Clause, Formula, is_set_blocked
-from blockcheck.blocking import is_super_blocked
+from blockcheck.blocking import check_super_blocked
 from blockcheck.cnf import external_variables
 from blockcheck.gen import random_formula, random_qbf
 from blockcheck.oracle import eval_forall_exists, is_satisfiable
@@ -61,12 +61,12 @@ class TestForallExistsToSuperblocking:
     def test_true_qbf(self):
         q = QbfInstance((1,), (2,), formula((1, 2), (-1, -2)))
         inst = forall_exists_to_superblocking(q)
-        assert is_super_blocked(inst.formula, inst.clause) is not None
+        assert check_super_blocked(inst.formula, inst.clause).blocked
 
     def test_false_qbf(self):
         q = QbfInstance((1,), (), formula((1,)))
         inst = forall_exists_to_superblocking(q)
-        assert is_super_blocked(inst.formula, inst.clause) is None
+        assert not check_super_blocked(inst.formula, inst.clause).blocked
 
     def test_universals_become_the_external_variables(self):
         q = QbfInstance((1, 3), (2,), formula((1, 2), (3, -2)))
@@ -85,7 +85,7 @@ class TestForallExistsToSuperblocking:
             q = random_qbf(rng, max_vars=6, max_clauses=6, max_width=3)
             inst = forall_exists_to_superblocking(q)
             truth = eval_forall_exists(q)
-            assert truth == (is_super_blocked(inst.formula, inst.clause, ext_cap=8) is not None)
+            assert truth == check_super_blocked(inst.formula, inst.clause, ext_cap=8).blocked
             outcomes[truth] += 1
         assert outcomes[True] > 10 and outcomes[False] > 10
 
@@ -95,11 +95,11 @@ class TestUnsatTo1Superblocking:
         inst = unsat_to_1superblocking(formula((1,), (-1,)))
         assert inst.clause == clause(2, 3)
         assert inst.formula == formula((-2, -1), (-3, 1))
-        assert is_super_blocked(inst.formula, inst.clause, k=1) is not None
+        assert check_super_blocked(inst.formula, inst.clause, k=1).blocked
 
     def test_sat_unit(self):
         inst = unsat_to_1superblocking(formula((1,)))
-        assert is_super_blocked(inst.formula, inst.clause, k=1) is None
+        assert not check_super_blocked(inst.formula, inst.clause, k=1).blocked
 
     def test_k_is_irrelevant(self):
         rng = random.Random(3390)
@@ -107,7 +107,7 @@ class TestUnsatTo1Superblocking:
             f = random_formula(rng, rng.randint(1, 5), rng.randint(1, 6), 3)
             inst = unsat_to_1superblocking(f)
             verdicts = {
-                k: is_super_blocked(inst.formula, inst.clause, k=k, ext_cap=8) is not None
+                k: check_super_blocked(inst.formula, inst.clause, k=k, ext_cap=8).blocked
                 for k in (1, 2, 3, None)
             }
             assert len(set(verdicts.values())) == 1
@@ -117,6 +117,6 @@ class TestUnsatTo1Superblocking:
         for _ in range(200):
             f = random_formula(rng, rng.randint(1, 5), rng.randint(1, 7), 3)
             inst = unsat_to_1superblocking(f)
-            blocked = is_super_blocked(inst.formula, inst.clause, k=1, ext_cap=8) is not None
+            blocked = check_super_blocked(inst.formula, inst.clause, k=1, ext_cap=8).blocked
             assert blocked == (not is_satisfiable(f))
             assert_instance_valid(inst, f.variables())
