@@ -4,7 +4,8 @@ names only what exists, and its trace example is a trace the writer
 reproduces, and its exit-code table lists the codes the command line
 exits with. Every module uses each name it imports, and every library
 function or class has a caller in the library, a mention in the README or
-a place on the list of kept references. Lines are split by one rule."""
+a place on the list of kept references. Lines are split by one rule, and
+only `cli.run` touches the garbage collector."""
 
 import ast
 import importlib
@@ -144,6 +145,54 @@ def test_src_modules_split_lines_by_the_one_rule():
     # the check itself: a call is found, a mention in a string or comment is not
     assert splitlines_calls("x = 1\ny = 'a'.splitlines()\n# .splitlines(\n") == [2]
     assert splitlines_calls("s = '.splitlines('\n") == []
+
+
+def gc_uses(text):
+    """(owner, kind) for each import of the `gc` module in a module's code
+    ("import") and each read of a name such an import binds ("name"); owner
+    is the enclosing top-level function or class, None at module level."""
+    tree = ast.parse(text)
+
+    def imports_gc(node):
+        return (isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "gc")
+
+    bound = {"gc"} | {
+        a.asname or a.name
+        for node in ast.walk(tree) if imports_gc(node)
+        for a in node.names if isinstance(node, ast.ImportFrom) or a.name == "gc"
+    }
+    uses = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if imports_gc(node):
+                uses.append((owner, "import"))
+            elif isinstance(node, ast.Name) and node.id in bound:
+                uses.append((owner, "name"))
+    return uses
+
+
+def test_only_cli_run_touches_the_garbage_collector():
+    # cli.run switches the cyclic collector off for one command and puts the
+    # caller's state back; no other code may switch, tune or run it
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "cli.py":
+            assert gc_uses(path.read_text(encoding="utf-8")) == [], path.name
+    uses = gc_uses((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert uses.count((None, "import")) == 1
+    assert set(uses) == {(None, "import"), ("run", "name")}
+    # the check itself: aliases and imports inside functions are found, a
+    # mention in a string or comment is not
+    text = (
+        "import gc\nfrom gc import disable as off\n"
+        "def f():\n    import gc as g\n    g.collect()\n    off()\n"
+        "x = gc.isenabled()  # gc.disable()\ns = 'gc'\n"
+    )
+    assert gc_uses(text) == [
+        (None, "import"), (None, "import"), ("f", "import"), ("f", "name"), ("f", "name"),
+        (None, "name"),
+    ]
 
 
 # Kept with no library caller on purpose: references the tests check the

@@ -233,8 +233,11 @@ class TestSuperBlocking:
         with pytest.raises(CapExceeded) as err:
             check_super_blocked(f, clause(1), ext_cap=16)
         assert err.value.count == 18
-        # the bound is on the external variables, not the formula size
-        assert check_super_blocked(f, clause(1), ext_cap=18) is not None
+        # the bound is on the external variables, not the formula size; with
+        # the cap at 18 the scan refutes (1) at its first restriction, all false
+        result = check_super_blocked(f, clause(1), ext_cap=18)
+        assert result.blocked is False
+        assert result.failing_tau.to_literals() == tuple(range(-2, -20, -1))
 
     def test_set_blocking_is_decided_before_the_cap(self):
         # {1} blocks (1 2) in the whole formula: no restriction is needed,

@@ -160,6 +160,9 @@ class TestCheckVerdicts:
                   "--ext-cap", "1", "--incomplete", "3"])
         assert rc == 2
         assert capsys.readouterr().out == "UNKNOWN sampled 3\n"
+        # under the default cap the scan decides it, one row per restriction
+        assert run(["check", path, "--property", "supbc", "--clause", "1 2 0"]) == 0
+        assert capsys.readouterr().out.startswith("BLOCKED witness-per-tau 4\n")
 
     def test_incomplete_sampling_refutes_when_a_restriction_fails(self, tmp_path, capsys):
         path = put(tmp_path, "f.cnf", REFUTABLE)
@@ -626,21 +629,110 @@ class TestParserReuse:
         assert self._outputs(argvs, capsys, fresh=False) == fresh
         assert self._outputs(argvs[::-1], capsys, fresh=False) == fresh[::-1]
 
-    def test_warm_check_leaves_no_cyclic_garbage(self, tmp_path, capsys):
-        path = put(tmp_path, "f.cnf", FULL_BLOCKING_WIDE)
-        argv = ["check", path, "--property", "supbc", "--clause", "1 2 0"]
-        assert run(argv) == 0
+
+# One run per subcommand and per error exit; "{name}" stands for the path
+# `command_files` gives that name.
+COMMANDS = {
+    "check-bc": (1, ["check", "{wide}", "--property", "bc", "--clause", "1 2 0"]),
+    "check-setbc": (1, ["check", "{wide}", "--property", "setbc", "--clause", "1 2 0"]),
+    "check-supbc": (0, ["check", "{wide}", "--property", "supbc", "--clause", "1 2 0"]),
+    "check-supbc-capped": (2, ["check", "{capped}", "--property", "supbc", "--clause", "1 3 0",
+                               "--ext-cap", "1"]),
+    "check-at": (0, ["check", "{at}", "--property", "at", "--clause", "1 2 4 0"]),
+    "check-varelim": (0, ["check", "{wide}", "--property", "varelim", "--clause", "1 2 0"]),
+    "classify": (0, ["classify", "{wide}"]),
+    "eliminate-bc": (0, ["eliminate", "{taut}", "--property", "bc", "--out", "{out}",
+                         "--trace", "{out}.trace"]),
+    "eliminate-supbc": (0, ["eliminate", "{taut}", "--property", "supbc", "--out", "{out}",
+                            "--trace", "{out}.trace"]),
+    "eliminate-supbc-compact": (0, ["eliminate", "{taut}", "--property", "supbc", "--compact",
+                                    "--out", "{out}", "--trace", "{out}.trace"]),
+    "reconstruct-tables": (0, ["reconstruct", "{taut}", "--trace", "{tables}",
+                               "--model", "{model}"]),
+    "reconstruct-compact": (0, ["reconstruct", "{taut}", "--trace", "{compact}",
+                                "--model", "{model}"]),
+    "encode-qbf": (0, ["encode-qbf", "{wide}", "--clause", "1 2 0"]),
+    "solve-brute": (0, ["solve-brute", "{wide}"]),
+    "gen-reduction": (0, ["gen-reduction", "sat2setbc", "{wide}", "--out", "{out}"]),
+    "gen-random": (0, ["gen-random", "--seed", "3", "--out", "{out}"]),
+    "usage-64": (64, ["check", "{wide}", "--property", "nosuch", "--clause", "1 0"]),
+    "malformed-65": (65, ["check", "{bad}", "--property", "bc", "--clause", "1 0"]),
+    "unreadable-66": (66, ["check", "{missing}", "--property", "bc", "--clause", "1 0"]),
+    "cap-70": (70, ["solve-brute", "{wide}", "--cap", "2"]),
+    "unwritable-74": (74, ["gen-random", "--out", "{missing}"]),
+}
+
+
+def command_files(tmp_path):
+    """The paths COMMANDS reads, with both kinds of `supbc` trace of
+    WITH_TAUTOLOGIES and a model of its residual already written."""
+    files = {
+        "wide": put(tmp_path, "wide.cnf", FULL_BLOCKING_WIDE),
+        "at": put(tmp_path, "at.cnf", AT_INSTANCE),
+        "capped": put(tmp_path, "capped.cnf", CAPPED),
+        "taut": put(tmp_path, "taut.cnf", WITH_TAUTOLOGIES),
+        "bad": put(tmp_path, "bad.cnf", "p cnf nonsense\n1 0\n"),
+        "missing": str(tmp_path / "no" / "such.cnf"),
+        "out": str(tmp_path / "out.cnf"),
+    }
+    files.update((name, str(tmp_path / name)) for name in ("tables", "compact", "model"))
+    simp = str(tmp_path / "simp.cnf")
+    for name, extra in (("tables", []), ("compact", ["--compact"])):
+        argv = ["eliminate", files["taut"], "--property", "supbc", *extra, "--trace", files[name]]
+        assert run(argv + ["--out", simp]) == 0
+    assert run(["solve-brute", simp, "--out", files["model"]]) == 0
+    assert "\nwt " in (tmp_path / "tables").read_text()
+    assert "\nwt " not in (tmp_path / "compact").read_text()
+    return files
+
+
+class TestCollector:
+    """`run` switches the cyclic collector off for one command: what a command
+    builds holds no reference cycle, and the caller's state comes back."""
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_warm_command_leaves_no_cyclic_garbage(self, tmp_path, capsys, name):
+        code, argv = COMMANDS[name]
+        argv = [a.format(**command_files(tmp_path)) for a in argv]
+        capsys.readouterr()
+        assert run(argv) == code
+        first = capsys.readouterr()
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            assert run(argv) == 0
+            assert run(argv) == code
             gc.collect()
             left = [type(x).__name__ for x in gc.garbage]
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
-        assert capsys.readouterr().out.count("witness-per-tau 4") == 2
+        assert capsys.readouterr() == first
         assert left == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_run_puts_back_the_callers_collector_state(self, tmp_path, monkeypatch, enabled):
+        files = command_files(tmp_path)
+        codes = set()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for code, argv in COMMANDS.values():
+                assert run([a.format(**files) for a in argv]) == code
+                assert gc.isenabled() is enabled, argv
+                codes.add(code)
+
+            def boom(ns):
+                raise RuntimeError("boom")
+
+            # an exception no exit code covers leaves run the same way
+            monkeypatch.setattr(cli, "_cmd_gen_random", boom)
+            cli._build_parser.cache_clear()
+            with pytest.raises(RuntimeError, match="boom"):
+                run(["gen-random"])
+            assert gc.isenabled() is enabled
+        finally:
+            cli._build_parser.cache_clear()
+            gc.enable()
+        assert codes == {0, 1, 2, 64, 65, 66, 70, 74}
 
 
 def test_flag_defaults_are_the_library_defaults():
