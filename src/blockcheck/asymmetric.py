@@ -31,9 +31,21 @@ inside U. U is computed once per formula state and kept on the `Formula`
 * `add` drops it, since a new clause can force more;
 * `remove(D)` drops it only when D is a donor; without D the same
   derivation still holds, and nothing new can be forced;
-* when c is a donor of U(F), U(F without c) is derived and kept too, for
-  the last such c; classify asks every property of c, and every lifted
-  resolvent of c, in a row. Once c itself goes, that closure is U(F).
+* when c is a donor of U(F), U(F without c) is kept too, for the last
+  such c; classify asks every property of c, and every lifted resolvent
+  of c, in a row. Once c itself goes, that closure is U(F).
+
+U is kept as a derivation: each literal with its donor, in order, and per
+literal the literals whose donor rests on it. U(F without c) is derived
+from U(F) by retraction (`_retract`): the literal c justified goes, and so
+does every literal resting on one that went. U(F) is a fixpoint, so only a
+clause holding the complement of a retracted literal can fire on the rest,
+and propagation resumes from those clauses alone; apart from copying the
+kept derivation, the work per donor follows what c's literal supports, not
+the size of F. A kept U is one valid derivation, not necessarily the one a
+fresh propagation records, so only its tautology flag, and its literals
+when it is not tautological, are fixed. A tautological U(F) is no
+fixpoint: U(F without c) then comes from a full propagation.
 
 U stops at its first complementary pair, so a formula refuted by unit
 propagation keeps few donors, and a removal rarely drops U. Every closure
@@ -144,26 +156,150 @@ def _rounds(
 
 class _Units(NamedTuple):
     """U(G): the closure of the empty clause over G, stopped at its first
-    complementary pair, with the clauses recorded as donors on the way."""
+    complementary pair, kept as one derivation of it.
+
+    Every recorded donor justifies exactly one literal, so `donors` inverts
+    `steps`; `rests` lists, per closure literal, the literals whose donor
+    holds it besides the complement of its own literal. A value is shared by
+    formula copies: none of its parts is ever changed.
+    """
 
     lits: frozenset[int]
     tautological: bool
-    donors: frozenset[Clause]
+    steps: dict[int, Clause]  # literal -> its donor, in derivation order
+    donors: dict[Clause, int]  # donor -> the literal it justifies
+    rests: dict[int, tuple[int, ...]]  # literal -> the literals resting on it
 
 
-def _propagate_units(f: Formula, c: "Clause | None") -> tuple[_Units, frozenset[Clause]]:
-    """U(f without c), with its donors (the form `Formula.derived` keeps)."""
+def _stopped(current: set[int], found: dict[int, Clause]) -> bool:
+    """Whether a `_rounds` run with stop_at_tautology from a non-tautological
+    clause stopped at a complementary pair; `current` and `found` are its
+    last yield, and the stop comes right after the literal that completes
+    the pair."""
+    return bool(found) and -next(reversed(found)) in current
+
+
+def _resting(steps: "Iterable[tuple[int, Clause]]") -> dict[int, list[int]]:
+    """Per literal, the literals of `steps` (literal, donor) whose donor
+    rests on it: holds it besides the complement of its own literal."""
+    out: dict[int, list[int]] = {}
+    for lit, d in steps:
+        for r in d._canon:
+            if r != -lit:
+                out.setdefault(r, []).append(lit)
+    return out
+
+
+def _derive_units(f: Formula, c: "Clause | None") -> _Units:
+    """U(f without c) by propagation from f's unit clauses."""
     # the empty clause never adds a literal, so excluding it excludes nothing
     exclude = _EMPTY if c is None else c
     current: set[int] = set()
-    donors: set[Clause] = set()
+    steps: dict[int, Clause] = {}
+    found: dict[int, Clause] = {}
     # U stops at the first clash, often after a few units: walk the units in
     # place rather than copying and sorting them all
-    first = f.unit_clauses()
-    for current, found in _rounds(f, exclude, current, first, stop_at_tautology=True):
-        donors.update(found.values())
-    units = _Units(frozenset(current), _tautological(current), frozenset(donors))
+    for current, found in _rounds(f, exclude, current, f.unit_clauses(), stop_at_tautology=True):
+        steps.update(found)
+    rests = {r: tuple(lits) for r, lits in _resting(steps.items()).items()}
+    return _Units(
+        frozenset(current), _stopped(current, found), steps, {d: lit for lit, d in steps.items()}, rests
+    )
+
+
+def _retract(f: Formula, units: _Units, c: Clause) -> _Units:
+    """U(f without c) from the non-tautological U(f), c one of its donors.
+
+    Retracts the literal c justified and every literal whose donor rests on
+    a retracted one; what is left is still a derivation, each literal from
+    the ones before it. U(f) is a fixpoint, so a clause that can fire on the
+    rest holds the complement of a retracted literal: propagation resumes
+    from those clauses alone. The rest of the derivation is copied, so the
+    work outside the copies follows what the retraction touches.
+    """
+    steps, donors, rests = units.steps, units.donors, units.rests
+    gone = {donors[c]}
+    work = list(gone)
+    while work:
+        for lit in rests.get(work.pop(), ()):
+            if lit not in gone:
+                gone.add(lit)
+                work.append(lit)
+    new_steps, new_donors, new_rests = dict(steps), dict(donors), dict(rests)
+    touched: set[int] = set()
+    for lit in gone:
+        d = new_steps.pop(lit)
+        del new_donors[d]
+        new_rests.pop(lit, None)
+        touched.update(d._canon)
+    for r in touched.difference(gone):
+        kept = tuple(lit for lit in rests.get(r, ()) if lit not in gone)
+        if kept:
+            new_rests[r] = kept
+        else:
+            new_rests.pop(r, None)
+    current = set(units.lits)
+    current.difference_update(gone)
+    found: dict[int, Clause] = {}
+    added: dict[int, Clause] = {}
+    for current, found in _rounds(f, c, current, f.clauses_with_any(map(neg, gone)), stop_at_tautology=True):
+        added.update(found)
+    new_steps.update(added)
+    new_donors.update((d, lit) for lit, d in added.items())
+    for r, lits in _resting(added.items()).items():
+        new_rests[r] = new_rests.get(r, ()) + tuple(lits)
+    return _Units(frozenset(current), _stopped(current, found), new_steps, new_donors, new_rests)
+
+
+def _propagate_units(f: Formula, c: "Clause | None") -> tuple[_Units, "dict[Clause, int]"]:
+    """U(f without c), with its donors (the form `Formula.derived` keeps).
+
+    U(f) itself, and U(f without c) when U(f) is tautological (a stopped U
+    is no fixpoint), come from a full propagation; otherwise U(f without c)
+    is U(f) when c is not a donor, and is derived from it by `_retract`
+    when it is.
+    """
+    if c is None:
+        units = _derive_units(f, None)
+    else:
+        units = f.derived(_propagate_units)
+        if units.tautological:
+            units = _derive_units(f, c)
+        elif c in units.donors:
+            units = _retract(f, units, c)
     return units, units.donors
+
+
+def _units_hold(f: Formula, without: "Clause | None", units: _Units, donors: object) -> bool:
+    """Whether a kept U(f without `without`) is valid: `Formula.check_occ_consistent`
+    calls it in place of comparing with a fresh value, which may be another
+    derivation.
+
+    The closure (when not tautological) and the tautology flag must be what
+    a full propagation gives, every step must be justified by the literals
+    before it, by a donor in f other than `without`, and the indexes must be
+    those the steps give.
+    """
+    fresh = _derive_units(f, without)
+    if units.tautological != fresh.tautological or donors is not units.donors:
+        return False
+    if not units.tautological and units.lits != fresh.lits:
+        return False
+    seen: set[int] = set()
+    for lit, d in units.steps.items():
+        if d not in f or d == without or -lit not in d or not d.difference((-lit,)) <= seen:
+            return False
+        seen.add(lit)
+    return (
+        units.lits == seen
+        and units.donors == {d: lit for lit, d in units.steps.items()}
+        and len(units.donors) == len(units.steps)
+        and {r: set(lits) for r, lits in units.rests.items()}
+        == {r: set(lits) for r, lits in _resting(units.steps.items()).items()}
+    )
+
+
+_propagate_units.check = _units_hold  # type: ignore[attr-defined]
 
 
 def _units_without(f: Formula, c: Clause) -> _Units:
@@ -181,8 +317,9 @@ def _first_donors(f: Formula, x: Clause) -> list[Clause]:
     return f.clauses_with_any(x._canon, units=True)
 
 
-def _closure_lits(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool) -> set[int]:
-    """The literals of the saturation closure of x over f without c.
+def _closure_lits(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool) -> tuple[set[int], bool]:
+    """The literals of the saturation closure of x over f without c, and
+    whether saturation stopped at a complementary pair.
 
     Seeded with U(f without c): a literal U holds is added to any clause
     sooner or later, and a donor that holds no literal of x outside U has
@@ -190,27 +327,27 @@ def _closure_lits(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool) -> 
     a literal. With stop_at_tautology, saturation stops at the first
     complementary pair (a tautological x, U or x with U stops at once):
     literal addition only grows the clause, so every later closure is
-    tautological too. Without it, a stopped U is no fixpoint, so a
-    tautological U falls back to unseeded rounds.
+    tautological too, and the closure is tautological exactly when it
+    stopped. Without it, it never stops, and a stopped U is no fixpoint, so
+    a tautological U falls back to unseeded rounds.
     """
     if stop_at_tautology and x.is_tautology():
-        return set(x)
+        return set(x), True
     units = _units_without(f, c)
     if units.tautological and not stop_at_tautology:
         current, donors = set(x), _first_donors(f, x)
     else:
         seed = units.lits
-        current = set(x.union(seed))
+        # one bulk copy of U; set(x.union(seed)) inserts U entry by entry, then copies it again
+        current = set(seed)
+        current.update(x._canon)
         if stop_at_tautology and (units.tautological or not seed.isdisjoint(map(neg, x._canon))):
-            return current
+            return current, True
         donors = f.clauses_with_any(x.difference(seed))
-    for current, _ in _rounds(f, c, current, donors, stop_at_tautology):
+    found: dict[int, Clause] = {}
+    for current, found in _rounds(f, c, current, donors, stop_at_tautology):
         pass
-    return current
-
-
-def _tautological(lits: "set[int] | frozenset[int]") -> bool:
-    return not lits.isdisjoint(map(neg, lits))
+    return current, stop_at_tautology and _stopped(current, found)
 
 
 # The base properties judge a clause x against f with c excluded: c is the
@@ -241,7 +378,7 @@ def _base_s(f: Formula, c: Clause, x: Clause) -> bool:
 
 
 def _base_at(f: Formula, c: Clause, x: Clause) -> bool:
-    return _tautological(_closure_lits(f, c, x, stop_at_tautology=True))
+    return _closure_lits(f, c, x, stop_at_tautology=True)[1]
 
 
 def _base_as(f: Formula, c: Clause, x: Clause) -> bool:
@@ -251,9 +388,9 @@ def _base_as(f: Formula, c: Clause, x: Clause) -> bool:
     # subsumes the closure. So the first complementary pair answers yes, and
     # a closure that never gets one is the full fixpoint.
     if x.is_tautology():
-        return _subsumed(f, c, _closure_lits(f, c, x, stop_at_tautology=False))
-    lits = _closure_lits(f, c, x, stop_at_tautology=True)
-    return _tautological(lits) or _subsumed(f, c, lits)
+        return _subsumed(f, c, _closure_lits(f, c, x, stop_at_tautology=False)[0])
+    lits, tautological = _closure_lits(f, c, x, stop_at_tautology=True)
+    return tautological or _subsumed(f, c, lits)
 
 
 BASES: dict[str, BaseProperty] = {
@@ -290,7 +427,7 @@ def ala_closure(f: Formula, c: "Clause | Iterable[int]", stop_at_tautology: bool
     holds a complementary pair (enough for yes/no checks).
     """
     c = as_clause(c)
-    return Clause(_closure_lits(f, c, c, stop_at_tautology))
+    return Clause(_closure_lits(f, c, c, stop_at_tautology)[0])
 
 
 def asymmetric_blocking(f: Formula, c: "Clause | Iterable[int]") -> tuple[bool, int | None]:
@@ -305,8 +442,8 @@ def asymmetric_blocking(f: Formula, c: "Clause | Iterable[int]") -> tuple[bool, 
     into a subset of the closure; and flipping a literal of c repairs c.
     """
     c = as_clause(c)
-    lits = _closure_lits(f, c, c, stop_at_tautology=True)
-    if _tautological(lits):
+    lits, tautological = _closure_lits(f, c, c, stop_at_tautology=True)
+    if tautological:
         return True, None
     witness = is_literal_blocked(f, Clause(lits), c)
     return (False, None) if witness is None else (True, witness.literal)

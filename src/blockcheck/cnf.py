@@ -254,7 +254,9 @@ class Formula:
 
         `derive(formula, without)` returns the value and the set of clauses
         it was derived from, which never holds `without`. Removing any other
-        clause must leave that value as deriving it afresh gives it. Leaving
+        clause must leave that value valid: as deriving it afresh gives it,
+        or, for a derive function with a `check(formula, without, value,
+        donors)` attribute, one that check accepts. Leaving
         out a clause the formula does not hold changes nothing, so that is
         asked as None. Per derive function the formula keeps the value for
         itself and the one for the last clause left out. `add` drops them
@@ -291,7 +293,8 @@ class Formula:
         Also checks that ids rise in formula order and that the next id
         exceeds every stored one, so a later `add` keeps buckets sorted, and
         that every kept derived value and its donor clauses are what deriving
-        it afresh gives.
+        it afresh gives, or pass the derive function's `check` (see
+        `derived`).
         """
         want: dict[int, list[tuple[Clause, int]]] = {}
         for c, seq in self._seq.items():
@@ -302,11 +305,17 @@ class Formula:
         ids = list(self._seq.values())
         rising = all(a < b for a, b in zip(ids, ids[1:] + [self._next]))
         fresh = all(
-            (whole is None or derive(self, None) == whole)
-            and (part is None or derive(self, part[0]) == part[1:])
+            (whole is None or self._kept_holds(derive, None, whole))
+            and (part is None or self._kept_holds(derive, part[0], part[1:]))
             for derive, (whole, part) in self._derived.items()
         )
         return want == have and units == list(self._units.items()) and rising and fresh
+
+    def _kept_holds(self, derive: Callable, without: "Clause | None", kept: tuple) -> bool:
+        check = getattr(derive, "check", None)
+        if check is None:
+            return derive(self, without) == kept
+        return check(self, without, *kept)
 
 
 class Assignment:

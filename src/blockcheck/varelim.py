@@ -44,7 +44,9 @@ def all_resolvents(f: Formula, var: int) -> list[Clause]:
 
 def eliminate_variable(f: Formula, var: int) -> Formula:
     """Replace all clauses on var by their non-tautological resolvents."""
-    out = Formula(c for c in f if var not in c.variables())
+    out = f.copy()
+    for d in {**f.occurrences(var), **f.occurrences(-var)}:
+        out.remove(d)
     for r in sorted(all_resolvents(f, var), key=Clause.sort_key):
         out.add(r)
     return out

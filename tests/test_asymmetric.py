@@ -549,3 +549,109 @@ class TestASAgainstAT:
         assert holds("as", f, c)
         assert seen and not any(-7 in found for found in seen)
         assert REFERENCE_BASES["as"](f, c, c)
+
+
+# U(F without c) for a donor c of a non-tautological U(F) is derived from
+# U(F) by retraction: the literals resting on c go, and propagation resumes
+# from the clauses holding their complements. The kept value is then one
+# valid derivation, so it is compared with a fresh propagation on the closure
+# (when not tautological) and the tautology flag, and its steps are checked
+# one by one.
+
+
+def assert_justified(f, c, units):
+    """Every step's donor is in f, is not c, holds the complement of its
+    literal, and rests only on literals recorded before it."""
+    before = set()
+    for lit, donor in units.steps.items():
+        assert donor in f and donor != c, (f.clauses, c, lit, donor)
+        assert -lit in donor
+        assert set(donor - (-lit,)) <= before, (f.clauses, c, lit, donor)
+        before.add(lit)
+    assert before == units.lits
+
+
+class TestRetraction:
+    def test_every_donor_matches_a_fresh_propagation(self):
+        rng = random.Random("retraction")
+        seen = dict(tautological=0, not_tautological=0, retracted=0)
+        for _ in range(600):
+            nvars = rng.randint(3, 8)
+            f = Formula(random_literal_clause(rng, nvars, rng.randint(1, 4))
+                        for _ in range(rng.randint(4, 16)))
+            for _ in range(5):
+                whole = units_of(f)
+                for c in list(whole.donors):
+                    kept = units_of(f, c)
+                    _, ref = reference_saturate(f.without(c), c, Clause())
+                    assert kept.tautological == ref.is_tautology(), (f.clauses, c)
+                    if not kept.tautological:
+                        assert kept.lits == set(ref), (f.clauses, c)
+                    assert_justified(f, c, kept)
+                    seen["tautological" if kept.tautological else "not_tautological"] += 1
+                    seen["retracted"] += not whole.tautological
+                assert_justified(f, None, whole)
+                assert f.check_occ_consistent()
+                if not f.clauses:
+                    break
+                f.remove(rng.choice(f.clauses))
+        assert min(seen.values()) >= 1000, seen
+
+    def test_consistency_check_sees_a_wrong_donor(self):
+        f = formula((1,), (-1, 2), (-2, 3), (4, 5))
+        units = units_of(f)
+        assert f.check_occ_consistent()
+        steps = dict(units.steps)
+        steps[-3] = clause(4, 5)
+        f._derived[asymmetric._propagate_units][0] = (units._replace(steps=steps), units.donors)
+        assert not f.check_occ_consistent()
+
+    def test_consistency_check_sees_a_dropped_step(self):
+        f = formula((1,), (-1, 2), (-2, 3))
+        c = clause(-1, 2)
+        kept = units_of(f, c)
+        assert kept.lits == {-1} and f.check_occ_consistent()
+        units = units_of(f)
+        steps = dict(units.steps)
+        del steps[-2]  # -3 now rests on a literal no step records
+        f._derived[asymmetric._propagate_units][0] = (units._replace(steps=steps), units.donors)
+        assert not f.check_occ_consistent()
+
+    def test_consistency_check_sees_a_stale_closure(self):
+        f = formula((1,), (-1, 2), (-2, 3), (4,))
+        c = clause(-1, 2)
+        units_of(f, c)
+        g = f.with_clause((-4, 5))  # with 4 forced, (-4|5) forces 5: U(g) holds -5
+        assert g.check_occ_consistent()
+        # the values kept for f, left on g as if `add` had not dropped them
+        g._derived = {derive: list(slots) for derive, slots in f._derived.items()}
+        assert not g.check_occ_consistent()
+        g._derived[asymmetric._propagate_units][0] = None  # only U(g without c) is stale
+        assert not g.check_occ_consistent()
+
+    def test_work_per_donor_does_not_grow_with_the_formula(self, monkeypatch):
+        # k variable-disjoint copies of one block: the clauses handed to
+        # propagation while deriving U(F without c), c in block 1, stay the
+        # same however many other blocks there are
+        block = [(1,), (-1, 2), (-2, 3), (-1, -3, 4), (-4, 5, 6), (-5,), (2, 7), (-6, -7, 8), (3, -8)]
+        counts = []
+        for k in (1, 2, 4, 8):
+            f = Formula(tuple(l + 8 * i if l > 0 else l - 8 * i for l in d)
+                        for i in range(k) for d in block)
+            whole = units_of(f)
+            c = clause(-1, 2)
+            assert c in whole.donors and not whole.tautological
+            handed = []
+            real = asymmetric._rounds
+
+            def counted(f, c, current, donors, stop_at_tautology=False):
+                donors = list(donors)
+                handed.append(len(donors))
+                return real(f, c, current, donors, stop_at_tautology)
+
+            monkeypatch.setattr(asymmetric, "_rounds", counted)
+            kept = units_of(f, c)
+            monkeypatch.setattr(asymmetric, "_rounds", real)
+            assert kept.lits < whole.lits
+            counts.append(sum(handed))
+        assert counts[0] > 0 and len(set(counts)) == 1, counts

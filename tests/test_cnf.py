@@ -320,6 +320,21 @@ class TestDerivedValues:
         f._derived[first_two][0] = (frozenset([clause(3)]), frozenset([clause(3)]))
         assert not f.check_occ_consistent()
 
+    def test_a_derive_functions_check_replaces_the_comparison(self):
+        # any unit clause is a valid answer; deriving afresh gives the first
+        def some_unit(f, without):
+            unit = next(d for d in f if len(d) == 1 and d != without)
+            return unit, frozenset([unit])
+
+        some_unit.check = lambda f, without, unit, donors: (
+            unit in f and unit != without and len(unit) == 1 and donors == {unit})
+        f = formula((1,), (2, 3), (4,))
+        assert f.derived(some_unit) == clause(1)
+        f._derived[some_unit][0] = (clause(4), frozenset([clause(4)]))
+        assert f.check_occ_consistent()
+        f._derived[some_unit][0] = (clause(2, 3), frozenset([clause(2, 3)]))
+        assert not f.check_occ_consistent()
+
 
 class TestAssignment:
     def test_values_and_literal_values(self):
