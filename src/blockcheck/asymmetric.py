@@ -25,15 +25,14 @@ empty clause over G: the literals unit propagation forces from G's units,
 negated. For any x, the closure of x over F without c equals the closure of
 x together with U(F without c), and round 1 then needs only the donors
 holding a literal of x outside U; every other donor has already fired
-inside U. U is computed once per formula state and kept on the `Formula`
-(`Formula.derived`) with the clauses it was derived from, its donors:
-
-* `add` drops it, since a new clause can force more;
-* `remove(D)` drops it only when D is a donor; without D the same
-  derivation still holds, and nothing new can be forced;
-* when c is a donor of U(F), U(F without c) is kept too, for the last
-  such c; classify asks every property of c, and every lifted resolvent
-  of c, in a row. Once c itself goes, that closure is U(F).
+inside U. U is computed once per formula state and kept in the formula's
+`kept` slot (`_Kept`), which also keeps U(F without c) for the last donor
+c of U(F) asked about: classify asks every property of c, and every lifted
+resolvent of c, in a row. The formula clears the slot on `add`, since a
+new clause can force more, and `_Kept.removed` decides what survives
+`remove(D)`: a closure D is a donor of goes, any other still holds the
+same derivation, nothing new can be forced, and once c itself goes
+U(F without c) is U(F).
 
 U is kept as a derivation: each literal with its donor, in order, and per
 literal the literals whose donor rests on it. U(F without c) is derived
@@ -251,29 +250,9 @@ def _retract(f: Formula, units: _Units, c: Clause) -> _Units:
     return _Units(frozenset(current), _stopped(current, found), new_steps, new_donors, new_rests)
 
 
-def _propagate_units(f: Formula, c: "Clause | None") -> tuple[_Units, "dict[Clause, int]"]:
-    """U(f without c), with its donors (the form `Formula.derived` keeps).
-
-    U(f) itself, and U(f without c) when U(f) is tautological (a stopped U
-    is no fixpoint), come from a full propagation; otherwise U(f without c)
-    is U(f) when c is not a donor, and is derived from it by `_retract`
-    when it is.
-    """
-    if c is None:
-        units = _derive_units(f, None)
-    else:
-        units = f.derived(_propagate_units)
-        if units.tautological:
-            units = _derive_units(f, c)
-        elif c in units.donors:
-            units = _retract(f, units, c)
-    return units, units.donors
-
-
-def _units_hold(f: Formula, without: "Clause | None", units: _Units, donors: object) -> bool:
-    """Whether a kept U(f without `without`) is valid: `Formula.check_occ_consistent`
-    calls it in place of comparing with a fresh value, which may be another
-    derivation.
+def _units_hold(f: Formula, without: "Clause | None", units: _Units) -> bool:
+    """Whether a kept U(f without `without`) is valid; a fresh propagation
+    may record another derivation, so it is not simply compared with one.
 
     The closure (when not tautological) and the tautology flag must be what
     a full propagation gives, every step must be justified by the literals
@@ -281,7 +260,7 @@ def _units_hold(f: Formula, without: "Clause | None", units: _Units, donors: obj
     those the steps give.
     """
     fresh = _derive_units(f, without)
-    if units.tautological != fresh.tautological or donors is not units.donors:
+    if units.tautological != fresh.tautological:
         return False
     if not units.tautological and units.lits != fresh.lits:
         return False
@@ -299,15 +278,49 @@ def _units_hold(f: Formula, without: "Clause | None", units: _Units, donors: obj
     )
 
 
-_propagate_units.check = _units_hold  # type: ignore[attr-defined]
+class _Kept(NamedTuple):
+    """The unit closures a formula keeps in its `kept` slot: U(F) as `whole`,
+    and U(F without c) as `part` for c = `without`, the last donor of U(F)
+    asked about; a closure not derived yet, or dropped, is None, and so is
+    `without` when `part` is."""
+
+    whole: "_Units | None"
+    without: "Clause | None"
+    part: "_Units | None"
+
+    def removed(self, d: Clause) -> "_Kept":
+        """What stays valid once D goes: U(F without D) becomes U(F);
+        otherwise a closure D is a donor of goes, and the other stays."""
+        if d == self.without:
+            return _Kept(self.part, None, None)
+        whole, part = (u if u is not None and d not in u.donors else None for u in (self.whole, self.part))
+        return _Kept(whole, None if part is None else self.without, part)
+
+    def holds(self, f: Formula) -> bool:
+        """Whether each closure kept is valid for f (`_units_hold`)."""
+        return (self.whole is None or _units_hold(f, None, self.whole)) and (
+            self.part is None or _units_hold(f, self.without, self.part)
+        )
 
 
-def _units_without(f: Formula, c: Clause) -> _Units:
-    """U(f without c), kept on f: U(f) itself unless c is one of its donors."""
-    units = f.derived(_propagate_units)
-    if c in units.donors:
-        units = f.derived(_propagate_units, c)
-    return units
+def _units_without(f: Formula, c: "Clause | None") -> _Units:
+    """U(f without c), kept on f: U(f) itself unless c is one of its donors.
+
+    U(f) comes from a full propagation, and so does U(f without c) when U(f)
+    is tautological (a stopped U is no fixpoint); otherwise `_retract`
+    derives it from U(f).
+    """
+    kept = f.kept or _Kept(None, None, None)
+    units = kept.whole
+    if units is None:
+        units = _derive_units(f, None)
+        kept = f.kept = kept._replace(whole=units)
+    if c not in units.donors:
+        return units
+    if kept.without != c:
+        part = _derive_units(f, c) if units.tautological else _retract(f, units, c)
+        kept = f.kept = kept._replace(without=c, part=part)
+    return kept.part
 
 
 def _first_donors(f: Formula, x: Clause) -> list[Clause]:

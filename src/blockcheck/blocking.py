@@ -55,6 +55,15 @@ from .errors import CapExceeded
 EXT_CAP = 16
 
 
+def check_bounds(k: int | None, ext_cap: int = 0) -> None:
+    """Reject a blocking-set bound below 1 and a negative external-variable
+    cap: the one rule both deciders and `EliminationConfig` apply."""
+    if ext_cap < 0:
+        raise ValueError("external-variable cap must be non-negative")
+    if k is not None and k < 1:
+        raise ValueError("blocking-set bound must be positive")
+
+
 @dataclass(frozen=True)
 class BlockingWitness:
     """Evidence that a clause is blocked.
@@ -317,6 +326,7 @@ def is_set_blocked(
     With k=None the whole subset lattice of c is searched. `stats`, when
     given, receives the number of candidates tested under "candidates".
     """
+    check_bounds(k)
     found = _search_blocking_set(f, as_clause(c), k, stats)
     if found is None:
         return None
@@ -435,6 +445,7 @@ def check_super_blocked(
     random assignments on the same compiled question: the first without a
     set refutes, and when none refutes the cap error stands.
     """
+    check_bounds(k, ext_cap)
     scan = _RestrictionScan(f, as_clause(c), k)
     found = scan.blocking_set()
     if found is not None:

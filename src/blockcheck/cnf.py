@@ -120,20 +120,20 @@ class Formula:
     sorting, and a union of buckets sorts on the stored ids without hashing a
     clause again.
 
-    A formula also keeps values derived from some of its clauses (see
-    `derived`): `add` drops them all, `remove` only those derived from the
-    removed clause, and `copy` shares them.
+    `kept` holds one immutable value another module derives from the
+    formula, or None; the formula only maintains it: `add` sets it to None,
+    `remove(D)` replaces it with `kept.removed(D)`, `copy` shares it, and
+    `check_occ_consistent` asks `kept.holds(self)`.
     """
 
-    __slots__ = ("_seq", "_occ", "_units", "_next", "_derived")
+    __slots__ = ("_seq", "_occ", "_units", "_next", "kept")
 
     def __init__(self, clauses: Iterable["Clause | Iterable[int]"] = ()):
         self._seq: dict[Clause, int] = {}
         self._occ: dict[int, dict[Clause, int]] = {}
         self._units: dict[Clause, int] = {}
         self._next = 0
-        # derive function -> [(value, donors) | None, (without, value, donors) | None]
-        self._derived: dict[Callable, list] = {}
+        self.kept = None
         self._append(clauses)
 
     def _append(self, clauses: Iterable["Clause | Iterable[int]"]) -> bool:
@@ -157,7 +157,7 @@ class Formula:
         if n == self._next:
             return False
         self._next = n
-        self._derived.clear()
+        self.kept = None
         return True
 
     def add(self, clause: "Clause | Iterable[int]") -> bool:
@@ -173,15 +173,8 @@ class Formula:
             if not bucket:
                 del self._occ[l]
         self._units.pop(clause, None)
-        for slots in self._derived.values():
-            whole, part = slots
-            if part is not None and part[0] == clause:
-                slots[:] = part[1:], None
-                continue
-            if whole is not None and clause in whole[1]:
-                slots[0] = None
-            if part is not None and clause in part[2]:
-                slots[1] = None
+        if self.kept is not None:
+            self.kept = self.kept.removed(clause)
 
     def __contains__(self, clause: object) -> bool:
         if isinstance(clause, Clause):
@@ -246,35 +239,8 @@ class Formula:
         out._occ = {l: dict(bucket) for l, bucket in self._occ.items()}
         out._units = dict(self._units)
         out._next = self._next
-        out._derived = {derive: list(slots) for derive, slots in self._derived.items()}
+        out.kept = self.kept
         return out
-
-    def derived(self, derive: Callable, without: "Clause | None" = None) -> object:
-        """A value derived from the formula, or from it without one clause, kept.
-
-        `derive(formula, without)` returns the value and the set of clauses
-        it was derived from, which never holds `without`. Removing any other
-        clause must leave that value valid: as deriving it afresh gives it,
-        or, for a derive function with a `check(formula, without, value,
-        donors)` attribute, one that check accepts. Leaving
-        out a clause the formula does not hold changes nothing, so that is
-        asked as None. Per derive function the formula keeps the value for
-        itself and the one for the last clause left out. `add` drops them
-        all; `remove(D)` drops those derived from D, and the one derived
-        without D becomes the formula's own. `copy` shares them, so values
-        must be immutable.
-        """
-        slots = self._derived.get(derive)
-        if slots is None:
-            slots = self._derived[derive] = [None, None]
-        if without is None or without not in self._seq:
-            if slots[0] is None:
-                slots[0] = derive(self, None)
-            return slots[0][0]
-        part = slots[1]
-        if part is None or part[0] != without:
-            part = slots[1] = (without, *derive(self, without))
-        return part[1]
 
     def without(self, clause: "Clause | Iterable[int]") -> "Formula":
         """All clauses other than `clause`, in insertion order."""
@@ -292,9 +258,7 @@ class Formula:
 
         Also checks that ids rise in formula order and that the next id
         exceeds every stored one, so a later `add` keeps buckets sorted, and
-        that every kept derived value and its donor clauses are what deriving
-        it afresh gives, or pass the derive function's `check` (see
-        `derived`).
+        that the kept value, if any, holds for the formula (`kept.holds`).
         """
         want: dict[int, list[tuple[Clause, int]]] = {}
         for c, seq in self._seq.items():
@@ -304,18 +268,8 @@ class Formula:
         units = [(c, seq) for c, seq in self._seq.items() if len(c) == 1]
         ids = list(self._seq.values())
         rising = all(a < b for a, b in zip(ids, ids[1:] + [self._next]))
-        fresh = all(
-            (whole is None or self._kept_holds(derive, None, whole))
-            and (part is None or self._kept_holds(derive, part[0], part[1:]))
-            for derive, (whole, part) in self._derived.items()
-        )
+        fresh = self.kept is None or self.kept.holds(self)
         return want == have and units == list(self._units.items()) and rising and fresh
-
-    def _kept_holds(self, derive: Callable, without: "Clause | None", kept: tuple) -> bool:
-        check = getattr(derive, "check", None)
-        if check is None:
-            return derive(self, without) == kept
-        return check(self, without, *kept)
 
 
 class Assignment:

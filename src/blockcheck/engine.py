@@ -149,10 +149,7 @@ class EliminationConfig:
             raise ValueError("unknown clause order %r" % (self.clause_order,))
         if self.rounds_cap < 1:
             raise ValueError("rounds cap must be positive")
-        if self.ext_cap < 0:
-            raise ValueError("external-variable cap must be non-negative")
-        if self.k is not None and self.k < 1:
-            raise ValueError("blocking-set bound must be positive")
+        blocking.check_bounds(self.k, self.ext_cap)
 
 
 def check_property(f: Formula, c: Clause, cfg: EliminationConfig) -> tuple[bool, BlockingWitness | None]:

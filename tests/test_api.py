@@ -4,8 +4,9 @@ names only what exists, and its trace example is a trace the writer
 reproduces, and its exit-code table lists the codes the command line
 exits with. Every module uses each name it imports, and every library
 function or class has a caller in the library, a mention in the README or
-a place on the list of kept references. Lines are split by one rule, and
-only `cli.run` touches the garbage collector."""
+a place on the list of kept references. Lines are split by one rule,
+only `cli.run` touches the garbage collector, and the unit closures kept on
+a formula stay between `cnf` and `asymmetric`."""
 
 import ast
 import importlib
@@ -193,6 +194,47 @@ def test_only_cli_run_touches_the_garbage_collector():
         (None, "import"), (None, "import"), ("f", "import"), ("f", "name"), ("f", "name"),
         (None, "name"),
     ]
+
+
+def package_imports(text):
+    """The package modules a module imports, relative or as `blockcheck.x`."""
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "blockcheck"):
+            out += [node.module] if node.level and node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("blockcheck."):
+            out.append(node.module.split(".", 1)[1])
+        elif isinstance(node, ast.Import):
+            out += [a.name.split(".", 1)[1] for a in node.names if a.name.startswith("blockcheck.")]
+    return out
+
+
+def kept_uses(text):
+    """Line numbers of the uses of a `.kept` attribute in a module's code."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and node.attr == "kept"
+    ]
+
+
+def test_the_kept_unit_closures_stay_between_cnf_and_asymmetric():
+    # cnf maintains the slot without knowing what it holds, and asymmetric
+    # alone decides what survives a removal; no other module reaches in
+    assert package_imports((SRC / "cnf.py").read_text(encoding="utf-8")) == ["errors"]
+    for path in sorted(SRC.glob("*.py")):
+        uses = kept_uses(path.read_text(encoding="utf-8"))
+        assert bool(uses) == (path.name in ("cnf.py", "asymmetric.py")), path.name
+    # the check itself: every import form is found, and an attribute is
+    # found where a name, string or comment is not
+    text = (
+        "from . import engine, gen\nfrom .errors import ParseError\n"
+        "import blockcheck.oracle\nfrom blockcheck import cli\nfrom blockcheck.cnf import Clause\n"
+        "import os\nfrom random import Random\n"
+        "def f(g):\n    kept = g.kept  # h.kept\n    g.kept = kept\n    return 'g.kept'\n"
+    )
+    assert package_imports(text) == ["engine", "gen", "errors", "oracle", "cli", "cnf"]
+    assert kept_uses(text) == [9, 10]
 
 
 # Kept with no library caller on purpose: references the tests check the

@@ -478,6 +478,54 @@ class TestSeededClosure:
         for d in f.clauses + [c]:
             assert_matches_reference(f, d)
 
+    def test_u_is_kept_until_one_of_its_donors_goes(self):
+        f = formula((1,), (-1, 2), (3, 4), (5,))
+        whole = units_of(f)
+        assert clause(3, 4) not in whole.donors and clause(5) in whole.donors
+        f.remove(clause(3, 4))
+        assert units_of(f) is whole
+        f.remove(clause(5))
+        assert units_of(f) is not whole and units_of(f).lits == {-1, -2}
+        assert f.check_occ_consistent()
+
+    def test_asking_without_another_donor_replaces_the_kept_closure(self):
+        f = formula((1,), (-1, 2), (3,))
+        whole = units_of(f)
+        first = units_of(f, clause(1))
+        assert units_of(f, clause(1)) is first and first.lits == {-3}
+        second = units_of(f, clause(3))
+        assert units_of(f, clause(3)) is second and second.lits == {-1, -2}
+        again = units_of(f, clause(1))
+        assert again is not first and again.lits == first.lits
+        assert units_of(f) is whole and f.check_occ_consistent()
+
+    def test_asking_about_a_clause_outside_the_formula_returns_u(self):
+        f = formula((1,), (-1, 2))
+        whole = units_of(f)
+        part = units_of(f, clause(1))
+        assert units_of(f, clause(9)) is whole and units_of(f, clause(-1, 2, 9)) is whole
+        assert units_of(f, clause(1)) is part
+
+    def test_add_drops_both_closures(self):
+        f = formula((1,), (-1, 2))
+        whole = units_of(f)
+        part = units_of(f, clause(1))
+        f.add((3, 4))  # forces nothing: the closures are derived again all the same
+        assert units_of(f) is not whole and units_of(f).lits == whole.lits
+        assert units_of(f, clause(1)) is not part and units_of(f, clause(1)).lits == part.lits
+        assert f.check_occ_consistent()
+
+    def test_a_copy_shares_the_kept_closures_and_drops_them_apart(self):
+        f = formula((1,), (-1, 2), (3,))
+        whole = units_of(f)
+        part = units_of(f, clause(1))
+        g = f.copy()
+        assert units_of(g) is whole and units_of(g, clause(1)) is part
+        g.remove(clause(3))  # a donor of both closures
+        assert units_of(g) is not whole and units_of(g, clause(1)) is not part
+        assert units_of(f) is whole and units_of(f, clause(1)) is part
+        assert f.check_occ_consistent() and g.check_occ_consistent()
+
     def test_add_after_a_cached_check(self):
         f = formula((2, 3), (-4, 5))
         c = clause(3)
@@ -603,7 +651,7 @@ class TestRetraction:
         assert f.check_occ_consistent()
         steps = dict(units.steps)
         steps[-3] = clause(4, 5)
-        f._derived[asymmetric._propagate_units][0] = (units._replace(steps=steps), units.donors)
+        f.kept = f.kept._replace(whole=units._replace(steps=steps))
         assert not f.check_occ_consistent()
 
     def test_consistency_check_sees_a_dropped_step(self):
@@ -614,7 +662,7 @@ class TestRetraction:
         units = units_of(f)
         steps = dict(units.steps)
         del steps[-2]  # -3 now rests on a literal no step records
-        f._derived[asymmetric._propagate_units][0] = (units._replace(steps=steps), units.donors)
+        f.kept = f.kept._replace(whole=units._replace(steps=steps))
         assert not f.check_occ_consistent()
 
     def test_consistency_check_sees_a_stale_closure(self):
@@ -623,10 +671,10 @@ class TestRetraction:
         units_of(f, c)
         g = f.with_clause((-4, 5))  # with 4 forced, (-4|5) forces 5: U(g) holds -5
         assert g.check_occ_consistent()
-        # the values kept for f, left on g as if `add` had not dropped them
-        g._derived = {derive: list(slots) for derive, slots in f._derived.items()}
+        # the closures kept for f, left on g as if `add` had not dropped them
+        g.kept = f.kept
         assert not g.check_occ_consistent()
-        g._derived[asymmetric._propagate_units][0] = None  # only U(g without c) is stale
+        g.kept = f.kept._replace(whole=None)  # only U(g without c) is stale
         assert not g.check_occ_consistent()
 
     def test_work_per_donor_does_not_grow_with_the_formula(self, monkeypatch):

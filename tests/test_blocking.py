@@ -8,6 +8,7 @@ from blockcheck import (
     Assignment,
     CapExceeded,
     Clause,
+    EliminationConfig,
     Formula,
     check_super_blocked,
     is_literal_blocked,
@@ -179,6 +180,36 @@ class TestCandidateCount:
         for n, k in ((3, 0), (3, 4), (0, 1)):
             with pytest.raises(ValueError):
                 count_candidate_sets(n, k)
+
+
+class TestBounds:
+    # the deciders reject what EliminationConfig rejects, with its texts;
+    # the command line never passes such a bound, argparse stops it first
+    BAD_K = "^blocking-set bound must be positive$"
+    BAD_CAP = "^external-variable cap must be non-negative$"
+
+    def test_a_bound_below_one_is_no_bound_to_search(self):
+        f, c = formula((1, 2), (-1, 3)), clause(1, 2)
+        assert is_set_blocked(f, c).blocking_set == clause(2)
+        for k in (0, -2):
+            for decide in (is_set_blocked, check_super_blocked):
+                with pytest.raises(ValueError, match=self.BAD_K):
+                    decide(f, c, k=k)
+                # before the empty clause's early answer, too
+                with pytest.raises(ValueError, match=self.BAD_K):
+                    decide(f, clause(), k=k)
+            with pytest.raises(ValueError, match=self.BAD_K):
+                EliminationConfig(k=k)
+
+    def test_a_negative_cap_is_no_cap_to_scan_under(self):
+        f, c = formula((1,), (-1,)), clause(1)
+        res = check_super_blocked(f, c, ext_cap=0)
+        assert not res.blocked and res.failing_tau == Assignment({})
+        for ext_cap in (-1, -5):
+            with pytest.raises(ValueError, match=self.BAD_CAP):
+                check_super_blocked(f, c, ext_cap=ext_cap)
+            with pytest.raises(ValueError, match=self.BAD_CAP):
+                EliminationConfig(ext_cap=ext_cap)
 
 
 class TestSuperBlocking:

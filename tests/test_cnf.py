@@ -250,92 +250,6 @@ class TestFormulaIndexes:
         assert not f.check_occ_consistent()
 
 
-def first_two(f, without):
-    """A derived value for `Formula.derived`: the first two clauses of f
-    without `without`, derived from exactly those clauses."""
-    first_two.calls += 1
-    picked = frozenset([d for d in f if d != without][:2])
-    return picked, picked
-
-
-first_two.calls = 0
-
-
-class TestDerivedValues:
-    def test_kept_until_a_donor_goes(self):
-        f = formula((1,), (2,), (3,), (4,))
-        first_two.calls = 0
-        assert f.derived(first_two) == {clause(1), clause(2)}
-        assert f.derived(first_two) == {clause(1), clause(2)}
-        assert first_two.calls == 1
-        f.remove(clause(4))  # not a donor: kept
-        assert f.derived(first_two) == {clause(1), clause(2)} and first_two.calls == 1
-        f.remove(clause(1))  # a donor: derived again
-        assert f.derived(first_two) == {clause(2), clause(3)} and first_two.calls == 2
-        assert f.check_occ_consistent()  # derives once more to compare
-        f.add((5,))
-        f.derived(first_two)
-        assert first_two.calls == 4
-
-    def test_one_value_without_the_last_clause_asked(self):
-        f = formula((1,), (2,), (3,), (4,))
-        first_two.calls = 0
-        assert f.derived(first_two, clause(1)) == {clause(2), clause(3)}
-        assert f.derived(first_two, clause(1)) == {clause(2), clause(3)}
-        assert f.derived(first_two) == {clause(1), clause(2)}
-        assert first_two.calls == 2
-        # a clause the formula does not hold leaves nothing out
-        assert f.derived(first_two, clause(9)) == {clause(1), clause(2)}
-        assert first_two.calls == 2
-        assert f.derived(first_two, clause(2)) == {clause(1), clause(3)}
-        assert first_two.calls == 3
-        assert f.check_occ_consistent()
-        assert first_two.calls == 5
-
-    def test_removing_the_left_out_clause_promotes_its_value(self):
-        f = formula((1,), (2,), (3,), (4,))
-        first_two.calls = 0
-        f.derived(first_two)
-        f.derived(first_two, clause(1))
-        f.remove(clause(1))
-        assert f.derived(first_two) == {clause(2), clause(3)}
-        assert first_two.calls == 2
-        assert f.check_occ_consistent()
-
-    def test_copies_share_values_and_drop_them_apart(self):
-        f = formula((1,), (2,), (3,))
-        first_two.calls = 0
-        f.derived(first_two)
-        g = f.copy()
-        assert g.derived(first_two) == {clause(1), clause(2)} and first_two.calls == 1
-        g.remove(clause(2))
-        assert g.derived(first_two) == {clause(1), clause(3)}
-        assert f.derived(first_two) == {clause(1), clause(2)}
-        assert first_two.calls == 2
-        assert f.check_occ_consistent() and g.check_occ_consistent()
-
-    def test_consistency_check_sees_a_stale_value(self):
-        f = formula((1,), (2,), (3,))
-        f.derived(first_two)
-        f._derived[first_two][0] = (frozenset([clause(3)]), frozenset([clause(3)]))
-        assert not f.check_occ_consistent()
-
-    def test_a_derive_functions_check_replaces_the_comparison(self):
-        # any unit clause is a valid answer; deriving afresh gives the first
-        def some_unit(f, without):
-            unit = next(d for d in f if len(d) == 1 and d != without)
-            return unit, frozenset([unit])
-
-        some_unit.check = lambda f, without, unit, donors: (
-            unit in f and unit != without and len(unit) == 1 and donors == {unit})
-        f = formula((1,), (2, 3), (4,))
-        assert f.derived(some_unit) == clause(1)
-        f._derived[some_unit][0] = (clause(4), frozenset([clause(4)]))
-        assert f.check_occ_consistent()
-        f._derived[some_unit][0] = (clause(2, 3), frozenset([clause(2, 3)]))
-        assert not f.check_occ_consistent()
-
-
 class TestAssignment:
     def test_values_and_literal_values(self):
         t = Assignment({1: 1, 2: 0})
