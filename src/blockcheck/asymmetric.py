@@ -34,14 +34,15 @@ new clause can force more, and `_Kept.removed` decides what survives
 same derivation, nothing new can be forced, and once c itself goes
 U(F without c) is U(F).
 
-U is kept as a derivation: each literal with its donor, in order, and per
-literal the literals whose donor rests on it. U(F without c) is derived
-from U(F) by retraction (`_retract`): the literal c justified goes, and so
-does every literal resting on one that went. U(F) is a fixpoint, so only a
+U is kept as a derivation: one map from each donor to the literal it
+justifies, in derivation order. U(F without c) is derived from U(F) by
+retraction (`_retract`): the literal c justified goes, and so does every
+literal whose donor holds one that went; the retracted literals'
+occurrence lists lead to those donors. U(F) is a fixpoint, so only a
 clause holding the complement of a retracted literal can fire on the rest,
 and propagation resumes from those clauses alone; apart from copying the
-kept derivation, the work per donor follows what c's literal supports, not
-the size of F. A kept U is one valid derivation, not necessarily the one a
+donor map, the work per donor follows what c's literal supports, not the
+size of F. A kept U is one valid derivation, not necessarily the one a
 fresh propagation records, so only its tautology flag, and its literals
 when it is not tautological, are fixed. A tautological U(F) is no
 fixpoint: U(F without c) then comes from a full propagation.
@@ -155,19 +156,14 @@ def _rounds(
 
 class _Units(NamedTuple):
     """U(G): the closure of the empty clause over G, stopped at its first
-    complementary pair, kept as one derivation of it.
-
-    Every recorded donor justifies exactly one literal, so `donors` inverts
-    `steps`; `rests` lists, per closure literal, the literals whose donor
-    holds it besides the complement of its own literal. A value is shared by
+    complementary pair, kept as one derivation of it: each donor with the
+    one literal it justifies, in derivation order. A value is shared by
     formula copies: none of its parts is ever changed.
     """
 
     lits: frozenset[int]
     tautological: bool
-    steps: dict[int, Clause]  # literal -> its donor, in derivation order
-    donors: dict[Clause, int]  # donor -> the literal it justifies
-    rests: dict[int, tuple[int, ...]]  # literal -> the literals resting on it
+    donors: dict[Clause, int]  # donor -> the literal it justifies, in derivation order
 
 
 def _stopped(current: set[int], found: dict[int, Clause]) -> bool:
@@ -178,76 +174,55 @@ def _stopped(current: set[int], found: dict[int, Clause]) -> bool:
     return bool(found) and -next(reversed(found)) in current
 
 
-def _resting(steps: "Iterable[tuple[int, Clause]]") -> dict[int, list[int]]:
-    """Per literal, the literals of `steps` (literal, donor) whose donor
-    rests on it: holds it besides the complement of its own literal."""
-    out: dict[int, list[int]] = {}
-    for lit, d in steps:
-        for r in d._canon:
-            if r != -lit:
-                out.setdefault(r, []).append(lit)
-    return out
+def _propagate(
+    f: Formula, c: Clause, current: set[int], start: "Iterable[Clause]", donors: dict[Clause, int]
+) -> _Units:
+    """Unit propagation over f without c from `current`, `start` holding every
+    clause that can fire on it, stopped at the first complementary pair;
+    each literal it adds is appended to `donors` (taken over, not copied)
+    with its donor. Under the stop a donor justifies one literal: one whose
+    literals all lie in the clause completes a pair with its first."""
+    found: dict[int, Clause] = {}
+    for current, found in _rounds(f, c, current, start, stop_at_tautology=True):
+        donors.update((d, lit) for lit, d in found.items())
+    return _Units(frozenset(current), _stopped(current, found), donors)
 
 
 def _derive_units(f: Formula, c: "Clause | None") -> _Units:
     """U(f without c) by propagation from f's unit clauses."""
-    # the empty clause never adds a literal, so excluding it excludes nothing
-    exclude = _EMPTY if c is None else c
-    current: set[int] = set()
-    steps: dict[int, Clause] = {}
-    found: dict[int, Clause] = {}
+    # the empty clause never adds a literal, so excluding it excludes nothing;
     # U stops at the first clash, often after a few units: walk the units in
     # place rather than copying and sorting them all
-    for current, found in _rounds(f, exclude, current, f.unit_clauses(), stop_at_tautology=True):
-        steps.update(found)
-    rests = {r: tuple(lits) for r, lits in _resting(steps.items()).items()}
-    return _Units(
-        frozenset(current), _stopped(current, found), steps, {d: lit for lit, d in steps.items()}, rests
-    )
+    return _propagate(f, _EMPTY if c is None else c, set(), f.unit_clauses(), {})
 
 
 def _retract(f: Formula, units: _Units, c: Clause) -> _Units:
     """U(f without c) from the non-tautological U(f), c one of its donors.
 
     Retracts the literal c justified and every literal whose donor rests on
-    a retracted one; what is left is still a derivation, each literal from
-    the ones before it. U(f) is a fixpoint, so a clause that can fire on the
-    rest holds the complement of a retracted literal: propagation resumes
-    from those clauses alone. The rest of the derivation is copied, so the
-    work outside the copies follows what the retraction touches.
+    a retracted one r, that is, holds r: such a donor sits in r's occurrence
+    list, so a worklist over those lists finds them all. What is left is
+    still a derivation, each literal from the ones before it. U(f) is a
+    fixpoint, so a clause that can fire on the rest holds the complement of
+    a retracted literal: propagation resumes from those clauses alone. Apart
+    from copying the donor map and the closure, the work follows what the
+    retraction touches, not the size of f.
     """
-    steps, donors, rests = units.steps, units.donors, units.rests
-    gone = {donors[c]}
+    donors = units.donors
+    gone = {donors[c]: c}  # retracted literal -> its donor
     work = list(gone)
     while work:
-        for lit in rests.get(work.pop(), ()):
-            if lit not in gone:
-                gone.add(lit)
+        for d in f.occurrences(work.pop()):
+            lit = donors.get(d)
+            if lit is not None and lit not in gone:
+                gone[lit] = d
                 work.append(lit)
-    new_steps, new_donors, new_rests = dict(steps), dict(donors), dict(rests)
-    touched: set[int] = set()
-    for lit in gone:
-        d = new_steps.pop(lit)
-        del new_donors[d]
-        new_rests.pop(lit, None)
-        touched.update(d._canon)
-    for r in touched.difference(gone):
-        kept = tuple(lit for lit in rests.get(r, ()) if lit not in gone)
-        if kept:
-            new_rests[r] = kept
-        else:
-            new_rests.pop(r, None)
+    rest = dict(donors)
+    for d in gone.values():
+        del rest[d]
     current = set(units.lits)
     current.difference_update(gone)
-    found: dict[int, Clause] = {}
-    added: dict[int, Clause] = {}
-    for current, found in _rounds(f, c, current, f.clauses_with_any(map(neg, gone)), stop_at_tautology=True):
-        added.update(found)
-    new_steps.update(added)
-    new_donors.update((d, lit) for lit, d in added.items())
-    for r, lits in _resting(added.items()).items():
-        new_rests[r] = new_rests.get(r, ()) + tuple(lits)
-    return _Units(frozenset(current), _stopped(current, found), new_steps, new_donors, new_rests)
+    return _propagate(f, c, current, f.clauses_with_any(map(neg, gone)), rest)
 
 
 def _units_hold(f: Formula, without: "Clause | None", units: _Units) -> bool:
@@ -255,9 +230,9 @@ def _units_hold(f: Formula, without: "Clause | None", units: _Units) -> bool:
     may record another derivation, so it is not simply compared with one.
 
     The closure (when not tautological) and the tautology flag must be what
-    a full propagation gives, every step must be justified by the literals
-    before it, by a donor in f other than `without`, and the indexes must be
-    those the steps give.
+    a full propagation gives, and walking the donors in order, each must be
+    in f, not be `without`, and justify a literal not justified before from
+    the literals before it; those literals must make up the closure.
     """
     fresh = _derive_units(f, without)
     if units.tautological != fresh.tautological:
@@ -265,17 +240,11 @@ def _units_hold(f: Formula, without: "Clause | None", units: _Units) -> bool:
     if not units.tautological and units.lits != fresh.lits:
         return False
     seen: set[int] = set()
-    for lit, d in units.steps.items():
-        if d not in f or d == without or -lit not in d or not d.difference((-lit,)) <= seen:
+    for d, lit in units.donors.items():
+        if lit in seen or d not in f or d == without or -lit not in d or not d.difference((-lit,)) <= seen:
             return False
         seen.add(lit)
-    return (
-        units.lits == seen
-        and units.donors == {d: lit for lit, d in units.steps.items()}
-        and len(units.donors) == len(units.steps)
-        and {r: set(lits) for r, lits in units.rests.items()}
-        == {r: set(lits) for r, lits in _resting(units.steps.items()).items()}
-    )
+    return units.lits == seen
 
 
 class _Kept(NamedTuple):

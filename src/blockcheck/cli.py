@@ -122,7 +122,9 @@ def _pick_clause(ns, f: Formula) -> Clause:
 
 
 def _lits(values) -> str:
-    return " ".join(str(v) for v in values)
+    """Each value after a blank, so a line ending in an empty list ends at
+    its last word."""
+    return "".join(" %d" % v for v in values)
 
 
 def _int_at_least(low: int, word: str):
@@ -175,7 +177,7 @@ def _positive_answer(word: str, w) -> str:
     if w.kind == "literal":
         return "%s witness-literal %d" % (word, w.literal)
     if w.kind == "set":
-        return "%s witness-set %s" % (word, _lits(w.blocking_set))
+        return "%s witness-set%s" % (word, _lits(w.blocking_set))
     lines = ["%s witness-per-tau %d" % (word, len(w.per_tau))]
     lines.extend("tau %s set %s" % (tau, s.dimacs()) for tau, s in w.per_tau.rows())
     return "\n".join(lines)
@@ -197,7 +199,7 @@ def _cmd_check(ns) -> int:
     if ok:
         print(_positive_answer(word, w))
         return 0
-    print("NOT-" + word + ("" if tau is None else " failing-tau " + _lits(tau.to_literals())))
+    print("NOT-" + word + ("" if tau is None else " failing-tau" + _lits(tau.to_literals())))
     return 1
 
 
@@ -275,7 +277,7 @@ def _cmd_gen_reduction(ns) -> int:
     else:
         inst = unsat_to_1superblocking(_load_formula(ns.path, ns.strict))
     comments = ["c reduction %s" % (ns.kind,)]
-    comments.append("c map selectors %s" % (_lits(inst.selectors),))
+    comments.append("c map selectors%s" % (_lits(inst.selectors),))
     for v in sorted(inst.primes):
         comments.append("c map prime %d %d" % (v, inst.primes[v]))
     _write_out(ns.out, "".join(line + "\n" for line in comments) + write_dimacs(inst.formula))

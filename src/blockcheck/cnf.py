@@ -275,11 +275,11 @@ class Formula:
 class Assignment:
     """A partial truth assignment, mapping variables to 0/1.
 
-    Immutable: all updates return new assignments. Hashable, so assignments
-    can key the per-assignment witness maps of the super-blocking checker.
+    Immutable: nothing changes it once it is built. It compares and hashes
+    by its (variable, value) pairs.
     """
 
-    __slots__ = ("_map", "_hash")
+    __slots__ = ("_map",)
 
     def __init__(self, mapping: "Mapping[int, int] | Assignment" = ()):
         if isinstance(mapping, Assignment):
@@ -294,7 +294,6 @@ class Assignment:
                 if val not in (0, 1):
                     raise ValueError("truth values are 0 or 1, got %r" % val)
                 self._map[var] = val
-        self._hash: int | None = None
 
     @classmethod
     def from_literals(cls, lits: Iterable[int]) -> "Assignment":
@@ -308,7 +307,6 @@ class Assignment:
             raise ValueError("variables are positive ints, got 0")
         self = cls.__new__(cls)
         self._map = out
-        self._hash = None
         return self
 
     def value(self, var: int) -> int | None:
@@ -342,9 +340,7 @@ class Assignment:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._map.items()))
-        return self._hash
+        return hash(frozenset(self._map.items()))
 
     def __repr__(self) -> str:
         return "Assignment(%s)" % " ".join(str(l) for l in self.to_literals())

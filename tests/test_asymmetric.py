@@ -608,15 +608,22 @@ class TestASAgainstAT:
 
 
 def assert_justified(f, c, units):
-    """Every step's donor is in f, is not c, holds the complement of its
-    literal, and rests only on literals recorded before it."""
+    """Every donor is in f, is not c, holds the complement of its literal,
+    justifies a literal no donor before it did, and rests only on literals
+    recorded before it."""
     before = set()
-    for lit, donor in units.steps.items():
+    for donor, lit in units.donors.items():
         assert donor in f and donor != c, (f.clauses, c, lit, donor)
-        assert -lit in donor
+        assert -lit in donor and lit not in before
         assert set(donor - (-lit,)) <= before, (f.clauses, c, lit, donor)
         before.add(lit)
     assert before == units.lits
+
+
+def disjoint_blocks(k):
+    """k variable-disjoint copies of one 9-clause block over 8 variables."""
+    block = [(1,), (-1, 2), (-2, 3), (-1, -3, 4), (-4, 5, 6), (-5,), (2, 7), (-6, -7, 8), (3, -8)]
+    return Formula(tuple(l + 8 * i if l > 0 else l - 8 * i for l in d) for i in range(k) for d in block)
 
 
 class TestRetraction:
@@ -649,9 +656,8 @@ class TestRetraction:
         f = formula((1,), (-1, 2), (-2, 3), (4, 5))
         units = units_of(f)
         assert f.check_occ_consistent()
-        steps = dict(units.steps)
-        steps[-3] = clause(4, 5)
-        f.kept = f.kept._replace(whole=units._replace(steps=steps))
+        donors = {clause(4, 5) if lit == -3 else d: lit for d, lit in units.donors.items()}
+        f.kept = f.kept._replace(whole=units._replace(donors=donors))
         assert not f.check_occ_consistent()
 
     def test_consistency_check_sees_a_dropped_step(self):
@@ -660,9 +666,19 @@ class TestRetraction:
         kept = units_of(f, c)
         assert kept.lits == {-1} and f.check_occ_consistent()
         units = units_of(f)
-        steps = dict(units.steps)
-        del steps[-2]  # -3 now rests on a literal no step records
-        f.kept = f.kept._replace(whole=units._replace(steps=steps))
+        donors = dict(units.donors)
+        del donors[clause(-1, 2)]  # -3 now rests on -2, which no donor justifies
+        f.kept = f.kept._replace(whole=units._replace(donors=donors))
+        assert not f.check_occ_consistent()
+
+    def test_consistency_check_sees_a_literal_justified_twice(self):
+        # (1 -2) would justify -1 again from -2; every other check passes
+        f = formula((1,), (2,), (1, -2))
+        units = units_of(f)
+        assert units.lits == {-1, -2} and f.check_occ_consistent()
+        donors = dict(units.donors)
+        donors[clause(1, -2)] = -1
+        f.kept = f.kept._replace(whole=units._replace(donors=donors))
         assert not f.check_occ_consistent()
 
     def test_consistency_check_sees_a_stale_closure(self):
@@ -681,11 +697,9 @@ class TestRetraction:
         # k variable-disjoint copies of one block: the clauses handed to
         # propagation while deriving U(F without c), c in block 1, stay the
         # same however many other blocks there are
-        block = [(1,), (-1, 2), (-2, 3), (-1, -3, 4), (-4, 5, 6), (-5,), (2, 7), (-6, -7, 8), (3, -8)]
         counts = []
         for k in (1, 2, 4, 8):
-            f = Formula(tuple(l + 8 * i if l > 0 else l - 8 * i for l in d)
-                        for i in range(k) for d in block)
+            f = disjoint_blocks(k)
             whole = units_of(f)
             c = clause(-1, 2)
             assert c in whole.donors and not whole.tautological
@@ -703,3 +717,28 @@ class TestRetraction:
             assert kept.lits < whole.lits
             counts.append(sum(handed))
         assert counts[0] > 0 and len(set(counts)) == 1, counts
+
+    def test_retraction_reads_occurrences_local_to_the_donor(self, monkeypatch):
+        # the same k blocks: the occurrence lists read while deriving
+        # U(F without c), c in block 1, stay the same however many other
+        # blocks there are, so no step scans all of U
+        counts = []
+        for k in (1, 2, 4, 8):
+            f = disjoint_blocks(k)
+            whole = units_of(f)
+            c = clause(-1, 2)
+            assert c in whole.donors and not whole.tautological
+            read = []
+            real = Formula.occurrences
+
+            def counted(self, lit):
+                bucket = real(self, lit)
+                read.append(len(bucket))
+                return bucket
+
+            monkeypatch.setattr(Formula, "occurrences", counted)
+            kept = units_of(f, c)
+            monkeypatch.setattr(Formula, "occurrences", real)
+            assert kept.lits < whole.lits
+            counts.append((len(read), sum(read)))
+        assert counts[0][0] > 0 and len(set(counts)) == 1, counts

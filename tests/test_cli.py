@@ -440,8 +440,7 @@ class TestRestrictionTableWriters:
             res = check_super_blocked(inst.formula, inst.clause)
             w = res.witness
             if w is None:
-                tau = " ".join(map(str, res.failing_tau.to_literals()))
-                want = "NOT-BLOCKED failing-tau %s\n" % tau
+                want = " ".join(["NOT-BLOCKED failing-tau", *map(str, res.failing_tau.to_literals())]) + "\n"
             elif w.kind == "set":
                 want = "BLOCKED witness-set %s\n" % " ".join(map(str, w.blocking_set))
             else:
@@ -636,6 +635,7 @@ COMMANDS = {
     "check-bc": (1, ["check", "{wide}", "--property", "bc", "--clause", "1 2 0"]),
     "check-setbc": (1, ["check", "{wide}", "--property", "setbc", "--clause", "1 2 0"]),
     "check-supbc": (0, ["check", "{wide}", "--property", "supbc", "--clause", "1 2 0"]),
+    "check-supbc-empty-tau": (1, ["check", "{unit}", "--property", "supbc", "--clause", "1 0"]),
     "check-supbc-capped": (2, ["check", "{capped}", "--property", "supbc", "--clause", "1 3 0",
                                "--ext-cap", "1"]),
     "check-at": (0, ["check", "{at}", "--property", "at", "--clause", "1 2 4 0"]),
@@ -654,6 +654,7 @@ COMMANDS = {
     "encode-qbf": (0, ["encode-qbf", "{wide}", "--clause", "1 2 0"]),
     "solve-brute": (0, ["solve-brute", "{wide}"]),
     "gen-reduction": (0, ["gen-reduction", "sat2setbc", "{wide}", "--out", "{out}"]),
+    "gen-reduction-no-clauses": (0, ["gen-reduction", "unsat2ksupbc", "{empty}", "--out", "{out}"]),
     "gen-random": (0, ["gen-random", "--seed", "3", "--out", "{out}"]),
     "usage-64": (64, ["check", "{wide}", "--property", "nosuch", "--clause", "1 0"]),
     "malformed-65": (65, ["check", "{bad}", "--property", "bc", "--clause", "1 0"]),
@@ -671,6 +672,8 @@ def command_files(tmp_path):
         "at": put(tmp_path, "at.cnf", AT_INSTANCE),
         "capped": put(tmp_path, "capped.cnf", CAPPED),
         "taut": put(tmp_path, "taut.cnf", WITH_TAUTOLOGIES),
+        "unit": put(tmp_path, "unit.cnf", "p cnf 1 1\n-1 0\n"),
+        "empty": put(tmp_path, "empty.cnf", "p cnf 0 0\n"),
         "bad": put(tmp_path, "bad.cnf", "p cnf nonsense\n1 0\n"),
         "missing": str(tmp_path / "no" / "such.cnf"),
         "out": str(tmp_path / "out.cnf"),
@@ -735,6 +738,19 @@ class TestCollector:
         assert codes == {0, 1, 2, 64, 65, 66, 70, 74}
 
 
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_no_line_written_ends_in_a_blank(tmp_path, capsys, name):
+    code, argv = COMMANDS[name]
+    files = command_files(tmp_path)
+    capsys.readouterr()
+    assert run([a.format(**files) for a in argv]) == code
+    texts = {"stdout": capsys.readouterr().out}
+    texts.update((path.name, path.read_text()) for path in tmp_path.iterdir() if path.is_file())
+    for where, text in texts.items():
+        for line in text.split("\n"):
+            assert line == line.rstrip(), (where, line)
+
+
 def test_flag_defaults_are_the_library_defaults():
     parse = cli._build_parser().parse_args
     for argv in (["check", "f", "--property", "bc"], ["classify", "f"],
@@ -768,7 +784,7 @@ def _library_check(f, c, prop, k=None, ext_cap=16, cap=24, incomplete=None, seed
         return 0, word + detail + "\n"
 
     def no(tau=None):
-        tail = "" if tau is None else " failing-tau " + lits(tau.to_literals())
+        tail = "" if tau is None else " " + lits(("failing-tau", *tau.to_literals()))
         return 1, "NOT-%s%s\n" % (word, tail)
 
     def literal(lit):
