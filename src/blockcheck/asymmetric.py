@@ -62,7 +62,10 @@ subsumes it. So the first complementary pair answers yes, and a closure
 that never gets one is the full fixpoint, which subsumption is then tested
 on. A tautological x keeps the full closure: with F = {(1 -1)} and
 c = (1 -1), c is AT but not AS. Subsumption walks the occurrence lists of
-the closure's own literals.
+the closure's own literals outside U when U is not tautological: such a
+U is a fixpoint that every closure holds, and a clause other than c
+inside it would fire and make U tautological, so a subsumer holds a
+literal outside U. A tautological U leaves every list to walk.
 
 `r_lift_witness` then turns a base redundancy property into its
 resolution-lifted variant: c qualifies if the base holds for c itself, or
@@ -341,14 +344,21 @@ def _base_t(f: Formula, c: Clause, x: Clause) -> bool:
     return x.is_tautology()
 
 
-def _subsumed(f: Formula, c: Clause, within: "set[int] | frozenset[int]") -> bool:
-    """True iff a clause of f other than c is a subset of the literals `within`."""
-    # A subsumer holds only literals of `within`, so it sits in their
-    # occurrence lists — unless it is the empty clause, which subsumes
-    # everything.
+def _subsumed(
+    f: Formula, c: Clause, within: "set[int] | frozenset[int]", inside: "frozenset[int]" = _EMPTY
+) -> bool:
+    """True iff a clause of f other than c is a subset of the literals `within`.
+
+    No clause of f other than c may lie within `inside` (AS passes a
+    non-tautological U(f without c)), so the occurrence lists of its
+    literals are not walked.
+    """
+    # A subsumer holds only literals of `within`, one of them outside
+    # `inside`, so it sits in that literal's occurrence list — unless it is
+    # the empty clause, which subsumes everything.
     if c and _EMPTY in f:
         return True
-    for lit in within:
+    for lit in within.difference(inside) if inside else within:
         for d in f.occurrences(lit):
             if d <= within and d != c:
                 return True
@@ -369,10 +379,14 @@ def _base_as(f: Formula, c: Clause, x: Clause) -> bool:
     # whose complement D itself or the clause already holds), and D then
     # subsumes the closure. So the first complementary pair answers yes, and
     # a closure that never gets one is the full fixpoint.
+    # no clause other than c lies inside a non-tautological U (it would
+    # fire and make U tautological), and every closure holds U
+    units = _units_without(f, c)
+    inside = _EMPTY if units.tautological else units.lits
     if x.is_tautology():
-        return _subsumed(f, c, _closure_lits(f, c, x, stop_at_tautology=False)[0])
+        return _subsumed(f, c, _closure_lits(f, c, x, stop_at_tautology=False)[0], inside)
     lits, tautological = _closure_lits(f, c, x, stop_at_tautology=True)
-    return tautological or _subsumed(f, c, lits)
+    return tautological or _subsumed(f, c, lits, inside)
 
 
 BASES: dict[str, BaseProperty] = {
@@ -449,6 +463,6 @@ def r_lift_witness(
     if base(f, c, c):
         return True, None
     for lit in c:
-        if all(base(f, c, c | (d - (-lit,))) for d in f.occurrences(-lit)):
+        if all(base(f, c, Clause(c.union(d.difference((-lit,))))) for d in f.occurrences(-lit)):
             return True, lit
     return False, None

@@ -21,12 +21,19 @@ no resolvent and no clause.
 The super-blocking decider enumerates all 2^|ext| restrictions, which is
 exact but exponential. Past `ext_cap` it refuses, or, given a random
 source and a count, samples that many restrictions, which can refute but
-never confirm. It reads and compiles c's environment once per question:
-set-blocking in the whole formula is the scan's first step, and under
-each restriction only the set of surviving clauses changes, a bitset as
-well (see `_RestrictionScan`). Its witness keeps the sets in the scan's
-order (see `RestrictionTable`), which is also the order `check` and
-traces write them in; reading a trace back builds the same table.
+never confirm. Set-blocking in the whole formula is the scan's first
+step, and under each restriction only the set of surviving clauses
+changes, a bitset as well (see `_RestrictionScan`). Its witness keeps the
+sets in the scan's order (see `RestrictionTable`), which is also the
+order `check` and traces write them in; reading a trace back builds the
+same table.
+
+Both deciders read and compile c's environment once per clause and
+formula state: the formula keeps the last one compiled in its `compiled`
+slot (see `_compile`), which it clears on every change, and the compiled
+form does not depend on k. So every k, and a super-blocking question
+after a set-blocking one on the same clause (classify asks both in a
+row), share one compile.
 """
 
 from __future__ import annotations
@@ -208,11 +215,18 @@ class _Environment:
     leaves (c \\ L) | complements(L) a tautology, so nothing rules it out;
     for one that takes exactly one literal of every pair the rule above is
     exact.
+
+    It also keeps c as `subject` and the environment as `env`, the list bit
+    i counts in. Nothing in it is changed after it is built, so it is the
+    value a formula keeps in its `compiled` slot, shared by formula copies
+    (see `_compile`).
     """
 
-    __slots__ = ("lits", "pairs", "no_p", "no_n", "suf_n")
+    __slots__ = ("subject", "env", "lits", "pairs", "no_p", "no_n", "suf_n")
 
     def __init__(self, c: Clause, env: "list[Clause]"):
+        self.subject = c
+        self.env = env
         self.lits = lits = c.literals
         where = {x: q for q, x in enumerate(lits)}
         self.pairs = [(q, where[-x]) for q, x in enumerate(lits) if x > 0 and -x in where]
@@ -236,6 +250,12 @@ class _Environment:
         self.suf_n = suf = [live] * (len(lits) + 1)
         for q in range(len(lits) - 1, -1, -1):
             suf[q] = suf[q + 1] & self.no_n[q]
+
+    def holds(self, f: Formula) -> bool:
+        """Whether a fresh read and compile of the clause's environment in f
+        give the same environment, in order, and the same bitsets."""
+        fresh = _Environment(self.subject, resolution_environment(f, self.subject))
+        return all(getattr(fresh, a) == getattr(self, a) for a in _Environment.__slots__)
 
     def candidates(self, k: "int | None"):
         """(positions, rule-out bitset) per candidate, in `candidate_sets` order.
@@ -288,6 +308,15 @@ class _Environment:
         return self.clause(next(islice(combinations(range(n), size), i, None)))
 
 
+def _compile(f: Formula, c: Clause) -> _Environment:
+    """c's environment in f, compiled, once per clause and formula state: f
+    keeps the last one in its `compiled` slot."""
+    kept = f.compiled
+    if kept is None or kept.subject != c:
+        kept = f.compiled = _Environment(c, resolution_environment(f, c))
+    return kept
+
+
 def _search_blocking_set(
     f: Formula,
     c: Clause,
@@ -306,7 +335,7 @@ def _search_blocking_set(
         return None
     if stats is not None:
         stats.setdefault("candidates", 0)
-    env = _Environment(c, resolution_environment(f, c))
+    env = _compile(f, c)
     for picked, ruled_out in env.candidates(k):
         if stats is not None:
             stats["candidates"] += 1
@@ -346,11 +375,12 @@ class SuperBlockingResult:
 
 
 class _RestrictionScan:
-    """One super-blocking question, compiled once, and its walk over the
-    assignments to the external variables.
+    """One super-blocking question on c's compiled environment, and its walk
+    over the assignments to the external variables.
 
-    c's resolution environment is read once and compiled once (bit i stands
-    for environment clause i, see `_Environment`). Restrictions only ever
+    c's resolution environment comes compiled from `_compile`, once per
+    clause and formula state (bit i stands for environment clause i, see
+    `_Environment`); the scan's own state lives here. Restrictions only ever
     remove environment clauses (satisfied ones), so the blocking search
     depends on nothing but the surviving subset. The candidates' rule-out
     bitsets are drawn lazily in canonical order and kept, so no candidate
@@ -365,10 +395,8 @@ class _RestrictionScan:
     """
 
     def __init__(self, f: Formula, c: Clause, k: int | None):
-        self._c = c
-        self._env = env = resolution_environment(f, c)
-        self._all = (1 << len(env)) - 1
-        self._compiled = _Environment(c, env)
+        self._compiled = compiled = _compile(f, c)
+        self._all = (1 << len(compiled.env)) - 1
         self._more = self._compiled.candidates(k)
         # the rule-out bitset of each candidate drawn so far, and by index
         # the candidates that have blocked
@@ -378,8 +406,8 @@ class _RestrictionScan:
     @cached_property
     def ext(self) -> "list[int]":
         """The external variables, sorted: those of the environment outside c."""
-        seen = frozenset().union(*self._env)
-        return sorted(set(map(abs, seen)) - self._c.variables())
+        seen = frozenset().union(*self._compiled.env)
+        return sorted(set(map(abs, seen)) - self._compiled.subject.variables())
 
     @cached_property
     def _sat(self) -> "list[list[int]]":
@@ -388,7 +416,7 @@ class _RestrictionScan:
         acc = {}
         for v in self.ext:
             acc[v] = acc[-v] = 0
-        for i, d in enumerate(self._env):
+        for i, d in enumerate(self._compiled.env):
             bit = 1 << i
             for lit in d._canon:
                 if lit in acc:

@@ -120,13 +120,16 @@ class Formula:
     sorting, and a union of buckets sorts on the stored ids without hashing a
     clause again.
 
-    `kept` holds one immutable value another module derives from the
-    formula, or None; the formula only maintains it: `add` sets it to None,
-    `remove(D)` replaces it with `kept.removed(D)`, `copy` shares it, and
-    `check_occ_consistent` asks `kept.holds(self)`.
+    Two slots hold immutable values other modules derive from the formula,
+    or None; the formula only maintains them, and `copy` shares both.
+    `kept` is set to None by `add`, `remove(D)` replaces it with
+    `kept.removed(D)`, and `check_occ_consistent` asks `kept.holds(self)`.
+    `compiled` holds what depends on one clause's resolution environment:
+    `add` and `remove` set it to None, and `check_occ_consistent` asks
+    `compiled.holds(self)`.
     """
 
-    __slots__ = ("_seq", "_occ", "_units", "_next", "kept")
+    __slots__ = ("_seq", "_occ", "_units", "_next", "kept", "compiled")
 
     def __init__(self, clauses: Iterable["Clause | Iterable[int]"] = ()):
         self._seq: dict[Clause, int] = {}
@@ -134,6 +137,7 @@ class Formula:
         self._units: dict[Clause, int] = {}
         self._next = 0
         self.kept = None
+        self.compiled = None
         self._append(clauses)
 
     def _append(self, clauses: Iterable["Clause | Iterable[int]"]) -> bool:
@@ -158,6 +162,7 @@ class Formula:
             return False
         self._next = n
         self.kept = None
+        self.compiled = None
         return True
 
     def add(self, clause: "Clause | Iterable[int]") -> bool:
@@ -173,6 +178,7 @@ class Formula:
             if not bucket:
                 del self._occ[l]
         self._units.pop(clause, None)
+        self.compiled = None
         if self.kept is not None:
             self.kept = self.kept.removed(clause)
 
@@ -240,6 +246,7 @@ class Formula:
         out._units = dict(self._units)
         out._next = self._next
         out.kept = self.kept
+        out.compiled = self.compiled
         return out
 
     def without(self, clause: "Clause | Iterable[int]") -> "Formula":
@@ -258,7 +265,8 @@ class Formula:
 
         Also checks that ids rise in formula order and that the next id
         exceeds every stored one, so a later `add` keeps buckets sorted, and
-        that the kept value, if any, holds for the formula (`kept.holds`).
+        that the kept and compiled values, if any, hold for the formula
+        (`kept.holds`, `compiled.holds`).
         """
         want: dict[int, list[tuple[Clause, int]]] = {}
         for c, seq in self._seq.items():
@@ -268,7 +276,9 @@ class Formula:
         units = [(c, seq) for c, seq in self._seq.items() if len(c) == 1]
         ids = list(self._seq.values())
         rising = all(a < b for a, b in zip(ids, ids[1:] + [self._next]))
-        fresh = self.kept is None or self.kept.holds(self)
+        fresh = (self.kept is None or self.kept.holds(self)) and (
+            self.compiled is None or self.compiled.holds(self)
+        )
         return want == have and units == list(self._units.items()) and rising and fresh
 
 

@@ -14,10 +14,12 @@ reads only the clause, and the blocking checks read only its environment,
 which is unchanged. Subsumption, the asymmetric checks, asymmetric blocking
 and the lifted checks can only go from yes to no when clauses outside the
 environment are removed (fewer clauses imply less), so a no stays a no. A
-literal-blocking recheck tries only the touched literals, in canonical
-order: an untouched literal was refuted and still has the same clauses to
-resolve with, so the first blocking literal, and with it the trace, is
-the one a full check finds (Järvisalo, Biere and Heule, "Blocked Clause
+literal-blocking recheck (bc, and rt: resolution tautology is literal
+blocking of a clause that is no tautology, and a tautology is never
+refuted) tries only the touched literals, in canonical order: an
+untouched literal was refuted and still has the same clauses to resolve
+with, so the first blocking literal, and with it the trace, is the one a
+full check finds (Järvisalo, Biere and Heule, "Blocked Clause
 Elimination", TACAS 2010).
 
 Every removal is logged with the property tag and the witness the checker
@@ -91,6 +93,14 @@ def _check_bc(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
     return w is not None, w
 
 
+def _check_rt(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
+    # resolution tautology is literal blocking by definition: a tautological
+    # c needs no repair, any other is blocked by the literal `bc` finds
+    if c.is_tautology():
+        return True, None
+    return _check_bc(g, c, cfg, touched)
+
+
 def _check_setbc(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
     w = is_set_blocked(g, c, cfg.k)
     return w is not None, w
@@ -108,7 +118,8 @@ def _check_supbc(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
 # check(g, c, cfg, touched) -> (verdict, witness). `touched` is None for a
 # first check; on a recheck it holds the literals of c whose environment
 # (the clauses with their complement) lost a clause since c was refuted.
-# Only the literal-blocking check uses it, to try just those literals.
+# Only the literal-blocking checks (bc, and rt, which is literal blocking
+# for a clause that is no tautology) use it, to try just those literals.
 _CHECKS: dict[str, Callable] = {
     "t": _base_check(BASES["t"]),
     "s": _base_check(BASES["s"]),
@@ -118,7 +129,7 @@ _CHECKS: dict[str, Callable] = {
     "at": _base_check(BASES["at"]),
     "as": _base_check(BASES["as"]),
     "abc": _literal_check(asymmetric_blocking),
-    "rt": _literal_check(partial(r_lift_witness, BASES["t"])),
+    "rt": _check_rt,
     "rs": _literal_check(partial(r_lift_witness, BASES["s"])),
     "rat": _literal_check(partial(r_lift_witness, BASES["at"])),
     "ras": _literal_check(partial(r_lift_witness, BASES["as"])),

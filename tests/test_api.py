@@ -5,8 +5,9 @@ reproduces, and its exit-code table lists the codes the command line
 exits with. Every module uses each name it imports, and every library
 function or class has a caller in the library, a mention in the README or
 a place on the list of kept references. Lines are split by one rule,
-only `cli.run` touches the garbage collector, and the unit closures kept on
-a formula stay between `cnf` and `asymmetric`."""
+only `cli.run` touches the garbage collector, the unit closures kept on
+a formula stay between `cnf` and `asymmetric`, and the compiled
+environment kept on a formula stays between `cnf` and `blocking`."""
 
 import ast
 import importlib
@@ -209,12 +210,13 @@ def package_imports(text):
     return out
 
 
-def kept_uses(text):
-    """Line numbers of the uses of a `.kept` attribute in a module's code."""
+def kept_uses(text, attr="kept"):
+    """Line numbers of the uses of a `.kept` attribute (or of `attr`) in a
+    module's code."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(text))
-        if isinstance(node, ast.Attribute) and node.attr == "kept"
+        if isinstance(node, ast.Attribute) and node.attr == attr
     ]
 
 
@@ -235,6 +237,15 @@ def test_the_kept_unit_closures_stay_between_cnf_and_asymmetric():
     )
     assert package_imports(text) == ["engine", "gen", "errors", "oracle", "cli", "cnf"]
     assert kept_uses(text) == [9, 10]
+
+
+def test_the_kept_compile_stays_between_cnf_and_blocking():
+    # cnf maintains the `compiled` slot without knowing what it holds, and
+    # blocking alone fills and reads it
+    for path in sorted(SRC.glob("*.py")):
+        uses = kept_uses(path.read_text(encoding="utf-8"), "compiled")
+        assert bool(uses) == (path.name in ("cnf.py", "blocking.py")), path.name
+    assert kept_uses("def f(g):\n    g.compiled = g._compiled\n", "compiled") == [2]
 
 
 # Kept with no library caller on purpose: references the tests check the

@@ -5,7 +5,9 @@ from blockcheck import (
     EliminationConfig,
     Formula,
     check_property,
+    eliminate_clauses,
     is_literal_blocked,
+    parse_dimacs,
 )
 from blockcheck import asymmetric
 from blockcheck.asymmetric import (
@@ -17,7 +19,7 @@ from blockcheck.asymmetric import (
 )
 from blockcheck.blocking import check_super_blocked
 from blockcheck.cnf import literal_key
-from blockcheck.gen import random_instance
+from blockcheck.gen import random_clause, random_instance
 
 from conftest import clause, formula, holds
 
@@ -742,3 +744,167 @@ class TestRetraction:
             assert kept.lits < whole.lits
             counts.append((len(read), sum(read)))
         assert counts[0][0] > 0 and len(set(counts)) == 1, counts
+
+
+# Resolution tautology is literal blocking: the engine answers rt with the
+# literal-blocking check, and a tautological c with no witness.
+
+
+class TestRTIsLiteralBlocking:
+    def test_rt_matches_the_lifted_tautology_reference(self):
+        rng = random.Random("rt")
+        seen = dict(tautology=0, lifted=0, refuted=0, outside=0)
+        for _ in range(400):
+            nvars = rng.randint(2, 6)
+            f = Formula(random_literal_clause(rng, nvars, rng.randint(1, 4))
+                        for _ in range(rng.randint(0, 12)))
+            if f.clauses and rng.random() < 0.5:
+                c = rng.choice(f.clauses)
+            else:
+                c = random_literal_clause(rng, nvars + 1, rng.randint(1, 4))
+            want = reference_lift_witness(REFERENCE_BASES["t"], f, c)
+            ok, w = check_property(f, c, EliminationConfig(property="rt"))
+            assert (ok, None if w is None else w.literal) == want, (f.clauses, c)
+            assert w is None or w.kind == "literal"
+            seen["tautology" if c.is_tautology() else "lifted" if ok else "refuted"] += 1
+            seen["outside"] += c not in f
+        assert min(seen.values()) >= 40, seen
+
+    # Two tautologies, and clauses that become literal-blocked only once
+    # others are gone, so later rounds recheck touched literals. The traces
+    # are those the lifted-tautology check wrote.
+    RT_FORMULA = "p cnf 4 8\n-1 -2 4 0\n1 4 0\n-2 0\n-2 2 -4 0\n2 0\n-3 -4 0\n-3 -4 4 0\n4 0\n"
+    RT_TRACES = {
+        "ascending-id": (
+            "t blockcheck 1\n"
+            "d rt -2 2 -4 0 w 0\n"
+            "d rt -3 -4 0 w -3 0\n"
+            "d rt -3 -4 4 0 w 0\n"
+            "d rt 4 0 w 4 0\n"
+            "d rt -1 -2 4 0 w 4 0\n"
+            "d rt 1 4 0 w 1 0\n"
+        ),
+        "descending-length": (
+            "t blockcheck 1\n"
+            "d rt -2 2 -4 0 w 0\n"
+            "d rt -3 -4 4 0 w 0\n"
+            "d rt -3 -4 0 w -3 0\n"
+            "d rt 4 0 w 4 0\n"
+            "d rt -1 -2 4 0 w 4 0\n"
+            "d rt 1 4 0 w 1 0\n"
+        ),
+    }
+
+    def test_eliminate_rt_keeps_its_traces(self):
+        f = parse_dimacs(self.RT_FORMULA)
+        for order, want in self.RT_TRACES.items():
+            cfg = EliminationConfig(property="rt", clause_order=order)
+            residual, trace = eliminate_clauses(f, cfg)
+            assert trace.to_text() == want, order
+            assert residual.clauses == [clause(-2), clause(2)]
+            _, first = eliminate_clauses(f, EliminationConfig(property="rt", clause_order=order, rounds_cap=1))
+            assert len(first.entries) < len(trace.entries)
+
+
+def planted_blocks(rng, blocks, tautologies=0):
+    """The benchmark's classify shape: `blocks` variable-disjoint blocks of
+    25 clauses over 10 variables, widths 1-4 in equal shares, each clause
+    satisfied by the block's planted model (a falsified draw gets one
+    literal flipped); then `tautologies` clauses of the formula gain a
+    complementary pair."""
+    f = Formula()
+    for b in range(blocks):
+        model = {v: rng.random() < 0.5 for v in range(1, 11)}
+        for width in [1 + j % 4 for j in range(25)]:
+            lits = list(random_clause(rng, 10, width))
+            if not any(model[abs(l)] == (l > 0) for l in lits):
+                lits[0] = -lits[0]
+            f.add(l + 10 * b if l > 0 else l - 10 * b for l in lits)
+    for d in rng.sample(f.clauses, tautologies):
+        v = rng.randint(1, 10 * blocks)
+        f.add(d | (v, -v))
+    return f
+
+
+class TestASOutsideU:
+    """AS walks no occurrence list of a literal of a non-tautological
+    U(F without c): no clause other than c lies inside such a U."""
+
+    def test_as_and_ras_match_the_reference_when_u_is_not_tautological(self):
+        rng = random.Random("planted")
+        seen = dict(big_u=0, as_yes=0, as_no=0, ras_yes=0, ras_no=0, tautology=0)
+        for _ in range(2):
+            f = planted_blocks(rng, 4, tautologies=4)
+            for c in f.clauses:
+                units = units_of(f, c)
+                assert not units.tautological
+                seen["big_u"] += len(units.lits) >= 20
+                seen["tautology"] += c.is_tautology()
+                as_ok = holds("as", f, c)
+                assert as_ok == REFERENCE_BASES["as"](f, c, c), (f.clauses, c)
+                got = r_lift_witness(BASES["as"], f, c)
+                ok, w = check_property(f, c, EliminationConfig(property="ras"))
+                assert (ok, None if w is None else w.literal) == got
+                assert got == reference_lift_witness(REFERENCE_BASES["as"], f, c), (f.clauses, c)
+                seen["as_yes" if as_ok else "as_no"] += 1
+                seen["ras_yes" if got[0] else "ras_no"] += 1
+        assert min(seen.values()) >= 6 and seen["big_u"] >= 100, seen
+
+    def test_as_and_ras_match_the_reference_when_u_is_tautological(self):
+        # with a complementary pair of units, U stops tautological and every
+        # occurrence list stays to walk; a tautological c then needs a
+        # subsumer inside the full closure
+        f = formula((1,), (-1,), (2, -2))
+        c = clause(2, -2)
+        assert units_of(f, c).tautological
+        assert holds("as", f, c) and REFERENCE_BASES["as"](f, c, c)
+        rng = random.Random("tautological U")
+        seen = dict(as_yes=0, as_no=0, ras_yes=0, ras_no=0, tautology=0)
+        for _ in range(8):
+            f = planted_blocks(rng, 1, tautologies=6)
+            v = rng.randint(1, 10)
+            f.add((v,))
+            f.add((-v,))
+            for c in f.clauses + [clause(v, -v), clause(11, -11)]:
+                assert units_of(f, c).tautological or c in (clause(v), clause(-v))
+                seen["tautology"] += c.is_tautology()
+                as_ok = holds("as", f, c)
+                assert as_ok == REFERENCE_BASES["as"](f, c, c), (f.clauses, c)
+                want = reference_lift_witness(REFERENCE_BASES["as"], f, c)
+                assert r_lift_witness(BASES["as"], f, c) == want, (f.clauses, c)
+                ok, w = check_property(f, c, EliminationConfig(property="ras"))
+                assert (ok, None if w is None else w.literal) == want
+                seen["as_yes" if as_ok else "as_no"] += 1
+                seen["ras_yes" if want[0] else "ras_no"] += 1
+        assert min(seen.values()) >= 6, seen
+
+    def test_subsumption_reads_no_list_of_a_u_literal(self, monkeypatch):
+        f = planted_blocks(random.Random("buckets"), 4, tautologies=4)
+        read = []
+        active = []
+        real_occurrences, real_subsumed = Formula.occurrences, asymmetric._subsumed
+
+        def occurrences(self, lit):
+            if active:
+                read.append(lit)
+            return real_occurrences(self, lit)
+
+        def subsumed(*args):
+            active.append(True)
+            try:
+                return real_subsumed(*args)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(Formula, "occurrences", occurrences)
+        monkeypatch.setattr(asymmetric, "_subsumed", subsumed)
+        walked = 0
+        for c in f.clauses:
+            units = units_of(f, c)
+            assert not units.tautological and len(units.lits) >= 20
+            for prop in ("as", "ras"):
+                read.clear()
+                holds(prop, f, c)
+                assert not units.lits.intersection(read), (c, prop)
+                walked += len(read)
+        assert walked >= 100, walked

@@ -615,13 +615,28 @@ def compiles(monkeypatch):
     return reset
 
 
+def ask_both(f, c, k=None):
+    """`is_set_blocked`, then `check_super_blocked` (cap 3), on one clause."""
+    is_set_blocked(f, c, k)
+    try:
+        check_super_blocked(f, c, k, ext_cap=3)
+    except CapExceeded:
+        pass
+
+
 class TestOneCompilePerQuestion:
     def test_every_outcome_reads_and_compiles_once(self, compiles):
+        # once per clause and formula state: every k, and a super-blocking
+        # question after a set-blocking one, share one read and compile; a
+        # copy shares it too, and after `add` or `remove` the next question
+        # compiles again
         outcomes = {"set": 0, "super": 0, "refuted": 0, "cap": 0}
         walked = 0  # refutations past the first assignment
         for f, c in differential_cases():
+            seen = compiles()
             for k in (None, 1, 2):
-                seen = compiles()
+                is_set_blocked(f, c, k)
+                seen["drawn"] = []
                 try:
                     res = check_super_blocked(f, c, k, ext_cap=3)
                 except CapExceeded as exc:
@@ -634,7 +649,63 @@ class TestOneCompilePerQuestion:
                 outcomes[kind] += 1
                 assert (seen["read"], seen["compiled"]) == (1, 1), (f, c, k, kind)
                 assert len(set(seen["drawn"])) == len(seen["drawn"]), (f, c, k, kind)
+            g = f.copy()
+            ask_both(g, c)
+            assert (seen["read"], seen["compiled"]) == (1, 1), (f, c)
+            g.add(Clause((-10, 11)))
+            ask_both(g, c, 1)
+            ask_both(g, c, 2)
+            assert (seen["read"], seen["compiled"]) == (2, 2), (f, c)
+            g.remove(Clause((-10, 11)))
+            ask_both(g, c)
+            ask_both(f, c)
+            assert (seen["read"], seen["compiled"]) == (3, 3), (f, c)
         assert min(outcomes.values()) >= 30 and walked >= 30, (outcomes, walked)
+
+    def test_a_copy_shares_the_compile_and_a_change_drops_it(self):
+        f = formula((-1, 2), (-2, 1), (-1, 3))
+        c = clause(1, 2)
+        assert f.compiled is None
+        is_set_blocked(f, c)
+        assert f.compiled.subject == c and f.check_occ_consistent()
+        assert f.copy().compiled is f.compiled
+        for change in (lambda g: g.add((-2, 4)), lambda g: g.remove(clause(-1, 3))):
+            g = f.copy()
+            change(g)
+            assert g.compiled is None and f.compiled is not None
+        g = f.copy()
+        assert not g.add((-1, 2))  # a clause already there changes nothing
+        assert g.compiled is f.compiled
+
+    def test_consistency_check_sees_a_stale_compile(self):
+        f = formula((-1, 2), (-2, 1), (-1, 3))
+        c = clause(1, 2)
+        is_set_blocked(f, c)
+        # the compile kept for f, left on a changed formula as if `add` or
+        # `remove` had not dropped it
+        for g in (f.with_clause((-2, 4)), f.without(clause(-1, 3))):
+            assert g.check_occ_consistent()
+            g.compiled = f.compiled
+            assert not g.check_occ_consistent()
+
+    def test_consistency_check_sees_a_corrupted_compile(self):
+        f = formula((-1, 2), (-2, 1), (-1, 3), (-2, -1, 4))
+        c = clause(1, 2)
+        check_super_blocked(f, c)
+        kept = f.compiled
+        assert kept.subject == c and f.check_occ_consistent()
+        for name, value in (("subject", clause(1, 3)),  # compiled for another clause
+                            ("env", kept.env[::-1]),  # the environment out of formula order
+                            ("lits", kept.lits[::-1]), ("pairs", [(0, 1)]),
+                            ("no_p", [b ^ 1 for b in kept.no_p]),
+                            ("no_n", [b ^ 2 for b in kept.no_n]),
+                            ("suf_n", [b ^ 1 for b in kept.suf_n])):
+            bad = _Environment(c, kept.env)
+            setattr(bad, name, value)
+            f.compiled = bad
+            assert not f.check_occ_consistent(), name
+        f.compiled = kept
+        assert f.check_occ_consistent()
 
     def test_sampling_reads_and_compiles_once(self, compiles, ex_setblocked,
                                               ex_full_blocking, at_not_setblocked):
