@@ -48,24 +48,27 @@ when it is not tautological, are fixed. A tautological U(F) is no
 fixpoint: U(F without c) then comes from a full propagation.
 
 U stops at its first complementary pair, so a formula refuted by unit
-propagation keeps few donors, and a removal rarely drops U. Every closure
-is then tautological: AT, ABC and AS of a non-tautological clause answer
-yes at once. The full closures (the step log, `ala_closure` without the
-stop, AS of a tautology) fall back to unseeded rounds, because a stopped U
-is no fixpoint.
+propagation keeps few donors, and a removal rarely drops U. A tautological
+U(F without c) answers every check yes at once: the donor D other than c
+that completed the pair lies wholly inside U, and every closure holds U,
+so every closure is tautological (AT, ABC) and subsumed by D (AS). A
+closure is therefore only ever saturated from a non-tautological U, which
+is a fixpoint; only the step log starts from the clause alone.
 
 The yes/no checks stop at the first complementary pair too; tautology
-survives literal addition, so no verdict depends on the rest. AS stops
-there as well: the closure of a non-tautological x turns tautological only
-through a donor D other than c whose literals all end up in it, and D
-subsumes it. So the first complementary pair answers yes, and a closure
-that never gets one is the full fixpoint, which subsumption is then tested
-on. A tautological x keeps the full closure: with F = {(1 -1)} and
-c = (1 -1), c is AT but not AS. Subsumption walks the occurrence lists of
-the closure's own literals outside U when U is not tautological: such a
-U is a fixpoint that every closure holds, and a clause other than c
-inside it would fire and make U tautological, so a subsumer holds a
-literal outside U. A tautological U leaves every list to walk.
+survives literal addition, so no verdict depends on the rest. AS of a
+clause x that is no tautology is AT of x, save for the empty clause. The
+closure of x turns tautological only through a donor D other than c whose
+literals all end up in it, and D subsumes it. A closure that never does is
+the full fixpoint, and a clause other than c inside it would fire and add
+the complements of its own literals; the empty clause never fires, so it
+is the one clause that can still subsume it. So with the empty clause in
+F, every non-empty clause is AS, AT or not. A tautological x keeps the
+full closure: with F = {(1 -1)} and c = (1 -1), c is AT but not AS.
+Subsumption walks the occurrence lists of the closure's own literals
+outside U only: U is a fixpoint that every closure holds, and a clause
+other than c inside it would fire and make U tautological, so a subsumer
+holds a literal outside U.
 
 `r_lift_witness` then turns a base redundancy property into its
 resolution-lifted variant: c qualifies if the base holds for c itself, or
@@ -295,13 +298,6 @@ def _units_without(f: Formula, c: "Clause | None") -> _Units:
     return kept.part
 
 
-def _first_donors(f: Formula, x: Clause) -> list[Clause]:
-    """Round 1 donors of unseeded literal addition on x: the clauses holding a
-    literal of x plus the unit clauses (any other clause has no literal to
-    add or two outside x)."""
-    return f.clauses_with_any(x._canon, units=True)
-
-
 def _closure_lits(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool) -> tuple[set[int], bool]:
     """The literals of the saturation closure of x over f without c, and
     whether saturation stopped at a complementary pair.
@@ -313,22 +309,19 @@ def _closure_lits(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool) -> 
     complementary pair (a tautological x, U or x with U stops at once):
     literal addition only grows the clause, so every later closure is
     tautological too, and the closure is tautological exactly when it
-    stopped. Without it, it never stops, and a stopped U is no fixpoint, so
-    a tautological U falls back to unseeded rounds.
+    stopped. Without it, it runs to the full fixpoint, and U(f without c)
+    must not be tautological: a stopped U is no fixpoint.
     """
     if stop_at_tautology and x.is_tautology():
         return set(x), True
     units = _units_without(f, c)
-    if units.tautological and not stop_at_tautology:
-        current, donors = set(x), _first_donors(f, x)
-    else:
-        seed = units.lits
-        # one bulk copy of U; set(x.union(seed)) inserts U entry by entry, then copies it again
-        current = set(seed)
-        current.update(x._canon)
-        if stop_at_tautology and (units.tautological or not seed.isdisjoint(map(neg, x._canon))):
-            return current, True
-        donors = f.clauses_with_any(x.difference(seed))
+    seed = units.lits
+    # one bulk copy of U; set(x.union(seed)) inserts U entry by entry, then copies it again
+    current = set(seed)
+    current.update(x._canon)
+    if stop_at_tautology and (units.tautological or not seed.isdisjoint(map(neg, x._canon))):
+        return current, True
+    donors = f.clauses_with_any(x.difference(seed))
     found: dict[int, Clause] = {}
     for current, found in _rounds(f, c, current, donors, stop_at_tautology):
         pass
@@ -374,19 +367,16 @@ def _base_at(f: Formula, c: Clause, x: Clause) -> bool:
 
 
 def _base_as(f: Formula, c: Clause, x: Clause) -> bool:
-    # A closure of a non-tautological x turns tautological only through a
-    # donor D other than c whose literals all end up in it (D adds a literal
-    # whose complement D itself or the clause already holds), and D then
-    # subsumes the closure. So the first complementary pair answers yes, and
-    # a closure that never gets one is the full fixpoint.
-    # no clause other than c lies inside a non-tautological U (it would
-    # fire and make U tautological), and every closure holds U
     units = _units_without(f, c)
-    inside = _EMPTY if units.tautological else units.lits
-    if x.is_tautology():
-        return _subsumed(f, c, _closure_lits(f, c, x, stop_at_tautology=False)[0], inside)
-    lits, tautological = _closure_lits(f, c, x, stop_at_tautology=True)
-    return tautological or _subsumed(f, c, lits, inside)
+    if units.tautological:
+        # the donor that completed U's pair lies inside U, and so inside every closure
+        return True
+    if not x.is_tautology():
+        # a closure turns tautological only through a donor inside it; a
+        # non-tautological one is a fixpoint, and a clause other than c
+        # inside it would fire, save for the empty clause
+        return bool(c) and _EMPTY in f or _base_at(f, c, x)
+    return _subsumed(f, c, _closure_lits(f, c, x, stop_at_tautology=False)[0], units.lits)
 
 
 BASES: dict[str, BaseProperty] = {
@@ -411,19 +401,11 @@ def ala_fixpoint(f: Formula, c: "Clause | Iterable[int]") -> AlaTrace:
     """
     c = as_clause(c)
     steps: list[AlaStep] = []
-    for _, found in _rounds(f, c, set(c), _first_donors(f, c)):
+    # round 1: the clauses holding a literal of c and the unit clauses; any
+    # other clause has two literals outside c
+    for _, found in _rounds(f, c, set(c), f.clauses_with_any(c._canon, units=True)):
         steps.extend(AlaStep(lit, found[lit]) for lit in sorted(found, key=literal_key))
     return AlaTrace(c, tuple(steps))
-
-
-def ala_closure(f: Formula, c: "Clause | Iterable[int]", stop_at_tautology: bool = False) -> Clause:
-    """The saturation closure of c without its step log, donors from f without c.
-
-    With stop_at_tautology, saturation stops at the first round whose closure
-    holds a complementary pair (enough for yes/no checks).
-    """
-    c = as_clause(c)
-    return Clause(_closure_lits(f, c, c, stop_at_tautology)[0])
 
 
 def asymmetric_blocking(f: Formula, c: "Clause | Iterable[int]") -> tuple[bool, int | None]:

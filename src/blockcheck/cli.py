@@ -121,6 +121,14 @@ def _pick_clause(ns, f: Formula) -> Clause:
     return clauses[ns.clause_index]
 
 
+def _refuse_tautology(ns, c: Clause, command: str) -> None:
+    """The elimination characterization (`varelim`, `encode-qbf`) applies
+    to non-tautological clauses only."""
+    if c.is_tautology():
+        flag = "--clause" if ns.clause is not None else "--clause-index"
+        raise _UsageError("%s names a tautology; %s takes non-tautological clauses only" % (flag, command))
+
+
 def _lits(values) -> str:
     """Each value after a blank, so a line ending in an empty list ends at
     its last word."""
@@ -153,6 +161,7 @@ def _decide(ns, f: Formula, c: Clause):
     """
     prop = ns.property
     if prop == "varelim":
+        _refuse_tautology(ns, c, "--property varelim")
         return sem_blocked_via_elimination(f, c), None, None
     if prop == "sem-oracle":
         return is_semantically_blocked_oracle(f, c, ns.cap), None, None
@@ -251,6 +260,7 @@ def _cmd_reconstruct(ns) -> int:
 def _cmd_encode_qbf(ns) -> int:
     f = _load_formula(ns.path, ns.strict)
     c = _pick_clause(ns, f)
+    _refuse_tautology(ns, c, "encode-qbf")
     _write_out(ns.out, write_qdimacs(encode_qbf(f, c)))
     return 0
 

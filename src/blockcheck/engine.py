@@ -356,8 +356,6 @@ def eliminate_clauses(
         batch = sorted(pending - gone, key=order_key)
         pending = set()
         for c in batch:
-            if c in gone:
-                continue
             lits = touched.get(c)
             if lits is _UNTOUCHED:
                 continue  # its environment is as it was when c was refuted

@@ -12,7 +12,6 @@ from blockcheck import (
 from blockcheck import asymmetric
 from blockcheck.asymmetric import (
     BASES,
-    ala_closure,
     ala_fixpoint,
     asymmetric_blocking,
     r_lift_witness,
@@ -147,7 +146,7 @@ class TestASandABC:
         # outside c, blocks it too but could never repair c
         f = formula((1,), (1, -2), (-2,), (-1, -2), (-1, 2), (2,))
         c = clause(2)
-        assert ala_closure(f, c).is_tautology()
+        assert ala_fixpoint(f, c).clause.is_tautology()
         assert asymmetric_blocking(f, c) == (True, None)
         ok, w = check_property(f, c, EliminationConfig(property="abc"))
         assert ok and w is None
@@ -158,7 +157,7 @@ class TestASandABC:
         for _ in range(3000):
             f, c = random_instance(rng)
             ok, lit = asymmetric_blocking(f, c)
-            closure = ala_closure(f, c)
+            closure = ala_fixpoint(f, c).clause
             if not ok:
                 assert lit is None and not closure.is_tautology()
                 assert is_literal_blocked(f, closure) is None
@@ -380,10 +379,19 @@ def units_of(f, c=None):
     return asymmetric._units_without(f, c)
 
 
+def stopped_closure(f, c):
+    """The closure of c over f without c, stopped at its first
+    complementary pair, as the yes/no checks saturate it."""
+    return Clause(asymmetric._closure_lits(f, c, c, True)[0])
+
+
 def assert_matches_reference(f, c):
     ref_log, ref_closure = reference_saturate(f, c, c)
-    assert ala_closure(f, c) == ref_closure, (f.clauses, c)
-    stopped = ala_closure(f, c, stop_at_tautology=True)
+    assert ala_fixpoint(f, c).clause == ref_closure, (f.clauses, c)
+    if not units_of(f, c).tautological:
+        # the seeded full closure, which AS saturates a tautology to
+        assert Clause(asymmetric._closure_lits(f, c, c, False)[0]) == ref_closure, (f.clauses, c)
+    stopped = stopped_closure(f, c)
     assert set(c) <= set(stopped) <= set(ref_closure)
     assert stopped.is_tautology() == ref_closure.is_tautology()
     if not stopped.is_tautology():
@@ -425,7 +433,7 @@ class TestSeededClosure:
         for c in (clause(2, 3), clause(4, 5), clause(6), clause(-3, 4), clause(7, -7)):
             assert_matches_reference(f, c)
             assert holds("at", f, c) and holds("abc", f, c)
-            assert ala_closure(f, c, stop_at_tautology=True).is_tautology()
+            assert stopped_closure(f, c).is_tautology()
         # c = (1) is a donor of U(F); without it U is no longer tautological
         c = clause(1)
         assert c in units_of(f).donors
@@ -683,6 +691,13 @@ class TestRetraction:
         f.kept = f.kept._replace(whole=units._replace(donors=donors))
         assert not f.check_occ_consistent()
 
+    def test_consistency_check_sees_a_wrong_tautology_flag(self):
+        for f in (formula((1,), (-1, 2)), formula((1,), (-1,), (2, 3))):
+            units = units_of(f)
+            assert f.check_occ_consistent()
+            f.kept = f.kept._replace(whole=units._replace(tautological=not units.tautological))
+            assert not f.check_occ_consistent()
+
     def test_consistency_check_sees_a_stale_closure(self):
         f = formula((1,), (-1, 2), (-2, 3), (4,))
         c = clause(-1, 2)
@@ -879,10 +894,12 @@ class TestASOutsideU:
         assert min(seen.values()) >= 6, seen
 
     def test_subsumption_reads_no_list_of_a_u_literal(self, monkeypatch):
+        # only a tautological x reaches the subsumption test; AS of any
+        # other x is AT of x (F holds no empty clause here)
         f = planted_blocks(random.Random("buckets"), 4, tautologies=4)
-        read = []
-        active = []
+        read, active, calls, full = [], [], [], []
         real_occurrences, real_subsumed = Formula.occurrences, asymmetric._subsumed
+        real_closure = asymmetric._closure_lits
 
         def occurrences(self, lit):
             if active:
@@ -890,21 +907,87 @@ class TestASOutsideU:
             return real_occurrences(self, lit)
 
         def subsumed(*args):
+            calls.append(args)
             active.append(True)
             try:
                 return real_subsumed(*args)
             finally:
                 active.pop()
 
+        def closure_lits(f, c, x, stop_at_tautology):
+            if not stop_at_tautology:
+                full.append(x)
+            return real_closure(f, c, x, stop_at_tautology)
+
         monkeypatch.setattr(Formula, "occurrences", occurrences)
         monkeypatch.setattr(asymmetric, "_subsumed", subsumed)
-        walked = 0
+        monkeypatch.setattr(asymmetric, "_closure_lits", closure_lits)
+        walked = tautologies = 0
         for c in f.clauses:
             units = units_of(f, c)
             assert not units.tautological and len(units.lits) >= 20
             for prop in ("as", "ras"):
                 read.clear()
+                calls.clear()
+                full.clear()
                 holds(prop, f, c)
                 assert not units.lits.intersection(read), (c, prop)
+                # each subsumption test follows the full closure of a tautology
+                assert len(calls) == len(full) and all(x.is_tautology() for x in full), (c, prop)
                 walked += len(read)
-        assert walked >= 100, walked
+            # c and each lifted resolvent as x
+            for x in [c] + [c | (d - (-lit,)) for lit in c for d in real_occurrences(f, -lit)]:
+                read.clear()
+                calls.clear()
+                BASES["as"](f, c, x)
+                assert len(calls) == x.is_tautology(), (c, x)
+                assert not units.lits.intersection(read), (c, x)
+                walked += len(read)
+                tautologies += x.is_tautology()
+        assert walked >= 100 and tautologies >= 20, (walked, tautologies)
+
+
+# Two identities the AS base states as code: a tautological U(F without c)
+# answers every check yes, and AS of a clause x that is no tautology is AT
+# of x, or, for a non-empty c, the empty clause in F. `random_instance`
+# never draws the empty clause or complementary units, so these add them.
+
+
+class TestIdentities:
+    def test_random_instances_with_the_empty_clause_and_complementary_units(self):
+        rng = random.Random("identities")
+        seen = dict(tautological_u=0, empty=0, tautological_x=0, as_not_at=0, at_not_as=0,
+                    abc=0, rat=0, ras=0, not_ras=0)
+        for _ in range(400):
+            f, c = random_instance(rng, max_vars=5, max_clauses=8, max_width=3)
+            v = rng.randint(1, 5)
+            if rng.random() < 0.3:
+                f.add(Clause())
+            if rng.random() < 0.3:
+                f.add((v,))
+                f.add((-v,))
+            if rng.random() < 0.1:
+                c = Clause()
+            elif rng.random() < 0.2:
+                c = c | (v, -v)
+            for x in [c] + [c | (d - (-lit,)) for lit in c for d in f.occurrences(-lit)]:
+                at, as_ = (BASES[key](f, c, x) for key in ("at", "as"))
+                assert at == REFERENCE_BASES["at"](f, c, x), (f.clauses, c, x)
+                assert as_ == REFERENCE_BASES["as"](f, c, x), (f.clauses, c, x)
+                seen["tautological_u"] += units_of(f, c).tautological
+                seen["empty"] += Clause() in f.without(c)
+                seen["tautological_x"] += x.is_tautology()
+                seen["as_not_at"] += as_ and not at
+                seen["at_not_as"] += at and not as_
+            abc = reference_abc(f, c)
+            ok, w = check_property(f, c, EliminationConfig(property="abc"))
+            assert (ok, None if w is None else w.literal) == abc, (f.clauses, c)
+            assert asymmetric_blocking(f, c) == abc
+            for key in ("at", "as"):
+                want = reference_lift_witness(REFERENCE_BASES[key], f, c)
+                ok, w = check_property(f, c, EliminationConfig(property="r" + key))
+                assert (ok, None if w is None else w.literal) == want, (key, f.clauses, c)
+                seen["r" + key] += want[0]
+            seen["abc"] += abc[0]
+            seen["not_ras"] += not want[0]
+        assert min(seen.values()) >= 20, seen

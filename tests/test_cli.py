@@ -29,7 +29,7 @@ from blockcheck import (
 from blockcheck import cli
 from blockcheck.asymmetric import (
     BASES,
-    ala_closure,
+    ala_fixpoint,
     asymmetric_blocking,
     r_lift_witness,
 )
@@ -346,6 +346,22 @@ class TestEliminateAndReconstruct:
         model = put(tmp_path, "m.txt", "v -1 -2 -3 0\n")
         assert run(["reconstruct", src, "--trace", tracef, "--model", model]) == 70
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("cnf, entry, model, message", [
+        # (1 2) is no supbc clause here: repair finds no blocking set to flip
+        ("p cnf 2 3\n1 2 0\n-1 0\n-2 0\n", "d supbc 1 2 0 w 0", "v -1 -2 0",
+         "failed to recompute a blocking set during repair"),
+        # flipping 1 satisfies (1) and falsifies (-1): the formula is unsatisfiable
+        ("p cnf 1 2\n1 0\n-1 0\n", "d bc 1 0 w 1 0", "v -1 0",
+         "reconstructed assignment does not satisfy the original formula"),
+    ])
+    def test_reconstruct_of_a_wrong_trace_exits_70(self, tmp_path, capsys, cnf, entry, model, message):
+        src = put(tmp_path, "f.cnf", cnf)
+        tracef = put(tmp_path, "bad.trace", "t blockcheck 1\n%s\n" % entry)
+        modelf = put(tmp_path, "m.txt", model + "\n")
+        assert run(["reconstruct", src, "--trace", tracef, "--model", modelf]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: %s\n" % message
 
     @pytest.mark.parametrize("rows", [
         "wt 3 0 1 0\nwt 3 0 1 2 0\n",     # the same assignment twice
@@ -826,7 +842,7 @@ def _library_check(f, c, prop, k=None, ext_cap=16, cap=24, incomplete=None, seed
             return yes() if verdict[prop]() else no()
         if prop == "abc":
             # a tautological closure needs no witness literal
-            if ala_closure(f, c).is_tautology():
+            if ala_fixpoint(f, c).clause.is_tautology():
                 return yes()
             ok, lit = asymmetric_blocking(f, c)
             return literal(lit) if ok else no()
@@ -931,6 +947,9 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error:") and flag in captured.err, argv
+        # a value that is no integer keeps argparse's own message
+        assert run(["classify", path, "--k", "abc"]) == 64
+        assert capsys.readouterr().err == "error: argument --k: invalid int value: 'abc'\n"
 
     def test_malformed_input_file(self, tmp_path, capsys):
         path = put(tmp_path, "f.cnf", "p cnf nonsense\n1 0\n")
@@ -998,11 +1017,23 @@ class TestExitCodes:
         assert run(["classify", path]) == 0
         capsys.readouterr()
 
-    def test_tautological_clause_argument(self, tmp_path, capsys):
-        path = put(tmp_path, "f.cnf", BLOCKED_3)
-        rc = run(["check", path, "--property", "varelim", "--clause", "1 -1 0"])
-        assert rc == 64  # the elimination characterization rejects tautologies
-        assert capsys.readouterr().err.startswith("error:")
+    def test_tautological_clause_argument(self, tmp_path, capsys, monkeypatch):
+        # the elimination characterization takes no tautology; the command
+        # line refuses one as a usage error before the library sees it
+        path = put(tmp_path, "f.cnf", "p cnf 3 4\n-1 3 0\n-2 -1 0\n1 2 0\n2 -2 0\n")
+        monkeypatch.setattr(cli, "sem_blocked_via_elimination", None)
+        monkeypatch.setattr(cli, "encode_qbf", None)
+        for argv, command in (
+            (["check", path, "--property", "varelim"], "--property varelim"),
+            (["encode-qbf", path], "encode-qbf"),
+        ):
+            for flag, value in (("--clause", "1 -1 0"), ("--clause-index", "3")):
+                assert run(argv + [flag, value]) == 64, (argv, flag)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (
+                    "error: %s names a tautology; %s takes non-tautological clauses only\n"
+                    % (flag, command))
 
 
 # -- reader error texts: every malformed input ends in one stderr line -------

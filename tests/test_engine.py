@@ -18,6 +18,7 @@ from blockcheck import (
     classify,
     eliminate_clauses,
     first_model,
+    parse_dimacs,
     reconstruct_model,
     write_dimacs,
 )
@@ -845,6 +846,8 @@ class TestClassify:
             assert cell == ("yes" if p in expected_yes else "no")
 
     def test_rows_respect_the_hierarchy(self):
+        # as -> at and ras -> rat hold only without the empty clause, which
+        # random_instance never draws (see the test above)
         edges = [
             ("t", "at"), ("t", "bc"), ("s", "as"), ("s", "rs"),
             ("as", "at"), ("as", "ras"), ("rs", "ras"), ("ras", "rat"),
@@ -860,6 +863,15 @@ class TestClassify:
                 for narrow, wide in edges:
                     if row[narrow] == "yes" and row[wide] != "cap":
                         assert row[wide] == "yes"
+
+    def test_the_empty_clause_breaks_the_as_at_edge(self):
+        # literal addition never fires the empty clause, so (1) saturates to
+        # (1 -2), no tautology; the empty clause subsumes it all the same
+        f = parse_dimacs("p cnf 2 3\n0\n1 0\n2 -1 0\n")
+        row = classify(f).to_tsv().splitlines()[2]
+        assert row == "1 0\tno\tyes\tno\tno\tno\tno\tyes\tno\tno\tyes\tno\tyes"
+        cells = dict(zip(PROPERTIES, row.split("\t")[1:]))
+        assert (cells["at"], cells["as"], cells["rat"], cells["ras"]) == ("no", "yes", "no", "yes")
 
     def test_property_subset_keeps_given_order(self, setblocked_not_rat):
         f, _ = setblocked_not_rat
