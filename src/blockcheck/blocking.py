@@ -12,38 +12,45 @@ so witnesses are deterministic and the cost of a failed search is exactly
 
 Set-blocking is decided on a compiled form of c's resolution environment:
 a clause D of it rules out exactly the candidates L that hold every
-literal of c whose complement D contains and no literal D shares with c,
-so each literal position of c gets two bitsets over the environment and a
-candidate's rule-out set is an AND of one of them per position (see
-`_Environment`). Candidates are decided by integer operations, building
-no resolvent and no clause.
+literal of c whose complement D contains and no literal D shares with c
+(see `_Environment`). Candidates are decided by integer operations,
+building no resolvent and no clause, on one of two routes. A lattice of 64
+to 2^16 candidates gets one bit per candidate, numbered in
+`candidate_sets` order, and each clause D one rule-out bitset over them;
+the first blocking set is the lowest bit no rule covers. Smaller and
+larger lattices are walked candidate by candidate, each candidate's
+rule-out set an AND of one bitset over the environment per position of c.
+Both routes give the same sets, tables, failing assignments and counts.
 
-The super-blocking decider enumerates all 2^|ext| restrictions, which is
-exact but exponential. Past `ext_cap` it refuses, or, given a random
-source and a count, samples that many restrictions, which can refute but
-never confirm. Set-blocking in the whole formula is the scan's first
-step, and under each restriction only the set of surviving clauses
-changes, a bitset as well (see `_RestrictionScan`). Its witness keeps the
-sets in the scan's order (see `RestrictionTable`), which is also the
-order `check` and traces write them in; reading a trace back builds the
-same table.
+The super-blocking decider covers all 2^|ext| restrictions, which is exact
+but exponential. Past `ext_cap` it refuses, or, given a random source and
+a count, samples that many restrictions, which can refute but never
+confirm. Set-blocking in the whole formula is the scan's first step, and
+under each restriction only the set of surviving clauses changes (see
+`_RestrictionScan`). On the bit route the scan goes depth first over the
+external variables and stops at the first subtree in which the clauses
+that survive every completion already rule out every candidate. Its
+witness keeps the sets in the scan's order (see `RestrictionTable`),
+which is also the order `check` and traces write them in; reading a trace
+back builds the same table.
 
 Both deciders read and compile c's environment once per clause and
 formula state: the formula keeps the last one compiled in its `compiled`
 slot (see `_compile`), which it clears on every change, and the compiled
-form does not depend on k. So every k, and a super-blocking question
-after a set-blocking one on the same clause (classify asks both in a
-row), share one compile.
+form does not depend on k (its rule-out bitsets over a lattice are kept
+in it per bound). So every k, and a super-blocking question after a
+set-blocking one on the same clause (classify asks both in a row), share
+one compile.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache, reduce
 from itertools import combinations, islice, product
 from math import comb
-from operator import neg
+from operator import neg, or_
 from random import Random
 from typing import Callable, Container, Iterable, Iterator
 
@@ -98,8 +105,8 @@ class RestrictionTable(Mapping):
     not an `Assignment` over exactly `variables` is absent.
 
     It is the one form of a super-blocking witness table: the scan builds
-    it, `check` and the trace writer print its `rows()`, and the trace
-    reader builds it back from a `wt` block.
+    it, `check` and the trace writer print its `dimacs_rows()`, and the
+    trace reader builds it back from a `wt` block.
     """
 
     __slots__ = ("variables", "sets")
@@ -115,8 +122,17 @@ class RestrictionTable(Mapping):
     def rows(self) -> "Iterator[tuple[str, Clause]]":
         """(assignment as zero-terminated DIMACS literals, set) per row, in
         table order; each literal is formatted once, not once per row."""
+        return zip(self._taus(), self.sets)
+
+    def dimacs_rows(self) -> "Iterator[tuple[str, str]]":
+        """`rows()` with each set as its DIMACS text, which is formatted once
+        per distinct set, not once per row."""
+        texts = {s: s.dimacs() for s in set(self.sets)}
+        return zip(self._taus(), map(texts.__getitem__, self.sets))
+
+    def _taus(self) -> "Iterator[str]":
         texts = [("-%d" % v, "%d" % v) for v in self.variables]
-        return zip(map(" ".join, product(*texts, ("0",))), self.sets)
+        return map(" ".join, product(*texts, ("0",)))
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -197,6 +213,39 @@ def count_candidate_sets(n: int, k: int) -> int:
     return sum(comb(n, size) for size in range(1, k + 1))
 
 
+# Lattices of this many candidates are decided one bit per candidate: under
+# 64 the walk is cheaper, and past 2^16 the bitsets would not fit.
+_BIT_LATTICE = range(64, (1 << 16) + 1)
+
+
+@lru_cache(maxsize=4)
+def _candidate_bits(n: int, bound: int) -> "tuple[int, tuple[int, ...]] | None":
+    """The candidates of an n-literal clause with at most `bound` literals,
+    bit j for the j-th in `candidate_sets` order: (all of them, per position
+    q the ones that hold q). None for a lattice the walk decides."""
+    if count_candidate_sets(n, bound) not in _BIT_LATTICE:
+        return None
+    if bound == 1:
+        return (1 << n) - 1, tuple(1 << q for q in range(n))
+    # row[t][e]: the t-subsets of range(m), in lexicographic order, that hold
+    # e, for m = 1 to n; size[t] counts them. The ones holding 0 come first,
+    # then the t-subsets of range(1, m), so row m follows from row m - 1.
+    row = [[] for _ in range(bound + 1)]
+    size = [1] + [0] * bound
+    for m in range(1, n + 1):
+        row = [[0] * m] + [
+            [(1 << size[t - 1]) - 1] + [a | b << size[t - 1] for a, b in zip(row[t - 1], row[t])]
+            for t in range(1, bound + 1)
+        ]
+        size = [1] + [size[t - 1] + size[t] for t in range(1, bound + 1)]
+    holds, offset = [0] * n, 0
+    for t in range(1, bound + 1):
+        for q, bits in enumerate(row[t]):
+            holds[q] |= bits << offset
+        offset += size[t]
+    return (1 << offset) - 1, tuple(holds)
+
+
 class _Environment:
     """c's resolution environment compiled into rule-out bitsets.
 
@@ -217,12 +266,15 @@ class _Environment:
     exact.
 
     It also keeps c as `subject` and the environment as `env`, the list bit
-    i counts in. Nothing in it is changed after it is built, so it is the
-    value a formula keeps in its `compiled` slot, shared by formula copies
-    (see `_compile`).
+    i counts in. The walk's bitsets are built on the first walk
+    (`walk_bitsets`); a lattice of 64 to 2^16 candidates gets one rule-out
+    bitset per clause over the candidates instead (see `lattice`), built on
+    first use and kept in `lattices` per bound. Nothing is changed once
+    built, so it is the value a formula keeps in its `compiled` slot, shared
+    by formula copies (see `_compile`).
     """
 
-    __slots__ = ("subject", "env", "lits", "pairs", "no_p", "no_n", "suf_n")
+    __slots__ = ("subject", "env", "lits", "pairs", "no_p", "no_n", "suf_n", "lattices")
 
     def __init__(self, c: Clause, env: "list[Clause]"):
         self.subject = c
@@ -230,11 +282,18 @@ class _Environment:
         self.lits = lits = c.literals
         where = {x: q for q, x in enumerate(lits)}
         self.pairs = [(q, where[-x]) for q, x in enumerate(lits) if x > 0 and -x in where]
+        self.no_p = self.no_n = self.suf_n = None
+        self.lattices: "dict[int, tuple[int, list[int]]]" = {}
+
+    def walk_bitsets(self) -> None:
+        """Build `no_p`, `no_n` and `suf_n`, the walk's bitsets."""
+        c, lits = self.subject, self.lits
+        where = {x: q for q, x in enumerate(lits)}
         flipped = c.complements()
         has_p = [0] * len(lits)
         has_n = [0] * len(lits)
         live = 0
-        for i, d in enumerate(env):
+        for i, d in enumerate(self.env):
             if not d.isdisjoint(map(neg, d._canon)):  # tautological: left out of every rule-out set
                 continue
             bit = 1 << i
@@ -253,15 +312,63 @@ class _Environment:
 
     def holds(self, f: Formula) -> bool:
         """Whether a fresh read and compile of the clause's environment in f
-        give the same environment, in order, and the same bitsets."""
+        give the same environment, in order, and the same bitsets, those of
+        the walk and of every kept lattice."""
         fresh = _Environment(self.subject, resolution_environment(f, self.subject))
-        return all(getattr(fresh, a) == getattr(self, a) for a in _Environment.__slots__)
+        if (self.no_p, self.no_n, self.suf_n) != (None, None, None):
+            fresh.walk_bitsets()
+        return all(
+            getattr(fresh, a) == getattr(self, a) for a in _Environment.__slots__ if a != "lattices"
+        ) and all(fresh.lattice(bound) == kept for bound, kept in self.lattices.items())
+
+    def lattice(self, k: "int | None") -> "tuple[int, list[int]] | None":
+        """(all candidates, rules): one bit per candidate of at most k
+        literals, in `candidates` order, and per environment clause the
+        candidates it rules out. None when the lattice has under 64 or over
+        2^16 candidates: `candidates` walks those.
+
+        A clause holding literal m rules out only candidates that hold the
+        position of -m in c and lack that of m; for a tautological c, also
+        only those that split every pair.
+        """
+        n = len(self.lits)
+        if n < 7:  # at most 63 candidates
+            return None
+        bound = n if k is None else min(k, n)
+        kept = self.lattices.get(bound)
+        if kept is not None:
+            return kept
+        bits = _candidate_bits(n, bound)
+        if bits is None:
+            return None
+        full, holds = bits
+        masks: "dict[int, int]" = {}
+        for q, x in enumerate(self.lits):
+            masks[-x] = masks.get(-x, full) & holds[q]
+            masks[x] = masks.get(x, full) & ~holds[q]
+        split = full
+        for a, b in self.pairs:
+            split &= holds[a] ^ holds[b]
+        rules = []
+        for d in self.env:
+            ruled = 0
+            if d.isdisjoint(map(neg, d._canon)):  # a tautological clause rules out nothing
+                ruled = split
+                for m in d._canon:
+                    mask = masks.get(m)
+                    if mask is not None:
+                        ruled &= mask
+            rules.append(ruled)
+        kept = self.lattices[bound] = full, rules
+        return kept
 
     def candidates(self, k: "int | None"):
         """(positions, rule-out bitset) per candidate, in `candidate_sets` order.
 
         The positions list is reused from step to step; copy it to keep it.
         """
+        if self.no_p is None:
+            self.walk_bitsets()
         no_p, no_n, suf_n, pairs = self.no_p, self.no_n, self.suf_n, self.pairs
         n = len(no_p)
         for size in range(1, (n if k is None else min(k, n)) + 1):
@@ -323,19 +430,27 @@ def _search_blocking_set(
     k: int | None,
     stats: "dict[str, int] | None" = None,
 ) -> Clause | None:
-    # Streams the candidates rather than calling
+    # The walk streams the candidates rather than calling
     # `_RestrictionScan(f, c, k).blocking_set()`, which finds the same set
     # but also keeps each candidate's rule-out bitset for later restrictions
     # and tests it against an `alive` mask; a question with no restrictions
     # pays for that and gains nothing. Through the scan, each
     # sat_to_setblocking question (random 3-CNF, 5 variables, 21 clauses; 50
     # questions, best of 40 interleaved runs on a 2-core x86 host) took
-    # 3-17% longer, 9-10% at the median.
+    # 3-17% longer, 9-10% at the median, when such questions were walked.
     if len(c) == 0:
         return None
     if stats is not None:
         stats.setdefault("candidates", 0)
     env = _compile(f, c)
+    lattice = env.lattice(k)
+    if lattice is not None:
+        full, rules = lattice
+        free = full & ~reduce(or_, rules, 0)
+        tried = (free & -free).bit_length()  # the first free candidate's index + 1, or 0
+        if stats is not None:
+            stats["candidates"] += tried or full.bit_length()
+        return env.clause_at(tried - 1) if tried else None
     for picked, ruled_out in env.candidates(k):
         if stats is not None:
             stats["candidates"] += 1
@@ -382,48 +497,54 @@ class _RestrictionScan:
     clause and formula state (bit i stands for environment clause i, see
     `_Environment`); the scan's own state lives here. Restrictions only ever
     remove environment clauses (satisfied ones), so the blocking search
-    depends on nothing but the surviving subset. The candidates' rule-out
-    bitsets are drawn lazily in canonical order and kept, so no candidate
-    is drawn twice: the first candidate whose rule-out set meets none of the
-    survivors blocks. The whole formula, with every clause alive, is the
-    first question asked (`blocking_set`); it needs nothing else. Only when
-    a restriction is asked about are the external variables sorted and
-    `_sat` built: `_sat[b]` holds the clauses satisfied by setting the
-    variable at bit b false and true, so the survivors of assignment m are
-    the environment minus one bitset per external variable. No formula or
-    clause is built per assignment.
+    depends on nothing but the surviving subset. On the walk the
+    candidates' rule-out bitsets are drawn lazily in canonical order and
+    kept, so no candidate is drawn twice: the first candidate whose rule-out
+    set meets none of the survivors blocks. On a bit lattice the first set
+    is the lowest candidate no survivor's rule covers. The whole formula,
+    with every clause alive, is the first question asked (`blocking_set`);
+    it needs nothing else. Only when a restriction is asked about are the
+    external variables sorted (`external`) and `_sat` built: `_sat[b]`
+    holds the clauses satisfied by setting the variable at bit b false and
+    true, so the survivors of assignment m are the environment minus one
+    bitset per external variable. No formula or clause is built per
+    assignment.
     """
+
+    __slots__ = ("_compiled", "_lattice", "_all", "_more", "_ruled", "_sets", "_ext", "_sat")
 
     def __init__(self, f: Formula, c: Clause, k: int | None):
         self._compiled = compiled = _compile(f, c)
+        self._lattice = compiled.lattice(k)
         self._all = (1 << len(compiled.env)) - 1
-        self._more = self._compiled.candidates(k)
+        self._more = compiled.candidates(k)
         # the rule-out bitset of each candidate drawn so far, and by index
         # the candidates that have blocked
         self._ruled: list[int] = []
         self._sets: dict[int, Clause] = {}
+        self._ext: "list[int] | None" = None
+        self._sat: "list[list[int]] | None" = None
 
-    @cached_property
-    def ext(self) -> "list[int]":
+    def external(self) -> "list[int]":
         """The external variables, sorted: those of the environment outside c."""
-        seen = frozenset().union(*self._compiled.env)
-        return sorted(set(map(abs, seen)) - self._compiled.subject.variables())
-
-    @cached_property
-    def _sat(self) -> "list[list[int]]":
-        # bit b of an index is the b-th largest external variable
-        # (`cnf.assignment_index`)
-        acc = {}
-        for v in self.ext:
-            acc[v] = acc[-v] = 0
-        for i, d in enumerate(self._compiled.env):
-            bit = 1 << i
-            for lit in d._canon:
-                if lit in acc:
-                    acc[lit] |= bit
-        return [[acc[-v], acc[v]] for v in reversed(self.ext)]
+        if self._ext is None:
+            seen = frozenset().union(*self._compiled.env)
+            self._ext = sorted(set(map(abs, seen)) - self._compiled.subject.variables())
+        return self._ext
 
     def _survivors(self, m: int) -> int:
+        if self._sat is None:
+            # bit b of an index is the b-th largest external variable
+            # (`cnf.assignment_index`)
+            acc = {}
+            for v in self.external():
+                acc[v] = acc[-v] = 0
+            for i, d in enumerate(self._compiled.env):
+                bit = 1 << i
+                for lit in d._canon:
+                    if lit in acc:
+                        acc[lit] |= bit
+            self._sat = [[acc[-v], acc[v]] for v in reversed(self._ext)]
         dead = 0
         for b, by_value in enumerate(self._sat):
             dead |= by_value[(m >> b) & 1]
@@ -436,7 +557,86 @@ class _RestrictionScan:
     def blocking_set_at(self, m: int) -> Clause | None:
         return self._first(self._survivors(m))
 
+    def sets(self) -> "list[Clause]":
+        """The blocking set of each assignment in index order, up to the
+        first assignment without one: all 2^|ext| when there is none."""
+        if self._lattice is not None:
+            return self._sets_by_bits()
+        out = []
+        for m in range(1 << len(self.external())):
+            found = self.blocking_set_at(m)
+            if found is None:
+                break
+            out.append(found)
+        return out
+
+    def _sets_by_bits(self) -> "list[Clause]":
+        # Depth first over the external variables in index order (smallest
+        # first, false before true), so leaves come in index order. A node
+        # carries the OR of the rules of the clauses that survive all of its
+        # completions: those whose external literals it has all set false.
+        # When that OR covers every candidate, all its leaves fail, and the
+        # first of them, its all-false completion, is the next index.
+        full, rules = self._lattice
+        ext = self.external()
+        n = len(ext)
+        # per external literal: its variable's depth, the variable's bit in
+        # an index, and that bit's value where the literal is false
+        bit = {}
+        for j, v in enumerate(ext):
+            b = 1 << (n - 1 - j)
+            bit[v] = j, b, 0
+            bit[-v] = j, b, b
+        ruled = 0
+        # per depth j, (care, want, rule) of the clauses whose last external
+        # variable is ext[j]: they survive below a node at depth j + 1 whose
+        # index bits so far (`path`) have path & care == want
+        settles: "list[list[tuple[int, int, int]]]" = [[] for _ in ext]
+        for d, rule in zip(self._compiled.env, rules):
+            if not rule:
+                continue
+            care = want = 0
+            last = -1
+            for lit in d._canon:  # external literals come in `ext` order
+                at = bit.get(lit)
+                if at is not None:
+                    last, b, w = at
+                    care |= b
+                    want |= w
+            if last < 0:
+                ruled |= rule
+            else:
+                settles[last].append((care, want, rule))
+        out = []
+        stack = [(0, 0, ruled)]
+        while stack:
+            j, path, ruled = stack.pop()
+            if ruled == full:
+                break
+            if j == n:
+                free = full ^ ruled
+                out.append(self._set((free & -free).bit_length() - 1))
+                continue
+            for step in (path | 1 << (n - 1 - j), path):
+                below = ruled
+                for care, want, rule in settles[j]:
+                    if (step & care) == want:
+                        below |= rule
+                stack.append((j + 1, step, below))
+        return out
+
     def _first(self, alive: int) -> Clause | None:
+        if self._lattice is not None:
+            full, rules = self._lattice
+            if alive == self._all:
+                ruled = reduce(or_, rules, 0)
+            else:
+                ruled = 0
+                for i, rule in enumerate(rules):
+                    if alive >> i & 1:
+                        ruled |= rule
+            free = full & ~ruled
+            return self._set((free & -free).bit_length() - 1) if free else None
         ruled = self._ruled
         for i, ruled_out in enumerate(ruled):
             if not ruled_out & alive:
@@ -479,28 +679,26 @@ def check_super_blocked(
     if found is not None:
         return SuperBlockingResult(BlockingWitness(kind="set", blocking_set=found), None)
 
-    n = len(scan.ext)
+    ext = scan.external()
+    n = len(ext)
     if n > ext_cap:
         if sample is not None:
             rng, samples = sample
             for _ in range(samples):
                 m = rng.getrandbits(n)
                 if scan.blocking_set_at(m) is None:
-                    return SuperBlockingResult(None, assignment_at(scan.ext, m))
+                    return SuperBlockingResult(None, assignment_at(ext, m))
         raise CapExceeded(
             "restriction scan over %d external variables exceeds cap %d" % (n, ext_cap),
             count=n,
             cap=ext_cap,
         )
 
-    # Masks count upward in the table's own order, so the sets are the table.
-    sets: list[Clause] = []
-    for m in range(1 << n):
-        found = scan.blocking_set_at(m)
-        if found is None:
-            return SuperBlockingResult(None, assignment_at(scan.ext, m))
-        sets.append(found)
-    per_tau = RestrictionTable(scan.ext, sets)
+    # The sets come in the table's own order, up to the first failing index.
+    sets = scan.sets()
+    if len(sets) < 1 << n:
+        return SuperBlockingResult(None, assignment_at(ext, len(sets)))
+    per_tau = RestrictionTable(ext, sets)
     return SuperBlockingResult(BlockingWitness(kind="super", per_tau=per_tau), None)
 
 
@@ -517,5 +715,5 @@ def blocking_set_under(
     compiled environment instead of a restricted copy of f.
     """
     scan = _RestrictionScan(f, as_clause(c), None)
-    return scan.blocking_set_at(assignment_index(scan.ext, value))
+    return scan.blocking_set_at(assignment_index(scan.external(), value))
 

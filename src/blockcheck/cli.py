@@ -188,7 +188,7 @@ def _positive_answer(word: str, w) -> str:
     if w.kind == "set":
         return "%s witness-set%s" % (word, _lits(w.blocking_set))
     lines = ["%s witness-per-tau %d" % (word, len(w.per_tau))]
-    lines.extend("tau %s set %s" % (tau, s.dimacs()) for tau, s in w.per_tau.rows())
+    lines.extend("tau %s set %s" % row for row in w.per_tau.dimacs_rows())
     return "\n".join(lines)
 
 

@@ -192,7 +192,7 @@ class EliminationTrace:
                 wpart = w.blocking_set.dimacs()
             lines.append("d %s %s w %s" % (e.tag, e.clause.dimacs(), wpart))
             if w is not None and w.kind == "super" and w.per_tau is not None:
-                lines.extend("wt %s %s" % (tau, s.dimacs()) for tau, s in w.per_tau.rows())
+                lines.extend("wt %s %s" % row for row in w.per_tau.dimacs_rows())
         for clause, reason in self.skipped:
             lines.append(("x %s %s" % (clause.dimacs(), reason)).rstrip())
         return "\n".join(lines) + "\n"

@@ -251,7 +251,7 @@ def test_the_kept_compile_stays_between_cnf_and_blocking():
 # Kept with no library caller on purpose: references the tests check the
 # deciders and the paper's results against, and the tests' seeded generators.
 KEPT_REFERENCES = {
-    "blocking.set_blocks", "blocking.candidate_sets", "blocking.count_candidate_sets",
+    "blocking.set_blocks", "blocking.candidate_sets",
     "varelim.literal_blocked_via_elimination", "oracle.nonlocality_witness",
     "gen.random_instance", "gen.random_qbf",
 }

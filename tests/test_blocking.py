@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 from math import comb
@@ -27,13 +28,15 @@ from blockcheck.blocking import (
     set_blocks,
 )
 from blockcheck.cnf import external_variables, resolution_environment, restrict
-from blockcheck.gen import random_formula, random_instance, random_qbf
+from blockcheck.engine import EliminationTrace, TraceEntry
+from blockcheck.gen import random_clause, random_formula, random_instance, random_qbf
 from blockcheck.oracle import is_satisfiable
 from blockcheck.reductions import (
     forall_exists_to_superblocking,
     sat_to_setblocking,
     unsat_to_1superblocking,
 )
+from blockcheck.varelim import QbfInstance
 
 from conftest import clause, formula
 from test_asymmetric import reference_literal_blocks
@@ -736,3 +739,245 @@ class TestOneCompilePerQuestion:
         res = check_super_blocked(formula((1, 2)), Clause())
         assert res.failing_tau == Assignment()
         assert (seen["read"], seen["compiled"], seen["drawn"]) == (1, 1, [])
+
+
+# -- the bit-parallel route against the walk -------------------------------------
+
+
+def lattice_cases():
+    """Seeded questions on clauses of 6 to 11 literals and on the
+    `sat2setbc` and `qbf2supbc` gadgets, most of whose lattices the bit
+    route decides for some k."""
+    rng = random.Random(20161001)
+    for i in range(160):
+        kind = i % 4
+        if kind < 2:
+            # one to three environment clauses per literal of c: its
+            # complement, at most one literal of c, and one or two of four
+            # external variables
+            width = rng.randint(6, 11)
+            c = random_clause(rng, width + 2, width)
+            f = Formula()
+            for x in c.literals:
+                for _ in range(rng.randint(1, 3)):
+                    lits = [-x] + rng.sample(c.literals, rng.randint(0, 1))
+                    lits += [rng.choice((1, -1)) * rng.randint(width + 3, width + 6)
+                             for _ in range(rng.randint(1, 2))]
+                    f.add(Clause(lits))
+            if kind == 1:  # tautological environment clauses and a tautological c
+                lit = rng.choice(c.literals)
+                f.add((-lit, width + 8, -(width + 8)))
+                f.add((-lit, lit, width + 3))
+                if rng.random() < 0.5:
+                    c = c | (-rng.choice(c.literals),)
+            yield f, c
+        elif kind == 2:
+            inst = sat_to_setblocking(random_formula(rng, rng.randint(3, 5), rng.randint(4, 16), 3))
+            yield inst.formula, inst.clause
+        else:
+            # three existentials, so the gadget clause has 7 literals, and
+            # one of them in each clause, with one or two universals
+            nx = rng.randint(2, 6)
+            matrix = Formula(
+                random_clause(rng, nx, rng.randint(1, 2))
+                | (rng.choice((1, -1)) * rng.randint(nx + 1, nx + 3),)
+                for _ in range(rng.randint(nx, 2 * nx))
+            )
+            q = QbfInstance(frozenset(range(1, nx + 1)), frozenset(range(nx + 1, nx + 4)), matrix)
+            inst = forall_exists_to_superblocking(q)
+            yield inst.formula, inst.clause
+
+
+def decide_everything(f, c, k):
+    """What the deciders answer about c in f for k, each on a fresh compile:
+    the set search with its count, the super-blocking result with its table
+    rows (cap 4), and the failing assignment of five samples past a cap of 0."""
+    f.compiled = None
+    stats = {}
+    found = _search_blocking_set(f, c, k, stats)
+    f.compiled = None
+    try:
+        res = check_super_blocked(f, c, k, ext_cap=4)
+        table = res.witness and res.witness.per_tau and list(res.witness.per_tau.rows())
+    except CapExceeded as exc:
+        res, table = exc.count, None
+    f.compiled = None
+    return found, stats, res, table, sampled_tau(f, c, random.Random(len(f)), 5, k)
+
+
+def write_cnf(path, f):
+    path.write_text("p cnf %d %d\n%s" % (
+        max(f.variables(), default=0), len(f), "".join(d.dimacs() + "\n" for d in f)))
+    return path
+
+
+def walking(monkeypatch):
+    """Make every lattice one the walk decides."""
+    monkeypatch.setattr(blocking, "_candidate_bits", lambda n, bound: None)
+
+
+class TestBitLattice:
+    def test_candidate_bits_number_candidate_sets(self):
+        for n in range(1, 13):
+            c = Clause(range(1, n + 1))
+            for bound in range(1, n + 1):
+                cands = list(candidate_sets(c, bound))
+                got = blocking._candidate_bits(n, bound)
+                if not 64 <= len(cands) <= 1 << 16:
+                    assert got is None, (n, bound)
+                    continue
+                full, holds = got
+                assert full == (1 << len(cands)) - 1
+                assert holds == tuple(sum(1 << j for j, s in enumerate(cands) if q + 1 in s)
+                                      for q in range(n)), (n, bound)
+        # one literal per candidate, and the last lattice that fits
+        assert blocking._candidate_bits(70, 1) == ((1 << 70) - 1, tuple(1 << q for q in range(70)))
+        assert blocking._candidate_bits(16, 16)[0] == (1 << 65535) - 1
+        assert blocking._candidate_bits(17, 17) is None
+        assert blocking._candidate_bits(6, 6) is None  # 63 candidates
+
+    def test_tautological_environment_clause_rules_out_nothing(self):
+        # 127 candidates; read as a plain clause, (-1 8 -8) would rule out
+        # every candidate holding 1, and (-2 9) rules out those holding 2
+        c = Clause(range(1, 8))
+        f = formula((-1, 8, -8), (-2, 9))
+        env = _Environment(c, resolution_environment(f, c))
+        full, rules = env.lattice(None)
+        assert full.bit_length() == 127 and rules[0] == 0
+        stats = {}
+        assert _search_blocking_set(f, c, None, stats) == clause(1)
+        assert stats == {"candidates": 1}
+        assert check_super_blocked(f, c).witness.blocking_set == clause(1)
+        # with {1} taken by a plain clause, {3} is the first set left
+        f.add((-1, 10))
+        assert is_set_blocked(f, c).blocking_set == clause(3)
+
+    def test_bits_and_walk_agree(self, monkeypatch):
+        seen = dict.fromkeys(("set", "super", "refuted", "walked", "cap", "taut-c", "sampled"), 0)
+        for f, c in lattice_cases():
+            assert 6 <= len(c) <= 12
+            for k in (None, 1, 2, 3):
+                env = _Environment(c, resolution_environment(f, c))
+                lattice = env.lattice(k)
+                if lattice is None:
+                    continue
+                # the rules are the walk's rule-out sets, transposed
+                full, rules = lattice
+                walked = [ruled_out for _, ruled_out in env.candidates(k)]
+                assert full.bit_length() == len(walked)
+                assert rules == [sum(((r >> i) & 1) << j for j, r in enumerate(walked))
+                                 for i in range(len(env.env))], (f, c, k)
+                got = decide_everything(f, c, k)
+                with monkeypatch.context() as m:
+                    walking(m)
+                    assert decide_everything(f, c, k) == got, (f, c, k)
+                _, _, res, _, sampled = got
+                if isinstance(res, int):
+                    seen["cap"] += 1
+                elif res.witness is None:
+                    seen["refuted"] += 1
+                    seen["walked"] += any(v for _, v in res.failing_tau.items())
+                else:
+                    seen[res.witness.kind] += 1
+                seen["taut-c"] += c.is_tautology()
+                seen["sampled"] += sampled is not None
+        assert min(seen.values()) >= 10, seen
+
+    def test_check_past_the_cap_samples_as_the_walk_does(self, tmp_path, capsys, monkeypatch):
+        rng = random.Random(11)
+        answers = set()
+        for i in range(16):
+            nx = rng.randint(3, 6)
+            matrix = Formula(
+                random_clause(rng, nx, rng.randint(1, 2)) | (rng.choice((1, -1)) * (7 + j % 3),)
+                for j in range(rng.randint(nx, 2 * nx))
+            )
+            inst = forall_exists_to_superblocking(
+                QbfInstance(frozenset(range(1, nx + 1)), frozenset({7, 8, 9}), matrix))
+            path = write_cnf(tmp_path / ("q%d.cnf" % i), inst.formula)
+            assert inst.formula.compiled is None
+            assert _Environment(inst.clause, resolution_environment(inst.formula, inst.clause)
+                                ).lattice(None) is not None
+            argv = ["check", str(path), "--property", "supbc", "--clause", inst.clause.dimacs(),
+                    "--ext-cap", "1", "--incomplete", "6", "--seed", str(i)]
+            code = cli.run(argv)
+            out = capsys.readouterr().out
+            with monkeypatch.context() as m:
+                walking(m)
+                assert cli.run(argv) == code
+                assert capsys.readouterr().out == out
+            answers.add(out.split()[0])
+        assert {"NOT-BLOCKED", "UNKNOWN"} <= answers, answers
+
+    def test_consistency_check_recomputes_kept_lattices(self):
+        inst = sat_to_setblocking(formula((1, 2), (-1, 3), (2, -3)))
+        f, c = inst.formula, inst.clause
+        is_set_blocked(f, c)
+        is_set_blocked(f, c, 4)  # 98 candidates; with 3, 63 would be walked
+        kept = f.compiled
+        assert sorted(kept.lattices) == [4, 7] and kept.no_p is None
+        assert f.check_occ_consistent()
+        for bound in (4, 7):
+            full, rules = kept.lattices[bound]
+            for bad in ((full >> 1, rules), (full, [r ^ 1 for r in rules])):
+                kept.lattices[bound] = bad
+                assert not f.check_occ_consistent(), bound
+            kept.lattices[bound] = full, rules
+        assert f.check_occ_consistent()
+
+    @pytest.mark.parametrize("matrix, prop, answer", [
+        (((2, -5), (1, -4)), "setbc", "BLOCKED"),
+        (((-1, -3), (1, -5), (-1, 5), (-2, -3)), "supbc", "BLOCKED witness-per-tau 4"),
+        (((-1, -5), (2, 5), (-1, 5)), "supbc", "NOT-BLOCKED failing-tau"),
+    ])
+    def test_bit_route_commands_leave_no_cyclic_garbage(self, tmp_path, capsys,
+                                                        matrix, prop, answer):
+        inst = forall_exists_to_superblocking(QbfInstance({1, 2}, {3, 4, 5}, formula(*matrix)))
+        path = write_cnf(tmp_path / "q.cnf", inst.formula)
+        argv = ["check", str(path), "--property", prop, "--clause", inst.clause.dimacs()]
+        code = cli.run(argv)
+        first = capsys.readouterr()
+        assert first.out.startswith(answer)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert cli.run(argv) == code
+            gc.collect()
+            left = [type(x).__name__ for x in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert capsys.readouterr() == first
+        assert left == []
+
+
+class TestDimacsRows:
+    def test_each_distinct_set_is_formatted_once_and_rows_read_as_before(self, monkeypatch):
+        sets = [clause(1), clause(2, -3), clause(1), clause(1), clause(2, -3), clause(-4),
+                clause(1), clause(2, -3)]
+        table = RestrictionTable((2, 5, 7), sets)
+        want = [(tau, s.dimacs()) for tau, s in table.rows()]
+        formatted = []
+        dimacs = Clause.dimacs
+        monkeypatch.setattr(Clause, "dimacs", lambda s: formatted.append(s) or dimacs(s))
+        assert list(table.dimacs_rows()) == want
+        assert len(formatted) == 3 and set(formatted) == {clause(1), clause(2, -3), clause(-4)}
+
+    def test_check_and_trace_print_the_rows_as_before(self, tmp_path, capsys):
+        # the unsat2ksupbc gadget of an unsatisfiable source: a table with
+        # few distinct sets over many rows
+        source = formula((1, 2), (1, -2), (-1, 3), (-1, -3))
+        inst = unsat_to_1superblocking(source)
+        res = check_super_blocked(inst.formula, inst.clause, 1)
+        table = res.witness.per_tau
+        assert len(set(table.sets)) < len(table) == 8
+        path = write_cnf(tmp_path / "g.cnf", inst.formula)
+        argv = ["check", str(path), "--property", "supbc", "--clause", inst.clause.dimacs(),
+                "--k", "1"]
+        assert cli.run(argv) == 0
+        rows = ["tau %s set %s" % (tau, s.dimacs()) for tau, s in table.rows()]
+        assert capsys.readouterr().out.splitlines()[1:] == rows
+        entry = TraceEntry(inst.clause, "supbc", res.witness)
+        text = EliminationTrace([entry]).to_text()
+        assert text.splitlines()[2:] == ["wt %s %s" % (tau, s.dimacs()) for tau, s in table.rows()]
+        assert EliminationTrace.from_text(text).entries == [entry]

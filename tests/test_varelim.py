@@ -4,7 +4,8 @@ import random
 import pytest
 
 from blockcheck import Formula, ParseError, ResourceLimit, is_literal_blocked
-from blockcheck.gen import random_formula
+from blockcheck.cnf import resolution_environment
+from blockcheck.gen import random_formula, random_instance
 from blockcheck.oracle import (
     eval_forall_exists,
     is_satisfiable,
@@ -97,6 +98,33 @@ class TestSemBlockedViaElimination:
             for perm in itertools.permutations(sorted(c.variables()))
         }
         assert verdicts == {True}
+
+    def test_every_step_but_the_last_leaves_a_variable_of_c_in_each_clause(self):
+        # So an early "not blocked" exit, on a clause with no variable of c
+        # left to eliminate, could never fire before the last step. Each
+        # clause holds all of c's remaining literals (c and what descends
+        # from it) or the complement of one of them (the environment). A
+        # resolvent upon x keeps this from its side holding c's literal l on
+        # x: that side holds all of c's remaining literals, or the
+        # complement of one other than l (-l would make it a tautology). A
+        # clause without x keeps its own.
+        rng = random.Random(20170301)
+        steps = 0
+        for _ in range(600):
+            f, c = random_instance(rng, max_vars=7, max_clauses=14, max_width=4)
+            order = sorted(c.variables())
+            rng.shuffle(order)
+            out = Formula(d for d in resolution_environment(f, c) if not d.is_tautology())
+            out.add(c)
+            remaining = set(order)
+            for var in order:
+                remaining.remove(var)
+                out = eliminate_variable(out, var)
+                if remaining:
+                    steps += 1
+                    assert all(remaining & d.variables() for d in out), (f, c, order)
+            assert sem_blocked_via_elimination(f, c, order) == (len(out) == 0)
+        assert steps >= 600
 
 
 class TestLiteralBlockedViaElimination:
