@@ -15,12 +15,13 @@ a clause D of it rules out exactly the candidates L that hold every
 literal of c whose complement D contains and no literal D shares with c
 (see `_Environment`). Candidates are decided by integer operations,
 building no resolvent and no clause, on one of two routes. A lattice of 64
-to 2^16 candidates gets one bit per candidate, numbered in
-`candidate_sets` order, and each clause D one rule-out bitset over them;
-the first blocking set is the lowest bit no rule covers. Smaller and
-larger lattices are walked candidate by candidate, each candidate's
-rule-out set an AND of one bitset over the environment per position of c.
-Both routes give the same sets, tables, failing assignments and counts.
+to 2^11 candidates, whose rules take at most 2^20 bits, gets one bit per
+candidate, numbered in `candidate_sets` order, and each clause D one
+rule-out bitset over them; the first blocking set is the lowest bit no
+rule covers. Every other lattice is walked candidate by candidate, each
+candidate's rule-out set an AND of one bitset over the environment per
+position of c. Both routes give the same sets, tables, failing
+assignments and counts.
 
 The super-blocking decider covers all 2^|ext| restrictions, which is exact
 but exponential. Past `ext_cap` it refuses, or, given a random source and
@@ -121,7 +122,10 @@ class RestrictionTable(Mapping):
 
     def rows(self) -> "Iterator[tuple[str, Clause]]":
         """(assignment as zero-terminated DIMACS literals, set) per row, in
-        table order; each literal is formatted once, not once per row."""
+        table order; each literal is formatted once, not once per row. The
+        library prints `dimacs_rows()`; this is the same rows with the sets
+        as clauses, for a caller that reads them (the tests compare
+        `dimacs_rows()` and the printed tables with it)."""
         return zip(self._taus(), self.sets)
 
     def dimacs_rows(self) -> "Iterator[tuple[str, str]]":
@@ -213,9 +217,18 @@ def count_candidate_sets(n: int, k: int) -> int:
     return sum(comb(n, size) for size in range(1, k + 1))
 
 
-# Lattices of this many candidates are decided one bit per candidate: under
-# 64 the walk is cheaper, and past 2^16 the bitsets would not fit.
-_BIT_LATTICE = range(64, (1 << 16) + 1)
+# Lattices of this many candidates are decided one bit per candidate. Under
+# 64 the walk is cheaper; 2^11 covers the largest lattice timed on both
+# routes (2,047 candidates, an 11-literal clause with k unbounded), and
+# larger ones keep the walk, which can stop at an early blocking set
+# without building every clause's rule-out bitset.
+_BIT_LATTICE = range(64, (1 << 11) + 1)
+# Clauses of fewer literals have fewer candidates than the smallest lattice.
+_BIT_MIN_LITERALS = _BIT_LATTICE.start.bit_length()
+# A bit lattice holds at most this many rule bits (|env| x candidates), so
+# the one kept with a compiled environment stays under a megabyte with
+# Python's int headers; a larger environment keeps the walk.
+_LATTICE_BITS = 1 << 20
 
 
 @lru_cache(maxsize=4)
@@ -267,14 +280,15 @@ class _Environment:
 
     It also keeps c as `subject` and the environment as `env`, the list bit
     i counts in. The walk's bitsets are built on the first walk
-    (`walk_bitsets`); a lattice of 64 to 2^16 candidates gets one rule-out
+    (`walk_bitsets`); a bit lattice (`_BIT_LATTICE`) gets one rule-out
     bitset per clause over the candidates instead (see `lattice`), built on
-    first use and kept in `lattices` per bound. Nothing is changed once
-    built, so it is the value a formula keeps in its `compiled` slot, shared
-    by formula copies (see `_compile`).
+    first use and kept in `kept_lattice` for the last bound asked. Only
+    those lazily built parts change, and they are what a fresh compile
+    would build, so it is the value a formula keeps in its `compiled` slot,
+    shared by formula copies (see `_compile`).
     """
 
-    __slots__ = ("subject", "env", "lits", "pairs", "no_p", "no_n", "suf_n", "lattices")
+    __slots__ = ("subject", "env", "lits", "pairs", "no_p", "no_n", "suf_n", "kept_lattice")
 
     def __init__(self, c: Clause, env: "list[Clause]"):
         self.subject = c
@@ -283,7 +297,8 @@ class _Environment:
         where = {x: q for q, x in enumerate(lits)}
         self.pairs = [(q, where[-x]) for q, x in enumerate(lits) if x > 0 and -x in where]
         self.no_p = self.no_n = self.suf_n = None
-        self.lattices: "dict[int, tuple[int, list[int]]]" = {}
+        # (bound, `lattice`'s answer for it), for the last bound asked
+        self.kept_lattice: "tuple[int, tuple[int, list[int]] | None] | None" = None
 
     def walk_bitsets(self) -> None:
         """Build `no_p`, `no_n` and `suf_n`, the walk's bitsets."""
@@ -313,33 +328,37 @@ class _Environment:
     def holds(self, f: Formula) -> bool:
         """Whether a fresh read and compile of the clause's environment in f
         give the same environment, in order, and the same bitsets, those of
-        the walk and of every kept lattice."""
+        the walk and of the kept lattice."""
         fresh = _Environment(self.subject, resolution_environment(f, self.subject))
         if (self.no_p, self.no_n, self.suf_n) != (None, None, None):
             fresh.walk_bitsets()
-        return all(
-            getattr(fresh, a) == getattr(self, a) for a in _Environment.__slots__ if a != "lattices"
-        ) and all(fresh.lattice(bound) == kept for bound, kept in self.lattices.items())
+        if self.kept_lattice is not None:
+            fresh.lattice(self.kept_lattice[0])
+        return all(getattr(fresh, a) == getattr(self, a) for a in _Environment.__slots__)
 
     def lattice(self, k: "int | None") -> "tuple[int, list[int]] | None":
         """(all candidates, rules): one bit per candidate of at most k
         literals, in `candidates` order, and per environment clause the
-        candidates it rules out. None when the lattice has under 64 or over
-        2^16 candidates: `candidates` walks those.
+        candidates it rules out. None when the number of candidates is
+        outside `_BIT_LATTICE` or the rules would pass `_LATTICE_BITS`:
+        `candidates` walks those.
 
         A clause holding literal m rules out only candidates that hold the
         position of -m in c and lack that of m; for a tautological c, also
         only those that split every pair.
         """
         n = len(self.lits)
-        if n < 7:  # at most 63 candidates
+        if n < _BIT_MIN_LITERALS:
             return None
         bound = n if k is None else min(k, n)
-        kept = self.lattices.get(bound)
-        if kept is not None:
-            return kept
+        kept = self.kept_lattice
+        if kept is not None and kept[0] == bound:
+            return kept[1]
         bits = _candidate_bits(n, bound)
+        if bits is not None and len(self.env) * bits[0].bit_length() > _LATTICE_BITS:
+            bits = None
         if bits is None:
+            self.kept_lattice = bound, None
             return None
         full, holds = bits
         masks: "dict[int, int]" = {}
@@ -359,8 +378,8 @@ class _Environment:
                     if mask is not None:
                         ruled &= mask
             rules.append(ruled)
-        kept = self.lattices[bound] = full, rules
-        return kept
+        self.kept_lattice = bound, (full, rules)
+        return full, rules
 
     def candidates(self, k: "int | None"):
         """(positions, rule-out bitset) per candidate, in `candidate_sets` order.
@@ -401,6 +420,13 @@ class _Environment:
                 for j in range(j + 1, size):
                     pos[j] = pos[j - 1] + 1
                     ahead[j] = ahead[j - 1] & no_p[pos[j - 1]]
+
+    @staticmethod
+    def first_free(full: int, ruled: int) -> int:
+        """The index of the lowest candidate of a bit lattice that `ruled`
+        lacks, or -1 when it holds them all."""
+        free = full & ~ruled
+        return (free & -free).bit_length() - 1
 
     def clause(self, picked: Iterable[int]) -> Clause:
         return Clause(self.lits[q] for q in picked)
@@ -446,11 +472,10 @@ def _search_blocking_set(
     lattice = env.lattice(k)
     if lattice is not None:
         full, rules = lattice
-        free = full & ~reduce(or_, rules, 0)
-        tried = (free & -free).bit_length()  # the first free candidate's index + 1, or 0
+        i = env.first_free(full, reduce(or_, rules, 0))
         if stats is not None:
-            stats["candidates"] += tried or full.bit_length()
-        return env.clause_at(tried - 1) if tried else None
+            stats["candidates"] += i + 1 if i >= 0 else full.bit_length()
+        return env.clause_at(i) if i >= 0 else None
     for picked, ruled_out in env.candidates(k):
         if stats is not None:
             stats["candidates"] += 1
@@ -607,6 +632,7 @@ class _RestrictionScan:
                 ruled |= rule
             else:
                 settles[last].append((care, want, rule))
+        first_free = self._compiled.first_free
         out = []
         stack = [(0, 0, ruled)]
         while stack:
@@ -614,8 +640,7 @@ class _RestrictionScan:
             if ruled == full:
                 break
             if j == n:
-                free = full ^ ruled
-                out.append(self._set((free & -free).bit_length() - 1))
+                out.append(self._set(first_free(full, ruled)))
                 continue
             for step in (path | 1 << (n - 1 - j), path):
                 below = ruled
@@ -628,15 +653,12 @@ class _RestrictionScan:
     def _first(self, alive: int) -> Clause | None:
         if self._lattice is not None:
             full, rules = self._lattice
-            if alive == self._all:
-                ruled = reduce(or_, rules, 0)
-            else:
-                ruled = 0
-                for i, rule in enumerate(rules):
-                    if alive >> i & 1:
-                        ruled |= rule
-            free = full & ~ruled
-            return self._set((free & -free).bit_length() - 1) if free else None
+            ruled = 0
+            for i, rule in enumerate(rules):
+                if alive >> i & 1:
+                    ruled |= rule
+            i = self._compiled.first_free(full, ruled)
+            return self._set(i) if i >= 0 else None
         ruled = self._ruled
         for i, ruled_out in enumerate(ruled):
             if not ruled_out & alive:

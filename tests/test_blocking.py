@@ -823,18 +823,34 @@ class TestBitLattice:
             for bound in range(1, n + 1):
                 cands = list(candidate_sets(c, bound))
                 got = blocking._candidate_bits(n, bound)
-                if not 64 <= len(cands) <= 1 << 16:
+                if not 64 <= len(cands) <= 1 << 11:
                     assert got is None, (n, bound)
                     continue
                 full, holds = got
                 assert full == (1 << len(cands)) - 1
                 assert holds == tuple(sum(1 << j for j, s in enumerate(cands) if q + 1 in s)
                                       for q in range(n)), (n, bound)
-        # one literal per candidate, and the last lattice that fits
+        # one literal per candidate, and the largest lattices that fit
         assert blocking._candidate_bits(70, 1) == ((1 << 70) - 1, tuple(1 << q for q in range(70)))
-        assert blocking._candidate_bits(16, 16)[0] == (1 << 65535) - 1
-        assert blocking._candidate_bits(17, 17) is None
+        assert blocking._candidate_bits(2048, 1)[0] == (1 << 2048) - 1
+        assert blocking._candidate_bits(2049, 1) is None
+        assert blocking._candidate_bits(11, 11)[0] == (1 << 2047) - 1
+        assert blocking._candidate_bits(12, 12) is None
         assert blocking._candidate_bits(6, 6) is None  # 63 candidates
+        assert blocking._BIT_MIN_LITERALS == 7
+
+    def test_a_lattice_past_the_bit_budget_is_walked(self):
+        # 2,047 candidates: 512 environment clauses fill the 2^20 rule bits
+        # a lattice may take, and 513 pass them
+        c = Clause(range(1, 12))
+        for extra, bits in ((511, True), (512, False)):
+            f = formula((-1, 20), *((-2, 21 + i) for i in range(extra)))
+            env = _Environment(c, resolution_environment(f, c))
+            assert (env.lattice(None) is not None) == bits, extra
+            assert env.kept_lattice[0] == 11
+            stats = {}
+            assert _search_blocking_set(f, c, None, stats) == clause(3)
+            assert stats == {"candidates": 3}
 
     def test_tautological_environment_clause_rules_out_nothing(self):
         # 127 candidates; read as a plain clause, (-1 8 -8) would rule out
@@ -909,20 +925,22 @@ class TestBitLattice:
             answers.add(out.split()[0])
         assert {"NOT-BLOCKED", "UNKNOWN"} <= answers, answers
 
-    def test_consistency_check_recomputes_kept_lattices(self):
+    def test_consistency_check_recomputes_the_kept_lattice(self):
         inst = sat_to_setblocking(formula((1, 2), (-1, 3), (2, -3)))
         f, c = inst.formula, inst.clause
-        is_set_blocked(f, c)
-        is_set_blocked(f, c, 4)  # 98 candidates; with 3, 63 would be walked
-        kept = f.compiled
-        assert sorted(kept.lattices) == [4, 7] and kept.no_p is None
-        assert f.check_occ_consistent()
-        for bound in (4, 7):
-            full, rules = kept.lattices[bound]
+        for k, bound in ((None, 7), (4, 4)):  # 127 and 98 candidates; with 3, 63 are walked
+            is_set_blocked(f, c, k)
+            kept = f.compiled
+            assert kept.kept_lattice[0] == bound and kept.no_p is None
+            assert f.check_occ_consistent()
+            full, rules = kept.kept_lattice[1]
             for bad in ((full >> 1, rules), (full, [r ^ 1 for r in rules])):
-                kept.lattices[bound] = bad
+                kept.kept_lattice = bound, bad
                 assert not f.check_occ_consistent(), bound
-            kept.lattices[bound] = full, rules
+            kept.kept_lattice = bound, (full, rules)
+            assert f.check_occ_consistent()
+        is_set_blocked(f, c, 3)
+        assert f.compiled.kept_lattice == (3, None)
         assert f.check_occ_consistent()
 
     @pytest.mark.parametrize("matrix, prop, answer", [
