@@ -14,11 +14,11 @@ Set-blocking is decided on a compiled form of c's resolution environment:
 a clause D of it rules out exactly the candidates L that hold every
 literal of c whose complement D contains and no literal D shares with c
 (see `_Environment`). Candidates are decided by integer operations,
-building no resolvent and no clause, on one of two routes. A lattice of 64
-to 2^11 candidates, whose rules take at most 2^20 bits, gets one bit per
+building no resolvent and no clause, on one of two routes. A lattice of at
+most 2^11 candidates, whose rules take at most 2^20 bits, gets one bit per
 candidate, numbered in `candidate_sets` order, and each clause D one
 rule-out bitset over them; the first blocking set is the lowest bit no
-rule covers. Every other lattice is walked candidate by candidate, each
+rule covers. A larger lattice is walked candidate by candidate, each
 candidate's rule-out set an AND of one bitset over the environment per
 position of c. Both routes give the same sets, tables, failing
 assignments and counts.
@@ -217,26 +217,30 @@ def count_candidate_sets(n: int, k: int) -> int:
     return sum(comb(n, size) for size in range(1, k + 1))
 
 
-# Lattices of this many candidates are decided one bit per candidate. Under
-# 64 the walk is cheaper; 2^11 covers the largest lattice timed on both
-# routes (2,047 candidates, an 11-literal clause with k unbounded), and
-# larger ones keep the walk, which can stop at an early blocking set
-# without building every clause's rule-out bitset.
-_BIT_LATTICE = range(64, (1 << 11) + 1)
-# Clauses of fewer literals have fewer candidates than the smallest lattice.
-_BIT_MIN_LITERALS = _BIT_LATTICE.start.bit_length()
+# Lattices of at most this many candidates are decided one bit per
+# candidate. 2^11 covers the largest lattice timed on both routes (2,047
+# candidates, an 11-literal clause with k unbounded); larger ones keep the
+# walk, which can stop at an early blocking set without building every
+# clause's rule-out bitset.
+_BIT_LATTICE = 1 << 11
 # A bit lattice holds at most this many rule bits (|env| x candidates), so
 # the one kept with a compiled environment stays under a megabyte with
 # Python's int headers; a larger environment keeps the walk.
 _LATTICE_BITS = 1 << 20
 
 
-@lru_cache(maxsize=4)
+# One table per (n, bound) a run asks about: 32 holds clauses of widths 1
+# to 8 under every bound from 1 to 3 and unbounded. An 8-literal table takes
+# ~90 us to build and ~0.5 KB, and a 2,047-candidate one ~3 KB; with room
+# for only 4, a `classify` of widths 1 to 8 rebuilt a table on almost every
+# question (196 builds for 200 clauses, not 8).
+@lru_cache(maxsize=32)
 def _candidate_bits(n: int, bound: int) -> "tuple[int, tuple[int, ...]] | None":
     """The candidates of an n-literal clause with at most `bound` literals,
     bit j for the j-th in `candidate_sets` order: (all of them, per position
-    q the ones that hold q). None for a lattice the walk decides."""
-    if count_candidate_sets(n, bound) not in _BIT_LATTICE:
+    q the ones that hold q). None for a lattice the walk decides; the empty
+    clause has the empty lattice."""
+    if bound and count_candidate_sets(n, bound) > _BIT_LATTICE:
         return None
     if bound == 1:
         return (1 << n) - 1, tuple(1 << q for q in range(n))
@@ -339,8 +343,8 @@ class _Environment:
     def lattice(self, k: "int | None") -> "tuple[int, list[int]] | None":
         """(all candidates, rules): one bit per candidate of at most k
         literals, in `candidates` order, and per environment clause the
-        candidates it rules out. None when the number of candidates is
-        outside `_BIT_LATTICE` or the rules would pass `_LATTICE_BITS`:
+        candidates it rules out. None when there are more than
+        `_BIT_LATTICE` candidates or the rules would pass `_LATTICE_BITS`:
         `candidates` walks those.
 
         A clause holding literal m rules out only candidates that hold the
@@ -348,8 +352,6 @@ class _Environment:
         only those that split every pair.
         """
         n = len(self.lits)
-        if n < _BIT_MIN_LITERALS:
-            return None
         bound = n if k is None else min(k, n)
         kept = self.kept_lattice
         if kept is not None and kept[0] == bound:
@@ -428,6 +430,13 @@ class _Environment:
         free = full & ~ruled
         return (free & -free).bit_length() - 1
 
+    @staticmethod
+    def first_unruled(lattice: "tuple[int, list[int]]") -> int:
+        """`first_free` over a bit lattice with every clause alive: the
+        index of the first set blocking c in the whole formula, or -1."""
+        full, rules = lattice
+        return _Environment.first_free(full, reduce(or_, rules, 0))
+
     def clause(self, picked: Iterable[int]) -> Clause:
         return Clause(self.lits[q] for q in picked)
 
@@ -471,10 +480,9 @@ def _search_blocking_set(
     env = _compile(f, c)
     lattice = env.lattice(k)
     if lattice is not None:
-        full, rules = lattice
-        i = env.first_free(full, reduce(or_, rules, 0))
+        i = env.first_unruled(lattice)
         if stats is not None:
-            stats["candidates"] += i + 1 if i >= 0 else full.bit_length()
+            stats["candidates"] += i + 1 if i >= 0 else lattice[0].bit_length()
         return env.clause_at(i) if i >= 0 else None
     for picked, ruled_out in env.candidates(k):
         if stats is not None:
@@ -542,7 +550,7 @@ class _RestrictionScan:
         self._compiled = compiled = _compile(f, c)
         self._lattice = compiled.lattice(k)
         self._all = (1 << len(compiled.env)) - 1
-        self._more = compiled.candidates(k)
+        self._more = compiled.candidates(k) if self._lattice is None else None
         # the rule-out bitset of each candidate drawn so far, and by index
         # the candidates that have blocked
         self._ruled: list[int] = []
@@ -577,7 +585,10 @@ class _RestrictionScan:
 
     def blocking_set(self) -> Clause | None:
         """The first set blocking c in the whole formula: `is_set_blocked`'s."""
-        return self._first(self._all)
+        if self._lattice is None:
+            return self._first(self._all)
+        i = self._compiled.first_unruled(self._lattice)
+        return self._set(i) if i >= 0 else None
 
     def blocking_set_at(self, m: int) -> Clause | None:
         return self._first(self._survivors(m))
@@ -613,10 +624,14 @@ class _RestrictionScan:
             bit[v] = j, b, 0
             bit[-v] = j, b, b
         ruled = 0
-        # per depth j, (care, want, rule) of the clauses whose last external
-        # variable is ext[j]: they survive below a node at depth j + 1 whose
-        # index bits so far (`path`) have path & care == want
+        # per depth j, (care, want, rule) of the clauses with two or more
+        # external literals, the last on ext[j]: they survive below a node at
+        # depth j + 1 whose index bits so far (`path`) have path & care ==
+        # want
         settles: "list[list[tuple[int, int, int]]]" = [[] for _ in ext]
+        # per depth j and value of ext[j], the OR of the rules of the
+        # clauses whose one external literal, on ext[j], that value falsifies
+        single = [[0, 0] for _ in ext]
         for d, rule in zip(self._compiled.env, rules):
             if not rule:
                 continue
@@ -630,6 +645,8 @@ class _RestrictionScan:
                     want |= w
             if last < 0:
                 ruled |= rule
+            elif care == b:  # its one external literal is the last one seen
+                single[last][w != 0] |= rule
             else:
                 settles[last].append((care, want, rule))
         first_free = self._compiled.first_free
@@ -642,12 +659,18 @@ class _RestrictionScan:
             if j == n:
                 out.append(self._set(first_free(full, ruled)))
                 continue
-            for step in (path | 1 << (n - 1 - j), path):
-                below = ruled
-                for care, want, rule in settles[j]:
-                    if (step & care) == want:
-                        below |= rule
-                stack.append((j + 1, step, below))
+            if_false, if_true = single[j]
+            high = path | 1 << (n - 1 - j)
+            ruled_high, ruled_low = ruled | if_true, ruled | if_false
+            # care holds ext[j]'s bit, on which the two children differ, so
+            # a clause settled here survives below one of them at most
+            for care, want, rule in settles[j]:
+                if (high & care) == want:
+                    ruled_high |= rule
+                elif (path & care) == want:
+                    ruled_low |= rule
+            stack.append((j + 1, high, ruled_high))
+            stack.append((j + 1, path, ruled_low))
         return out
 
     def _first(self, alive: int) -> Clause | None:

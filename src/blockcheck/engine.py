@@ -13,14 +13,16 @@ touched literal is skipped, which is exact for every property. Tautology
 reads only the clause, and the blocking checks read only its environment,
 which is unchanged. Subsumption, the asymmetric checks, asymmetric blocking
 and the lifted checks can only go from yes to no when clauses outside the
-environment are removed (fewer clauses imply less), so a no stays a no. A
-literal-blocking recheck (bc, and rt: resolution tautology is literal
-blocking of a clause that is no tautology, and a tautology is never
-refuted) tries only the touched literals, in canonical order: an
-untouched literal was refuted and still has the same clauses to resolve
-with, so the first blocking literal, and with it the trace, is the one a
-full check finds (Järvisalo, Biere and Heule, "Blocked Clause
-Elimination", TACAS 2010).
+environment are removed (fewer clauses imply less), so a no stays a no.
+Tautology, subsumption, AT and AS keep a no whatever clause is removed, so
+the engine asks each of them once per clause (`_ASKED_ONCE`): a removal
+still queues a refuted clause, but leaves it untouched. A literal-blocking
+recheck (bc, and rt: resolution tautology is literal blocking of a clause
+that is no tautology, and a tautology is never refuted) tries only the
+touched literals, in canonical order: an untouched literal was refuted and
+still has the same clauses to resolve with, so the first blocking literal,
+and with it the trace, is the one a full check finds (Järvisalo, Biere and
+Heule, "Blocked Clause Elimination", TACAS 2010).
 
 Every removal is logged with the property tag and the witness the checker
 produced, in removal order. That trace is enough to repair models: given an
@@ -136,6 +138,14 @@ _CHECKS: dict[str, Callable] = {
 }
 
 PROPERTIES: tuple[str, ...] = tuple(_CHECKS)
+
+# The properties whose no stays a no while clauses are removed, each asked
+# once per clause by `eliminate_clauses`. Tautology reads only the clause;
+# subsumption and the asymmetric checks ask whether other clauses imply c
+# (directly or after ALA), and fewer clauses imply less. None of them has a
+# cap, so every refusal is a no. A removal still queues such a clause, but
+# it stays untouched and is never checked again.
+_ASKED_ONCE = frozenset({"t", "s", "at", "as"})
 
 ORDERS = ("ascending-id", "descending-length")
 
@@ -327,11 +337,13 @@ def eliminate_clauses(
     the trace; they are retried only if a removal changes their
     environment. A run stopped by cfg.rounds_cap reports every clause the
     last round queued and did not check again afterwards as skipped, with
-    the rounds cap as the reason. The result is satisfiability-equivalent
-    to the input.
+    the rounds cap as the reason; a refuted clause of a property asked once
+    (`_ASKED_ONCE`) needs no check, so it is not reported. The result is
+    satisfiability-equivalent to the input.
     """
     cfg = cfg if cfg is not None else EliminationConfig()
     check = _CHECKS[cfg.property]
+    once = cfg.property in _ASKED_ONCE
     g = f.copy()
     entries: list[TraceEntry] = []
     capped: dict[Clause, str] = {}
@@ -377,6 +389,8 @@ def eliminate_clauses(
                 if not bucket:
                     continue
                 pending.update(bucket)
+                if once:
+                    continue
                 for d in bucket:
                     seen = touched.get(d)
                     if seen is _UNTOUCHED:

@@ -28,7 +28,7 @@ from blockcheck.blocking import (
     set_blocks,
 )
 from blockcheck.cnf import external_variables, resolution_environment, restrict
-from blockcheck.engine import EliminationTrace, TraceEntry
+from blockcheck.engine import EliminationTrace, TraceEntry, classify
 from blockcheck.gen import random_clause, random_formula, random_instance, random_qbf
 from blockcheck.oracle import is_satisfiable
 from blockcheck.reductions import (
@@ -628,42 +628,50 @@ def ask_both(f, c, k=None):
 
 
 class TestOneCompilePerQuestion:
-    def test_every_outcome_reads_and_compiles_once(self, compiles):
+    def test_every_outcome_reads_and_compiles_once(self, compiles, monkeypatch):
         # once per clause and formula state: every k, and a super-blocking
         # question after a set-blocking one, share one read and compile; a
         # copy shares it too, and after `add` or `remove` the next question
-        # compiles again
-        outcomes = {"set": 0, "super": 0, "refuted": 0, "cap": 0}
-        walked = 0  # refutations past the first assignment
-        for f, c in differential_cases():
-            seen = compiles()
-            for k in (None, 1, 2):
-                is_set_blocked(f, c, k)
-                seen["drawn"] = []
-                try:
-                    res = check_super_blocked(f, c, k, ext_cap=3)
-                except CapExceeded as exc:
-                    assert exc.count == len(external_variables(f, c))
-                    kind = "cap"
-                else:
-                    kind = "refuted" if res.witness is None else res.witness.kind
-                    if kind == "refuted" and any(v for _, v in res.failing_tau.items()):
-                        walked += 1
-                outcomes[kind] += 1
-                assert (seen["read"], seen["compiled"]) == (1, 1), (f, c, k, kind)
-                assert len(set(seen["drawn"])) == len(seen["drawn"]), (f, c, k, kind)
-            g = f.copy()
-            ask_both(g, c)
-            assert (seen["read"], seen["compiled"]) == (1, 1), (f, c)
-            g.add(Clause((-10, 11)))
-            ask_both(g, c, 1)
-            ask_both(g, c, 2)
-            assert (seen["read"], seen["compiled"]) == (2, 2), (f, c)
-            g.remove(Clause((-10, 11)))
-            ask_both(g, c)
-            ask_both(f, c)
-            assert (seen["read"], seen["compiled"]) == (3, 3), (f, c)
-        assert min(outcomes.values()) >= 30 and walked >= 30, (outcomes, walked)
+        # compiles again. These lattices are all bit lattices, which draw no
+        # candidate; with every lattice walked, the scan draws each
+        # candidate at most once.
+        for walk in (False, True):
+            with monkeypatch.context() as m:
+                if walk:
+                    walking(m)
+                outcomes = {"set": 0, "super": 0, "refuted": 0, "cap": 0}
+                walked = drawn = 0  # refutations past the first assignment, draws
+                for f, c in differential_cases():
+                    seen = compiles()
+                    for k in (None, 1, 2):
+                        is_set_blocked(f, c, k)
+                        seen["drawn"] = []
+                        try:
+                            res = check_super_blocked(f, c, k, ext_cap=3)
+                        except CapExceeded as exc:
+                            assert exc.count == len(external_variables(f, c))
+                            kind = "cap"
+                        else:
+                            kind = "refuted" if res.witness is None else res.witness.kind
+                            if kind == "refuted" and any(v for _, v in res.failing_tau.items()):
+                                walked += 1
+                        outcomes[kind] += 1
+                        assert (seen["read"], seen["compiled"]) == (1, 1), (f, c, k, kind)
+                        assert len(set(seen["drawn"])) == len(seen["drawn"]), (f, c, k, kind)
+                        drawn += len(seen["drawn"])
+                    g = f.copy()
+                    ask_both(g, c)
+                    assert (seen["read"], seen["compiled"]) == (1, 1), (f, c)
+                    g.add(Clause((-10, 11)))
+                    ask_both(g, c, 1)
+                    ask_both(g, c, 2)
+                    assert (seen["read"], seen["compiled"]) == (2, 2), (f, c)
+                    g.remove(Clause((-10, 11)))
+                    ask_both(g, c)
+                    ask_both(f, c)
+                    assert (seen["read"], seen["compiled"]) == (3, 3), (f, c)
+                assert min(outcomes.values()) >= 30 and walked >= 30, (outcomes, walked)
+                assert drawn >= 5000 if walk else drawn == 0, (walk, drawn)
 
     def test_a_copy_shares_the_compile_and_a_change_drops_it(self):
         f = formula((-1, 2), (-2, 1), (-1, 3))
@@ -691,24 +699,37 @@ class TestOneCompilePerQuestion:
             g.compiled = f.compiled
             assert not g.check_occ_consistent()
 
-    def test_consistency_check_sees_a_corrupted_compile(self):
+    def test_consistency_check_sees_a_corrupted_compile(self, monkeypatch):
         f = formula((-1, 2), (-2, 1), (-1, 3), (-2, -1, 4))
         c = clause(1, 2)
-        check_super_blocked(f, c)
-        kept = f.compiled
-        assert kept.subject == c and f.check_occ_consistent()
-        for name, value in (("subject", clause(1, 3)),  # compiled for another clause
-                            ("env", kept.env[::-1]),  # the environment out of formula order
-                            ("lits", kept.lits[::-1]), ("pairs", [(0, 1)]),
-                            ("no_p", [b ^ 1 for b in kept.no_p]),
-                            ("no_n", [b ^ 2 for b in kept.no_n]),
-                            ("suf_n", [b ^ 1 for b in kept.suf_n])):
-            bad = _Environment(c, kept.env)
-            setattr(bad, name, value)
-            f.compiled = bad
-            assert not f.check_occ_consistent(), name
-        f.compiled = kept
-        assert f.check_occ_consistent()
+        for walk in (False, True):
+            with monkeypatch.context() as m:
+                if walk:  # a lattice past `_BIT_LATTICE`: the walk's bitsets are kept
+                    walking(m)
+                f.compiled = None
+                check_super_blocked(f, c)
+                kept = f.compiled
+                assert kept.subject == c and f.check_occ_consistent()
+                corrupt = [("subject", clause(1, 3)),  # compiled for another clause
+                           ("env", kept.env[::-1]),  # the environment out of formula order
+                           ("lits", kept.lits[::-1]), ("pairs", [(0, 1)])]
+                if walk:
+                    assert kept.kept_lattice == (2, None)
+                    corrupt += [("no_p", [b ^ 1 for b in kept.no_p]),
+                                ("no_n", [b ^ 2 for b in kept.no_n]),
+                                ("suf_n", [b ^ 1 for b in kept.suf_n])]
+                else:
+                    assert kept.no_p is None
+                    full, rules = kept.kept_lattice[1]
+                    corrupt += [("kept_lattice", (2, (full, [r ^ 1 for r in rules]))),
+                                ("kept_lattice", (2, (full >> 1, rules)))]
+                for name, value in corrupt:
+                    bad = _Environment(c, kept.env)
+                    setattr(bad, name, value)
+                    f.compiled = bad
+                    assert not f.check_occ_consistent(), (name, walk)
+                f.compiled = kept
+                assert f.check_occ_consistent()
 
     def test_sampling_reads_and_compiles_once(self, compiles, ex_setblocked,
                                               ex_full_blocking, at_not_setblocked):
@@ -745,17 +766,17 @@ class TestOneCompilePerQuestion:
 
 
 def lattice_cases():
-    """Seeded questions on clauses of 6 to 11 literals and on the
-    `sat2setbc` and `qbf2supbc` gadgets, most of whose lattices the bit
-    route decides for some k."""
+    """Seeded questions on clauses of 1 to 11 literals and on the
+    `sat2setbc`, `qbf2supbc` and `unsat2supbc` gadgets (the last with 34
+    literals), most of whose lattices the bit route decides for some k."""
     rng = random.Random(20161001)
-    for i in range(160):
-        kind = i % 4
+    for i in range(200):
+        kind = i % 5
         if kind < 2:
             # one to three environment clauses per literal of c: its
             # complement, at most one literal of c, and one or two of four
             # external variables
-            width = rng.randint(6, 11)
+            width = rng.randint(1, 11)
             c = random_clause(rng, width + 2, width)
             f = Formula()
             for x in c.literals:
@@ -773,6 +794,18 @@ def lattice_cases():
             yield f, c
         elif kind == 2:
             inst = sat_to_setblocking(random_formula(rng, rng.randint(3, 5), rng.randint(4, 16), 3))
+            yield inst.formula, inst.clause
+        elif kind == 4:
+            # 34 distinct source clauses of width 2 or 3 over four variables,
+            # so the gadget clause has 34 literals and four external
+            # variables; every other source is satisfied by a planted model
+            model = [rng.choice((1, -1)) * v for v in range(1, 5)]
+            source = Formula()
+            while len(source) < 34:
+                d = random_clause(rng, 4, rng.randint(2, 3))
+                if i % 10 == 4 or not d.isdisjoint(model):
+                    source.add(d)
+            inst = unsat_to_1superblocking(source)
             yield inst.formula, inst.clause
         else:
             # three existentials, so the gadget clause has 7 literals, and
@@ -823,7 +856,7 @@ class TestBitLattice:
             for bound in range(1, n + 1):
                 cands = list(candidate_sets(c, bound))
                 got = blocking._candidate_bits(n, bound)
-                if not 64 <= len(cands) <= 1 << 11:
+                if len(cands) > 1 << 11:
                     assert got is None, (n, bound)
                     continue
                 full, holds = got
@@ -836,8 +869,20 @@ class TestBitLattice:
         assert blocking._candidate_bits(2049, 1) is None
         assert blocking._candidate_bits(11, 11)[0] == (1 << 2047) - 1
         assert blocking._candidate_bits(12, 12) is None
-        assert blocking._candidate_bits(6, 6) is None  # 63 candidates
-        assert blocking._BIT_MIN_LITERALS == 7
+        # the smallest lattices: one candidate, and the empty clause's none
+        assert blocking._candidate_bits(1, 1) == (1, (1,))
+        assert blocking._candidate_bits(0, 0) == (0, ())
+
+    def test_each_table_is_built_once_per_width_and_bound(self):
+        # widths 1 to 8 classified under four bounds ask for 26 distinct
+        # (n, bound) tables; each is built once however the clauses interleave
+        rng = random.Random(5)
+        f = Formula(random_clause(rng, 40, 1 + i % 8) for i in range(120))
+        blocking._candidate_bits.cache_clear()
+        for k in (None, 1, 2, 3):
+            classify(f, ("setbc", "supbc"), k=k)
+        keys = {(n, n if k is None else min(k, n)) for n in range(1, 9) for k in (None, 1, 2, 3)}
+        assert blocking._candidate_bits.cache_info().misses == len(keys) == 26
 
     def test_a_lattice_past_the_bit_budget_is_walked(self):
         # 2,047 candidates: 512 environment clauses fill the 2^20 rule bits
@@ -869,9 +914,18 @@ class TestBitLattice:
         assert is_set_blocked(f, c).blocking_set == clause(3)
 
     def test_bits_and_walk_agree(self, monkeypatch):
-        seen = dict.fromkeys(("set", "super", "refuted", "walked", "cap", "taut-c", "sampled"), 0)
+        seen = dict.fromkeys(("set", "super", "refuted", "walked", "cap", "taut-c", "sampled",
+                              "small", "gadget34", "one-ext+", "one-ext-", "several-ext"), 0)
         for f, c in lattice_cases():
-            assert 6 <= len(c) <= 12
+            assert len(c) <= 12 or len(c) == 34
+            ext = set(external_variables(f, c))
+            reached = set()  # how many external literals the environment's clauses have
+            for d in resolution_environment(f, c):
+                outside = [x for x in d if abs(x) in ext]
+                if len(outside) == 1:
+                    reached.add("one-ext+" if outside[0] > 0 else "one-ext-")
+                elif outside:
+                    reached.add("several-ext")
             for k in (None, 1, 2, 3):
                 env = _Environment(c, resolution_environment(f, c))
                 lattice = env.lattice(k)
@@ -897,6 +951,12 @@ class TestBitLattice:
                     seen[res.witness.kind] += 1
                 seen["taut-c"] += c.is_tautology()
                 seen["sampled"] += sampled is not None
+                seen["small"] += len(c) < 7
+                seen["gadget34"] += len(c) == 34
+                if isinstance(res, SuperBlockingResult) and (
+                        res.witness is None or res.witness.kind == "super"):
+                    for key in reached:  # the scan went past its first step
+                        seen[key] += 1
         assert min(seen.values()) >= 10, seen
 
     def test_check_past_the_cap_samples_as_the_walk_does(self, tmp_path, capsys, monkeypatch):
@@ -926,21 +986,24 @@ class TestBitLattice:
         assert {"NOT-BLOCKED", "UNKNOWN"} <= answers, answers
 
     def test_consistency_check_recomputes_the_kept_lattice(self):
-        inst = sat_to_setblocking(formula((1, 2), (-1, 3), (2, -3)))
+        # a 13-literal gadget clause: 377 and 91 candidates for k = 3 and 2,
+        # and 8,191, past the bit lattices, with k unbounded
+        inst = sat_to_setblocking(formula((1, 2), (-1, 3), (2, -3), (4, 5), (-5, 6)))
         f, c = inst.formula, inst.clause
-        for k, bound in ((None, 7), (4, 4)):  # 127 and 98 candidates; with 3, 63 are walked
+        assert len(c) == 13
+        for k in (3, 2):
             is_set_blocked(f, c, k)
             kept = f.compiled
-            assert kept.kept_lattice[0] == bound and kept.no_p is None
+            assert kept.kept_lattice[0] == k and kept.no_p is None
             assert f.check_occ_consistent()
             full, rules = kept.kept_lattice[1]
             for bad in ((full >> 1, rules), (full, [r ^ 1 for r in rules])):
-                kept.kept_lattice = bound, bad
-                assert not f.check_occ_consistent(), bound
-            kept.kept_lattice = bound, (full, rules)
+                kept.kept_lattice = k, bad
+                assert not f.check_occ_consistent(), k
+            kept.kept_lattice = k, (full, rules)
             assert f.check_occ_consistent()
-        is_set_blocked(f, c, 3)
-        assert f.compiled.kept_lattice == (3, None)
+        is_set_blocked(f, c)
+        assert f.compiled.kept_lattice == (13, None) and f.compiled.no_p is not None
         assert f.check_occ_consistent()
 
     @pytest.mark.parametrize("matrix, prop, answer", [

@@ -216,8 +216,10 @@ def reference_eliminate(f, cfg, fresh=False):
     literal; the engine must match it byte for byte. A run stopped by the
     rounds cap reports every clause the last round queued, that is still in
     the formula and that was not checked after it was last queued, as
-    skipped with the cap as its reason. With `fresh`, every check runs on a
-    new copy of the formula state that keeps no value derived before.
+    skipped with the cap as its reason; for a property the engine asks once
+    per clause (`engine._ASKED_ONCE`), one never refuted. With `fresh`,
+    every check runs on a new copy of the formula state that keeps no value
+    derived before.
     """
     check = engine._CHECKS[cfg.property]
     g = f.copy()
@@ -252,7 +254,8 @@ def reference_eliminate(f, cfg, fresh=False):
             entries.append(TraceEntry(c, cfg.property, w))
             queued = g.clauses_with_any(c.complements())
             pending.update(queued)
-            settled.difference_update(queued)
+            if cfg.property not in engine._ASKED_ONCE:  # for those a no stays a no
+                settled.difference_update(queued)
 
     for c in pending - settled:
         capped[c] = "rounds cap %d reached" % cfg.rounds_cap
@@ -343,7 +346,45 @@ class TestRecheckQueue:
                 if not cut:
                     assert outputs(got) == outputs(full), (f.clauses, rounds_cap)
                 seen.add(cut)
-        assert seen == {False, True}
+        # a property asked once per clause is at its fixpoint after one round
+        assert seen == ({False} if prop in engine._ASKED_ONCE else {False, True})
+
+    @pytest.mark.parametrize("prop", sorted(engine._ASKED_ONCE))
+    def test_every_skipped_recheck_answers_no(self, prop, monkeypatch):
+        # The engine asks these once per clause. After each of its runs, the
+        # recheck it skipped (a refuted clause queued again by a removal) is
+        # run in full on the formula as it stood then, and answers no.
+        check = engine._CHECKS[prop]
+        asked, removed = [], []
+
+        def recorded(g, c, cfg, touched=None):
+            ok, w = check(g, c, cfg)
+            asked.append((c, len(removed)))
+            if ok:
+                removed.append(c)
+            return ok, w
+
+        monkeypatch.setitem(engine._CHECKS, prop, recorded)
+        rng = random.Random("asked once " + prop)
+        skipped = 0
+        for _ in range(40):
+            f = mixed_formula(rng, rng.randint(3, 10), rng.randint(4, 24))
+            for order in ("ascending-id", "descending-length"):
+                asked.clear()
+                removed.clear()
+                cfg = EliminationConfig(property=prop, clause_order=order)
+                eliminate_clauses(f, cfg)
+                assert len({c for c, _ in asked}) == len(asked)  # one check per clause
+                for c, before in asked:
+                    if c in removed:
+                        continue
+                    g = f.copy()
+                    for i, d in enumerate(removed):
+                        g.remove(d)
+                        if i >= before and c in g.clauses_with_any(d.complements()):
+                            skipped += 1
+                            assert check(Formula(g), c, cfg) == (False, None), (f.clauses, c)
+        assert skipped >= 100, skipped
 
     @pytest.mark.parametrize("prop", ["at", "as", "abc", "rat", "ras"])
     def test_kept_unit_closures_match_fresh_formulas(self, prop):
