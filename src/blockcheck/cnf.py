@@ -15,10 +15,15 @@ operations take a `Clause` as the receiver (`clause.isdisjoint(s)`, not
 `s.isdisjoint(clause)`), because CPython's fast path for a set argument
 needs an exact set or frozenset, and any other argument is walked through
 the Python-level `Clause.__iter__`.
+
+A `Formula` builds its occurrence index on first use. `parse_dimacs` reads
+plain int clause data in one bulk pass and other text with `read_dimacs_body`,
+the walk that every DIMACS ParseError and count warning comes from.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from operator import itemgetter, neg
 from types import MappingProxyType
@@ -36,6 +41,20 @@ def literal_key(lit: int) -> tuple[int, bool]:
 _frozenset_iter = frozenset.__iter__
 
 
+def _canonical(cls: type, lits: Iterable[int]) -> "Clause":
+    """The `cls` (a Clause) of int literals, in canonical order: `Clause()`
+    and the DIMACS bulk reader both build clauses here."""
+    self = frozenset.__new__(cls, lits)
+    # a stable sort by variable keeps the negative literal (the smaller
+    # int) first, which is the canonical order; 0 would sort first
+    canon = sorted(_frozenset_iter(self))
+    canon.sort(key=abs)
+    if canon and not canon[0]:
+        raise ValueError("0 is not a literal")
+    self._canon = tuple(canon)
+    return self
+
+
 class Clause(frozenset):
     """A duplicate-free set of literals, iterated in canonical order.
 
@@ -49,15 +68,7 @@ class Clause(frozenset):
     __slots__ = ("_canon",)
 
     def __new__(cls, literals: Iterable[int] = ()):
-        self = frozenset.__new__(cls, map(int, literals))
-        # a stable sort by variable keeps the negative literal (the smaller
-        # int) first, which is the canonical order; 0 would sort first
-        canon = sorted(_frozenset_iter(self))
-        canon.sort(key=abs)
-        if canon and not canon[0]:
-            raise ValueError("0 is not a literal")
-        self._canon = tuple(canon)
-        return self
+        return _canonical(cls, map(int, literals))
 
     @property
     def literals(self) -> tuple[int, ...]:
@@ -113,12 +124,13 @@ class Formula:
     file order for parsed formulas; determinism everywhere else in the package
     leans on it. Equality is set equality and ignores order.
 
-    The occurrence buckets and the unit-clause index map each clause to its
-    insertion id. `_append`, which both the constructor and `add` run, is the
-    one place ids and buckets are assigned: it gives each new clause a fresh,
-    larger id, so a bucket lists its clauses in formula order without
-    sorting, and a union of buckets sorts on the stored ids without hashing a
-    clause again.
+    The constructor numbers its clauses 0, 1, ... and `add` gives a new
+    clause the next, larger id; the occurrence buckets and the unit-clause
+    index map each clause to its id, so a bucket lists its clauses in formula
+    order without sorting, and a union of buckets sorts on the stored ids
+    without hashing a clause again. Both indexes are None until the first
+    lookup builds them (`_index`); `add` and `remove` keep them only once
+    built, and a copy of an unindexed formula is unindexed.
 
     Two slots hold immutable values other modules derive from the formula,
     or None; the formula only maintains them, and `copy` shares both.
@@ -132,23 +144,25 @@ class Formula:
     __slots__ = ("_seq", "_occ", "_units", "_next", "kept", "compiled")
 
     def __init__(self, clauses: Iterable["Clause | Iterable[int]"] = ()):
-        self._seq: dict[Clause, int] = {}
-        self._occ: dict[int, dict[Clause, int]] = {}
-        self._units: dict[Clause, int] = {}
-        self._next = 0
+        seq = dict.fromkeys(map(as_clause, clauses))  # a duplicate keeps its first place
+        self._seq: dict[Clause, int] = dict(zip(seq, range(len(seq))))
+        self._next = len(seq)
+        self._occ: "dict[int, dict[Clause, int]] | None" = None
+        self._units: "dict[Clause, int] | None" = None
         self.kept = None
         self.compiled = None
-        self._append(clauses)
 
-    def _append(self, clauses: Iterable["Clause | Iterable[int]"]) -> bool:
-        """Append the clauses not yet present, in order, each with a fresh id;
-        returns False if none was new."""
-        seq, occ, units = self._seq, self._occ, self._units
-        n = self._next
-        for c in clauses:
-            c = as_clause(c)
-            if seq.setdefault(c, n) != n:
-                continue  # a duplicate keeps its first id
+    def _index(self) -> dict[int, dict[Clause, int]]:
+        """The occurrence index, built with the unit index if it is None."""
+        if self._occ is None:
+            self._occ, self._units = {}, {}
+            self._put(self._seq.items())
+        return self._occ
+
+    def _put(self, items: Iterable[tuple[Clause, int]]) -> None:
+        """Enter (clause, id) pairs, ids rising, into both indexes."""
+        occ, units = self._occ, self._units
+        for c, n in items:
             for l in c._canon:
                 bucket = occ.get(l)
                 if bucket is None:
@@ -157,27 +171,31 @@ class Formula:
                     bucket[c] = n
             if len(c) == 1:
                 units[c] = n
-            n += 1
-        if n == self._next:
-            return False
-        self._next = n
-        self.kept = None
-        self.compiled = None
-        return True
 
     def add(self, clause: "Clause | Iterable[int]") -> bool:
         """Add a clause; returns False if it was already present."""
-        return self._append((clause,))
+        c = as_clause(clause)
+        if c in self._seq:
+            return False
+        n = self._next
+        self._seq[c] = n
+        if self._occ is not None:
+            self._put(((c, n),))
+        self._next = n + 1
+        self.kept = self.compiled = None
+        return True
 
     def remove(self, clause: "Clause | Iterable[int]") -> None:
         clause = as_clause(clause)
         del self._seq[clause]
-        for l in clause:
-            bucket = self._occ[l]
-            del bucket[clause]
-            if not bucket:
-                del self._occ[l]
-        self._units.pop(clause, None)
+        occ = self._occ
+        if occ is not None:
+            for l in clause._canon:
+                bucket = occ[l]
+                del bucket[clause]
+                if not bucket:
+                    del occ[l]
+            self._units.pop(clause, None)
         self.compiled = None
         if self.kept is not None:
             self.kept = self.kept.removed(clause)
@@ -210,7 +228,8 @@ class Formula:
         return self._seq[clause]
 
     def variables(self) -> set[int]:
-        return set(map(abs, self._occ))
+        occ = self._occ
+        return set(map(abs, frozenset().union(*self._seq) if occ is None else occ))
 
     def occurrences(self, lit: int) -> Mapping[Clause, int]:
         """The clauses containing the literal, each mapped to its insertion id,
@@ -219,11 +238,15 @@ class Formula:
         This is the live index bucket, not a copy: callers only read it, and
         must not hold it across a change to the formula.
         """
-        return self._occ.get(lit, _NO_OCCURRENCES)
+        occ = self._occ
+        if occ is None:
+            occ = self._index()
+        return occ.get(lit, _NO_OCCURRENCES)
 
     def unit_clauses(self) -> KeysView[Clause]:
         """The unit clauses in insertion order: a live view, not a copy, held
         like `occurrences`."""
+        self._index()
         return self._units.keys()
 
     def clauses_with_any(self, lits: Iterable[int], units: bool = False) -> list[Clause]:
@@ -231,22 +254,24 @@ class Formula:
 
         With units, every unit clause is included as well.
         """
+        occ = self._index()
         hit: dict[Clause, int] = dict(self._units) if units else {}
         for l in lits:
-            bucket = self._occ.get(l)
+            bucket = occ.get(l)
             if bucket:
                 hit.update(bucket)
         return [c for c, _ in sorted(hit.items(), key=itemgetter(1))]
 
     def copy(self) -> "Formula":
-        """An independent copy that keeps every insertion id and bucket order."""
+        """An independent copy, ids and bucket order kept; unindexed if this is."""
         out = Formula.__new__(Formula)
         out._seq = dict(self._seq)
-        out._occ = {l: dict(bucket) for l, bucket in self._occ.items()}
-        out._units = dict(self._units)
         out._next = self._next
         out.kept = self.kept
         out.compiled = self.compiled
+        occ = self._occ
+        out._occ = None if occ is None else {l: dict(bucket) for l, bucket in occ.items()}
+        out._units = None if occ is None else dict(self._units)
         return out
 
     def without(self, clause: "Clause | Iterable[int]") -> "Formula":
@@ -272,7 +297,7 @@ class Formula:
         for c, seq in self._seq.items():
             for l in c:
                 want.setdefault(l, []).append((c, seq))
-        have = {l: list(bucket.items()) for l, bucket in self._occ.items()}
+        have = {l: list(bucket.items()) for l, bucket in self._index().items()}
         units = [(c, seq) for c, seq in self._seq.items() if len(c) == 1]
         ids = list(self._seq.values())
         rising = all(a < b for a, b in zip(ids, ids[1:] + [self._next]))
@@ -472,13 +497,14 @@ def read_literals(tokens: Sequence[str], start: int, lineno: int) -> tuple[list[
 
 
 class DimacsBody(NamedTuple):
-    """The header and clauses of a DIMACS text, with the lines they came from."""
+    """The header and clauses of a DIMACS text, with the lines they came from
+    (None from the bulk reader of `parse_dimacs`, which has no use for them)."""
 
     header_line: int
     declared_vars: int
     declared_clauses: int
     clauses: list[Clause]
-    clause_lines: list[int]
+    clause_lines: "list[int] | None"
 
     def check_counts(self, max_var: int, strict: bool) -> None:
         """Compare the header counts with the content: warn, or raise under strict."""
@@ -568,6 +594,35 @@ def read_dimacs_body(
     return DimacsBody(*header, clauses, clause_lines)
 
 
+def _read_in_bulk(text: str) -> "DimacsBody | None":
+    """`read_dimacs_body(text)` by one split, one `map(int)` and a cut at each
+    0 after the header's line (the first not blank or a comment, read by the
+    walk); None unless those are ints ending in a 0. Exact: every line the
+    walk does not read as clause data opens with a token starting with 'c',
+    '%' or 'p', which `int` rejects, and both read tokens with `int`."""
+    at = 0
+    for end in re.finditer(r"\r\n?|\n", text):  # the line ends of `split_lines`
+        toks = text[at:end.start()].split()
+        at = end.end()
+        if toks and toks[0][0] != "c":
+            break
+    else:
+        return None  # no line end after the header: nothing to read in bulk
+    try:
+        lits = list(map(int, text[at:].split()))
+    except ValueError:
+        return None
+    if not lits or lits[-1]:
+        return None
+    head = read_dimacs_body(text[:at])
+    clauses, start = [], 0
+    while start < len(lits):
+        end = lits.index(0, start)
+        clauses.append(_canonical(Clause, lits[start:end]))
+        start = end + 1
+    return head._replace(clauses=clauses, clause_lines=None)
+
+
 def parse_dimacs(source: "str | bytes", strict: bool = False) -> Formula:
     """Parse DIMACS CNF text into a Formula.
 
@@ -579,8 +634,12 @@ def parse_dimacs(source: "str | bytes", strict: bool = False) -> Formula:
     missing/malformed header, non-integer tokens, an unterminated final clause.
     Every ParseError message starts with the line it concerns; `bytes` input
     that is not UTF-8 text is a ParseError too (see `decode_text`).
+
+    Clause data of plain ints ending in a 0 is read in bulk (`_read_in_bulk`),
+    other text by `read_dimacs_body`; the formula is returned unindexed.
     """
-    body = read_dimacs_body(source)
+    text = decode_text(source) if isinstance(source, bytes) else source
+    body = _read_in_bulk(text) or read_dimacs_body(text)
     f = Formula(body.clauses)
     body.check_counts(max(f.variables(), default=0), strict)
     return f

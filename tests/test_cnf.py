@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import warnings
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from blockcheck import (
     parse_dimacs,
     write_dimacs,
 )
+from blockcheck import cnf
 from blockcheck.cnf import (
     assignment_at,
     assignment_index,
@@ -171,7 +173,7 @@ def index_state(f):
     """Both indexes and the id counter, every order included."""
     return (
         list(f._seq.items()),
-        [(l, list(bucket.items())) for l, bucket in f._occ.items()],
+        [(l, list(bucket.items())) for l, bucket in f._index().items()],
         list(f._units.items()),
         f._next,
     )
@@ -208,13 +210,18 @@ class TestFormulaIndexes:
         assert bulk.check_occ_consistent()
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_copy_of_a_mutated_formula(self, seed):
+    @pytest.mark.parametrize("read", [True, False], ids=["read", "unread"])
+    def test_copy_of_a_mutated_formula(self, seed, read):
+        # unread: the removes and the copy come before anything reads the index
         rng = random.Random(seed)
         f = Formula(clause_stream(seed))
+        if read:
+            f.occurrences(1)
         for c in rng.sample(f.clauses, len(f) // 3):
             f.remove(c)
-        before = index_state(f)
         g = f.copy()
+        assert (f._occ is None) == (g._occ is None) == (not read)
+        before = index_state(f)
         assert index_state(g) == before and g.check_occ_consistent()
         # mutating the copy leaves the original as it was
         for c in g.clauses[::2]:
@@ -223,6 +230,50 @@ class TestFormulaIndexes:
         g.add((9,))
         assert index_state(f) == before and f.check_occ_consistent()
         assert g.check_occ_consistent()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_index_is_built_on_first_use(self, seed):
+        clauses = clause_stream(seed)
+        one_by_one = Formula()
+        for c in clauses:
+            one_by_one.add(c)
+        f = Formula(clauses)
+        g = f.copy()
+        # sizing, iterating, membership and variables leave both unindexed
+        assert len(g) == len(one_by_one) and list(g) == list(one_by_one)
+        assert all(c in g for c in clauses) and g == f
+        assert g.variables() == f.variables() == one_by_one.variables()
+        assert f._occ is None and g._occ is None
+        # the first read builds the copy's own index, which the add-by-add
+        # formula has kept all along
+        assert g.clauses_with_any((1, -2), units=True) == one_by_one.clauses_with_any(
+            (1, -2), units=True)
+        assert index_state(g) == index_state(one_by_one)
+        assert f._occ is None
+        assert f.check_occ_consistent() and index_state(f) == index_state(one_by_one)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_changes_before_the_first_read(self, seed):
+        rng = random.Random(seed)
+        clauses = clause_stream(seed)
+        gone = rng.choice(clauses)
+        unread, read = Formula(clauses), Formula(clauses)
+        read.occurrences(1)
+        for f in (unread, read):
+            f.remove(gone)
+            assert f.add((7, -8)) and not f.add((7, -8)) and f.add((9,))
+        assert index_state(unread) == index_state(read)
+        assert unread.check_occ_consistent() and gone not in unread
+        # removing an absent clause fails before it changes anything
+        f = Formula(clauses)
+        before = list(f._seq.items())
+        with pytest.raises(KeyError):
+            f.remove(Clause((10, 11)))
+        assert list(f._seq.items()) == before and f.check_occ_consistent()
+
+    def test_consistency_check_holds_on_an_unread_formula(self):
+        assert Formula(clause_stream(0)).check_occ_consistent()
+        assert Formula().check_occ_consistent()
 
     def test_clause_added_to_a_copy_gets_a_fresh_id(self):
         f = formula((1, 2), (-1, 3), (4,))
@@ -429,6 +480,25 @@ def body_clauses(text):
     return body.clauses, body.clause_lines
 
 
+def walk_parse(text, strict=False):
+    """parse_dimacs by the walk alone: the reference for its bulk route."""
+    body = read_dimacs_body(text)
+    f = Formula(body.clauses)
+    body.check_counts(max(f.variables(), default=0), strict)
+    return f
+
+
+def parse_outcome(parse, text, strict=False):
+    """The clauses with their ids and the warning texts, or the error text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            f = parse(text, strict)
+        except ParseError as exc:
+            return "error", str(exc)
+    return [(c, f.seq_of(c)) for c in f], [str(w.message) for w in caught]
+
+
 def literals_outcome(read, tokens, start):
     try:
         return read(tokens, start, 7)
@@ -520,7 +590,7 @@ class TestDimacsReader:
         # clauses, clause lines and error text as the reference
         rng = random.Random("dimacs fast path")
         pieces = ["0", "-0", "00", "+2", "x", "c", "p", "%", "1.5", "\t", "  ", "-"]
-        kinds = {"clauses": 0, "error": 0}
+        kinds = {"clauses": 0, "error": 0, "bulk": 0}
         for _ in range(600):
             lines = [" ".join(map(str, random_clause(rng, 5, rng.randint(1, 3)).literals + (0,)))
                      for _ in range(rng.randint(1, 6))]
@@ -550,6 +620,9 @@ class TestDimacsReader:
             got = outcome(body_clauses, text)
             assert got == outcome(general_clauses, text), text
             kinds["error" if got[0] == "error" else "clauses"] += 1
+            # parse_dimacs, whichever route it takes, is the walk
+            assert parse_outcome(parse_dimacs, text) == parse_outcome(walk_parse, text), text
+            kinds["bulk"] += cnf._read_in_bulk(text) is not None
         assert min(kinds.values()) >= 60, kinds
 
     def test_error_texts_are_the_reference_ones(self):
@@ -592,6 +665,88 @@ class TestDimacsReader:
         assert want.splitlines()[1:] == [
             "0", "-1 0", "-1 1 2 0", "-1 -2 0", "1 0", "1 -2 0", "1 2 0", "-2 -3 3 0", "2 -3 0",
         ]
+
+
+# (text, whether the walk is given only the lines up to the header): every
+# text is parsed as the walk parses it, and ints ending in a 0 after the
+# header are read in bulk
+PARSE_CASES = [
+    ("c a\nc b 0\np cnf 3 2\n1 -2 0\n2 3 0\n", True),   # header after comments
+    ("\n \n\tc\np cnf 3 2\n\n1 -2 0\n\n\n2 3 0\n\n", True),  # blank lines
+    ("  p cnf 3 2 \t\n1 -2 0\n2 3 0", True),            # padded header, no final newline
+    ("p cnf 3 2\r\n1 -2 0\r\n2 3 0\r\n", True),          # CRLF
+    ("c x\rp cnf 3 2\r1 -2 0\r2 3 0\r", True),            # CR
+    ("c y\r\np cnf 3 2\r1 -2 0\n2 3 0\r\n", True),        # mixed line ends
+    ("p cnf 3 2\n1\x0c-2 0\x852\u20283 0\n", True),        # form feed, NEL, U+2028
+    ("c page\x0c p cnf 9 9\np cnf 3 2\n1 -2 0\n", True),   # a comment past a form feed
+    ("p cnf 3 2\n1\n-2\n\n0 2\n3\n0\n", True),            # clauses over several lines
+    ("p cnf 3 4\n1 0 -2 3 0 0 2 0\n", True),               # several clauses per line
+    ("p cnf 3 3\n1 -0 2 00 +3 +0\n", True),                # odd terminators
+    ("p cnf 10 1\n1_0 \u0663 -\u0661 0\n", True),          # tokens only int reads
+    ("p cnf 3 3\n1 2 0\n2 1 0\n-3 0\n1 2 0\n", True),      # duplicate clauses
+    ("p cnf 1 1\n1 2 0\n3 0\n", True),                     # counts that warn
+    ("p cnf 3 2\n1 0\nc mid 5 0\n2 0\n", False),           # a comment in the body
+    ("p cnf 3 2\n1 0\n2 0\n%\n0 x garbage\n", False),     # '%' and garbage after it
+    ("p cnf 3 2\n1 0\n  % 5\n", False),                    # an indented '%'
+    ("p cnf 3 2\n1 0\np cnf 3 2\n2 0\n", False),           # a second header
+    ("p cnf 3 2\n1 0\n2 3\n", False),                      # an unterminated clause
+    ("p cnf 3 2\n1 0\n2 3\n\nc end\n", False),            # the same, then a comment
+    ("p cnf 0 0\n", False),                                # an empty body
+    ("p cnf 0 0", False),                                   # the header alone
+    ("p cnf 2 1\n1 x 0\n", False),                         # a bad token
+    ("p cnf 2 1\n1 c 0\n", False),                         # a 'c' token in a clause
+    ("p cnf 2 1\n1 %s 0\n" % ("1" * 5000), False),          # past int's digit limit
+    ("p cnf 2 1\n1 2 0 c\n", False),                       # a token after the last 0
+    ("p cnf x 1\n1 0\n", True),                            # a malformed header
+    ("p dnf 1 1\n1 0\n", True),
+    ("p cnf -1 1\n1 0\n", True),
+    ("pcnf 1 1\n1 0\n", True),
+    ("p cnf x 1\nc a\n1 0\n", False),
+    ("1 0\np cnf 1 1\n1 0\n", False),                      # clause data before the header
+    ("1 0\n2 0\n", True),
+    ("c only\n1 0\n", False),
+    ("%\np cnf 1 1\n1 0\n", False),                        # '%' before the header
+    ("c only a comment\n", False),                          # no header
+    ("", False),
+]
+
+
+class TestBulkRead:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("text, bulk", PARSE_CASES)
+    def test_parse_is_the_walk(self, monkeypatch, text, bulk, strict):
+        want = parse_outcome(walk_parse, text, strict)
+        walked = []
+
+        def only_the_header(source, prefix=None):
+            if source == text:
+                walked.append(source)
+            return read_dimacs_body(source, prefix)
+
+        monkeypatch.setattr(cnf, "read_dimacs_body", only_the_header)
+        assert parse_outcome(parse_dimacs, text, strict) == want
+        assert parse_outcome(parse_dimacs, text.encode(), strict) == want
+        assert (not walked) == bulk
+
+    def test_a_plain_file_is_not_walked(self, monkeypatch):
+        text = "c planted\np cnf 4 3\n1 -2 0\n2 3 -4 0\n4 0\n"
+
+        def refuse(source, prefix=None):
+            if source == text:
+                raise AssertionError("a plain file went through the walk")
+            return read_dimacs_body(source, prefix)
+
+        monkeypatch.setattr(cnf, "read_dimacs_body", refuse)
+        assert parse_dimacs(text).clauses == [clause(1, -2), clause(2, 3, -4), clause(4)]
+
+    def test_the_count_warning_names_the_callers_file(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_dimacs("p cnf 1 2\n1 0\n")          # bulk
+            parse_dimacs("p cnf 1 2\n1 0\nc end\n")  # walk
+            parse_qdimacs("p cnf 1 2\ne 1 0\n1 0\n")
+        assert [w.filename for w in caught] == [__file__] * 3
+        assert all("declared 2 clauses, parsed 1" in str(w.message) for w in caught)
 
 
 @pytest.mark.parametrize(

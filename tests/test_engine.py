@@ -866,6 +866,65 @@ class TestReconstruct:
             reconstruct_model(trace, original, Assignment({1: 0, 2: 0, 3: 0}))
 
 
+class TestIndexBuilds:
+    """A parsed formula builds its occurrence index on first use: eliminate
+    builds one, for the formula it works on, and reconstruct builds none
+    unless it recomputes a compact super-blocking repair."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        index = Formula._index
+
+        def counting(self):
+            if self._occ is None:
+                built.append(self)
+            return index(self)
+
+        monkeypatch.setattr(Formula, "_index", counting)
+        return built
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eliminate_builds_one_and_reconstruct_none(self, builds, seed):
+        text = write_dimacs(planted_3cnf(random.Random(seed), 12, 30))
+        f = parse_dimacs(text)
+        builds.clear()
+        g, trace = eliminate_clauses(f, EliminationConfig(property="bc"))
+        assert builds == [g] and f._occ is None and trace.entries
+        model = first_model(g, range(1, 13))
+        original = parse_dimacs(text)
+        builds.clear()
+        out = reconstruct_model(trace, original, model)
+        assert builds == [] and original._occ is None
+        assert all(out.satisfies_clause(d) for d in original)
+
+    def test_a_compact_super_entry_builds_one(self, builds, monkeypatch):
+        recomputed = []
+        under = engine.blocking_set_under
+
+        def counting(g, c, value):
+            recomputed.append(c)
+            return under(g, c, value)
+
+        monkeypatch.setattr(engine, "blocking_set_under", counting)
+        cfg = EliminationConfig(property="supbc", compact_witnesses=True)
+        rng = random.Random("compact repair")
+        repairs = 0
+        for _ in range(40):
+            text = write_dimacs(random_formula(rng, 6, rng.randint(6, 14), 3))
+            g, trace = eliminate_clauses(parse_dimacs(text), cfg)
+            for model in enumerate_models(g, range(1, 7)):
+                original = parse_dimacs(text)
+                builds.clear()
+                recomputed.clear()
+                out = reconstruct_model(trace, original, model)
+                assert len(builds) == (1 if recomputed else 0)
+                assert original._occ is None
+                assert all(out.satisfies_clause(d) for d in original)
+                repairs += bool(recomputed)
+        assert repairs >= 20
+
+
 class TestClassify:
     def test_empty_formula(self):
         report = classify(Formula())
