@@ -10,15 +10,20 @@ canonical order (smaller sets first, then the clause's own literal order),
 so witnesses are deterministic and the cost of a failed search is exactly
 `count_candidate_sets`.
 
-Set-blocking is decided on a compiled form of c's resolution environment:
-a clause D of it rules out exactly the candidates L that hold every
-literal of c whose complement D contains and no literal D shares with c
-(see `_Environment`). Candidates are decided by integer operations,
-building no resolvent and no clause, on one of two routes. A lattice of at
-most 2^11 candidates, whose rules take at most 2^20 bits, gets one bit per
-candidate, numbered in `candidate_sets` order, and each clause D one
+Both properties are local: they are decided on one compiled form of c's
+resolution environment, `_Environment`. A clause D of it rules out exactly
+the candidates L that hold every literal of c whose complement D contains
+and no literal D shares with c. Restrictions only ever remove environment
+clauses (satisfied ones), so every question the deciders ask is one
+question on it: the first candidate that no live clause rules out, with
+every clause live for set-blocking in f, and the survivors of an
+assignment to the external variables for a restriction. Candidates are
+decided by integer operations, building no resolvent and no clause, on
+one of two routes, which only the environment picks. A lattice of
+at most 2^11 candidates, whose rules take at most 2^20 bits, gets one bit
+per candidate, numbered in `candidate_sets` order, and each clause D one
 rule-out bitset over them; the first blocking set is the lowest bit no
-rule covers. A larger lattice is walked candidate by candidate, each
+live rule covers. A larger lattice is walked candidate by candidate, each
 candidate's rule-out set an AND of one bitset over the environment per
 position of c. Both routes give the same sets, tables, failing
 assignments and counts.
@@ -26,14 +31,12 @@ assignments and counts.
 The super-blocking decider covers all 2^|ext| restrictions, which is exact
 but exponential. Past `ext_cap` it refuses, or, given a random source and
 a count, samples that many restrictions, which can refute but never
-confirm. Set-blocking in the whole formula is the scan's first step, and
-under each restriction only the set of surviving clauses changes (see
-`_RestrictionScan`). On the bit route the scan goes depth first over the
-external variables and stops at the first subtree in which the clauses
-that survive every completion already rule out every candidate. Its
-witness keeps the sets in the scan's order (see `RestrictionTable`),
-which is also the order `check` and traces write them in; reading a trace
-back builds the same table.
+confirm. Set-blocking in the whole formula is the scan's first step. On
+the bit route the scan goes depth first over the external variables and
+stops at the first subtree in which the clauses that survive every
+completion already rule out every candidate. Its witness keeps the sets in
+the scan's order (see `RestrictionTable`), which is also the order `check`
+and traces write them in; reading a trace back builds the same table.
 
 Both deciders read and compile c's environment once per clause and
 formula state: the formula keeps the last one compiled in its `compiled`
@@ -49,7 +52,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, islice, product
+from itertools import combinations, compress, islice, product
 from math import comb
 from operator import neg, or_
 from random import Random
@@ -101,7 +104,8 @@ class RestrictionTable(Mapping):
 
     `variables` is sorted and `sets[m]` belongs to the assignment with index
     m (`cnf.assignment_index`). Counting m upward walks the assignments in
-    lexicographic order, which is the order of iteration and of `rows()`.
+    lexicographic order, which is the order of iteration and of
+    `dimacs_rows()`.
     Assignments are built only when a caller asks for one; a key that is
     not an `Assignment` over exactly `variables` is absent.
 
@@ -120,23 +124,13 @@ class RestrictionTable(Mapping):
         if len(self.sets) != 1 << len(self.variables):
             raise ValueError("a restriction table needs one set per assignment")
 
-    def rows(self) -> "Iterator[tuple[str, Clause]]":
-        """(assignment as zero-terminated DIMACS literals, set) per row, in
-        table order; each literal is formatted once, not once per row. The
-        library prints `dimacs_rows()`; this is the same rows with the sets
-        as clauses, for a caller that reads them (the tests compare
-        `dimacs_rows()` and the printed tables with it)."""
-        return zip(self._taus(), self.sets)
-
     def dimacs_rows(self) -> "Iterator[tuple[str, str]]":
-        """`rows()` with each set as its DIMACS text, which is formatted once
-        per distinct set, not once per row."""
+        """(assignment as zero-terminated DIMACS literals, set as DIMACS text)
+        per row, in table order. Each literal and each distinct set is
+        formatted once, not once per row."""
         texts = {s: s.dimacs() for s in set(self.sets)}
-        return zip(self._taus(), map(texts.__getitem__, self.sets))
-
-    def _taus(self) -> "Iterator[str]":
-        texts = [("-%d" % v, "%d" % v) for v in self.variables]
-        return map(" ".join, product(*texts, ("0",)))
+        taus = map(" ".join, product(*[("-%d" % v, "%d" % v) for v in self.variables], ("0",)))
+        return zip(taus, map(texts.__getitem__, self.sets))
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -235,13 +229,10 @@ _LATTICE_BITS = 1 << 20
 # for only 4, a `classify` of widths 1 to 8 rebuilt a table on almost every
 # question (196 builds for 200 clauses, not 8).
 @lru_cache(maxsize=32)
-def _candidate_bits(n: int, bound: int) -> "tuple[int, tuple[int, ...]] | None":
+def _candidate_bits(n: int, bound: int) -> "tuple[int, tuple[int, ...]]":
     """The candidates of an n-literal clause with at most `bound` literals,
     bit j for the j-th in `candidate_sets` order: (all of them, per position
-    q the ones that hold q). None for a lattice the walk decides; the empty
-    clause has the empty lattice."""
-    if bound and count_candidate_sets(n, bound) > _BIT_LATTICE:
-        return None
+    q the ones that hold q). The empty clause has the empty lattice."""
     if bound == 1:
         return (1 << n) - 1, tuple(1 << q for q in range(n))
     # row[t][e]: the t-subsets of range(m), in lexicographic order, that hold
@@ -264,7 +255,8 @@ def _candidate_bits(n: int, bound: int) -> "tuple[int, tuple[int, ...]] | None":
 
 
 class _Environment:
-    """c's resolution environment compiled into rule-out bitsets.
+    """c's resolution environment compiled into rule-out bitsets, and the one
+    object that answers every set- and super-blocking question about c.
 
     Bit i stands for environment clause i. A non-tautological clause D with
     shared literals P and complemented literals N (positions of c's
@@ -282,27 +274,35 @@ class _Environment:
     for one that takes exactly one literal of every pair the rule above is
     exact.
 
-    It also keeps c as `subject` and the environment as `env`, the list bit
-    i counts in. The walk's bitsets are built on the first walk
-    (`walk_bitsets`); a bit lattice (`_BIT_LATTICE`) gets one rule-out
-    bitset per clause over the candidates instead (see `lattice`), built on
-    first use and kept in `kept_lattice` for the last bound asked. Only
-    those lazily built parts change, and they are what a fresh compile
-    would build, so it is the value a formula keeps in its `compiled` slot,
-    shared by formula copies (see `_compile`).
+    It also keeps c as `subject`, the environment as `env`, the list bit i
+    counts in, and `every`, the bitset of all of it. Every question is the
+    first candidate that no clause of a live subset rules out (`finder`);
+    a restriction's live clauses are its `survivors`, and a restriction
+    table asks once per assignment (`table`). Only those two methods pick
+    the route: the bit lattice (`lattice`) or the walk (`candidates`).
+
+    The rest is built on first use and is what a fresh compile would build:
+    the walk's bitsets, the bit lattice of the last bound asked
+    (`kept_lattice`), the external variables (`ext`) and their `sat`
+    bitsets. So it is the value a formula keeps in its `compiled` slot,
+    shared by formula copies (see `_compile`), and `holds` rebuilds it.
     """
 
-    __slots__ = ("subject", "env", "lits", "pairs", "no_p", "no_n", "suf_n", "kept_lattice")
+    __slots__ = ("subject", "env", "every", "lits", "pairs", "no_p", "no_n", "suf_n",
+                 "kept_lattice", "ext", "sat")
 
     def __init__(self, c: Clause, env: "list[Clause]"):
         self.subject = c
         self.env = env
+        self.every = (1 << len(env)) - 1
         self.lits = lits = c.literals
         where = {x: q for q, x in enumerate(lits)}
         self.pairs = [(q, where[-x]) for q, x in enumerate(lits) if x > 0 and -x in where]
         self.no_p = self.no_n = self.suf_n = None
         # (bound, `lattice`'s answer for it), for the last bound asked
         self.kept_lattice: "tuple[int, tuple[int, list[int]] | None] | None" = None
+        self.ext: "list[int] | None" = None
+        self.sat: "list[list[int]] | None" = None
 
     def walk_bitsets(self) -> None:
         """Build `no_p`, `no_n` and `suf_n`, the walk's bitsets."""
@@ -331,13 +331,17 @@ class _Environment:
 
     def holds(self, f: Formula) -> bool:
         """Whether a fresh read and compile of the clause's environment in f
-        give the same environment, in order, and the same bitsets, those of
-        the walk and of the kept lattice."""
+        give the same environment, in order, and the same bitsets: those of
+        the walk, of the kept lattice and of the external variables."""
         fresh = _Environment(self.subject, resolution_environment(f, self.subject))
         if (self.no_p, self.no_n, self.suf_n) != (None, None, None):
             fresh.walk_bitsets()
         if self.kept_lattice is not None:
             fresh.lattice(self.kept_lattice[0])
+        if self.ext is not None:
+            fresh.external()
+        if self.sat is not None:
+            fresh.survivors(0)
         return all(getattr(fresh, a) == getattr(self, a) for a in _Environment.__slots__)
 
     def lattice(self, k: "int | None") -> "tuple[int, list[int]] | None":
@@ -356,13 +360,11 @@ class _Environment:
         kept = self.kept_lattice
         if kept is not None and kept[0] == bound:
             return kept[1]
-        bits = _candidate_bits(n, bound)
-        if bits is not None and len(self.env) * bits[0].bit_length() > _LATTICE_BITS:
-            bits = None
-        if bits is None:
+        count = (1 << n) - 1 if bound == n else count_candidate_sets(n, bound)
+        if count > _BIT_LATTICE or len(self.env) * count > _LATTICE_BITS:
             self.kept_lattice = bound, None
             return None
-        full, holds = bits
+        full, holds = _candidate_bits(n, bound)
         masks: "dict[int, int]" = {}
         for q, x in enumerate(self.lits):
             masks[-x] = masks.get(-x, full) & holds[q]
@@ -423,6 +425,163 @@ class _Environment:
                     pos[j] = pos[j - 1] + 1
                     ahead[j] = ahead[j - 1] & no_p[pos[j - 1]]
 
+    def external(self) -> "list[int]":
+        """The external variables, sorted: those of the environment outside c."""
+        if self.ext is None:
+            seen = frozenset().union(*self.env)
+            self.ext = sorted(set(map(abs, seen)) - self.subject.variables())
+        return self.ext
+
+    def survivors(self, m: int) -> int:
+        """The environment clauses that assignment m to the external
+        variables (`cnf.assignment_index`) leaves: `every` minus one `sat`
+        bitset per variable. No formula or clause is built per assignment."""
+        if self.sat is None:
+            # sat[b]: the clauses satisfied by setting the variable at bit b
+            # of an index (the b-th largest external variable) false and true
+            acc = {}
+            for v in self.external():
+                acc[v] = acc[-v] = 0
+            for i, d in enumerate(self.env):
+                bit = 1 << i
+                for lit in d._canon:
+                    if lit in acc:
+                        acc[lit] |= bit
+            self.sat = [[acc[-v], acc[v]] for v in reversed(self.ext)]
+        dead = 0
+        for b, by_value in enumerate(self.sat):
+            dead |= by_value[(m >> b) & 1]
+        return self.every & ~dead
+
+    def finder(self, k: "int | None", keep: bool = False) -> "Callable[[int], int]":
+        """`first(alive)`: the index in `candidates` order of the first
+        candidate of at most k literals that no clause in `alive` (a bitset
+        over `env`) rules out, or -1 when every candidate is ruled out.
+
+        On a bit lattice that is the lowest candidate no live clause's rule
+        covers. On the walk, with `keep`, each candidate's rule-out set is
+        drawn once and kept for the next call, so the questions of one
+        super-blocking scan draw no candidate twice; without it, as for
+        `is_set_blocked`'s one question, nothing drawn is kept.
+
+        The finder is returned, not kept here: it holds a generator over
+        this object, and keeping it would form a reference cycle.
+        """
+        lattice = self.lattice(k)
+        if lattice is not None:
+            full, rules = lattice
+
+            def first(alive: int) -> int:
+                live = rules
+                if alive != self.every:  # bin(alive)[:1:-1]: alive's bits from bit 0 up
+                    live = compress(rules, map("1".__eq__, bin(alive)[:1:-1]))
+                return self.first_free(full, reduce(or_, live, 0))
+
+        elif keep:
+            drawn: "list[int]" = []
+            more = self.candidates(k)
+
+            def first(alive: int) -> int:
+                for i, ruled_out in enumerate(drawn):
+                    if not ruled_out & alive:
+                        return i
+                for _, ruled_out in more:
+                    drawn.append(ruled_out)
+                    if not ruled_out & alive:
+                        return len(drawn) - 1
+                return -1
+
+        else:
+
+            def first(alive: int) -> int:
+                walk = enumerate(ruled_out for _, ruled_out in self.candidates(k))
+                return next((i for i, ruled_out in walk if not ruled_out & alive), -1)
+
+        return first
+
+    def table(self, k: "int | None", first: "Callable[[int], int]") -> "list[Clause]":
+        """The set blocking c under each assignment to the external variables,
+        in index order, up to the first assignment without one: all 2^|ext|
+        when there is none. Rows with the same set share one `Clause`.
+
+        The walk asks `first`, this bound's `finder`, once per assignment.
+        On a bit lattice the scan goes depth first over the external
+        variables in index order (smallest first, false before true), so
+        leaves come in index order. A node carries the OR of the rules of
+        the clauses that survive all of its completions: those whose
+        external literals it has all set false. When that OR covers every
+        candidate, all its leaves fail, and the first of them, its
+        all-false completion, is the next index.
+        """
+        lattice = self.lattice(k)
+        ext = self.external()
+        n = len(ext)
+        found: "list[int]" = []
+        if lattice is None:
+            for m in range(1 << n):
+                i = first(self.survivors(m))
+                if i < 0:
+                    break
+                found.append(i)
+        else:
+            full, rules = lattice
+            # per external literal: its variable's depth, the variable's bit in
+            # an index, and that bit's value where the literal is false
+            bit = {}
+            for j, v in enumerate(ext):
+                b = 1 << (n - 1 - j)
+                bit[v] = j, b, 0
+                bit[-v] = j, b, b
+            ruled = 0
+            # per depth j, (care, want, rule) of the clauses with two or more
+            # external literals, the last on ext[j]: they survive below a node at
+            # depth j + 1 whose index bits so far (`path`) have path & care ==
+            # want
+            settles: "list[list[tuple[int, int, int]]]" = [[] for _ in ext]
+            # per depth j and value of ext[j], the OR of the rules of the
+            # clauses whose one external literal, on ext[j], that value falsifies
+            single = [[0, 0] for _ in ext]
+            for d, rule in zip(self.env, rules):
+                if not rule:
+                    continue
+                care = want = 0
+                last = -1
+                for lit in d._canon:  # external literals come in `ext` order
+                    at = bit.get(lit)
+                    if at is not None:
+                        last, b, w = at
+                        care |= b
+                        want |= w
+                if last < 0:
+                    ruled |= rule
+                elif care == b:  # its one external literal is the last one seen
+                    single[last][w != 0] |= rule
+                else:
+                    settles[last].append((care, want, rule))
+            first_free = self.first_free
+            stack = [(0, 0, ruled)]
+            while stack:
+                j, path, ruled = stack.pop()
+                if ruled == full:
+                    break
+                if j == n:
+                    found.append(first_free(full, ruled))
+                    continue
+                if_false, if_true = single[j]
+                high = path | 1 << (n - 1 - j)
+                ruled_high, ruled_low = ruled | if_true, ruled | if_false
+                # care holds ext[j]'s bit, on which the two children differ, so
+                # a clause settled here survives below one of them at most
+                for care, want, rule in settles[j]:
+                    if (high & care) == want:
+                        ruled_high |= rule
+                    elif (path & care) == want:
+                        ruled_low |= rule
+                stack.append((j + 1, high, ruled_high))
+                stack.append((j + 1, path, ruled_low))
+        sets = {i: self.clause_at(i) for i in set(found)}
+        return [sets[i] for i in found]
+
     @staticmethod
     def first_free(full: int, ruled: int) -> int:
         """The index of the lowest candidate of a bit lattice that `ruled`
@@ -430,24 +589,17 @@ class _Environment:
         free = full & ~ruled
         return (free & -free).bit_length() - 1
 
-    @staticmethod
-    def first_unruled(lattice: "tuple[int, list[int]]") -> int:
-        """`first_free` over a bit lattice with every clause alive: the
-        index of the first set blocking c in the whole formula, or -1."""
-        full, rules = lattice
-        return _Environment.first_free(full, reduce(or_, rules, 0))
-
-    def clause(self, picked: Iterable[int]) -> Clause:
-        return Clause(self.lits[q] for q in picked)
-
-    def clause_at(self, i: int) -> Clause:
-        """The candidate `candidates` yields at index i (counting from 0)."""
+    def clause_at(self, i: int) -> "Clause | None":
+        """The candidate `candidates` yields at index i (counting from 0), or
+        None for -1, a finder's answer when every candidate is ruled out."""
+        if i < 0:
+            return None
         n = len(self.lits)
         size = 1
         while i >= comb(n, size):
             i -= comb(n, size)
             size += 1
-        return self.clause(next(islice(combinations(range(n), size), i, None)))
+        return Clause(next(islice(combinations(self.lits, size), i, None)))
 
 
 def _compile(f: Formula, c: Clause) -> _Environment:
@@ -459,39 +611,6 @@ def _compile(f: Formula, c: Clause) -> _Environment:
     return kept
 
 
-def _search_blocking_set(
-    f: Formula,
-    c: Clause,
-    k: int | None,
-    stats: "dict[str, int] | None" = None,
-) -> Clause | None:
-    # The walk streams the candidates rather than calling
-    # `_RestrictionScan(f, c, k).blocking_set()`, which finds the same set
-    # but also keeps each candidate's rule-out bitset for later restrictions
-    # and tests it against an `alive` mask; a question with no restrictions
-    # pays for that and gains nothing. Through the scan, each
-    # sat_to_setblocking question (random 3-CNF, 5 variables, 21 clauses; 50
-    # questions, best of 40 interleaved runs on a 2-core x86 host) took
-    # 3-17% longer, 9-10% at the median, when such questions were walked.
-    if len(c) == 0:
-        return None
-    if stats is not None:
-        stats.setdefault("candidates", 0)
-    env = _compile(f, c)
-    lattice = env.lattice(k)
-    if lattice is not None:
-        i = env.first_unruled(lattice)
-        if stats is not None:
-            stats["candidates"] += i + 1 if i >= 0 else lattice[0].bit_length()
-        return env.clause_at(i) if i >= 0 else None
-    for picked, ruled_out in env.candidates(k):
-        if stats is not None:
-            stats["candidates"] += 1
-        if not ruled_out:
-            return env.clause(picked)
-    return None
-
-
 def is_set_blocked(
     f: Formula,
     c: "Clause | Iterable[int]",
@@ -501,13 +620,23 @@ def is_set_blocked(
     """The first set of at most k literals blocking c, as a witness.
 
     With k=None the whole subset lattice of c is searched. `stats`, when
-    given, receives the number of candidates tested under "candidates".
+    given, receives the number of candidates tested under "candidates":
+    up to and including the blocking set, or all of them. The empty clause
+    has no candidate; it leaves `stats` untouched.
     """
     check_bounds(k)
-    found = _search_blocking_set(f, as_clause(c), k, stats)
-    if found is None:
+    c = as_clause(c)
+    n = len(c)
+    if n == 0:
         return None
-    return BlockingWitness(kind="set", blocking_set=found)
+    env = _compile(f, c)
+    i = env.finder(k)(env.every)
+    if stats is not None:
+        tested = i + 1 if i >= 0 else count_candidate_sets(n, n if k is None else min(k, n))
+        stats["candidates"] = stats.get("candidates", 0) + tested
+    if i < 0:
+        return None
+    return BlockingWitness(kind="set", blocking_set=env.clause_at(i))
 
 
 @dataclass(frozen=True)
@@ -520,183 +649,6 @@ class SuperBlockingResult:
     @property
     def blocked(self) -> bool:
         return self.witness is not None
-
-
-class _RestrictionScan:
-    """One super-blocking question on c's compiled environment, and its walk
-    over the assignments to the external variables.
-
-    c's resolution environment comes compiled from `_compile`, once per
-    clause and formula state (bit i stands for environment clause i, see
-    `_Environment`); the scan's own state lives here. Restrictions only ever
-    remove environment clauses (satisfied ones), so the blocking search
-    depends on nothing but the surviving subset. On the walk the
-    candidates' rule-out bitsets are drawn lazily in canonical order and
-    kept, so no candidate is drawn twice: the first candidate whose rule-out
-    set meets none of the survivors blocks. On a bit lattice the first set
-    is the lowest candidate no survivor's rule covers. The whole formula,
-    with every clause alive, is the first question asked (`blocking_set`);
-    it needs nothing else. Only when a restriction is asked about are the
-    external variables sorted (`external`) and `_sat` built: `_sat[b]`
-    holds the clauses satisfied by setting the variable at bit b false and
-    true, so the survivors of assignment m are the environment minus one
-    bitset per external variable. No formula or clause is built per
-    assignment.
-    """
-
-    __slots__ = ("_compiled", "_lattice", "_all", "_more", "_ruled", "_sets", "_ext", "_sat")
-
-    def __init__(self, f: Formula, c: Clause, k: int | None):
-        self._compiled = compiled = _compile(f, c)
-        self._lattice = compiled.lattice(k)
-        self._all = (1 << len(compiled.env)) - 1
-        self._more = compiled.candidates(k) if self._lattice is None else None
-        # the rule-out bitset of each candidate drawn so far, and by index
-        # the candidates that have blocked
-        self._ruled: list[int] = []
-        self._sets: dict[int, Clause] = {}
-        self._ext: "list[int] | None" = None
-        self._sat: "list[list[int]] | None" = None
-
-    def external(self) -> "list[int]":
-        """The external variables, sorted: those of the environment outside c."""
-        if self._ext is None:
-            seen = frozenset().union(*self._compiled.env)
-            self._ext = sorted(set(map(abs, seen)) - self._compiled.subject.variables())
-        return self._ext
-
-    def _survivors(self, m: int) -> int:
-        if self._sat is None:
-            # bit b of an index is the b-th largest external variable
-            # (`cnf.assignment_index`)
-            acc = {}
-            for v in self.external():
-                acc[v] = acc[-v] = 0
-            for i, d in enumerate(self._compiled.env):
-                bit = 1 << i
-                for lit in d._canon:
-                    if lit in acc:
-                        acc[lit] |= bit
-            self._sat = [[acc[-v], acc[v]] for v in reversed(self._ext)]
-        dead = 0
-        for b, by_value in enumerate(self._sat):
-            dead |= by_value[(m >> b) & 1]
-        return self._all & ~dead
-
-    def blocking_set(self) -> Clause | None:
-        """The first set blocking c in the whole formula: `is_set_blocked`'s."""
-        if self._lattice is None:
-            return self._first(self._all)
-        i = self._compiled.first_unruled(self._lattice)
-        return self._set(i) if i >= 0 else None
-
-    def blocking_set_at(self, m: int) -> Clause | None:
-        return self._first(self._survivors(m))
-
-    def sets(self) -> "list[Clause]":
-        """The blocking set of each assignment in index order, up to the
-        first assignment without one: all 2^|ext| when there is none."""
-        if self._lattice is not None:
-            return self._sets_by_bits()
-        out = []
-        for m in range(1 << len(self.external())):
-            found = self.blocking_set_at(m)
-            if found is None:
-                break
-            out.append(found)
-        return out
-
-    def _sets_by_bits(self) -> "list[Clause]":
-        # Depth first over the external variables in index order (smallest
-        # first, false before true), so leaves come in index order. A node
-        # carries the OR of the rules of the clauses that survive all of its
-        # completions: those whose external literals it has all set false.
-        # When that OR covers every candidate, all its leaves fail, and the
-        # first of them, its all-false completion, is the next index.
-        full, rules = self._lattice
-        ext = self.external()
-        n = len(ext)
-        # per external literal: its variable's depth, the variable's bit in
-        # an index, and that bit's value where the literal is false
-        bit = {}
-        for j, v in enumerate(ext):
-            b = 1 << (n - 1 - j)
-            bit[v] = j, b, 0
-            bit[-v] = j, b, b
-        ruled = 0
-        # per depth j, (care, want, rule) of the clauses with two or more
-        # external literals, the last on ext[j]: they survive below a node at
-        # depth j + 1 whose index bits so far (`path`) have path & care ==
-        # want
-        settles: "list[list[tuple[int, int, int]]]" = [[] for _ in ext]
-        # per depth j and value of ext[j], the OR of the rules of the
-        # clauses whose one external literal, on ext[j], that value falsifies
-        single = [[0, 0] for _ in ext]
-        for d, rule in zip(self._compiled.env, rules):
-            if not rule:
-                continue
-            care = want = 0
-            last = -1
-            for lit in d._canon:  # external literals come in `ext` order
-                at = bit.get(lit)
-                if at is not None:
-                    last, b, w = at
-                    care |= b
-                    want |= w
-            if last < 0:
-                ruled |= rule
-            elif care == b:  # its one external literal is the last one seen
-                single[last][w != 0] |= rule
-            else:
-                settles[last].append((care, want, rule))
-        first_free = self._compiled.first_free
-        out = []
-        stack = [(0, 0, ruled)]
-        while stack:
-            j, path, ruled = stack.pop()
-            if ruled == full:
-                break
-            if j == n:
-                out.append(self._set(first_free(full, ruled)))
-                continue
-            if_false, if_true = single[j]
-            high = path | 1 << (n - 1 - j)
-            ruled_high, ruled_low = ruled | if_true, ruled | if_false
-            # care holds ext[j]'s bit, on which the two children differ, so
-            # a clause settled here survives below one of them at most
-            for care, want, rule in settles[j]:
-                if (high & care) == want:
-                    ruled_high |= rule
-                elif (path & care) == want:
-                    ruled_low |= rule
-            stack.append((j + 1, high, ruled_high))
-            stack.append((j + 1, path, ruled_low))
-        return out
-
-    def _first(self, alive: int) -> Clause | None:
-        if self._lattice is not None:
-            full, rules = self._lattice
-            ruled = 0
-            for i, rule in enumerate(rules):
-                if alive >> i & 1:
-                    ruled |= rule
-            i = self._compiled.first_free(full, ruled)
-            return self._set(i) if i >= 0 else None
-        ruled = self._ruled
-        for i, ruled_out in enumerate(ruled):
-            if not ruled_out & alive:
-                return self._set(i)
-        for _, ruled_out in self._more:
-            ruled.append(ruled_out)
-            if not ruled_out & alive:
-                return self._set(len(ruled) - 1)
-        return None
-
-    def _set(self, i: int) -> Clause:
-        found = self._sets.get(i)
-        if found is None:
-            found = self._sets[i] = self._compiled.clause_at(i)
-        return found
 
 
 def check_super_blocked(
@@ -719,19 +671,20 @@ def check_super_blocked(
     set refutes, and when none refutes the cap error stands.
     """
     check_bounds(k, ext_cap)
-    scan = _RestrictionScan(f, as_clause(c), k)
-    found = scan.blocking_set()
+    env = _compile(f, as_clause(c))
+    first = env.finder(k, keep=True)
+    found = env.clause_at(first(env.every))
     if found is not None:
         return SuperBlockingResult(BlockingWitness(kind="set", blocking_set=found), None)
 
-    ext = scan.external()
+    ext = env.external()
     n = len(ext)
     if n > ext_cap:
         if sample is not None:
             rng, samples = sample
             for _ in range(samples):
                 m = rng.getrandbits(n)
-                if scan.blocking_set_at(m) is None:
+                if first(env.survivors(m)) < 0:
                     return SuperBlockingResult(None, assignment_at(ext, m))
         raise CapExceeded(
             "restriction scan over %d external variables exceeds cap %d" % (n, ext_cap),
@@ -740,7 +693,7 @@ def check_super_blocked(
         )
 
     # The sets come in the table's own order, up to the first failing index.
-    sets = scan.sets()
+    sets = env.table(k, first)
     if len(sets) < 1 << n:
         return SuperBlockingResult(None, assignment_at(ext, len(sets)))
     per_tau = RestrictionTable(ext, sets)
@@ -759,6 +712,6 @@ def blocking_set_under(
     assignment `value` gives `external_variables(f, c)`, read off c's
     compiled environment instead of a restricted copy of f.
     """
-    scan = _RestrictionScan(f, as_clause(c), None)
-    return scan.blocking_set_at(assignment_index(scan.external(), value))
-
+    env = _compile(f, as_clause(c))
+    alive = env.survivors(assignment_index(env.external(), value))
+    return env.clause_at(env.finder(None)(alive))

@@ -23,6 +23,15 @@ def holds(prop, f, c):
     return check_property(f, c, EliminationConfig(property=prop))[0]
 
 
+def table_rows(table):
+    """(assignment as zero-terminated DIMACS literals, set) per row of a
+    restriction table, in table order. It is built from the table's own
+    assignments and sets, and formats each assignment from its literals,
+    so the rows the library prints (`dimacs_rows`) are checked against a
+    formatting of their own."""
+    return [(" ".join(map(str, tau.to_literals() + (0,))), s) for tau, s in zip(table, table.sets)]
+
+
 def walk_literals(tokens, start, lineno):
     """The token-by-token literal reader, kept as the reference for
     `cnf.read_literals`: one `int` per token, up to the first that reads 0."""

@@ -24,7 +24,6 @@ from blockcheck import (
 )
 from blockcheck.asymmetric import ala_fixpoint
 from blockcheck.blocking import (
-    _search_blocking_set,
     count_candidate_sets,
 )
 from blockcheck.cnf import resolution_environment
@@ -302,12 +301,12 @@ def test_criterion_10_candidate_count(at_not_setblocked):
 
     f, c = at_not_setblocked
     stats = {}
-    ok &= _search_blocking_set(f, c, None, stats) is None
+    ok &= is_set_blocked(f, c, None, stats) is None
     ok &= stats["candidates"] == count_candidate_sets(len(c), len(c)) == 7
 
     square = formula((1, 2), (-1, 2), (1, -2), (-1, -2))
     stats = {}
-    ok &= _search_blocking_set(square, clause(1, 2), None, stats) is None
+    ok &= is_set_blocked(square, clause(1, 2), None, stats) is None
     ok &= stats["candidates"] == count_candidate_sets(2, 2) == 3
 
     report(10, "candidate-set count", ok)

@@ -6,8 +6,9 @@ exits with. Every module uses each name it imports, and every library
 function or class has a caller in the library, a mention in the README or
 a place on the list of kept references. Lines are split by one rule,
 only `cli.run` touches the garbage collector, the unit closures kept on
-a formula stay between `cnf` and `asymmetric`, and the compiled
-environment kept on a formula stays between `cnf` and `blocking`."""
+a formula stay between `cnf` and `asymmetric`, the compiled
+environment kept on a formula stays between `cnf` and `blocking`, and
+only that environment picks the bit lattice or the walk."""
 
 import ast
 import importlib
@@ -246,6 +247,46 @@ def test_the_kept_compile_stays_between_cnf_and_blocking():
         uses = kept_uses(path.read_text(encoding="utf-8"), "compiled")
         assert bool(uses) == (path.name in ("cnf.py", "blocking.py")), path.name
     assert kept_uses("def f(g):\n    g.compiled = g._compiled\n", "compiled") == [2]
+
+
+def route_uses(text):
+    """(line, whether inside class `_Environment`) per call of a `.lattice`
+    or `.candidates` method and per read of `_BIT_LATTICE` in a module's
+    code."""
+    tree = ast.parse(text)
+    inside = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "_Environment"
+        for node in ast.walk(cls)
+    }
+    return sorted(
+        (node.lineno, id(node) in inside)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("lattice", "candidates")
+        or isinstance(node, ast.Name) and node.id == "_BIT_LATTICE"
+        and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_only_the_compiled_environment_picks_the_route():
+    # `_Environment` alone asks for a bit lattice or a walk and reads the
+    # size rule between them, so a new route for set- or super-blocking
+    # changes that class and no decider
+    for path in sorted(SRC.glob("*.py")):
+        uses = route_uses(path.read_text(encoding="utf-8"))
+        assert all(inside for _, inside in uses), (path.name, uses)
+        assert bool(uses) == (path.name == "blocking.py"), path.name
+    # the check itself: a call or a read is found inside and outside the
+    # class, and a definition, a bare attribute, a comment or a string is not
+    text = (
+        "_BIT_LATTICE = 8\n"
+        "class _Environment:\n    def f(self, k):\n        return self.lattice(k) or _BIT_LATTICE\n"
+        "def g(env):\n    for x in env.candidates(None):  # env.lattice(1)\n        pass\n"
+        "    return _BIT_LATTICE, env.lattice, 'env.lattice(2)'\n"
+    )
+    assert route_uses(text) == [(4, True), (4, True), (6, False), (8, False)]
 
 
 # Kept with no library caller on purpose: references the tests check the

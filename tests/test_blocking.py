@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -21,13 +22,12 @@ from blockcheck.blocking import (
     RestrictionTable,
     SuperBlockingResult,
     _Environment,
-    _RestrictionScan,
-    _search_blocking_set,
+    blocking_set_under,
     candidate_sets,
     count_candidate_sets,
     set_blocks,
 )
-from blockcheck.cnf import external_variables, resolution_environment, restrict
+from blockcheck.cnf import assignment_at, external_variables, resolution_environment, restrict
 from blockcheck.engine import EliminationTrace, TraceEntry, classify
 from blockcheck.gen import random_clause, random_formula, random_instance, random_qbf
 from blockcheck.oracle import is_satisfiable
@@ -38,7 +38,7 @@ from blockcheck.reductions import (
 )
 from blockcheck.varelim import QbfInstance
 
-from conftest import clause, formula
+from conftest import clause, formula, table_rows
 from test_asymmetric import reference_literal_blocks
 from test_cli import FULL_BLOCKING_WIDE, REFUTABLE
 
@@ -158,10 +158,10 @@ class TestSetBlockedSearch:
         f = formula((-1, 5), (-2, 5), (-3, 5), (-4, 5))
         c = clause(1, 2, 3, 4)
         stats = {}
-        assert _search_blocking_set(f, c, 3, stats) is None
+        assert is_set_blocked(f, c, 3, stats) is None
         assert stats["candidates"] == count_candidate_sets(4, 3)
         stats = {}
-        assert _search_blocking_set(f, c, None, stats) is None
+        assert is_set_blocked(f, c, None, stats) is None
         assert stats["candidates"] == count_candidate_sets(4, 4)
 
 
@@ -330,7 +330,7 @@ class TestRestrictionTable:
         assert list(table) == [Assignment()]
         assert table[Assignment()] == clause(1)
         assert Assignment({1: 0}) not in table
-        assert list(table.rows()) == [("0", clause(1))]
+        assert table_rows(table) == [("0", clause(1))]
         assert table == {Assignment(): clause(1)}
 
     def test_needs_one_set_per_assignment_over_sorted_variables(self):
@@ -343,7 +343,7 @@ class TestRestrictionTable:
     def test_rows_are_lexicographic(self):
         sets = [clause(i + 1) for i in range(8)]
         table = RestrictionTable((2, 5, 7), sets)
-        assert [tau for tau, _ in table.rows()] == [
+        assert [tau for tau, _ in table_rows(table)] == [
             "-2 -5 -7 0", "-2 -5 7 0", "-2 5 -7 0", "-2 5 7 0",
             "2 -5 -7 0", "2 -5 7 0", "2 5 -7 0", "2 5 7 0",
         ]
@@ -475,9 +475,10 @@ def assert_table_contract(table, want):
     and answers absent for every key that is not one of its assignments."""
     assert isinstance(table, RestrictionTable)
     assert len(table) == len(want)
-    assert list(table.rows()) == [
+    assert table_rows(table) == [
         (" ".join(map(str, tau.to_literals() + (0,))), s) for tau, s in want.items()
     ]
+    assert list(table.dimacs_rows()) == [(tau, s.dimacs()) for tau, s in table_rows(table)]
     for tau, s in want.items():
         assert tau in table and table[tau] == s and table.get(tau) == s
     tau = next(reversed(want))  # the all-true row
@@ -504,11 +505,11 @@ class TestAgainstTheReference:
             for k in (None, 1, 2):
                 want_stats, got_stats = {}, {}
                 want = reference_search(f, c, k, want_stats)
-                got = _search_blocking_set(f, c, k, got_stats)
-                assert got == want and got_stats == want_stats, (f, c, k)
-                assert is_set_blocked(f, c, k) == (
+                got = is_set_blocked(f, c, k, got_stats)
+                assert got == (
                     None if want is None else BlockingWitness(kind="set", blocking_set=want)
-                )
+                ), (f, c, k)
+                assert got_stats == want_stats, (f, c, k)
 
                 want = reference_super(f, c, k)
                 got = check_super_blocked(f, c, k)
@@ -528,6 +529,15 @@ class TestAgainstTheReference:
         assert min(seen.values()) >= 30, seen
 
 
+def first_sets(f, c, indexes):
+    """The first set blocking c under each of the assignments to the
+    external variables with the given indexes, read off c's compiled
+    environment in f."""
+    env = _Environment(c, resolution_environment(f, c))
+    first = env.finder(None)
+    return [env.clause_at(first(env.survivors(m))) for m in indexes]
+
+
 class TestBitsetEdges:
     def test_tautological_environment_clause_never_rules_out(self):
         # read as a plain clause, (-1 3 -3) would rule out {1} and {1, 2}
@@ -542,8 +552,7 @@ class TestBitsetEdges:
         # both have P = {} and N = {1}; {1} blocks only once both are gone
         f = formula((-1, 3), (-1, 4))
         c = clause(1)
-        scan = _RestrictionScan(f, c, None)
-        assert [scan.blocking_set_at(m) for m in range(4)] == [None, None, None, clause(1)]
+        assert first_sets(f, c, range(4)) == [None, None, None, clause(1)]
         res = check_super_blocked(f, c)
         assert res.failing_tau.to_literals() == (-3, -4)
 
@@ -555,18 +564,30 @@ class TestBitsetEdges:
         f = formula(d, (-1, 2), (-2, 1))
         assert is_set_blocked(Formula([d]), c).blocking_set == clause(1)
         assert is_set_blocked(f, c) is None
-        scan = _RestrictionScan(f, c, None)
-        assert scan.blocking_set_at(0) is None  # 3 false: (-1 -2 3) survives
-        assert scan.blocking_set_at(1) == clause(1, 2)
-        assert scan.blocking_set_at(1) is scan.blocking_set_at(1)
+        # 3 false: (-1 -2 3) survives
+        assert first_sets(f, c, (0, 1)) == [None, clause(1, 2)]
         assert check_super_blocked(f, c).failing_tau.to_literals() == (-3,)
+
+    def test_rows_with_the_same_set_share_one_clause(self, monkeypatch):
+        # the unsat2supbc gadget of an unsatisfiable source: 8 rows, fewer sets
+        source = formula((1, 2), (1, -2), (-1, 3), (-1, -3))
+        inst = unsat_to_1superblocking(source)
+        for walk in (False, True):
+            with monkeypatch.context() as m:
+                if walk:
+                    walking(m)
+                inst.formula.compiled = None
+                table = check_super_blocked(inst.formula, inst.clause, 1).witness.per_tau
+                assert (inst.formula.compiled.kept_lattice[1] is None) == walk
+                distinct = set(table.sets)
+                assert len(distinct) < len(table) == 8
+                assert len(set(map(id, table.sets))) == len(distinct), walk
 
     def test_assignment_satisfying_every_environment_clause(self, at_not_setblocked):
         f, c = at_not_setblocked
-        scan = _RestrictionScan(f, c, None)
-        assert scan._survivors(1) == 0
-        assert scan.blocking_set_at(1) == clause(1)
-        assert scan.blocking_set_at(0) is None
+        env = _Environment(c, resolution_environment(f, c))
+        assert env.survivors(1) == 0 and env.survivors(0) == env.every == 0b111
+        assert first_sets(f, c, (1, 0)) == [clause(1), None]
 
     def test_tautological_clause_rules_out_only_candidates_splitting_its_pair(self):
         # {-1} and {1} each split the pair and meet one clause; {2} and
@@ -574,7 +595,7 @@ class TestBitsetEdges:
         f = formula((1, 3), (-1, 4))
         c = clause(-1, 1, 2)
         env = _Environment(c, resolution_environment(f, c))
-        ruled = {env.clause(p): r for p, r in env.candidates(None)}
+        ruled = {env.clause_at(i): r for i, (_, r) in enumerate(env.candidates(None))}
         assert ruled == {
             clause(-1): 0b01, clause(1): 0b10, clause(2): 0,
             clause(-1, 1): 0, clause(-1, 2): 0b01, clause(1, 2): 0b10,
@@ -672,6 +693,25 @@ class TestOneCompilePerQuestion:
                     assert (seen["read"], seen["compiled"]) == (3, 3), (f, c)
                 assert min(outcomes.values()) >= 30 and walked >= 30, (outcomes, walked)
                 assert drawn >= 5000 if walk else drawn == 0, (walk, drawn)
+
+    def test_a_failed_set_search_on_the_walk_keeps_nothing_it_drew(self):
+        # an unsatisfiable source: no set blocks the 13-literal gadget
+        # clause, so all 8,191 candidates, past the bit lattices, are walked.
+        # Kept, their rule-out sets would take ~300 KB; a super-blocking scan
+        # keeps them, for its next restriction, but this one question does not
+        source = formula((1, 2), (1, -2), (-1, 2), (-1, -2), (3, 4), (5, 6))
+        inst = sat_to_setblocking(source)
+        f, c = inst.formula, inst.clause
+        stats = {}
+        assert is_set_blocked(f, c, None, stats) is None  # compiles
+        assert stats == {"candidates": 8191} and f.compiled.kept_lattice == (13, None)
+        tracemalloc.start()
+        try:
+            assert is_set_blocked(f, c) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
     def test_a_copy_shares_the_compile_and_a_change_drops_it(self):
         f = formula((-1, 2), (-2, 1), (-1, 3))
@@ -824,18 +864,30 @@ def lattice_cases():
 def decide_everything(f, c, k):
     """What the deciders answer about c in f for k, each on a fresh compile:
     the set search with its count, the super-blocking result with its table
-    rows (cap 4), and the failing assignment of five samples past a cap of 0."""
+    rows (cap 4), the failing assignment of five samples past a cap of 0,
+    and, with at most four external variables, the set `reconstruct`
+    recomputes for a compact entry under each of their assignments. That
+    search has no bound, so past 11 literals it is asked only where c is
+    blocked: there it stops at an early set, where an unblocked c would
+    have the walk try up to 2^|c| candidates."""
     f.compiled = None
     stats = {}
-    found = _search_blocking_set(f, c, k, stats)
+    found = is_set_blocked(f, c, k, stats)
     f.compiled = None
     try:
         res = check_super_blocked(f, c, k, ext_cap=4)
-        table = res.witness and res.witness.per_tau and list(res.witness.per_tau.rows())
+        table = res.witness and res.witness.per_tau and table_rows(res.witness.per_tau)
     except CapExceeded as exc:
         res, table = exc.count, None
     f.compiled = None
-    return found, stats, res, table, sampled_tau(f, c, random.Random(len(f)), 5, k)
+    sampled = sampled_tau(f, c, random.Random(len(f)), 5, k)
+    f.compiled = None
+    ext = sorted(external_variables(f, c))
+    under = None
+    if len(ext) <= 4 and (len(c) <= 11 or isinstance(res, SuperBlockingResult) and res.blocked):
+        under = [blocking_set_under(f, c, assignment_at(ext, m).value)
+                 for m in range(1 << len(ext))]
+    return found, stats, res, table, sampled, under
 
 
 def write_cnf(path, f):
@@ -845,8 +897,16 @@ def write_cnf(path, f):
 
 
 def walking(monkeypatch):
-    """Make every lattice one the walk decides."""
-    monkeypatch.setattr(blocking, "_candidate_bits", lambda n, bound: None)
+    """Make every lattice with a candidate one the walk decides."""
+    monkeypatch.setattr(blocking, "_BIT_LATTICE", 0)
+
+
+# `check` questions on the qbf2supbc gadget, one per kind of answer
+COMMAND_CASES = [
+    (((2, -5), (1, -4)), "setbc", "BLOCKED"),
+    (((-1, -3), (1, -5), (-1, 5), (-2, -3)), "supbc", "BLOCKED witness-per-tau 4"),
+    (((-1, -5), (2, 5), (-1, 5)), "supbc", "NOT-BLOCKED failing-tau"),
+]
 
 
 class TestBitLattice:
@@ -855,20 +915,24 @@ class TestBitLattice:
             c = Clause(range(1, n + 1))
             for bound in range(1, n + 1):
                 cands = list(candidate_sets(c, bound))
-                got = blocking._candidate_bits(n, bound)
+                # the environment takes a lattice of at most 2^11 candidates
+                # on the bit route
+                lattice = _Environment(c, []).lattice(bound)
                 if len(cands) > 1 << 11:
-                    assert got is None, (n, bound)
+                    assert lattice is None, (n, bound)
                     continue
-                full, holds = got
+                full, holds = blocking._candidate_bits(n, bound)
+                assert lattice == (full, [])
                 assert full == (1 << len(cands)) - 1
                 assert holds == tuple(sum(1 << j for j, s in enumerate(cands) if q + 1 in s)
                                       for q in range(n)), (n, bound)
         # one literal per candidate, and the largest lattices that fit
         assert blocking._candidate_bits(70, 1) == ((1 << 70) - 1, tuple(1 << q for q in range(70)))
         assert blocking._candidate_bits(2048, 1)[0] == (1 << 2048) - 1
-        assert blocking._candidate_bits(2049, 1) is None
+        assert _Environment(Clause(range(1, 2049)), []).lattice(1) is not None
+        assert _Environment(Clause(range(1, 2050)), []).lattice(1) is None
         assert blocking._candidate_bits(11, 11)[0] == (1 << 2047) - 1
-        assert blocking._candidate_bits(12, 12) is None
+        assert _Environment(Clause(range(1, 13)), []).lattice(12) is None
         # the smallest lattices: one candidate, and the empty clause's none
         assert blocking._candidate_bits(1, 1) == (1, (1,))
         assert blocking._candidate_bits(0, 0) == (0, ())
@@ -894,7 +958,7 @@ class TestBitLattice:
             assert (env.lattice(None) is not None) == bits, extra
             assert env.kept_lattice[0] == 11
             stats = {}
-            assert _search_blocking_set(f, c, None, stats) == clause(3)
+            assert is_set_blocked(f, c, None, stats).blocking_set == clause(3)
             assert stats == {"candidates": 3}
 
     def test_tautological_environment_clause_rules_out_nothing(self):
@@ -906,7 +970,7 @@ class TestBitLattice:
         full, rules = env.lattice(None)
         assert full.bit_length() == 127 and rules[0] == 0
         stats = {}
-        assert _search_blocking_set(f, c, None, stats) == clause(1)
+        assert is_set_blocked(f, c, None, stats).blocking_set == clause(1)
         assert stats == {"candidates": 1}
         assert check_super_blocked(f, c).witness.blocking_set == clause(1)
         # with {1} taken by a plain clause, {3} is the first set left
@@ -915,7 +979,8 @@ class TestBitLattice:
 
     def test_bits_and_walk_agree(self, monkeypatch):
         seen = dict.fromkeys(("set", "super", "refuted", "walked", "cap", "taut-c", "sampled",
-                              "small", "gadget34", "one-ext+", "one-ext-", "several-ext"), 0)
+                              "repaired", "small", "gadget34", "one-ext+", "one-ext-",
+                              "several-ext"), 0)
         for f, c in lattice_cases():
             assert len(c) <= 12 or len(c) == 34
             ext = set(external_variables(f, c))
@@ -941,7 +1006,7 @@ class TestBitLattice:
                 with monkeypatch.context() as m:
                     walking(m)
                     assert decide_everything(f, c, k) == got, (f, c, k)
-                _, _, res, _, sampled = got
+                _, _, res, _, sampled, under = got
                 if isinstance(res, int):
                     seen["cap"] += 1
                 elif res.witness is None:
@@ -951,6 +1016,7 @@ class TestBitLattice:
                     seen[res.witness.kind] += 1
                 seen["taut-c"] += c.is_tautology()
                 seen["sampled"] += sampled is not None
+                seen["repaired"] += under is not None and None not in under
                 seen["small"] += len(c) < 7
                 seen["gadget34"] += len(c) == 34
                 if isinstance(res, SuperBlockingResult) and (
@@ -1006,11 +1072,7 @@ class TestBitLattice:
         assert f.compiled.kept_lattice == (13, None) and f.compiled.no_p is not None
         assert f.check_occ_consistent()
 
-    @pytest.mark.parametrize("matrix, prop, answer", [
-        (((2, -5), (1, -4)), "setbc", "BLOCKED"),
-        (((-1, -3), (1, -5), (-1, 5), (-2, -3)), "supbc", "BLOCKED witness-per-tau 4"),
-        (((-1, -5), (2, 5), (-1, 5)), "supbc", "NOT-BLOCKED failing-tau"),
-    ])
+    @pytest.mark.parametrize("matrix, prop, answer", COMMAND_CASES)
     def test_bit_route_commands_leave_no_cyclic_garbage(self, tmp_path, capsys,
                                                         matrix, prop, answer):
         inst = forall_exists_to_superblocking(QbfInstance({1, 2}, {3, 4, 5}, formula(*matrix)))
@@ -1031,13 +1093,23 @@ class TestBitLattice:
         assert capsys.readouterr() == first
         assert left == []
 
+    @pytest.mark.parametrize("matrix, prop, answer", COMMAND_CASES)
+    def test_walk_route_commands_leave_no_cyclic_garbage(self, tmp_path, capsys, monkeypatch,
+                                                         matrix, prop, answer):
+        # a walk's finder holds a generator over the compiled environment,
+        # which the formula keeps: kept on the environment, it would form a
+        # cycle
+        walking(monkeypatch)
+        self.test_bit_route_commands_leave_no_cyclic_garbage(tmp_path, capsys,
+                                                             matrix, prop, answer)
+
 
 class TestDimacsRows:
     def test_each_distinct_set_is_formatted_once_and_rows_read_as_before(self, monkeypatch):
         sets = [clause(1), clause(2, -3), clause(1), clause(1), clause(2, -3), clause(-4),
                 clause(1), clause(2, -3)]
         table = RestrictionTable((2, 5, 7), sets)
-        want = [(tau, s.dimacs()) for tau, s in table.rows()]
+        want = [(tau, s.dimacs()) for tau, s in table_rows(table)]
         formatted = []
         dimacs = Clause.dimacs
         monkeypatch.setattr(Clause, "dimacs", lambda s: formatted.append(s) or dimacs(s))
@@ -1056,9 +1128,10 @@ class TestDimacsRows:
         argv = ["check", str(path), "--property", "supbc", "--clause", inst.clause.dimacs(),
                 "--k", "1"]
         assert cli.run(argv) == 0
-        rows = ["tau %s set %s" % (tau, s.dimacs()) for tau, s in table.rows()]
+        rows = ["tau %s set %s" % (tau, s.dimacs()) for tau, s in table_rows(table)]
         assert capsys.readouterr().out.splitlines()[1:] == rows
         entry = TraceEntry(inst.clause, "supbc", res.witness)
         text = EliminationTrace([entry]).to_text()
-        assert text.splitlines()[2:] == ["wt %s %s" % (tau, s.dimacs()) for tau, s in table.rows()]
+        assert text.splitlines()[2:] == ["wt %s %s" % (tau, s.dimacs())
+                                         for tau, s in table_rows(table)]
         assert EliminationTrace.from_text(text).entries == [entry]
