@@ -25,35 +25,38 @@ empty clause over G: the literals unit propagation forces from G's units,
 negated. For any x, the closure of x over F without c equals the closure of
 x together with U(F without c), and round 1 then needs only the donors
 holding a literal of x outside U; every other donor has already fired
-inside U. U is computed once per formula state and kept in the formula's
-`kept` slot (`_Kept`), which also keeps U(F without c) for the last donor
-c of U(F) asked about: classify asks every property of c, and every lifted
-resolvent of c, in a row. The formula clears the slot on `add`, since a
-new clause can force more, and `_Kept.removed` decides what survives
-`remove(D)`: a closure D is a donor of goes, any other still holds the
-same derivation, nothing new can be forced, and once c itself goes
-U(F without c) is U(F).
+inside U.
 
-U is kept as a derivation: one map from each donor to the literal it
-justifies, in derivation order. U(F without c) is derived from U(F) by
-retraction (`_retract`): the literal c justified goes, and so does every
-literal whose donor holds one that went; the retracted literals'
-occurrence lists lead to those donors. U(F) is a fixpoint, so only a
-clause holding the complement of a retracted literal can fire on the rest,
-and propagation resumes from those clauses alone; apart from copying the
-donor map, the work per donor follows what c's literal supports, not the
-size of F. A kept U is one valid derivation, not necessarily the one a
-fresh propagation records, so only its tautology flag, and its literals
-when it is not tautological, are fixed. A tautological U(F) is no
-fixpoint: U(F without c) then comes from a full propagation.
+U lives on one trail per formula, like the trail of a CDCL solver (Eén and
+Sörensson, SAT 2003), kept in the formula's `kept` slot (`_Trail`): the set
+U(F) and its derivation, one map from each donor to the literal it
+justifies, in derivation order. A question about c turns the set into
+U(F without c) in place by retraction: the literal c justified goes, and
+so does every literal whose donor holds one that went; the retracted
+literals' occurrence lists lead to those donors. U(F) is a fixpoint, so
+only a clause holding the complement of a retracted literal can fire on the
+rest, and propagation resumes from those clauses alone: the work follows
+what c's literal supports, not the size of F. The trail stays retracted
+until a question about another clause puts U(F) back, touching only what
+the retraction changed; classify asks every property of c, and of every
+lifted resolvent of c, in a row. Each check grows the same set to its
+closure and removes what it added on the way out (`_closure`), so a
+question copies no part of U. `remove(D)` commits D's retraction, and
+U(F without D) becomes U(F); `add` drops the trail, since a new clause can
+force more; `copy` leaves it behind, since a trail belongs to one formula
+(and one formula must not be checked from two threads at once). A kept U
+is one valid derivation, not necessarily the one a fresh propagation
+records, so only its tautology flag, and its literals when it is not
+tautological, are fixed. A tautological U(F) is no fixpoint: U(F without
+c) then comes from a full propagation.
 
 U stops at its first complementary pair, so a formula refuted by unit
-propagation keeps few donors, and a removal rarely drops U. A tautological
-U(F without c) answers every check yes at once: the donor D other than c
-that completed the pair lies wholly inside U, and every closure holds U,
-so every closure is tautological (AT, ABC) and subsumed by D (AS). A
-closure is therefore only ever saturated from a non-tautological U, which
-is a fixpoint; only the step log starts from the clause alone.
+propagation keeps few donors. A tautological U(F without c) answers every
+check yes at once: the donor D other than c that completed the pair lies
+wholly inside U, and every closure holds U, so every closure is
+tautological (AT, ABC) and subsumed by D (AS). A closure is therefore only
+ever saturated from a non-tautological U, which is a fixpoint; only the
+step log starts from the clause alone.
 
 The yes/no checks stop at the first complementary pair too; tautology
 survives literal addition, so no verdict depends on the rest. AS of a
@@ -65,10 +68,10 @@ the complements of its own literals; the empty clause never fires, so it
 is the one clause that can still subsume it. So with the empty clause in
 F, every non-empty clause is AS, AT or not. A tautological x keeps the
 full closure: with F = {(1 -1)} and c = (1 -1), c is AT but not AS.
-Subsumption walks the occurrence lists of the closure's own literals
-outside U only: U is a fixpoint that every closure holds, and a clause
-other than c inside it would fire and make U tautological, so a subsumer
-holds a literal outside U.
+Subsumption walks only the occurrence lists of the literals the question
+added to U: U is a fixpoint that every closure holds, and a clause other
+than c inside it would fire and make U tautological, so a subsumer holds a
+literal outside U.
 
 `r_lift_witness` then turns a base redundancy property into its
 resolution-lifted variant: c qualifies if the base holds for c itself, or
@@ -86,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import neg
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .blocking import is_literal_blocked
 from .cnf import Clause, Formula, as_clause, literal_key
@@ -160,172 +163,171 @@ def _rounds(
         donors = f.clauses_with_any(found)
 
 
-class _Units(NamedTuple):
-    """U(G): the closure of the empty clause over G, stopped at its first
-    complementary pair, kept as one derivation of it: each donor with the
-    one literal it justifies, in derivation order. A value is shared by
-    formula copies: none of its parts is ever changed.
+class _Trail:
+    """U(F) on one mutable trail: `lits` is U(F), or U(F without `without`)
+    while the trail stands retracted for that clause, with `tautological`
+    its flag. `donors` is U(F)'s derivation and `whole_tautological` its
+    flag. A retraction keeps what it changed: the literals of U(F) it took
+    back (`gone`, each with its donor) and the donors propagation then
+    fired (`resumed`, each with its literal).
     """
 
-    lits: frozenset[int]
-    tautological: bool
-    donors: dict[Clause, int]  # donor -> the literal it justifies, in derivation order
+    __slots__ = ("lits", "donors", "whole_tautological", "tautological", "without", "gone", "resumed")
 
+    def __init__(self, f: Formula, c: "Clause | None" = None):
+        """U(f without c) by propagation from f's unit clauses."""
+        self.lits: set[int] = set()
+        self.donors: dict[Clause, int] = {}
+        self.without: "Clause | None" = None
+        self.gone: dict[int, Clause] = {}
+        self.resumed: dict[Clause, int] = {}
+        # the empty clause never adds a literal, so excluding it excludes nothing;
+        # U stops at the first clash, often after a few units: walk them in place
+        units = f.unit_clauses()
+        self.tautological = self.whole_tautological = self._propagate(f, c or _EMPTY, units, self.donors)
 
-def _stopped(current: set[int], found: dict[int, Clause]) -> bool:
-    """Whether a `_rounds` run with stop_at_tautology from a non-tautological
-    clause stopped at a complementary pair; `current` and `found` are its
-    last yield, and the stop comes right after the literal that completes
-    the pair."""
-    return bool(found) and -next(reversed(found)) in current
+    def _propagate(self, f: Formula, c: Clause, start: "Iterable[Clause]", into: dict[Clause, int]) -> bool:
+        """Unit propagation over f without c, grown into `lits` from `start`
+        (every clause that can fire on it) and stopped at the first
+        complementary pair; each literal it adds goes into `into` with its
+        donor. Returns whether it stopped. Under the stop a donor justifies
+        one literal: one whose literals all lie in the clause completes a
+        pair with its first."""
+        found: dict[int, Clause] = {}
+        for _, found in _rounds(f, c, self.lits, start, stop_at_tautology=True):
+            into.update((d, lit) for lit, d in found.items())
+        # the stop comes right after the literal that completes the pair
+        return bool(found) and -next(reversed(found)) in self.lits
 
+    def retract(self, f: Formula, c: Clause) -> None:
+        """Turn `lits` into U(f without c), putting U(F) back first if the
+        trail stands retracted for another clause; a tautological U(F) is
+        retracted in full, and propagation starts again from the units."""
+        if c == self.without:
+            return
+        if self.without is not None:
+            self.restore()
+        donors = self.donors
+        if c not in donors:
+            return
+        if self.whole_tautological:
+            gone = {lit: d for d, lit in donors.items()}
+            start: "Iterable[Clause]" = f.unit_clauses()
+        else:
+            gone = {donors[c]: c}  # retracted literal -> its donor
+            work = list(gone)
+            while work:
+                for d in f.occurrences(work.pop()):
+                    lit = donors.get(d)
+                    if lit is not None and lit not in gone:
+                        gone[lit] = d
+                        work.append(lit)
+            start = f.clauses_with_any(map(neg, gone))
+        self.lits.difference_update(gone)
+        self.without, self.gone = c, gone
+        self.tautological = self._propagate(f, c, start, self.resumed)
 
-def _propagate(
-    f: Formula, c: Clause, current: set[int], start: "Iterable[Clause]", donors: dict[Clause, int]
-) -> _Units:
-    """Unit propagation over f without c from `current`, `start` holding every
-    clause that can fire on it, stopped at the first complementary pair;
-    each literal it adds is appended to `donors` (taken over, not copied)
-    with its donor. Under the stop a donor justifies one literal: one whose
-    literals all lie in the clause completes a pair with its first."""
-    found: dict[int, Clause] = {}
-    for current, found in _rounds(f, c, current, start, stop_at_tautology=True):
-        donors.update((d, lit) for lit, d in found.items())
-    return _Units(frozenset(current), _stopped(current, found), donors)
+    def restore(self) -> None:
+        """Put U(F) back: the resumed literals go (one may be a retracted
+        literal justified again), then the retracted ones return."""
+        self.lits.difference_update(self.resumed.values())
+        self.lits.update(self.gone)
+        self.tautological = self.whole_tautological
+        self.without, self.gone, self.resumed = None, {}, {}
 
+    def removed(self, f: Formula, d: Clause) -> "_Trail":
+        """The trail once D has left f: D's retraction is committed, its
+        retracted donors leaving the map and the resumed ones joining its end
+        in derivation order. A derivation that does not rest on D still
+        holds, and a removal forces nothing new."""
+        if d in self.donors or d in self.resumed:
+            self.retract(f, d)
+            for x in self.gone.values():
+                del self.donors[x]
+            self.donors.update(self.resumed)
+            self.whole_tautological = self.tautological
+            self.without, self.gone, self.resumed = None, {}, {}
+        return self
 
-def _derive_units(f: Formula, c: "Clause | None") -> _Units:
-    """U(f without c) by propagation from f's unit clauses."""
-    # the empty clause never adds a literal, so excluding it excludes nothing;
-    # U stops at the first clash, often after a few units: walk the units in
-    # place rather than copying and sorting them all
-    return _propagate(f, _EMPTY if c is None else c, set(), f.unit_clauses(), {})
-
-
-def _retract(f: Formula, units: _Units, c: Clause) -> _Units:
-    """U(f without c) from the non-tautological U(f), c one of its donors.
-
-    Retracts the literal c justified and every literal whose donor rests on
-    a retracted one r, that is, holds r: such a donor sits in r's occurrence
-    list, so a worklist over those lists finds them all. What is left is
-    still a derivation, each literal from the ones before it. U(f) is a
-    fixpoint, so a clause that can fire on the rest holds the complement of
-    a retracted literal: propagation resumes from those clauses alone. Apart
-    from copying the donor map and the closure, the work follows what the
-    retraction touches, not the size of f.
-    """
-    donors = units.donors
-    gone = {donors[c]: c}  # retracted literal -> its donor
-    work = list(gone)
-    while work:
-        for d in f.occurrences(work.pop()):
-            lit = donors.get(d)
-            if lit is not None and lit not in gone:
-                gone[lit] = d
-                work.append(lit)
-    rest = dict(donors)
-    for d in gone.values():
-        del rest[d]
-    current = set(units.lits)
-    current.difference_update(gone)
-    return _propagate(f, c, current, f.clauses_with_any(map(neg, gone)), rest)
-
-
-def _units_hold(f: Formula, without: "Clause | None", units: _Units) -> bool:
-    """Whether a kept U(f without `without`) is valid; a fresh propagation
-    may record another derivation, so it is not simply compared with one.
-
-    The closure (when not tautological) and the tautology flag must be what
-    a full propagation gives, and walking the donors in order, each must be
-    in f, not be `without`, and justify a literal not justified before from
-    the literals before it; those literals must make up the closure.
-    """
-    fresh = _derive_units(f, without)
-    if units.tautological != fresh.tautological:
-        return False
-    if not units.tautological and units.lits != fresh.lits:
-        return False
-    seen: set[int] = set()
-    for d, lit in units.donors.items():
-        if lit in seen or d not in f or d == without or -lit not in d or not d.difference((-lit,)) <= seen:
-            return False
-        seen.add(lit)
-    return units.lits == seen
-
-
-class _Kept(NamedTuple):
-    """The unit closures a formula keeps in its `kept` slot: U(F) as `whole`,
-    and U(F without c) as `part` for c = `without`, the last donor of U(F)
-    asked about; a closure not derived yet, or dropped, is None, and so is
-    `without` when `part` is."""
-
-    whole: "_Units | None"
-    without: "Clause | None"
-    part: "_Units | None"
-
-    def removed(self, d: Clause) -> "_Kept":
-        """What stays valid once D goes: U(F without D) becomes U(F);
-        otherwise a closure D is a donor of goes, and the other stays."""
-        if d == self.without:
-            return _Kept(self.part, None, None)
-        whole, part = (u if u is not None and d not in u.donors else None for u in (self.whole, self.part))
-        return _Kept(whole, None if part is None else self.without, part)
+    def derivation(self) -> dict[Clause, int]:
+        """The derivation of `lits`: U(F)'s without the retracted donors, then the resumed ones."""
+        gone = set(self.gone.values())
+        steps = {d: lit for d, lit in self.donors.items() if d not in gone}
+        steps.update(self.resumed)
+        return steps
 
     def holds(self, f: Formula) -> bool:
-        """Whether each closure kept is valid for f (`_units_hold`)."""
-        return (self.whole is None or _units_hold(f, None, self.whole)) and (
-            self.part is None or _units_hold(f, self.without, self.part)
+        """Whether U(F), and `lits` as U(f without `without`), each hold (`_derives`)."""
+        whole = self.lits.difference(self.resumed.values()).union(self.gone)
+        return _derives(f, None, self.donors, whole, self.whole_tautological) and _derives(
+            f, self.without, self.derivation(), self.lits, self.tautological
         )
 
 
-def _units_without(f: Formula, c: "Clause | None") -> _Units:
-    """U(f without c), kept on f: U(f) itself unless c is one of its donors.
-
-    U(f) comes from a full propagation, and so does U(f without c) when U(f)
-    is tautological (a stopped U is no fixpoint); otherwise `_retract`
-    derives it from U(f).
+def _derives(
+    f: Formula, without: "Clause | None", steps: dict[Clause, int], lits: "set[int]", tautological: bool
+) -> bool:
+    """Whether `steps` (donor -> literal) derive `lits`, flagged
+    `tautological`, as U(f without `without`). A fresh propagation may record
+    another derivation, so only the flag, and the literals when not
+    tautological, are compared with one; and walking the steps in order,
+    each donor must be in f, not be `without`, and justify a literal not
+    justified before from the literals before it, which make up `lits`.
     """
-    kept = f.kept or _Kept(None, None, None)
-    units = kept.whole
-    if units is None:
-        units = _derive_units(f, None)
-        kept = f.kept = kept._replace(whole=units)
-    if c not in units.donors:
-        return units
-    if kept.without != c:
-        part = _derive_units(f, c) if units.tautological else _retract(f, units, c)
-        kept = f.kept = kept._replace(without=c, part=part)
-    return kept.part
+    fresh = _Trail(f, without)
+    if tautological != fresh.tautological or not tautological and lits != fresh.lits:
+        return False
+    seen: set[int] = set()
+    for d, lit in steps.items():
+        if lit in seen or d not in f or d == without or -lit not in d or not d.difference((-lit,)) <= seen:
+            return False
+        seen.add(lit)
+    return lits == seen
 
 
-def _closure_lits(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool) -> tuple[set[int], bool]:
-    """The literals of the saturation closure of x over f without c, and
-    whether saturation stopped at a complementary pair.
+def _trail(f: Formula, c: "Clause | None") -> _Trail:
+    """f's trail, built on first use and turned into U(f without c); a
+    retraction cut short by an error leaves no trail on f."""
+    trail = f.kept
+    if trail is None:
+        trail = f.kept = _Trail(f)
+    if c != trail.without:
+        f.kept = None
+        trail.retract(f, c)
+        f.kept = trail
+    return trail
 
-    Seeded with U(f without c): a literal U holds is added to any clause
-    sooner or later, and a donor that holds no literal of x outside U has
-    already fired inside U, so round 1 looks only at the donors holding such
-    a literal. With stop_at_tautology, saturation stops at the first
-    complementary pair (a tautological x, U or x with U stops at once):
-    literal addition only grows the clause, so every later closure is
-    tautological too, and the closure is tautological exactly when it
-    stopped. Without it, it runs to the full fixpoint, and U(f without c)
-    must not be tautological: a stopped U is no fixpoint.
+
+_T = TypeVar("_T")
+
+
+def _closure(f: Formula, c: Clause, x: Clause, stop_at_tautology: bool, answer: "Callable[..., _T]") -> _T:
+    """answer(lits, added, tautological) on the saturation closure of x over
+    f without c, grown in place from the trail's U(f without c).
+
+    `added` lists the literals the closure gained over U; they leave `lits`
+    again once answered, whether or not answering raised. With
+    stop_at_tautology, saturation stops at the first complementary pair (a
+    tautological x, answered as `lits`, U, or x with U stops at once), so
+    the closure is tautological exactly when it stopped. Without it, it
+    runs to the full fixpoint from a U(f without c) that must not be
+    tautological: a stopped U is no fixpoint.
     """
     if stop_at_tautology and x.is_tautology():
-        return set(x), True
-    units = _units_without(f, c)
-    seed = units.lits
-    # one bulk copy of U; set(x.union(seed)) inserts U entry by entry, then copies it again
-    current = set(seed)
-    current.update(x._canon)
-    if stop_at_tautology and (units.tautological or not seed.isdisjoint(map(neg, x._canon))):
-        return current, True
-    donors = f.clauses_with_any(x.difference(seed))
-    found: dict[int, Clause] = {}
-    for current, found in _rounds(f, c, current, donors, stop_at_tautology):
-        pass
-    return current, stop_at_tautology and _stopped(current, found)
+        return answer(x, [], True)
+    trail = _trail(f, c)
+    lits = trail.lits
+    added = [lit for lit in x._canon if lit not in lits]
+    lits.update(added)
+    try:
+        if stop_at_tautology and (trail.tautological or not lits.isdisjoint(map(neg, x._canon))):
+            return answer(lits, added, True)
+        found: dict[int, Clause] = {}
+        for _, found in _rounds(f, c, lits, f.clauses_with_any(added), stop_at_tautology):
+            added.extend(found)
+        return answer(lits, added, stop_at_tautology and bool(found) and -next(reversed(found)) in lits)
+    finally:
+        lits.difference_update(added)
 
 
 # The base properties judge a clause x against f with c excluded: c is the
@@ -337,21 +339,16 @@ def _base_t(f: Formula, c: Clause, x: Clause) -> bool:
     return x.is_tautology()
 
 
-def _subsumed(
-    f: Formula, c: Clause, within: "set[int] | frozenset[int]", inside: "frozenset[int]" = _EMPTY
-) -> bool:
+def _subsumed(f: Formula, c: Clause, within: "set[int] | frozenset[int]", walk: Iterable[int]) -> bool:
     """True iff a clause of f other than c is a subset of the literals `within`.
 
-    No clause of f other than c may lie within `inside` (AS passes a
-    non-tautological U(f without c)), so the occurrence lists of its
-    literals are not walked.
+    Every such clause other than the empty one holds a literal of `walk`,
+    so only those literals' occurrence lists are walked.
     """
-    # A subsumer holds only literals of `within`, one of them outside
-    # `inside`, so it sits in that literal's occurrence list — unless it is
-    # the empty clause, which subsumes everything.
+    # the empty clause subsumes everything
     if c and _EMPTY in f:
         return True
-    for lit in within.difference(inside) if inside else within:
+    for lit in walk:
         for d in f.occurrences(lit):
             if d <= within and d != c:
                 return True
@@ -359,16 +356,15 @@ def _subsumed(
 
 
 def _base_s(f: Formula, c: Clause, x: Clause) -> bool:
-    return _subsumed(f, c, x)
+    return _subsumed(f, c, x, x._canon)
 
 
 def _base_at(f: Formula, c: Clause, x: Clause) -> bool:
-    return _closure_lits(f, c, x, stop_at_tautology=True)[1]
+    return _closure(f, c, x, True, lambda lits, added, tautological: tautological)
 
 
 def _base_as(f: Formula, c: Clause, x: Clause) -> bool:
-    units = _units_without(f, c)
-    if units.tautological:
+    if _trail(f, c).tautological:
         # the donor that completed U's pair lies inside U, and so inside every closure
         return True
     if not x.is_tautology():
@@ -376,7 +372,8 @@ def _base_as(f: Formula, c: Clause, x: Clause) -> bool:
         # non-tautological one is a fixpoint, and a clause other than c
         # inside it would fire, save for the empty clause
         return bool(c) and _EMPTY in f or _base_at(f, c, x)
-    return _subsumed(f, c, _closure_lits(f, c, x, stop_at_tautology=False)[0], units.lits)
+    # a subsumer holds a literal the closure added to U
+    return _closure(f, c, x, False, lambda lits, added, _: _subsumed(f, c, lits, added))
 
 
 BASES: dict[str, BaseProperty] = {
@@ -420,11 +417,12 @@ def asymmetric_blocking(f: Formula, c: "Clause | Iterable[int]") -> tuple[bool, 
     into a subset of the closure; and flipping a literal of c repairs c.
     """
     c = as_clause(c)
-    lits, tautological = _closure_lits(f, c, c, stop_at_tautology=True)
-    if tautological:
-        return True, None
-    witness = is_literal_blocked(f, Clause(lits), c)
-    return (False, None) if witness is None else (True, witness.literal)
+
+    def blocked(lits: "set[int]", added: list[int], tautological: bool) -> tuple[bool, int | None]:
+        witness = None if tautological else is_literal_blocked(f, Clause(lits), c)
+        return tautological or witness is not None, witness and witness.literal
+
+    return _closure(f, c, c, True, blocked)
 
 
 def r_lift_witness(

@@ -132,13 +132,14 @@ class Formula:
     lookup builds them (`_index`); `add` and `remove` keep them only once
     built, and a copy of an unindexed formula is unindexed.
 
-    Two slots hold immutable values other modules derive from the formula,
-    or None; the formula only maintains them, and `copy` shares both.
-    `kept` is set to None by `add`, `remove(D)` replaces it with
-    `kept.removed(D)`, and `check_occ_consistent` asks `kept.holds(self)`.
-    `compiled` holds what depends on one clause's resolution environment:
-    `add` and `remove` set it to None, and `check_occ_consistent` asks
-    `compiled.holds(self)`.
+    Two slots hold what other modules derive from the formula, or None; the
+    formula only maintains them. `kept` holds a mutable value that belongs
+    to this formula alone, so `copy` leaves it out: `add` sets it to None,
+    `remove(D)` replaces it with `kept.removed(self, D)`, and
+    `check_occ_consistent` asks `kept.holds(self)`. `compiled` holds an
+    immutable value that depends on one clause's resolution environment:
+    `copy` shares it, `add` and `remove` set it to None, and
+    `check_occ_consistent` asks `compiled.holds(self)`.
     """
 
     __slots__ = ("_seq", "_occ", "_units", "_next", "kept", "compiled")
@@ -197,8 +198,9 @@ class Formula:
                     del occ[l]
             self._units.pop(clause, None)
         self.compiled = None
-        if self.kept is not None:
-            self.kept = self.kept.removed(clause)
+        kept, self.kept = self.kept, None  # a commit cut short leaves the slot empty
+        if kept is not None:
+            self.kept = kept.removed(self, clause)
 
     def __contains__(self, clause: object) -> bool:
         if isinstance(clause, Clause):
@@ -267,7 +269,7 @@ class Formula:
         out = Formula.__new__(Formula)
         out._seq = dict(self._seq)
         out._next = self._next
-        out.kept = self.kept
+        out.kept = None
         out.compiled = self.compiled
         occ = self._occ
         out._occ = None if occ is None else {l: dict(bucket) for l, bucket in occ.items()}

@@ -16,7 +16,7 @@ and the lifted checks can only go from yes to no when clauses outside the
 environment are removed (fewer clauses imply less), so a no stays a no.
 Tautology, subsumption, AT and AS keep a no whatever clause is removed, so
 the engine asks each of them once per clause (`_ASKED_ONCE`): a removal
-still queues a refuted clause, but leaves it untouched. A literal-blocking
+queues nothing, so such a run ends after its first round. A literal-blocking
 recheck (bc, and rt: resolution tautology is literal blocking of a clause
 that is no tautology, and a tautology is never refuted) tries only the
 touched literals, in canonical order: an untouched literal was refuted and
@@ -143,8 +143,7 @@ PROPERTIES: tuple[str, ...] = tuple(_CHECKS)
 # once per clause by `eliminate_clauses`. Tautology reads only the clause;
 # subsumption and the asymmetric checks ask whether other clauses imply c
 # (directly or after ALA), and fewer clauses imply less. None of them has a
-# cap, so every refusal is a no. A removal still queues such a clause, but
-# it stays untouched and is never checked again.
+# cap, so every refusal is a no, and a removal queues nothing.
 _ASKED_ONCE = frozenset({"t", "s", "at", "as"})
 
 ORDERS = ("ascending-id", "descending-length")
@@ -337,9 +336,9 @@ def eliminate_clauses(
     the trace; they are retried only if a removal changes their
     environment. A run stopped by cfg.rounds_cap reports every clause the
     last round queued and did not check again afterwards as skipped, with
-    the rounds cap as the reason; a refuted clause of a property asked once
-    (`_ASKED_ONCE`) needs no check, so it is not reported. The result is
-    satisfiability-equivalent to the input.
+    the rounds cap as the reason. Under a property asked once
+    (`_ASKED_ONCE`) a removal queues nothing, so the first round reaches
+    the fixpoint. The result is satisfiability-equivalent to the input.
     """
     cfg = cfg if cfg is not None else EliminationConfig()
     check = _CHECKS[cfg.property]
@@ -384,13 +383,13 @@ def eliminate_clauses(
             gone.add(c)
             capped.pop(c, None)
             entries.append(TraceEntry(c, cfg.property, w))
+            if once:
+                continue
             for m in c._canon:
                 bucket = g.occurrences(-m)
                 if not bucket:
                     continue
                 pending.update(bucket)
-                if once:
-                    continue
                 for d in bucket:
                     seen = touched.get(d)
                     if seen is _UNTOUCHED:

@@ -20,6 +20,10 @@ DEFAULT_CAP = 24
 
 
 def _check_cap(count: int, cap: int) -> None:
+    """Reject a negative cap, like `blocking.check_bounds`; then an
+    enumeration over more than `cap` variables."""
+    if cap < 0:
+        raise ValueError("variable cap must be non-negative")
     if count > cap:
         raise CapExceeded(
             "enumeration over %d variables exceeds cap %d" % (count, cap),

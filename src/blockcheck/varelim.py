@@ -58,6 +58,8 @@ def eliminate_variables(
     max_clauses: int = MAX_CLAUSES,
 ) -> Formula:
     """Eliminate the given variables in order, bailing out on clause blow-up."""
+    if max_clauses < 0:
+        raise ValueError("clause limit must be non-negative")
     out = f
     for var in variables:
         out = eliminate_variable(out, var)

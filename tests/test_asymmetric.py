@@ -1,4 +1,8 @@
 import random
+import tracemalloc
+from typing import NamedTuple
+
+import pytest
 
 from blockcheck import (
     Clause,
@@ -370,19 +374,33 @@ class TestAgainstReference:
 
 
 # The checks seed every closure with U(F without c), the closure of the empty
-# clause; the formula keeps U and drops it when a clause it was derived from
-# goes. Each case below is compared with the unseeded reference saturation.
+# clause; the formula keeps U on one trail, which a removal updates in place
+# and an added clause drops. Each case below is compared with the unseeded
+# reference saturation.
+
+
+class Units(NamedTuple):
+    lits: frozenset
+    tautological: bool
+    donors: dict  # donor -> the literal it justifies, in derivation order
 
 
 def units_of(f, c=None):
-    """U(f without c) as the checks see it (the test reads the internal)."""
-    return asymmetric._units_without(f, c)
+    """U(f without c) as the checks see it: a snapshot of the trail kept on
+    f, turned to c (the test reads the internal)."""
+    trail = asymmetric._trail(f, c)
+    return Units(frozenset(trail.lits), trail.tautological, trail.derivation())
+
+
+def closure_of(f, c, x, stop_at_tautology):
+    """The closure of x over f without c as the checks saturate it."""
+    return asymmetric._closure(f, c, x, stop_at_tautology, lambda lits, added, tautological: Clause(lits))
 
 
 def stopped_closure(f, c):
     """The closure of c over f without c, stopped at its first
     complementary pair, as the yes/no checks saturate it."""
-    return Clause(asymmetric._closure_lits(f, c, c, True)[0])
+    return closure_of(f, c, c, True)
 
 
 def assert_matches_reference(f, c):
@@ -390,7 +408,7 @@ def assert_matches_reference(f, c):
     assert ala_fixpoint(f, c).clause == ref_closure, (f.clauses, c)
     if not units_of(f, c).tautological:
         # the seeded full closure, which AS saturates a tautology to
-        assert Clause(asymmetric._closure_lits(f, c, c, False)[0]) == ref_closure, (f.clauses, c)
+        assert closure_of(f, c, c, False) == ref_closure, (f.clauses, c)
     stopped = stopped_closure(f, c)
     assert set(c) <= set(stopped) <= set(ref_closure)
     assert stopped.is_tautology() == ref_closure.is_tautology()
@@ -466,74 +484,83 @@ class TestSeededClosure:
         assert not holds("at", f, c)
         assert_matches_reference(f, c)
 
-    def test_removing_a_donor_of_only_u_keeps_the_closure_without_c(self):
+    def test_removing_a_donor_of_u_commits_its_retraction(self):
         f = formula((1,), (3,), (-1, 2), (-3, -1, 4))
         c = clause(1)
         assert_matches_reference(f, c)
         kept = units_of(f, c)
-        assert clause(3) in units_of(f).donors and clause(3) in kept.donors
+        trail = f.kept
         other = clause(-1, 2)
         assert other in units_of(f).donors and other not in kept.donors
         f.remove(other)
-        assert units_of(f, c) is kept
+        assert f.kept is trail and trail.without is None
+        assert other not in trail.donors and trail.lits == {-1, -3, -4}
+        assert units_of(f, c) == kept
         assert_matches_reference(f, c)
 
-    def test_removing_c_makes_its_closure_the_formulas_own(self):
+    def test_removing_c_makes_its_closure_the_formulas_own(self, monkeypatch):
         f = formula((1,), (2,), (1, -2), (-2, 3))
         c = clause(1)
         assert_matches_reference(f, c)
         without = units_of(f, c)
+        trail = f.kept
+        monkeypatch.setattr(asymmetric, "_rounds", None)  # the commit propagates nothing
         f.remove(c)
-        assert units_of(f) is without
+        monkeypatch.undo()
+        assert f.kept is trail and units_of(f) == without
+        assert list(trail.donors.items()) == list(without.donors.items())
         for d in f.clauses + [c]:
             assert_matches_reference(f, d)
 
     def test_u_is_kept_until_one_of_its_donors_goes(self):
         f = formula((1,), (-1, 2), (3, 4), (5,))
         whole = units_of(f)
+        trail = f.kept
         assert clause(3, 4) not in whole.donors and clause(5) in whole.donors
         f.remove(clause(3, 4))
-        assert units_of(f) is whole
+        assert f.kept is trail and units_of(f) == whole
         f.remove(clause(5))
-        assert units_of(f) is not whole and units_of(f).lits == {-1, -2}
+        assert f.kept is trail and units_of(f).lits == {-1, -2}
         assert f.check_occ_consistent()
 
-    def test_asking_without_another_donor_replaces_the_kept_closure(self):
+    def test_asking_without_another_donor_moves_the_retraction(self):
         f = formula((1,), (-1, 2), (3,))
         whole = units_of(f)
-        first = units_of(f, clause(1))
-        assert units_of(f, clause(1)) is first and first.lits == {-3}
-        second = units_of(f, clause(3))
-        assert units_of(f, clause(3)) is second and second.lits == {-1, -2}
-        again = units_of(f, clause(1))
-        assert again is not first and again.lits == first.lits
-        assert units_of(f) is whole and f.check_occ_consistent()
+        trail = f.kept
+        assert units_of(f, clause(1)).lits == {-3} and trail.without == clause(1)
+        assert units_of(f, clause(3)).lits == {-1, -2} and trail.without == clause(3)
+        assert units_of(f, clause(1)).lits == {-3} and trail.without == clause(1)
+        assert units_of(f) == whole and trail.without is None
+        assert f.kept is trail and f.check_occ_consistent()
 
     def test_asking_about_a_clause_outside_the_formula_returns_u(self):
         f = formula((1,), (-1, 2))
         whole = units_of(f)
         part = units_of(f, clause(1))
-        assert units_of(f, clause(9)) is whole and units_of(f, clause(-1, 2, 9)) is whole
-        assert units_of(f, clause(1)) is part
+        assert units_of(f, clause(9)) == whole and f.kept.without is None
+        assert units_of(f, clause(-1, 2, 9)) == whole
+        assert units_of(f, clause(1)) == part
 
-    def test_add_drops_both_closures(self):
+    def test_add_drops_the_trail(self):
         f = formula((1,), (-1, 2))
         whole = units_of(f)
         part = units_of(f, clause(1))
-        f.add((3, 4))  # forces nothing: the closures are derived again all the same
-        assert units_of(f) is not whole and units_of(f).lits == whole.lits
-        assert units_of(f, clause(1)) is not part and units_of(f, clause(1)).lits == part.lits
+        f.add((3, 4))  # forces nothing: the trail is built again all the same
+        assert f.kept is None
+        assert units_of(f) == whole and units_of(f, clause(1)) == part
         assert f.check_occ_consistent()
 
-    def test_a_copy_shares_the_kept_closures_and_drops_them_apart(self):
+    def test_a_copy_starts_without_the_trail(self):
         f = formula((1,), (-1, 2), (3,))
         whole = units_of(f)
         part = units_of(f, clause(1))
+        trail = f.kept
         g = f.copy()
-        assert units_of(g) is whole and units_of(g, clause(1)) is part
+        assert g.kept is None
+        assert units_of(g) == whole and units_of(g, clause(1)) == part
         g.remove(clause(3))  # a donor of both closures
-        assert units_of(g) is not whole and units_of(g, clause(1)) is not part
-        assert units_of(f) is whole and units_of(f, clause(1)) is part
+        assert units_of(g).lits == {-1, -2} and units_of(g, clause(1)).lits == set()
+        assert f.kept is trail and units_of(f) == whole and units_of(f, clause(1)) == part
         assert f.check_occ_consistent() and g.check_occ_consistent()
 
     def test_add_after_a_cached_check(self):
@@ -664,10 +691,10 @@ class TestRetraction:
 
     def test_consistency_check_sees_a_wrong_donor(self):
         f = formula((1,), (-1, 2), (-2, 3), (4, 5))
-        units = units_of(f)
+        units_of(f)
+        trail = f.kept
         assert f.check_occ_consistent()
-        donors = {clause(4, 5) if lit == -3 else d: lit for d, lit in units.donors.items()}
-        f.kept = f.kept._replace(whole=units._replace(donors=donors))
+        trail.donors = {clause(4, 5) if lit == -3 else d: lit for d, lit in trail.donors.items()}
         assert not f.check_occ_consistent()
 
     def test_consistency_check_sees_a_dropped_step(self):
@@ -675,10 +702,7 @@ class TestRetraction:
         c = clause(-1, 2)
         kept = units_of(f, c)
         assert kept.lits == {-1} and f.check_occ_consistent()
-        units = units_of(f)
-        donors = dict(units.donors)
-        del donors[clause(-1, 2)]  # -3 now rests on -2, which no donor justifies
-        f.kept = f.kept._replace(whole=units._replace(donors=donors))
+        del f.kept.donors[clause(-1, 2)]  # -3 now rests on -2, which no donor justifies
         assert not f.check_occ_consistent()
 
     def test_consistency_check_sees_a_literal_justified_twice(self):
@@ -686,17 +710,18 @@ class TestRetraction:
         f = formula((1,), (2,), (1, -2))
         units = units_of(f)
         assert units.lits == {-1, -2} and f.check_occ_consistent()
-        donors = dict(units.donors)
-        donors[clause(1, -2)] = -1
-        f.kept = f.kept._replace(whole=units._replace(donors=donors))
+        f.kept.donors[clause(1, -2)] = -1
         assert not f.check_occ_consistent()
 
     def test_consistency_check_sees_a_wrong_tautology_flag(self):
         for f in (formula((1,), (-1, 2)), formula((1,), (-1,), (2, 3))):
-            units = units_of(f)
-            assert f.check_occ_consistent()
-            f.kept = f.kept._replace(whole=units._replace(tautological=not units.tautological))
-            assert not f.check_occ_consistent()
+            for flag in ("tautological", "whole_tautological"):
+                units_of(f)
+                trail = f.kept
+                assert f.check_occ_consistent()
+                setattr(trail, flag, not getattr(trail, flag))
+                assert not f.check_occ_consistent()
+                f.kept = None
 
     def test_consistency_check_sees_a_stale_closure(self):
         f = formula((1,), (-1, 2), (-2, 3), (4,))
@@ -704,10 +729,14 @@ class TestRetraction:
         units_of(f, c)
         g = f.with_clause((-4, 5))  # with 4 forced, (-4|5) forces 5: U(g) holds -5
         assert g.check_occ_consistent()
-        # the closures kept for f, left on g as if `add` had not dropped them
+        # f's trail, left on g as if `add` had not dropped it
         g.kept = f.kept
         assert not g.check_occ_consistent()
-        g.kept = f.kept._replace(whole=None)  # only U(g without c) is stale
+        # g's own U(g), with the closure f's retraction for c left
+        g.kept = None
+        trail = asymmetric._trail(g, c)
+        assert g.check_occ_consistent()
+        trail.lits, trail.gone, trail.resumed = set(f.kept.lits), dict(f.kept.gone), dict(f.kept.resumed)
         assert not g.check_occ_consistent()
 
     def test_work_per_donor_does_not_grow_with_the_formula(self, monkeypatch):
@@ -759,6 +788,119 @@ class TestRetraction:
             assert kept.lits < whole.lits
             counts.append((len(read), sum(read)))
         assert counts[0][0] > 0 and len(set(counts)) == 1, counts
+
+
+# One trail per formula: a question turns it into U(F without c) and grows
+# the closure in place, and removes what it added on the way out; a removal
+# commits its retraction, and a copy gets a trail of its own.
+
+
+class CutShort(Exception):
+    pass
+
+
+def answers(f, xs):
+    """Every ALA verdict for each clause of f and each clause of `xs`, with
+    every lifted resolvent as x."""
+    out = []
+    for c in f.clauses + xs:
+        out.append((c, asymmetric_blocking(f, c), [r_lift_witness(BASES[k], f, c) for k in ("at", "as")]))
+        for x in [c] + [c | (d - (-lit,)) for lit in c for d in f.occurrences(-lit)]:
+            out.append((c, x, BASES["at"](f, c, x), BASES["as"](f, c, x)))
+    return out
+
+
+class TestTrail:
+    # c = (-1|2) is a donor of U, and its closure runs down the chain from 2
+    # to 6, one literal per round
+    CHAIN = ((1,), (-1, 2), (2, -3), (3, -4), (4, -5), (5, -6))
+
+    def test_a_check_cut_short_leaves_the_trail_as_it_was(self, monkeypatch):
+        real = asymmetric._rounds
+
+        def failing(*args, **kw):
+            for n, step in enumerate(real(*args, **kw), 1):
+                yield step
+                if n == 2:
+                    raise CutShort  # asked for round 3
+
+        c = clause(-1, 2)
+        xs = [clause(2, 6), clause(-6, 3)]
+        for prop in ("at", "abc", "rat"):
+            f = formula(*self.CHAIN)
+            units = units_of(f, c)  # the trail stands retracted for c
+            trail = f.kept
+            assert units.lits == {-1} and not units.tautological
+            monkeypatch.setattr(asymmetric, "_rounds", failing)
+            with pytest.raises(CutShort):
+                holds(prop, f, c)
+            monkeypatch.undo()
+            assert f.kept is trail and units_of(f, c) == units, prop
+            assert f.check_occ_consistent()
+            assert answers(f, xs) == answers(formula(*self.CHAIN), xs)
+
+    def test_a_retraction_cut_short_drops_the_trail(self, monkeypatch):
+        f = disjoint_blocks(2)
+        c = clause(-1, 2)
+        units_of(f)
+
+        def failing(*args, **kw):
+            raise CutShort
+            yield
+
+        monkeypatch.setattr(asymmetric, "_rounds", failing)
+        with pytest.raises(CutShort):
+            holds("at", f, c)
+        monkeypatch.undo()
+        assert f.kept is None and f.check_occ_consistent()
+        assert answers(f, []) == answers(disjoint_blocks(2), [])
+
+    def test_removing_a_donor_updates_the_trail(self):
+        f = formula((1,), (-1, 2), (-2, 3), (4,), (-4, 5))
+        trail = asymmetric._trail(f, None)
+        assert trail.lits == {-1, -2, -3, -4, -5}
+        for gone, left in (((-1, 2), {-1, -4, -5}), ((4,), {-1}), ((1,), set())):
+            f.remove(clause(*gone))
+            assert f.kept is trail and trail.without is None, gone
+            assert trail.lits == left and clause(*gone) not in trail.donors
+            assert f.check_occ_consistent()
+            xs = [clause(2, 5), clause(-3), clause(-5, 1)]
+            assert answers(f, xs) == answers(Formula(f.clauses), xs)
+
+    def test_a_mutated_copy_leaves_the_original_trail(self):
+        f = formula((1,), (-1, 2), (-2, 3), (4,), (2, -4, 6))
+        xs = [clause(3, 5), clause(-6), clause(-2, 4)]
+        before = answers(f, xs)
+        whole = units_of(f)
+        trail = f.kept
+        for donor in ((-1, 2), (4,), (1,)):
+            g = f.copy()
+            units_of(g, clause(*donor))
+            g.remove(clause(*donor))
+            assert units_of(g) != whole and g.check_occ_consistent()
+            assert f.kept is trail and units_of(f) == whole, donor
+            assert answers(f, xs) == before and f.check_occ_consistent()
+
+    def test_one_question_allocates_the_same_however_large_u_is(self):
+        # k variable-disjoint blocks: U grows with k, but an AT question
+        # about a clause of block 1 copies none of it
+        for c, x in ((clause(-1, 2), clause(-1, 2)), (clause(2, 7), clause(2, 7)),
+                     (clause(3, -8), clause(3, 7, -8))):
+            peaks = []
+            for k in (1, 4, 16, 64):
+                f = disjoint_blocks(k)
+                BASES["at"](f, c, x)  # builds and retracts the trail
+                runs = []
+                for _ in range(3):
+                    tracemalloc.start()
+                    try:
+                        BASES["at"](f, c, x)
+                        runs.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+                peaks.append(min(runs))
+            assert len(reference_saturate(disjoint_blocks(64), None, Clause())[1]) == 64 * 6
+            assert max(peaks) - min(peaks) <= 256, (c, x, peaks)
 
 
 # Resolution tautology is literal blocking: the engine answers rt with the
@@ -899,7 +1041,7 @@ class TestASOutsideU:
         f = planted_blocks(random.Random("buckets"), 4, tautologies=4)
         read, active, calls, full = [], [], [], []
         real_occurrences, real_subsumed = Formula.occurrences, asymmetric._subsumed
-        real_closure = asymmetric._closure_lits
+        real_closure = asymmetric._closure
 
         def occurrences(self, lit):
             if active:
@@ -914,14 +1056,14 @@ class TestASOutsideU:
             finally:
                 active.pop()
 
-        def closure_lits(f, c, x, stop_at_tautology):
+        def closure(f, c, x, stop_at_tautology, answer):
             if not stop_at_tautology:
                 full.append(x)
-            return real_closure(f, c, x, stop_at_tautology)
+            return real_closure(f, c, x, stop_at_tautology, answer)
 
         monkeypatch.setattr(Formula, "occurrences", occurrences)
         monkeypatch.setattr(asymmetric, "_subsumed", subsumed)
-        monkeypatch.setattr(asymmetric, "_closure_lits", closure_lits)
+        monkeypatch.setattr(asymmetric, "_closure", closure)
         walked = tautologies = 0
         for c in f.clauses:
             units = units_of(f, c)

@@ -352,8 +352,9 @@ class TestRecheckQueue:
     @pytest.mark.parametrize("prop", sorted(engine._ASKED_ONCE))
     def test_every_skipped_recheck_answers_no(self, prop, monkeypatch):
         # The engine asks these once per clause. After each of its runs, the
-        # recheck it skipped (a refuted clause queued again by a removal) is
-        # run in full on the formula as it stood then, and answers no.
+        # recheck it skipped (a refuted clause whose environment a later
+        # removal changed) is run in full on the formula as it stood then,
+        # and answers no.
         check = engine._CHECKS[prop]
         asked, removed = [], []
 

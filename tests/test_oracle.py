@@ -12,7 +12,7 @@ from blockcheck.oracle import (
     nonlocality_witness,
     satisfies,
 )
-from blockcheck.varelim import QbfInstance
+from blockcheck.varelim import QbfInstance, eliminate_variables, sem_blocked_via_elimination
 
 from conftest import clause, formula
 
@@ -27,6 +27,39 @@ class TestSatisfies:
 
     def test_single_negative_unit(self):
         assert not satisfies(Assignment({1: 1}), formula((-1,)))
+
+
+class TestCapBounds:
+    # one rule for every cap, as `blocking.check_bounds` applies it to
+    # `ext_cap`: a negative one is a usage error, not a cap exceeded
+    def entry_points(self, cap):
+        f, c = formula((1, 2), (-1, 3), (-2, -3)), clause(1, 2)
+        q = QbfInstance(universals=[3], existentials=[1, 2], matrix=f)
+        return {
+            "enumerate_models": lambda: enumerate_models(f, cap=cap),
+            "first_model": lambda: first_model(f, cap=cap),
+            "is_satisfiable": lambda: is_satisfiable(f, cap),
+            "is_redundant": lambda: is_redundant(f, c, cap),
+            "is_semantically_blocked_oracle": lambda: is_semantically_blocked_oracle(f, c, cap),
+            "nonlocality_witness": lambda: nonlocality_witness(formula((-1,)), clause(1), cap),
+            "eval_forall_exists": lambda: eval_forall_exists(q, cap),
+            "eliminate_variables": lambda: eliminate_variables(f, [1, 2], cap),
+            "no_variables": lambda: eliminate_variables(f, [], cap),
+            "sem_blocked_via_elimination": lambda: sem_blocked_via_elimination(f, c, max_clauses=cap),
+        }
+
+    def test_a_negative_cap_is_rejected_on_every_entry_point(self):
+        for name, call in self.entry_points(100).items():
+            call()  # each call is fine under a cap it stays within
+            for cap in (-1, -7):
+                with pytest.raises(ValueError, match="^(variable cap|clause limit) must be non-negative$"):
+                    self.entry_points(cap)[name]()
+
+    def test_a_zero_cap_is_a_cap(self):
+        assert enumerate_models(Formula(), cap=0) == [Assignment()]
+        assert eliminate_variables(formula((1, 2)), [], 0) == formula((1, 2))
+        with pytest.raises(CapExceeded):
+            first_model(formula((1,)), cap=0)
 
 
 class TestEnumeration:
