@@ -238,15 +238,17 @@ class _Trail:
     def removed(self, f: Formula, d: Clause) -> "_Trail":
         """The trail once D has left f: D's retraction is committed, its
         retracted donors leaving the map and the resumed ones joining its end
-        in derivation order. A derivation that does not rest on D still
-        holds, and a removal forces nothing new."""
-        if d in self.donors or d in self.resumed:
+        in derivation order; a D only the standing retraction fired puts U(F)
+        back. Nothing else rests on D, and a removal forces nothing new."""
+        if d in self.donors:
             self.retract(f, d)
             for x in self.gone.values():
                 del self.donors[x]
             self.donors.update(self.resumed)
             self.whole_tautological = self.tautological
             self.without, self.gone, self.resumed = None, {}, {}
+        elif d in self.resumed:
+            self.restore()  # D justifies nothing in U(F)
         return self
 
     def derivation(self) -> dict[Clause, int]:
@@ -259,9 +261,8 @@ class _Trail:
     def holds(self, f: Formula) -> bool:
         """Whether U(F), and `lits` as U(f without `without`), each hold (`_derives`)."""
         whole = self.lits.difference(self.resumed.values()).union(self.gone)
-        return _derives(f, None, self.donors, whole, self.whole_tautological) and _derives(
-            f, self.without, self.derivation(), self.lits, self.tautological
-        )
+        return (_derives(f, None, self.donors, whole, self.whole_tautological)
+                and _derives(f, self.without, self.derivation(), self.lits, self.tautological))
 
 
 def _derives(

@@ -839,6 +839,37 @@ class TestTrail:
             assert f.check_occ_consistent()
             assert answers(f, xs) == answers(formula(*self.CHAIN), xs)
 
+    def test_a_second_question_about_the_same_clause_derives_nothing(self, monkeypatch):
+        # c = (1) is a donor of U(F) = {-1, -2, 3}; without it, (1|3) justifies
+        # -1 again, so U(F without c) holds -1 and every check of c answers
+        # from the trail alone
+        f = formula((1,), (-1, 2), (1, 3), (-3,))
+        c = clause(1)
+        assert holds("at", f, c)
+        trail = f.kept
+        gone = trail.gone
+        assert trail.without == c and gone == {-1: c, -2: clause(-1, 2)}
+        calls = []
+        real_rounds, real_occurrences = asymmetric._rounds, Formula.occurrences
+
+        def rounds(*args, **kw):
+            calls.append("_rounds")
+            return real_rounds(*args, **kw)
+
+        def occurrences(self, lit):
+            calls.append("occurrences")
+            return real_occurrences(self, lit)
+
+        monkeypatch.setattr(asymmetric, "_rounds", rounds)
+        monkeypatch.setattr(Formula, "occurrences", occurrences)
+        for prop in ("at", "as", "abc", "rat", "ras"):
+            assert holds(prop, f, c), prop
+            assert BASES["at"](f, c, c)
+            assert not calls, (prop, calls)
+            assert f.kept is trail and trail.without == c and trail.gone is gone, prop
+        monkeypatch.undo()
+        assert f.check_occ_consistent()
+
     def test_a_retraction_cut_short_drops_the_trail(self, monkeypatch):
         f = disjoint_blocks(2)
         c = clause(-1, 2)
@@ -866,6 +897,20 @@ class TestTrail:
             assert f.check_occ_consistent()
             xs = [clause(2, 5), clause(-3), clause(-5, 1)]
             assert answers(f, xs) == answers(Formula(f.clauses), xs)
+
+    def test_removing_a_donor_only_the_retraction_fired_puts_u_back(self):
+        # without c = (1), (1|3) justifies -1 again; it is no donor of U(F)
+        f = formula((1,), (-1, 2), (1, 3), (-3,))
+        c, d = clause(1), clause(1, 3)
+        whole = units_of(f)
+        assert holds("at", f, c)
+        trail = f.kept
+        assert d in trail.resumed and d not in trail.donors
+        f.remove(d)
+        assert f.kept is trail and trail.without is None and units_of(f) == whole
+        assert not holds("at", f, c) and units_of(f, c).lits == {3}
+        assert f.check_occ_consistent()
+        assert answers(f, [clause(2)]) == answers(Formula(f.clauses), [clause(2)])
 
     def test_a_mutated_copy_leaves_the_original_trail(self):
         f = formula((1,), (-1, 2), (-2, 3), (4,), (2, -4, 6))
