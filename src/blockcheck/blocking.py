@@ -157,24 +157,23 @@ def is_literal_blocked(
     The resolvent of c upon lit with D is c | (D \\ {-lit}), a tautology iff
     c is one, or D \\ {-lit} is one, or D holds the complement of a literal
     of c other than lit. This is decided on the literal sets, building no
-    resolvent: c's complement set is built and c tested for tautology once
-    per check, and each literal tried takes its own complement out of that
-    set while it runs.
+    resolvent: c's complement set is built once per check, and each literal
+    tried takes its own complement out of that set while it runs.
     """
     c = as_clause(c)
     lits = c._canon if among is None else [l for l in c._canon if l in among]
     if not lits:
         return None
-    flipped = set(map(neg, c._canon))
-    if not c.isdisjoint(flipped):  # c is a tautology, and so is every resolvent
+    if c._taut:  # c is a tautology, and so is every resolvent
         return BlockingWitness(kind="literal", literal=lits[0])
+    flipped = set(map(neg, c._canon))
     occurrences = f.occurrences
     for lit in lits:
         flipped.remove(-lit)
         for d in occurrences(-lit):
             # the Clause is the receiver: a set argument keeps isdisjoint in C
             if d.isdisjoint(flipped) and (
-                d.isdisjoint(map(neg, d._canon))
+                not d._taut
                 or not any(-m in d for m in d._canon if m != lit and m != -lit)
             ):
                 break  # a resolvent that is not a tautology
@@ -302,7 +301,7 @@ class _Environment:
         has_n = [0] * len(lits)
         live = 0
         for i, d in enumerate(self.env):
-            if not d.isdisjoint(map(neg, d._canon)):  # tautological: left out of every rule-out set
+            if d._taut:  # a tautology is left out of every rule-out set
                 continue
             bit = 1 << i
             live |= bit
@@ -364,7 +363,7 @@ class _Environment:
         rules = []
         for d in self.env:
             ruled = 0
-            if d.isdisjoint(map(neg, d._canon)):  # a tautological clause rules out nothing
+            if not d._taut:  # a tautology rules out nothing
                 ruled = split
                 for m in d._canon:
                     mask = masks.get(m)

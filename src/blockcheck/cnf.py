@@ -41,17 +41,21 @@ def literal_key(lit: int) -> tuple[int, bool]:
 _frozenset_iter = frozenset.__iter__
 
 
-def _canonical(cls: type, lits: Iterable[int]) -> "Clause":
-    """The `cls` (a Clause) of int literals, in canonical order: `Clause()`
-    and the DIMACS bulk reader both build clauses here."""
+def _canonical(cls: type, lits: list[int]) -> "Clause":
+    """The `cls` (a Clause) of the int literals in `lits`, a fresh list that
+    the caller gives up: it becomes the canonical order. `Clause()` and the
+    DIMACS bulk reader both build clauses here."""
     self = frozenset.__new__(cls, lits)
+    if len(self) != len(lits):  # duplicates: order the members instead
+        lits = list(_frozenset_iter(self))
     # a stable sort by variable keeps the negative literal (the smaller
     # int) first, which is the canonical order; 0 would sort first
-    canon = sorted(_frozenset_iter(self))
-    canon.sort(key=abs)
-    if canon and not canon[0]:
+    lits.sort()
+    lits.sort(key=abs)
+    if lits and not lits[0]:
         raise ValueError("0 is not a literal")
-    self._canon = tuple(canon)
+    self._canon = tuple(lits)
+    self._taut = not self.isdisjoint(map(neg, lits))
     return self
 
 
@@ -63,12 +67,15 @@ class Clause(frozenset):
     equality with a plain frozenset included, is frozenset's (see the module
     docstring). The empty clause is representable (and is never a
     tautology).
+
+    `_canon` holds the literals in canonical order and `_taut` whether the
+    clause is a tautology; only `_canonical` sets them, once per clause.
     """
 
-    __slots__ = ("_canon",)
+    __slots__ = ("_canon", "_taut")
 
     def __new__(cls, literals: Iterable[int] = ()):
-        return _canonical(cls, map(int, literals))
+        return _canonical(cls, list(map(int, literals)))
 
     @property
     def literals(self) -> tuple[int, ...]:
@@ -94,7 +101,7 @@ class Clause(frozenset):
         return frozenset(map(neg, self._canon))
 
     def is_tautology(self) -> bool:
-        return not self.isdisjoint(map(neg, self._canon))
+        return self._taut
 
     def dimacs(self) -> str:
         """The clause as a zero-terminated DIMACS token string, e.g. '1 -2 0'."""
@@ -596,12 +603,13 @@ def read_dimacs_body(
     return DimacsBody(*header, clauses, clause_lines)
 
 
-def _read_in_bulk(text: str) -> "DimacsBody | None":
+def _read_in_bulk(text: str) -> "tuple[DimacsBody, int] | None":
     """`read_dimacs_body(text)` by one split, one `map(int)` and a cut at each
     0 after the header's line (the first not blank or a comment, read by the
-    walk); None unless those are ints ending in a 0. Exact: every line the
-    walk does not read as clause data opens with a token starting with 'c',
-    '%' or 'p', which `int` rejects, and both read tokens with `int`."""
+    walk), with the largest variable read off the same ints; None unless
+    those are ints ending in a 0. Exact: every line the walk does not read
+    as clause data opens with a token starting with 'c', '%' or 'p', which
+    `int` rejects, and both read tokens with `int`."""
     at = 0
     for end in re.finditer(r"\r\n?|\n", text):  # the line ends of `split_lines`
         toks = text[at:end.start()].split()
@@ -622,7 +630,7 @@ def _read_in_bulk(text: str) -> "DimacsBody | None":
         end = lits.index(0, start)
         clauses.append(_canonical(Clause, lits[start:end]))
         start = end + 1
-    return head._replace(clauses=clauses, clause_lines=None)
+    return head._replace(clauses=clauses, clause_lines=None), max(max(lits), -min(lits))
 
 
 def parse_dimacs(source: "str | bytes", strict: bool = False) -> Formula:
@@ -641,9 +649,15 @@ def parse_dimacs(source: "str | bytes", strict: bool = False) -> Formula:
     other text by `read_dimacs_body`; the formula is returned unindexed.
     """
     text = decode_text(source) if isinstance(source, bytes) else source
-    body = _read_in_bulk(text) or read_dimacs_body(text)
-    f = Formula(body.clauses)
-    body.check_counts(max(f.variables(), default=0), strict)
+    bulk = _read_in_bulk(text)
+    if bulk is None:
+        body = read_dimacs_body(text)
+        f = Formula(body.clauses)
+        top = max(f.variables(), default=0)
+    else:
+        body, top = bulk
+        f = Formula(body.clauses)
+    body.check_counts(top, strict)
     return f
 
 

@@ -117,6 +117,56 @@ class TestClause:
         assert Clause([1]) in Formula([[1]])
 
 
+def canonical_reference(lits):
+    """What a clause of `lits` holds: its distinct literals in canonical
+    order, and whether it is a tautology."""
+    s = set(lits)
+    return tuple(sorted(s, key=lambda l: (abs(l), l > 0))), any(-l in s for l in s)
+
+
+def built(c):
+    return c.literals, c.is_tautology()
+
+
+def test_every_way_to_build_a_clause_is_canonical():
+    # seeded literal lists over 5 variables: duplicates, complementary
+    # pairs, one literal and none
+    rng = random.Random("clause construction")
+    sizes = [rng.choice((0, 1, rng.randint(2, 8))) for _ in range(400)]
+    lists = [[rng.choice((-1, 1)) * rng.randint(1, 5) for _ in range(n)] for n in sizes]
+    seen = dict(duplicates=0, tautology=0, unit=0, empty=0)
+    for a, b in zip(lists, lists[1:] + lists[:1]):
+        want = canonical_reference(a)
+        seen["duplicates"] += len(set(a)) < len(a)
+        seen["tautology"] += want[1]
+        seen["unit"] += len(want[0]) == 1
+        seen["empty"] += not a
+        caller = list(a)
+        c = Clause(caller)
+        assert caller == a  # the caller's list is not sorted in place
+        assert built(c) == want
+        assert built(Clause(l for l in a)) == want
+        assert built(Clause(c)) == want
+        for got in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert built(got) == want
+        assert built(c | b) == canonical_reference(set(a) | set(b))
+        assert built(c - b) == canonical_reference(set(a) - set(b))
+        assert built(c & b) == canonical_reference(set(a) & set(b))
+        with pytest.raises(ValueError, match="^0 is not a literal$"):
+            Clause(a[:len(a) // 2] + [0] + a[len(a) // 2:])
+        with pytest.raises(ValueError, match="^0 is not a literal$"):
+            c | (0,)
+    assert min(seen.values()) >= 40, seen
+    want = [canonical_reference(a) for a in lists]
+    lines = ["%s 0\n" % " ".join(map(str, a)) for a in lists]
+    text = "p cnf 5 %d\n" % len(lists) + "".join(lines)
+    bulk = cnf._read_in_bulk(text)[0]
+    assert [built(c) for c in bulk.clauses] == want
+    assert [built(c) for c in read_dimacs_body(text).clauses] == want
+    trace = EliminationTrace.from_text("t blockcheck 1\n" + "".join("d t %s w 0\n" % l.strip() for l in lines))
+    assert [built(e.clause) for e in trace.entries] == want
+
+
 class TestFormula:
     def test_set_semantics_and_membership(self):
         f = formula((1, 2), (2, 1), (-1,))
@@ -489,14 +539,15 @@ def walk_parse(text, strict=False):
 
 
 def parse_outcome(parse, text, strict=False):
-    """The clauses with their ids and the warning texts, or the error text."""
+    """Each clause with its literals in order, its tautology flag and its id,
+    and the warning texts; or the error text."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             f = parse(text, strict)
         except ParseError as exc:
             return "error", str(exc)
-    return [(c, f.seq_of(c)) for c in f], [str(w.message) for w in caught]
+    return [(c, c.literals, c.is_tautology(), f.seq_of(c)) for c in f], [str(w.message) for w in caught]
 
 
 def literals_outcome(read, tokens, start):
@@ -685,6 +736,9 @@ PARSE_CASES = [
     ("p cnf 10 1\n1_0 \u0663 -\u0661 0\n", True),          # tokens only int reads
     ("p cnf 3 3\n1 2 0\n2 1 0\n-3 0\n1 2 0\n", True),      # duplicate clauses
     ("p cnf 1 1\n1 2 0\n3 0\n", True),                     # counts that warn
+    ("p cnf 2 1\n1 -5 0\n", True),                         # a variable count only -5 passes
+    ("p cnf 3 2\n2 -1 1 0\n-3 3 0\n", True),               # tautological clauses
+    ("p cnf 3 1\n3 -1 3 2 -1 0\n", True),                   # repeated literals
     ("p cnf 3 2\n1 0\nc mid 5 0\n2 0\n", False),           # a comment in the body
     ("p cnf 3 2\n1 0\n2 0\n%\n0 x garbage\n", False),     # '%' and garbage after it
     ("p cnf 3 2\n1 0\n  % 5\n", False),                    # an indented '%'
