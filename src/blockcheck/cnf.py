@@ -603,13 +603,12 @@ def read_dimacs_body(
     return DimacsBody(*header, clauses, clause_lines)
 
 
-def _read_in_bulk(text: str) -> "tuple[DimacsBody, int] | None":
+def _read_in_bulk(text: str) -> "DimacsBody | None":
     """`read_dimacs_body(text)` by one split, one `map(int)` and a cut at each
     0 after the header's line (the first not blank or a comment, read by the
-    walk), with the largest variable read off the same ints; None unless
-    those are ints ending in a 0. Exact: every line the walk does not read
-    as clause data opens with a token starting with 'c', '%' or 'p', which
-    `int` rejects, and both read tokens with `int`."""
+    walk); None unless those are ints ending in a 0. Exact: every line the
+    walk does not read as clause data opens with a token starting with 'c',
+    '%' or 'p', which `int` rejects, and both read tokens with `int`."""
     at = 0
     for end in re.finditer(r"\r\n?|\n", text):  # the line ends of `split_lines`
         toks = text[at:end.start()].split()
@@ -630,7 +629,7 @@ def _read_in_bulk(text: str) -> "tuple[DimacsBody, int] | None":
         end = lits.index(0, start)
         clauses.append(_canonical(Clause, lits[start:end]))
         start = end + 1
-    return head._replace(clauses=clauses, clause_lines=None), max(max(lits), -min(lits))
+    return head._replace(clauses=clauses, clause_lines=None)
 
 
 def parse_dimacs(source: "str | bytes", strict: bool = False) -> Formula:
@@ -649,16 +648,10 @@ def parse_dimacs(source: "str | bytes", strict: bool = False) -> Formula:
     other text by `read_dimacs_body`; the formula is returned unindexed.
     """
     text = decode_text(source) if isinstance(source, bytes) else source
-    bulk = _read_in_bulk(text)
-    if bulk is None:
-        body = read_dimacs_body(text)
-        f = Formula(body.clauses)
-        top = max(f.variables(), default=0)
-    else:
-        body, top = bulk
-        f = Formula(body.clauses)
-    body.check_counts(top, strict)
-    return f
+    body = _read_in_bulk(text) or read_dimacs_body(text)
+    # a clause's canonical order ends with its largest variable
+    body.check_counts(max((abs(c._canon[-1]) for c in body.clauses if c), default=0), strict)
+    return Formula(body.clauses)
 
 
 def write_dimacs(f: Formula) -> str:

@@ -160,7 +160,7 @@ def test_every_way_to_build_a_clause_is_canonical():
     want = [canonical_reference(a) for a in lists]
     lines = ["%s 0\n" % " ".join(map(str, a)) for a in lists]
     text = "p cnf 5 %d\n" % len(lists) + "".join(lines)
-    bulk = cnf._read_in_bulk(text)[0]
+    bulk = cnf._read_in_bulk(text)
     assert [built(c) for c in bulk.clauses] == want
     assert [built(c) for c in read_dimacs_body(text).clauses] == want
     trace = EliminationTrace.from_text("t blockcheck 1\n" + "".join("d t %s w 0\n" % l.strip() for l in lines))
