@@ -91,7 +91,6 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .blocking import is_literal_blocked
 from .cnf import Clause, Formula, as_clause, literal_key
 
 
@@ -416,12 +415,22 @@ def asymmetric_blocking(f: Formula, c: "Clause | Iterable[int]") -> tuple[bool, 
     c, in canonical order, that blocks it. Only c's literals are tried: an
     added literal never blocks, because its own donor resolves with it back
     into a subset of the closure; and flipping a literal of c repairs c.
+
+    It reads the closure S off the trail, building no clause: l blocks S
+    when each D holding -l holds some m other than -l with -m in S, or a
+    pair on another variable than l's (D without -l is a tautology).
     """
     c = as_clause(c)
 
     def blocked(lits: "set[int]", added: list[int], tautological: bool) -> tuple[bool, int | None]:
-        witness = None if tautological else is_literal_blocked(f, Clause(lits), c)
-        return tautological or witness is not None, witness and witness.literal
+        if tautological:
+            return True, None
+        for lit in c._canon:
+            if all(any(m != -lit and -m in lits for m in d._canon)
+                   or d._taut and any(-m in d for m in d._canon if m != lit and m != -lit)
+                   for d in f.occurrences(-lit)):
+                return True, lit
+        return False, None
 
     return _closure(f, c, c, True, blocked)
 

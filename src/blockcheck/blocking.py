@@ -5,10 +5,10 @@ a non-empty L within c blocks c as a set when for every clause D touching a
 complement of L, (c \\ L) | complements(L) | D is a tautology; and c is
 super-blocked when it is set-blocked in every restriction of the formula by
 an assignment to the variables outside c that appear in its resolution
-environment. Set-blocking searches run over candidate subsets in a fixed
-canonical order (smaller sets first, then the clause's own literal order),
-so witnesses are deterministic and the cost of a failed search is exactly
-`count_candidate_sets`.
+environment. Set-blocking answers the first blocking set in a fixed
+canonical order of candidate subsets (smaller sets first, then the
+clause's own literal order), so witnesses are deterministic and a failed
+search counts exactly `count_candidate_sets` candidates.
 
 Both properties are local: they are decided on one compiled form of c's
 resolution environment, `_Environment`. A clause D of it rules out exactly
@@ -23,10 +23,10 @@ one of two routes, which only the environment picks. A lattice of
 at most 2^11 candidates, whose rules take at most 2^20 bits, gets one bit
 per candidate, numbered in `candidate_sets` order, and each clause D one
 rule-out bitset over them; the first blocking set is the lowest bit no
-live rule covers. A larger lattice is walked candidate by candidate, each
-candidate's rule-out set an AND of one bitset over the environment per
-position of c. Both routes give the same sets, tables, failing
-assignments and counts.
+live rule covers. A larger lattice goes to a backtracking search over c's
+positions; `reductions.sat_to_setblocking` encodes SAT into that question,
+and nothing bounds the search. Both routes give the same sets, tables,
+failing assignments and counts.
 
 The super-blocking decider covers all 2^|ext| restrictions, which is exact
 but exponential. Past `ext_cap` it refuses, or, given a random source and
@@ -51,8 +51,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import combinations, compress, islice, product
+from functools import cache, lru_cache, reduce
+from itertools import combinations, compress, product
 from math import comb
 from operator import neg, or_
 from random import Random
@@ -212,13 +212,12 @@ def count_candidate_sets(n: int, k: int) -> int:
 
 # Lattices of at most this many candidates are decided one bit per
 # candidate. 2^11 covers the largest lattice timed on both routes (2,047
-# candidates, an 11-literal clause with k unbounded); larger ones keep the
-# walk, which can stop at an early blocking set without building every
-# clause's rule-out bitset.
+# candidates, an 11-literal clause with k unbounded); larger ones go to the
+# search, which builds no per-candidate bitset.
 _BIT_LATTICE = 1 << 11
 # A bit lattice holds at most this many rule bits (|env| x candidates), so
 # the one kept with a compiled environment stays under a megabyte with
-# Python's int headers; a larger environment keeps the walk.
+# Python's int headers; a larger environment goes to the search.
 _LATTICE_BITS = 1 << 20
 
 
@@ -243,18 +242,16 @@ def _candidate_bits(n: int, bound: int) -> "tuple[int, tuple[int, ...]]":
 
 
 class _Environment:
-    """c's resolution environment compiled into rule-out bitsets, and the one
+    """c's resolution environment compiled for its rule-out test, and the one
     object that answers every set- and super-blocking question about c.
 
     Bit i stands for environment clause i. A non-tautological clause D with
     shared literals P and complemented literals N (positions of c's
     canonical literals) rules out exactly the candidates L with N <= L and
-    P disjoint from L; tautological D rules out nothing. So for each
-    position q there are two bitsets, `no_p[q]` (the non-tautological
-    clauses whose P lacks q) and `no_n[q]` (those whose N lacks q), and the
-    clauses ruling out L are AND_q (no_p[q] if q in L else no_n[q]). A
-    candidate blocks c in any subset of the environment whose bitset meets
-    none of them.
+    P disjoint from L; tautological D rules out nothing. So a candidate
+    blocks c in a subset of the environment when it satisfies the CNF over
+    the positions that has, per live such D, the clause "leave out some
+    position of N or take some position of P" (`clauses`).
 
     A tautological c keeps its complementary pairs as position pairs in
     `pairs`. A candidate that takes both or neither literal of a pair
@@ -267,17 +264,16 @@ class _Environment:
     first candidate that no clause of a live subset rules out (`finder`);
     a restriction's live clauses are its `survivors`, and a restriction
     table asks once per assignment (`table`). Only those two methods pick
-    the route: the bit lattice (`lattice`) or the walk (`candidates`).
+    the route: the bit lattice (`lattice`) or the search (`search`).
 
     The rest is built on first use and is what a fresh compile would build:
-    the walk's bitsets, the bit lattice of the last bound asked
+    the search's clauses (`ends`), the bit lattice of the last bound asked
     (`kept_lattice`), the external variables (`ext`) and their `sat`
     bitsets. So it is the value a formula keeps in its `compiled` slot,
     shared by formula copies (see `_compile`), and `holds` rebuilds it.
     """
 
-    __slots__ = ("subject", "env", "every", "lits", "pairs", "no_p", "no_n", "suf_n",
-                 "kept_lattice", "ext", "sat")
+    __slots__ = ("subject", "env", "every", "lits", "pairs", "ends", "kept_lattice", "ext", "sat")
 
     def __init__(self, c: Clause, env: "list[Clause]"):
         self.subject = c
@@ -286,44 +282,19 @@ class _Environment:
         self.lits = lits = c.literals
         where = {x: q for q, x in enumerate(lits)}
         self.pairs = [(q, where[-x]) for q, x in enumerate(lits) if x > 0 and -x in where]
-        self.no_p = self.no_n = self.suf_n = None
+        self.ends: "list[list[tuple[int, int, int]]] | None" = None
         # (bound, `lattice`'s answer for it), for the last bound asked
         self.kept_lattice: "tuple[int, tuple[int, list[int]] | None] | None" = None
         self.ext: "list[int] | None" = None
         self.sat: "list[list[int]] | None" = None
 
-    def walk_bitsets(self) -> None:
-        """Build `no_p`, `no_n` and `suf_n`, the walk's bitsets."""
-        c, lits = self.subject, self.lits
-        where = {x: q for q, x in enumerate(lits)}
-        flipped = c.complements()
-        has_p = [0] * len(lits)
-        has_n = [0] * len(lits)
-        live = 0
-        for i, d in enumerate(self.env):
-            if d._taut:  # a tautology is left out of every rule-out set
-                continue
-            bit = 1 << i
-            live |= bit
-            for m in d.intersection(c):
-                has_p[where[m]] |= bit
-            for m in d.intersection(flipped):
-                has_n[where[-m]] |= bit
-        self.no_p = [live & ~h for h in has_p]
-        self.no_n = [live & ~h for h in has_n]
-        # suf_n[q]: AND of no_n over the positions from q on, so the
-        # positions after a candidate's last one cost a single AND.
-        self.suf_n = suf = [live] * (len(lits) + 1)
-        for q in range(len(lits) - 1, -1, -1):
-            suf[q] = suf[q + 1] & self.no_n[q]
-
     def holds(self, f: Formula) -> bool:
         """Whether a fresh read and compile of the clause's environment in f
-        give the same environment, in order, and the same bitsets: those of
-        the walk, of the kept lattice and of the external variables."""
+        give the same environment, in order, and the same compiled forms: the
+        search's clauses, the kept lattice and the external variables'."""
         fresh = _Environment(self.subject, resolution_environment(f, self.subject))
-        if (self.no_p, self.no_n, self.suf_n) != (None, None, None):
-            fresh.walk_bitsets()
+        if self.ends is not None:
+            fresh.clauses()
         if self.kept_lattice is not None:
             fresh.lattice(self.kept_lattice[0])
         if self.ext is not None:
@@ -334,10 +305,10 @@ class _Environment:
 
     def lattice(self, k: "int | None") -> "tuple[int, list[int]] | None":
         """(all candidates, rules): one bit per candidate of at most k
-        literals, in `candidates` order, and per environment clause the
+        literals, in `candidate_sets` order, and per environment clause the
         candidates it rules out. None when there are more than
         `_BIT_LATTICE` candidates or the rules would pass `_LATTICE_BITS`:
-        `candidates` walks those.
+        `search` answers those.
 
         A clause holding literal m rules out only candidates that hold the
         position of -m in c and lack that of m; for a tautological c, also
@@ -373,46 +344,6 @@ class _Environment:
         self.kept_lattice = bound, (full, rules)
         return full, rules
 
-    def candidates(self, k: "int | None"):
-        """(positions, rule-out bitset) per candidate, in `candidate_sets` order.
-
-        The positions list is reused from step to step; copy it to keep it.
-        """
-        if self.no_p is None:
-            self.walk_bitsets()
-        no_p, no_n, suf_n, pairs = self.no_p, self.no_n, self.suf_n, self.pairs
-        n = len(no_p)
-        for size in range(1, (n if k is None else min(k, n)) + 1):
-            # pos walks the size-subsets of positions like `combinations`;
-            # ahead[j] is the AND over the positions before pos[j] (no_p for
-            # chosen ones, no_n for skipped ones).
-            last = size - 1
-            pos = list(range(size))
-            ahead = [suf_n[n]] * size
-            for j in range(1, size):
-                ahead[j] = ahead[j - 1] & no_p[j - 1]
-            while True:
-                # the last position runs to the end here, and `acc` takes in
-                # no_n of each position it leaves behind
-                acc = ahead[last]
-                for q in range(pos[last], n):
-                    pos[last] = q
-                    if pairs and any((a in pos) == (b in pos) for a, b in pairs):
-                        yield pos, 0
-                    else:
-                        yield pos, acc & no_p[q] & suf_n[q + 1]
-                    acc &= no_n[q]
-                j = last - 1
-                while j >= 0 and pos[j] == n - size + j:
-                    j -= 1
-                if j < 0:
-                    break
-                ahead[j] &= no_n[pos[j]]
-                pos[j] += 1
-                for j in range(j + 1, size):
-                    pos[j] = pos[j - 1] + 1
-                    ahead[j] = ahead[j - 1] & no_p[pos[j - 1]]
-
     def external(self) -> "list[int]":
         """The external variables, sorted: those of the environment outside c."""
         if self.ext is None:
@@ -441,58 +372,83 @@ class _Environment:
             dead |= by_value[(m >> b) & 1]
         return self.every & ~dead
 
-    def finder(self, k: "int | None", keep: bool = False) -> "Callable[[int], int]":
-        """`first(alive)`: the index in `candidates` order of the first
+    def finder(self, k: "int | None") -> "Callable[[int], int]":
+        """`first(alive)`: the index in `candidate_sets` order of the first
         candidate of at most k literals that no clause in `alive` (a bitset
         over `env`) rules out, or -1 when every candidate is ruled out.
 
         On a bit lattice that is the lowest candidate no live clause's rule
-        covers. On the walk, with `keep`, each candidate's rule-out set is
-        drawn once and kept for the next call, so the questions of one
-        super-blocking scan draw no candidate twice; without it, as for
-        `is_set_blocked`'s one question, nothing drawn is kept.
-
-        The finder is returned, not kept here: it holds a generator over
-        this object, and keeping it would form a reference cycle.
+        covers; past it, `search` answers, once per live set: the rows of a
+        restriction table often share theirs.
         """
         lattice = self.lattice(k)
-        if lattice is not None:
-            full, rules = lattice
+        if lattice is None:
+            return cache(lambda alive: self.search(alive, k))
+        full, rules = lattice
 
-            def first(alive: int) -> int:
-                live = rules
-                if alive != self.every:  # bin(alive)[:1:-1]: alive's bits from bit 0 up
-                    live = compress(rules, map("1".__eq__, bin(alive)[:1:-1]))
-                return self.first_free(full, reduce(or_, live, 0))
-
-        elif keep:
-            drawn: "list[int]" = []
-            more = self.candidates(k)
-
-            def first(alive: int) -> int:
-                for i, ruled_out in enumerate(drawn):
-                    if not ruled_out & alive:
-                        return i
-                for _, ruled_out in more:
-                    drawn.append(ruled_out)
-                    if not ruled_out & alive:
-                        return len(drawn) - 1
-                return -1
-
-        else:
-
-            def first(alive: int) -> int:
-                walk = enumerate(ruled_out for _, ruled_out in self.candidates(k))
-                return next((i for i, ruled_out in walk if not ruled_out & alive), -1)
+        def first(alive: int) -> int:
+            live = rules
+            if alive != self.every:  # bin(alive)[:1:-1]: alive's bits from bit 0 up
+                live = compress(rules, map("1".__eq__, bin(alive)[:1:-1]))
+            return self.first_free(full, reduce(or_, live, 0))
 
         return first
+
+    def clauses(self) -> "list[list[tuple[int, int, int]]]":
+        """The search's CNF: per position q of c, (bit, seen, need) for each
+        non-tautological environment clause D whose last position is q, with
+        `need` D's N and `seen` N | P as position masks. D rules out L when
+        L & seen == need (N is never empty: D holds a complement of c's)."""
+        if self.ends is None:
+            where = {x: q for q, x in enumerate(self.lits)}
+            self.ends = [[] for _ in self.lits]
+            for i, d in enumerate(self.env):
+                if d._taut:  # a tautology rules out nothing
+                    continue
+                need = sum(1 << where[-m] for m in d._canon if -m in where)
+                seen = need | sum(1 << where[m] for m in d._canon if m in where)
+                self.ends[seen.bit_length() - 1].append((1 << i, seen, need))
+        return self.ends
+
+    def search(self, alive: int, k: "int | None") -> int:
+        """What `finder(k)(alive)` answers, by backtracking over c's positions:
+        one search with no size bound says whether any candidate is free, and
+        if one is, a search per size from 1 up finds the first of its size.
+        For a tautological c, a candidate that takes both or neither literal
+        of a pair is free, and one is among the first three (three singletons,
+        or c's two literals and then both): those are tested alone."""
+        n = len(self.lits)
+        bound = n if k is None else min(k, n)
+        ends = self.clauses()
+        if alive != self.every:
+            ends = [[r for r in at if r[0] & alive] for at in ends]
+        if self.pairs:
+            for i in range(min(3, count_candidate_sets(n, bound))):
+                chosen = sum(1 << q for q in _positions(n, i))
+                if any((chosen >> a ^ chosen >> b) & 1 == 0 for a, b in self.pairs) or not any(
+                        chosen & seen == need for at in ends for _, seen, need in at):
+                    return i
+            return -1
+        if _first_fit(ends, 1, n) is None:
+            return -1
+        upto = 0  # the candidates of at most `size` literals
+        for size in range(1, bound + 1):
+            upto += comb(n, size)
+            chosen = _first_fit(ends, size, size)
+            if chosen is not None:
+                # less those of its size after it: per i, the ones sharing its
+                # first i positions and taking all size - i others past its i-th
+                picked = [q for q in range(n) if chosen >> q & 1]
+                return upto - 1 - sum(comb(n - 1 - q, size - i) for i, q in enumerate(picked))
+        return -1
 
     def table(self, k: "int | None", first: "Callable[[int], int]") -> "list[Clause]":
         """The set blocking c under each assignment to the external variables,
         in index order, up to the first assignment without one: all 2^|ext|
         when there is none. Rows with the same set share one `Clause`.
 
-        The walk asks `first`, this bound's `finder`, once per assignment.
+        Past the bit lattice, `first`, this bound's `finder`, is asked once
+        per assignment.
         On a bit lattice the scan goes depth first over the external
         variables in index order (smallest first, false before true), so
         leaves come in index order. A node carries the OR of the rules of
@@ -578,16 +534,49 @@ class _Environment:
         return (free & -free).bit_length() - 1
 
     def clause_at(self, i: int) -> "Clause | None":
-        """The candidate `candidates` yields at index i (counting from 0), or
-        None for -1, a finder's answer when every candidate is ruled out."""
-        if i < 0:
-            return None
-        n = len(self.lits)
-        size = 1
-        while i >= comb(n, size):
-            i -= comb(n, size)
-            size += 1
-        return Clause(next(islice(combinations(self.lits, size), i, None)))
+        """The candidate at index i (from 0) in `candidate_sets` order, or None
+        for -1, a finder's answer when every candidate is ruled out."""
+        return None if i < 0 else Clause([self.lits[q] for q in _positions(len(self.lits), i)])
+
+
+def _positions(n: int, i: int) -> "list[int]":
+    """The positions, ascending, of candidate i of an n-literal clause in
+    `candidate_sets` order."""
+    size = 1
+    while i >= comb(n, size):
+        i -= comb(n, size)
+        size += 1
+    picked, q = [], 0
+    for left in range(size - 1, 0, -1):
+        while i >= comb(n - 1 - q, left):  # the candidates taking q next
+            i -= comb(n - 1 - q, left)
+            q += 1
+        picked.append(q)
+        q += 1
+    return picked + [q + i]
+
+
+def _first_fit(ends: "list[list[tuple[int, int, int]]]", low: int, high: int) -> "int | None":
+    """The first set of `low` to `high` positions, as a mask, that no clause
+    of `ends` (`_Environment.clauses`) rules out, or None: depth first, taking
+    each position before leaving it out (so one size comes in `combinations`
+    order), checking a clause once its last position is set or forced."""
+    n = len(ends)
+    stack = [(0, 0, 0)]  # (positions set, chosen, its size)
+    while stack:
+        q, chosen, size = stack.pop()
+        if q and any(chosen & seen == need for _, seen, need in ends[q - 1]):
+            continue
+        if q == n or size == high or size + n - q == low:  # the rest is forced
+            if size < high:
+                chosen |= (1 << n) - (1 << q)
+            if not any(chosen & seen == need for at in ends[q:] for _, seen, need in at):
+                return chosen
+            continue
+        if size + n - q > low:
+            stack.append((q + 1, chosen, size))
+        stack.append((q + 1, chosen | 1 << q, size + 1))
+    return None
 
 
 def _compile(f: Formula, c: Clause) -> _Environment:
@@ -660,7 +649,7 @@ def check_super_blocked(
     """
     check_bounds(k, ext_cap)
     env = _compile(f, as_clause(c))
-    first = env.finder(k, keep=True)
+    first = env.finder(k)
     found = env.clause_at(first(env.every))
     if found is not None:
         return SuperBlockingResult(BlockingWitness(kind="set", blocking_set=found), None)

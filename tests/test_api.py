@@ -8,7 +8,7 @@ a place on the list of kept references. Lines are split by one rule,
 only `cli.run` touches the garbage collector, the unit closures kept on
 a formula stay between `cnf` and `asymmetric`, the compiled
 environment kept on a formula stays between `cnf` and `blocking`, and
-only that environment picks the bit lattice or the walk."""
+only that environment picks the bit lattice or the search."""
 
 import ast
 import importlib
@@ -251,7 +251,7 @@ def test_the_kept_compile_stays_between_cnf_and_blocking():
 
 def route_uses(text):
     """(line, whether inside class `_Environment`) per call of a `.lattice`
-    or `.candidates` method and per read of `_BIT_LATTICE` in a module's
+    or `.search` method and per read of `_BIT_LATTICE` in a module's
     code."""
     tree = ast.parse(text)
     inside = {
@@ -264,14 +264,14 @@ def route_uses(text):
         (node.lineno, id(node) in inside)
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("lattice", "candidates")
+        and node.func.attr in ("lattice", "search")
         or isinstance(node, ast.Name) and node.id == "_BIT_LATTICE"
         and isinstance(node.ctx, ast.Load)
     )
 
 
 def test_only_the_compiled_environment_picks_the_route():
-    # `_Environment` alone asks for a bit lattice or a walk and reads the
+    # `_Environment` alone asks for a bit lattice or the search and reads the
     # size rule between them, so a new route for set- or super-blocking
     # changes that class and no decider
     for path in sorted(SRC.glob("*.py")):
@@ -283,7 +283,7 @@ def test_only_the_compiled_environment_picks_the_route():
     text = (
         "_BIT_LATTICE = 8\n"
         "class _Environment:\n    def f(self, k):\n        return self.lattice(k) or _BIT_LATTICE\n"
-        "def g(env):\n    for x in env.candidates(None):  # env.lattice(1)\n        pass\n"
+        "def g(env):\n    for x in env.search(0, None):  # env.lattice(1)\n        pass\n"
         "    return _BIT_LATTICE, env.lattice, 'env.lattice(2)'\n"
     )
     assert route_uses(text) == [(4, True), (4, True), (6, False), (8, False)]

@@ -373,6 +373,52 @@ class TestAgainstReference:
         assert min(seen.values()) >= 20, seen
 
 
+def abc_on_the_closure_clause(f, c, blocks=None):
+    """ABC as answered before the trail: the closure built as a clause and
+    `is_literal_blocked` asked for c's literals on it. `blocks(d, lit, closure)`,
+    when given, replaces its test of each D holding -lit."""
+    closure = reference_saturate(f, c, c)[1]
+    if closure.is_tautology():
+        return True, None
+    if blocks is None:
+        w = is_literal_blocked(f, closure, c)
+        return w is not None, w and w.literal
+    lit = next((lit for lit in c if all(blocks(d, lit, closure) for d in f.occurrences(-lit))), None)
+    return lit is not None, lit
+
+
+def tautologies_never_rule_out(d, lit, closure):
+    """The wrong test: "D is a tautology" in place of "D without -lit is one"."""
+    return d.is_tautology() or any(-m in closure for m in d if m != -lit)
+
+
+class TestABCOnTheTrail:
+    def test_matches_the_closure_clause_route(self):
+        rng = random.Random("abc on the trail")
+        seen = dict(blocked=0, not_blocked=0, tautological=0, both=0, variant_differs=0)
+        for _ in range(1500):
+            nvars = rng.randint(2, 6)
+            f = Formula(random_literal_clause(rng, nvars, rng.randint(1, 4))
+                        for _ in range(rng.randint(0, 10)))
+            if f.clauses and rng.random() < 0.5:
+                c = rng.choice(f.clauses)
+            else:
+                c = random_literal_clause(rng, nvars + 1, rng.randint(1, 4))
+            if rng.random() < 0.5:  # a D holding both l and -l, for l in c
+                lit = rng.choice(c.literals)
+                f.add((lit, -lit) + ((rng.choice((1, -1)) * rng.randint(1, nvars + 2),)
+                                     if rng.random() < 0.7 else ()))
+            want = abc_on_the_closure_clause(f, c)
+            assert asymmetric_blocking(f, c) == want, (f.clauses, c)
+            closure = reference_saturate(f, c, c)[1]
+            seen["tautological"] += closure.is_tautology()
+            seen["blocked" if want[1] is not None else "not_blocked"] += not closure.is_tautology()
+            seen["both"] += not closure.is_tautology() and any(
+                lit in d for lit in c for d in f.occurrences(-lit))
+            seen["variant_differs"] += abc_on_the_closure_clause(f, c, tautologies_never_rule_out) != want
+        assert min(seen.values()) >= 30, seen
+
+
 # The checks seed every closure with U(F without c), the closure of the empty
 # clause; the formula keeps U on one trail, which a removal updates in place
 # and an added clause drops. Each case below is compared with the unseeded

@@ -529,6 +529,33 @@ class TestAgainstTheReference:
         assert min(seen.values()) >= 30, seen
 
 
+def rule_out_sets(c, env, k=None):
+    """Per candidate of c in `candidate_sets` order, the bitset over `env` of
+    the clauses that rule it out, by the definition: a non-tautological D
+    rules out L when L holds every literal of c whose complement D holds
+    (N) and none that D shares with c (P), and, for a tautological c, only
+    when L takes exactly one literal of every complementary pair."""
+    pairs = [x for x in c if x > 0 and -x in c]
+    sets = []
+    for cand in candidate_sets(c, k):
+        splits = all((x in cand) != (-x in cand) for x in pairs)
+        sets.append(sum(1 << i for i, d in enumerate(env)
+                        if splits and not d.is_tautology()
+                        and all(x in cand for x in c if -x in d)
+                        and not any(x in cand for x in c if x in d)))
+    return sets
+
+
+def assert_lattice_transposes(env, k):
+    """The bit lattice's rules are the rule-out sets, transposed: bit j of
+    clause i's rule is bit i of candidate j's set."""
+    full, rules = env.lattice(k)
+    sets = rule_out_sets(env.subject, env.env, k)
+    assert full.bit_length() == len(sets)
+    assert rules == [sum(((r >> i) & 1) << j for j, r in enumerate(sets))
+                     for i in range(len(env.env))], (env.env, env.subject, k)
+
+
 def first_sets(f, c, indexes):
     """The first set blocking c under each of the assignments to the
     external variables with the given indexes, read off c's compiled
@@ -544,8 +571,9 @@ class TestBitsetEdges:
         f = formula((-1, 3, -3), (-2, 1))
         c = clause(1, 2)
         env = _Environment(c, resolution_environment(f, c))
-        ruled = {tuple(p): r for p, r in env.candidates(None)}
-        assert ruled == {(0,): 0, (1,): 0b10, (0, 1): 0}
+        ruled = dict(zip(candidate_sets(c), rule_out_sets(c, env.env)))
+        assert ruled == {clause(1): 0, clause(2): 0b10, clause(1, 2): 0}
+        assert_lattice_transposes(env, None)
         assert is_set_blocked(f, c).blocking_set == clause(1)
 
     def test_clauses_with_equal_shared_and_complemented_sets_both_count(self):
@@ -560,7 +588,8 @@ class TestBitsetEdges:
         d = clause(-1, -2, 3)
         c = clause(1, 2)
         env = _Environment(c, [d])
-        assert {tuple(p): r for p, r in env.candidates(None)} == {(0,): 0, (1,): 0, (0, 1): 1}
+        assert rule_out_sets(c, env.env) == [0, 0, 1]
+        assert_lattice_transposes(env, None)
         f = formula(d, (-1, 2), (-2, 1))
         assert is_set_blocked(Formula([d]), c).blocking_set == clause(1)
         assert is_set_blocked(f, c) is None
@@ -572,16 +601,16 @@ class TestBitsetEdges:
         # the unsat2supbc gadget of an unsatisfiable source: 8 rows, fewer sets
         source = formula((1, 2), (1, -2), (-1, 3), (-1, -3))
         inst = unsat_to_1superblocking(source)
-        for walk in (False, True):
+        for search in (False, True):
             with monkeypatch.context() as m:
-                if walk:
-                    walking(m)
+                if search:
+                    searching(m)
                 inst.formula.compiled = None
                 table = check_super_blocked(inst.formula, inst.clause, 1).witness.per_tau
-                assert (inst.formula.compiled.kept_lattice[1] is None) == walk
+                assert (inst.formula.compiled.kept_lattice[1] is None) == search
                 distinct = set(table.sets)
                 assert len(distinct) < len(table) == 8
-                assert len(set(map(id, table.sets))) == len(distinct), walk
+                assert len(set(map(id, table.sets))) == len(distinct), search
 
     def test_assignment_satisfying_every_environment_clause(self, at_not_setblocked):
         f, c = at_not_setblocked
@@ -595,7 +624,8 @@ class TestBitsetEdges:
         f = formula((1, 3), (-1, 4))
         c = clause(-1, 1, 2)
         env = _Environment(c, resolution_environment(f, c))
-        ruled = {env.clause_at(i): r for i, (_, r) in enumerate(env.candidates(None))}
+        ruled = dict(zip(candidate_sets(c), rule_out_sets(c, env.env)))
+        assert_lattice_transposes(env, None)
         assert ruled == {
             clause(-1): 0b01, clause(1): 0b10, clause(2): 0,
             clause(-1, 1): 0, clause(-1, 2): 0b01, clause(1, 2): 0b10,
@@ -609,8 +639,8 @@ class TestBitsetEdges:
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Count environment reads and compiles, and record every candidate drawn."""
-    seen = {"read": 0, "compiled": 0, "drawn": []}
+    """Count environment reads and compiles."""
+    seen = {"read": 0, "compiled": 0}
     read = blocking.resolution_environment
 
     def counting_read(f, c):
@@ -624,16 +654,11 @@ def compiles(monkeypatch):
             seen["compiled"] += 1
             super().__init__(c, env)
 
-        def candidates(self, k):
-            for picked, ruled_out in super().candidates(k):
-                seen["drawn"].append(tuple(picked))
-                yield picked, ruled_out
-
     monkeypatch.setattr(blocking, "resolution_environment", counting_read)
     monkeypatch.setattr(blocking, "_Environment", Counting)
 
     def reset():
-        seen.update(read=0, compiled=0, drawn=[])
+        seen.update(read=0, compiled=0)
         return seen
 
     return reset
@@ -653,20 +678,18 @@ class TestOneCompilePerQuestion:
         # once per clause and formula state: every k, and a super-blocking
         # question after a set-blocking one, share one read and compile; a
         # copy shares it too, and after `add` or `remove` the next question
-        # compiles again. These lattices are all bit lattices, which draw no
-        # candidate; with every lattice walked, the scan draws each
-        # candidate at most once.
-        for walk in (False, True):
+        # compiles again. These lattices are all bit lattices; with every
+        # lattice searched, the same holds.
+        for search in (False, True):
             with monkeypatch.context() as m:
-                if walk:
-                    walking(m)
+                if search:
+                    searching(m)
                 outcomes = {"set": 0, "super": 0, "refuted": 0, "cap": 0}
-                walked = drawn = 0  # refutations past the first assignment, draws
+                walked = 0  # refutations past the first assignment
                 for f, c in differential_cases():
                     seen = compiles()
                     for k in (None, 1, 2):
                         is_set_blocked(f, c, k)
-                        seen["drawn"] = []
                         try:
                             res = check_super_blocked(f, c, k, ext_cap=3)
                         except CapExceeded as exc:
@@ -678,8 +701,6 @@ class TestOneCompilePerQuestion:
                                 walked += 1
                         outcomes[kind] += 1
                         assert (seen["read"], seen["compiled"]) == (1, 1), (f, c, k, kind)
-                        assert len(set(seen["drawn"])) == len(seen["drawn"]), (f, c, k, kind)
-                        drawn += len(seen["drawn"])
                     g = f.copy()
                     ask_both(g, c)
                     assert (seen["read"], seen["compiled"]) == (1, 1), (f, c)
@@ -692,13 +713,11 @@ class TestOneCompilePerQuestion:
                     ask_both(f, c)
                     assert (seen["read"], seen["compiled"]) == (3, 3), (f, c)
                 assert min(outcomes.values()) >= 30 and walked >= 30, (outcomes, walked)
-                assert drawn >= 5000 if walk else drawn == 0, (walk, drawn)
 
-    def test_a_failed_set_search_on_the_walk_keeps_nothing_it_drew(self):
+    def test_a_failed_set_search_past_the_lattice_allocates_little(self):
         # an unsatisfiable source: no set blocks the 13-literal gadget
-        # clause, so all 8,191 candidates, past the bit lattices, are walked.
-        # Kept, their rule-out sets would take ~300 KB; a super-blocking scan
-        # keeps them, for its next restriction, but this one question does not
+        # clause, so all 8,191 candidates, past the bit lattices, count; the
+        # search that rules them out builds no per-candidate bitset
         source = formula((1, 2), (1, -2), (-1, 2), (-1, -2), (3, 4), (5, 6))
         inst = sat_to_setblocking(source)
         f, c = inst.formula, inst.clause
@@ -742,10 +761,10 @@ class TestOneCompilePerQuestion:
     def test_consistency_check_sees_a_corrupted_compile(self, monkeypatch):
         f = formula((-1, 2), (-2, 1), (-1, 3), (-2, -1, 4))
         c = clause(1, 2)
-        for walk in (False, True):
+        for search in (False, True):
             with monkeypatch.context() as m:
-                if walk:  # a lattice past `_BIT_LATTICE`: the walk's bitsets are kept
-                    walking(m)
+                if search:  # a lattice past `_BIT_LATTICE`: the search's clauses are kept
+                    searching(m)
                 f.compiled = None
                 check_super_blocked(f, c)
                 kept = f.compiled
@@ -753,13 +772,16 @@ class TestOneCompilePerQuestion:
                 corrupt = [("subject", clause(1, 3)),  # compiled for another clause
                            ("env", kept.env[::-1]),  # the environment out of formula order
                            ("lits", kept.lits[::-1]), ("pairs", [(0, 1)])]
-                if walk:
+                if search:
                     assert kept.kept_lattice == (2, None)
-                    corrupt += [("no_p", [b ^ 1 for b in kept.no_p]),
-                                ("no_n", [b ^ 2 for b in kept.no_n]),
-                                ("suf_n", [b ^ 1 for b in kept.suf_n])]
+                    # per position, (bit, N | P, N) of the clauses ending there
+                    assert kept.ends == [[(0b100, 0b01, 0b01)],
+                                         [(0b1, 0b11, 0b01), (0b10, 0b11, 0b10), (0b1000, 0b11, 0b11)]]
+                    corrupt += [("ends", [kept.ends[0], kept.ends[1][1:]]),
+                                ("ends", [kept.ends[0], [(0b1, 0b01, 0b01)] + kept.ends[1][1:]]),
+                                ("ends", kept.ends[::-1])]
                 else:
-                    assert kept.no_p is None
+                    assert kept.ends is None
                     full, rules = kept.kept_lattice[1]
                     corrupt += [("kept_lattice", (2, (full, [r ^ 1 for r in rules]))),
                                 ("kept_lattice", (2, (full >> 1, rules)))]
@@ -767,7 +789,7 @@ class TestOneCompilePerQuestion:
                     bad = _Environment(c, kept.env)
                     setattr(bad, name, value)
                     f.compiled = bad
-                    assert not f.check_occ_consistent(), (name, walk)
+                    assert not f.check_occ_consistent(), (name, search)
                 f.compiled = kept
                 assert f.check_occ_consistent()
 
@@ -799,10 +821,10 @@ class TestOneCompilePerQuestion:
         assert (seen["read"], seen["compiled"]) == (0, 0)
         res = check_super_blocked(formula((1, 2)), Clause())
         assert res.failing_tau == Assignment()
-        assert (seen["read"], seen["compiled"], seen["drawn"]) == (1, 1, [])
+        assert (seen["read"], seen["compiled"]) == (1, 1)
 
 
-# -- the bit-parallel route against the walk -------------------------------------
+# -- the bit-parallel route against the search -----------------------------------
 
 
 def lattice_cases():
@@ -866,10 +888,7 @@ def decide_everything(f, c, k):
     the set search with its count, the super-blocking result with its table
     rows (cap 4), the failing assignment of five samples past a cap of 0,
     and, with at most four external variables, the set `reconstruct`
-    recomputes for a compact entry under each of their assignments. That
-    search has no bound, so past 11 literals it is asked only where c is
-    blocked: there it stops at an early set, where an unblocked c would
-    have the walk try up to 2^|c| candidates."""
+    recomputes for a compact entry under each of their assignments."""
     f.compiled = None
     stats = {}
     found = is_set_blocked(f, c, k, stats)
@@ -884,7 +903,7 @@ def decide_everything(f, c, k):
     f.compiled = None
     ext = sorted(external_variables(f, c))
     under = None
-    if len(ext) <= 4 and (len(c) <= 11 or isinstance(res, SuperBlockingResult) and res.blocked):
+    if len(ext) <= 4:
         under = [blocking_set_under(f, c, assignment_at(ext, m).value)
                  for m in range(1 << len(ext))]
     return found, stats, res, table, sampled, under
@@ -896,8 +915,8 @@ def write_cnf(path, f):
     return path
 
 
-def walking(monkeypatch):
-    """Make every lattice with a candidate one the walk decides."""
+def searching(monkeypatch):
+    """Make every lattice with a candidate one the search decides."""
     monkeypatch.setattr(blocking, "_BIT_LATTICE", 0)
 
 
@@ -948,7 +967,7 @@ class TestBitLattice:
         keys = {(n, n if k is None else min(k, n)) for n in range(1, 9) for k in (None, 1, 2, 3)}
         assert blocking._candidate_bits.cache_info().misses == len(keys) == 26
 
-    def test_a_lattice_past_the_bit_budget_is_walked(self):
+    def test_a_lattice_past_the_bit_budget_is_searched(self):
         # 2,047 candidates: 512 environment clauses fill the 2^20 rule bits
         # a lattice may take, and 513 pass them
         c = Clause(range(1, 12))
@@ -977,7 +996,7 @@ class TestBitLattice:
         f.add((-1, 10))
         assert is_set_blocked(f, c).blocking_set == clause(3)
 
-    def test_bits_and_walk_agree(self, monkeypatch):
+    def test_bits_and_search_agree(self, monkeypatch):
         seen = dict.fromkeys(("set", "super", "refuted", "walked", "cap", "taut-c", "sampled",
                               "repaired", "small", "gadget34", "one-ext+", "one-ext-",
                               "several-ext"), 0)
@@ -996,15 +1015,10 @@ class TestBitLattice:
                 lattice = env.lattice(k)
                 if lattice is None:
                     continue
-                # the rules are the walk's rule-out sets, transposed
-                full, rules = lattice
-                walked = [ruled_out for _, ruled_out in env.candidates(k)]
-                assert full.bit_length() == len(walked)
-                assert rules == [sum(((r >> i) & 1) << j for j, r in enumerate(walked))
-                                 for i in range(len(env.env))], (f, c, k)
+                assert_lattice_transposes(env, k)
                 got = decide_everything(f, c, k)
                 with monkeypatch.context() as m:
-                    walking(m)
+                    searching(m)
                     assert decide_everything(f, c, k) == got, (f, c, k)
                 _, _, res, _, sampled, under = got
                 if isinstance(res, int):
@@ -1025,7 +1039,7 @@ class TestBitLattice:
                         seen[key] += 1
         assert min(seen.values()) >= 10, seen
 
-    def test_check_past_the_cap_samples_as_the_walk_does(self, tmp_path, capsys, monkeypatch):
+    def test_check_past_the_cap_samples_as_the_search_does(self, tmp_path, capsys, monkeypatch):
         rng = random.Random(11)
         answers = set()
         for i in range(16):
@@ -1045,7 +1059,7 @@ class TestBitLattice:
             code = cli.run(argv)
             out = capsys.readouterr().out
             with monkeypatch.context() as m:
-                walking(m)
+                searching(m)
                 assert cli.run(argv) == code
                 assert capsys.readouterr().out == out
             answers.add(out.split()[0])
@@ -1060,7 +1074,7 @@ class TestBitLattice:
         for k in (3, 2):
             is_set_blocked(f, c, k)
             kept = f.compiled
-            assert kept.kept_lattice[0] == k and kept.no_p is None
+            assert kept.kept_lattice[0] == k and kept.ends is None
             assert f.check_occ_consistent()
             full, rules = kept.kept_lattice[1]
             for bad in ((full >> 1, rules), (full, [r ^ 1 for r in rules])):
@@ -1069,7 +1083,7 @@ class TestBitLattice:
             kept.kept_lattice = k, (full, rules)
             assert f.check_occ_consistent()
         is_set_blocked(f, c)
-        assert f.compiled.kept_lattice == (13, None) and f.compiled.no_p is not None
+        assert f.compiled.kept_lattice == (13, None) and f.compiled.ends is not None
         assert f.check_occ_consistent()
 
     @pytest.mark.parametrize("matrix, prop, answer", COMMAND_CASES)
@@ -1094,14 +1108,120 @@ class TestBitLattice:
         assert left == []
 
     @pytest.mark.parametrize("matrix, prop, answer", COMMAND_CASES)
-    def test_walk_route_commands_leave_no_cyclic_garbage(self, tmp_path, capsys, monkeypatch,
-                                                         matrix, prop, answer):
-        # a walk's finder holds a generator over the compiled environment,
-        # which the formula keeps: kept on the environment, it would form a
-        # cycle
-        walking(monkeypatch)
+    def test_search_route_commands_leave_no_cyclic_garbage(self, tmp_path, capsys, monkeypatch,
+                                                           matrix, prop, answer):
+        # the search's finder holds the compiled environment, which the
+        # formula keeps: kept on the environment, it would form a cycle
+        searching(monkeypatch)
         self.test_bit_route_commands_leave_no_cyclic_garbage(tmp_path, capsys,
                                                              matrix, prop, answer)
+
+
+def search_cases():
+    """Seeded (environment, clause, tautological c) questions for the search:
+    environments of one to three clauses per literal of c, each with its
+    complement, literals of c and external variables, and the
+    `sat2setbc` gadgets of 6-variable sources (13 literals)."""
+    rng = random.Random(20170301)
+    for i in range(600):
+        width = rng.randint(1, 8)
+        c = random_clause(rng, width + 2, width)
+        env = []
+        for x in c.literals:
+            for _ in range(rng.randint(0, 3)):
+                others = [y for y in c.literals if y != x]
+                lits = [-x] + rng.sample(others, rng.randint(0, min(2, len(others))))
+                lits += [rng.choice((1, -1)) * rng.randint(width + 3, width + 6)
+                         for _ in range(rng.randint(0, 2))]
+                env.append(Clause(lits))
+        if i % 3 == 1:  # tautological environment clauses, pair outside and inside c
+            lit = rng.choice(c.literals)
+            env += [Clause((-lit, width + 8, -(width + 8))), Clause((-lit, lit, width + 3))]
+        elif i % 3 == 2:  # a tautological c with one or two complementary pairs
+            for x in rng.sample(c.literals, min(width, rng.randint(1, 2))):
+                c = c | (-x,)
+                if rng.random() < 0.5:  # a clause that rules out {-x}
+                    env.append(Clause((x, width + 3)))
+        yield list(dict.fromkeys(d for d in env if not c.isdisjoint(d.complements()))), c
+    for _ in range(8):
+        inst = sat_to_setblocking(random_formula(rng, 6, rng.randint(8, 24), 3))
+        yield resolution_environment(inst.formula, inst.clause), inst.clause
+
+
+class TestSearch:
+    def test_search_matches_the_reference(self):
+        # the index of the first candidate, in `candidate_sets` order, that
+        # blocks c in the formula of the live environment clauses
+        rng = random.Random(1703)
+        seen = dict.fromkeys(("found", "none", "taut-c", "taut-env", "subset", "gadget"), 0)
+        for env, c in search_cases():
+            compiled = _Environment(c, env)
+            for k in (None, 1, 2, 3):
+                for alive in (compiled.every, rng.getrandbits(len(env))):
+                    live = Formula(d for i, d in enumerate(env) if alive >> i & 1)
+                    cands = candidate_sets(c, k)
+                    want = next((i for i, s in enumerate(cands) if set_blocks(live, c, s)), -1)
+                    got = compiled.search(alive, k)
+                    assert got == want, (env, c, k, alive)
+                    if got >= 0:
+                        assert compiled.clause_at(got) == list(candidate_sets(c, k))[got]
+                    seen["found" if got >= 0 else "none"] += 1
+                    seen["taut-c"] += c.is_tautology()
+                    seen["taut-env"] += any(d.is_tautology() for d in live)
+                    seen["subset"] += alive != compiled.every
+                    seen["gadget"] += len(c) >= 13
+        assert sum(seen[key] for key in ("found", "none")) >= 3000, seen
+        assert min(seen.values()) >= 60 and seen["taut-c"] >= 100 and seen["taut-env"] >= 100, seen
+
+    def test_wide_clauses_no_set_blocks(self, tmp_path, capsys):
+        # F = {(1 ... 64), (-1), ..., (-64)}: each unit rules out every
+        # candidate holding its literal, so the search refutes at once what
+        # the 2^64 - 1 candidates would take forever to
+        n = 64
+        wide = " ".join(map(str, range(1, n + 1)))
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf %d %d\n%s 0\n%s" % (
+            n, n + 1, wide, "".join("-%d 0\n" % v for v in range(1, n + 1))))
+        argv = ["check", str(path), "--clause-index", "0", "--property"]
+        assert cli.run(argv + ["setbc"]) == 1
+        assert capsys.readouterr().out == "NOT-BLOCKED\n"
+        assert cli.run(argv + ["supbc"]) == 1
+        assert capsys.readouterr().out.startswith("NOT-BLOCKED failing-tau")
+        # the unit clauses have 63 external variables each: past the default
+        # cap their super-blocking cell would read `cap`
+        assert cli.run(["classify", str(path), "--ext-cap", str(n)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == n + 1
+        assert all(set(row.split("\t")[1:]) == {"no"} for row in rows), rows
+        trace = tmp_path / "t.trace"
+        trace.write_text("t blockcheck 1\nd supbc %s 0 w 0\n" % wide)
+        model = tmp_path / "m.txt"
+        model.write_text("v 0\n")
+        assert cli.run(["reconstruct", str(path), "--trace", str(trace), "--model", str(model)]) == 70
+        assert capsys.readouterr().err == "error: failed to recompute a blocking set during repair\n"
+
+    def test_no_set_under_a_refuting_assignment_of_a_wide_gadget(self):
+        # the unsat2supbc gadget of a satisfiable 34-clause source: under a
+        # model of the source every selector is ruled out, so no set blocks
+        # its 34-literal clause
+        rng = random.Random(34)
+        model = [rng.choice((1, -1)) * v for v in range(1, 5)]
+        source = Formula()
+        while len(source) < 34:
+            d = random_clause(rng, 4, rng.randint(2, 3))
+            if not d.isdisjoint(model):
+                source.add(d)
+        inst = unsat_to_1superblocking(source)
+        f, c = inst.formula, inst.clause
+        assert len(c) == 34
+        tau = check_super_blocked(f, c).failing_tau
+        assert tau is not None and is_set_blocked(restrict(f, tau), c) is None
+        assert blocking_set_under(f, c, tau.value) is None
+        assert f.compiled.kept_lattice == (34, None)
+        # where the first source clause is false its selector, c's first
+        # literal, is ruled out by nothing
+        first = source.clauses[0]
+        assert blocking_set_under(f, c, lambda v: -v in first) == Clause(c.literals[:1])
 
 
 class TestDimacsRows:
