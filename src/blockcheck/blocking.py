@@ -31,12 +31,13 @@ failing assignments and counts.
 The super-blocking decider covers all 2^|ext| restrictions, which is exact
 but exponential. Past `ext_cap` it refuses, or, given a random source and
 a count, samples that many restrictions, which can refute but never
-confirm. Set-blocking in the whole formula is the scan's first step. On
-the bit route the scan goes depth first over the external variables and
-stops at the first subtree in which the clauses that survive every
-completion already rule out every candidate. Its witness keeps the sets in
-the scan's order (see `RestrictionTable`), which is also the order `check`
-and traces write them in; reading a trace back builds the same table.
+confirm. Set-blocking in the whole formula is the scan's first step. The
+scan goes depth first over the external variables on both routes, and on
+the bit route it stops at the first subtree in which the clauses that
+survive every completion already rule out every candidate. Its witness
+keeps the sets in the scan's order (see `RestrictionTable`), which is also
+the order `check` and traces write them in; reading a trace back builds
+the same table.
 
 Both deciders read and compile c's environment once per clause and
 formula state: the formula keeps the last one compiled in its `compiled`
@@ -261,19 +262,20 @@ class _Environment:
 
     It also keeps c as `subject`, the environment as `env`, the list bit i
     counts in, and `every`, the bitset of all of it. Every question is the
-    first candidate that no clause of a live subset rules out (`finder`);
-    a restriction's live clauses are its `survivors`, and a restriction
-    table asks once per assignment (`table`). Only those two methods pick
-    the route: the bit lattice (`lattice`) or the search (`search`).
+    first candidate that no clause of a live subset rules out (`finder`).
+    A restriction table finds its rows' live clauses on one depth-first
+    scan over the external variables (`table`); a single restriction's
+    are its `survivors`. Only `finder` and `table` pick the route: the bit
+    lattice (`lattice`) or the search (`search`).
 
     The rest is built on first use and is what a fresh compile would build:
     the search's clauses (`ends`), the bit lattice of the last bound asked
-    (`kept_lattice`), the external variables (`ext`) and their `sat`
-    bitsets. So it is the value a formula keeps in its `compiled` slot,
-    shared by formula copies (see `_compile`), and `holds` rebuilds it.
+    (`kept_lattice`) and the external variables (`ext`). So it is the
+    value a formula keeps in its `compiled` slot, shared by formula copies
+    (see `_compile`), and `holds` rebuilds it.
     """
 
-    __slots__ = ("subject", "env", "every", "lits", "pairs", "ends", "kept_lattice", "ext", "sat")
+    __slots__ = ("subject", "env", "every", "lits", "pairs", "ends", "kept_lattice", "ext")
 
     def __init__(self, c: Clause, env: "list[Clause]"):
         self.subject = c
@@ -286,12 +288,11 @@ class _Environment:
         # (bound, `lattice`'s answer for it), for the last bound asked
         self.kept_lattice: "tuple[int, tuple[int, list[int]] | None] | None" = None
         self.ext: "list[int] | None" = None
-        self.sat: "list[list[int]] | None" = None
 
     def holds(self, f: Formula) -> bool:
         """Whether a fresh read and compile of the clause's environment in f
         give the same environment, in order, and the same compiled forms: the
-        search's clauses, the kept lattice and the external variables'."""
+        search's clauses, the kept lattice and the external variables."""
         fresh = _Environment(self.subject, resolution_environment(f, self.subject))
         if self.ends is not None:
             fresh.clauses()
@@ -299,8 +300,6 @@ class _Environment:
             fresh.lattice(self.kept_lattice[0])
         if self.ext is not None:
             fresh.external()
-        if self.sat is not None:
-            fresh.survivors(0)
         return all(getattr(fresh, a) == getattr(self, a) for a in _Environment.__slots__)
 
     def lattice(self, k: "int | None") -> "tuple[int, list[int]] | None":
@@ -353,24 +352,12 @@ class _Environment:
 
     def survivors(self, m: int) -> int:
         """The environment clauses that assignment m to the external
-        variables (`cnf.assignment_index`) leaves: `every` minus one `sat`
-        bitset per variable. No formula or clause is built per assignment."""
-        if self.sat is None:
-            # sat[b]: the clauses satisfied by setting the variable at bit b
-            # of an index (the b-th largest external variable) false and true
-            acc = {}
-            for v in self.external():
-                acc[v] = acc[-v] = 0
-            for i, d in enumerate(self.env):
-                bit = 1 << i
-                for lit in d._canon:
-                    if lit in acc:
-                        acc[lit] |= bit
-            self.sat = [[acc[-v], acc[v]] for v in reversed(self.ext)]
-        dead = 0
-        for b, by_value in enumerate(self.sat):
-            dead |= by_value[(m >> b) & 1]
-        return self.every & ~dead
+        variables (`cnf.assignment_index`) leaves: those with no literal it
+        makes true. Only the sampler and `blocking_set_under` ask; `table`
+        finds its rows' live clauses on its own scan."""
+        true = {v if m >> b & 1 else -v for b, v in enumerate(reversed(self.external()))}
+        # the Clause is the receiver: a set argument keeps isdisjoint in C
+        return sum(1 << i for i, d in enumerate(self.env) if d.isdisjoint(true))
 
     def finder(self, k: "int | None") -> "Callable[[int], int]":
         """`first(alive)`: the index in `candidate_sets` order of the first
@@ -447,82 +434,84 @@ class _Environment:
         in index order, up to the first assignment without one: all 2^|ext|
         when there is none. Rows with the same set share one `Clause`.
 
-        Past the bit lattice, `first`, this bound's `finder`, is asked once
-        per assignment.
-        On a bit lattice the scan goes depth first over the external
-        variables in index order (smallest first, false before true), so
-        leaves come in index order. A node carries the OR of the rules of
-        the clauses that survive all of its completions: those whose
-        external literals it has all set false. When that OR covers every
-        candidate, all its leaves fail, and the first of them, its
-        all-false completion, is the next index.
+        The scan goes depth first over the external variables in index order
+        (smallest first, false before true), so leaves come in index order.
+        A node carries the OR of the rules of the clauses that survive all of
+        its completions: those whose external literals it has all set false.
+        On a bit lattice a clause's rule is its rule-out bitset and a leaf
+        takes the lowest candidate that OR lacks; when the OR covers every
+        candidate, all the node's leaves fail, and the first of them, its
+        all-false completion, is the next index. Past the lattice a clause's
+        rule is its own bit (a tautology's is 0: it rules out nothing), so a
+        leaf's OR is its live set, which `first`, this bound's `finder`,
+        answers, and no subtree is cut short.
         """
         lattice = self.lattice(k)
+        if lattice is None:
+            full = -1  # no OR is -1
+            rules = [0 if d._taut else 1 << i for i, d in enumerate(self.env)]
+            leaf = lambda _, alive: first(alive)
+        else:
+            (full, rules), leaf = lattice, self.first_free
         ext = self.external()
         n = len(ext)
+        # per external literal: its variable's depth, the variable's bit in
+        # an index, and that bit's value where the literal is false
+        bit = {}
+        for j, v in enumerate(ext):
+            b = 1 << (n - 1 - j)
+            bit[v] = j, b, 0
+            bit[-v] = j, b, b
+        ruled = 0
+        # per depth j, (care, want, rule) of the clauses with two or more
+        # external literals, the last on ext[j]: they survive below a node at
+        # depth j + 1 whose index bits so far (`path`) have path & care ==
+        # want
+        settles: "list[list[tuple[int, int, int]]]" = [[] for _ in ext]
+        # per depth j and value of ext[j], the OR of the rules of the
+        # clauses whose one external literal, on ext[j], that value falsifies
+        single = [[0, 0] for _ in ext]
+        for d, rule in zip(self.env, rules):
+            if not rule:
+                continue
+            care = want = 0
+            last = -1
+            for lit in d._canon:  # external literals come in `ext` order
+                at = bit.get(lit)
+                if at is not None:
+                    last, b, w = at
+                    care |= b
+                    want |= w
+            if last < 0:
+                ruled |= rule
+            elif care == b:  # its one external literal is the last one seen
+                single[last][w != 0] |= rule
+            else:
+                settles[last].append((care, want, rule))
         found: "list[int]" = []
-        if lattice is None:
-            for m in range(1 << n):
-                i = first(self.survivors(m))
+        stack = [(0, 0, ruled)]
+        while stack:
+            j, path, ruled = stack.pop()
+            if ruled == full:
+                break
+            if j == n:
+                i = leaf(full, ruled)
                 if i < 0:
                     break
                 found.append(i)
-        else:
-            full, rules = lattice
-            # per external literal: its variable's depth, the variable's bit in
-            # an index, and that bit's value where the literal is false
-            bit = {}
-            for j, v in enumerate(ext):
-                b = 1 << (n - 1 - j)
-                bit[v] = j, b, 0
-                bit[-v] = j, b, b
-            ruled = 0
-            # per depth j, (care, want, rule) of the clauses with two or more
-            # external literals, the last on ext[j]: they survive below a node at
-            # depth j + 1 whose index bits so far (`path`) have path & care ==
-            # want
-            settles: "list[list[tuple[int, int, int]]]" = [[] for _ in ext]
-            # per depth j and value of ext[j], the OR of the rules of the
-            # clauses whose one external literal, on ext[j], that value falsifies
-            single = [[0, 0] for _ in ext]
-            for d, rule in zip(self.env, rules):
-                if not rule:
-                    continue
-                care = want = 0
-                last = -1
-                for lit in d._canon:  # external literals come in `ext` order
-                    at = bit.get(lit)
-                    if at is not None:
-                        last, b, w = at
-                        care |= b
-                        want |= w
-                if last < 0:
-                    ruled |= rule
-                elif care == b:  # its one external literal is the last one seen
-                    single[last][w != 0] |= rule
-                else:
-                    settles[last].append((care, want, rule))
-            first_free = self.first_free
-            stack = [(0, 0, ruled)]
-            while stack:
-                j, path, ruled = stack.pop()
-                if ruled == full:
-                    break
-                if j == n:
-                    found.append(first_free(full, ruled))
-                    continue
-                if_false, if_true = single[j]
-                high = path | 1 << (n - 1 - j)
-                ruled_high, ruled_low = ruled | if_true, ruled | if_false
-                # care holds ext[j]'s bit, on which the two children differ, so
-                # a clause settled here survives below one of them at most
-                for care, want, rule in settles[j]:
-                    if (high & care) == want:
-                        ruled_high |= rule
-                    elif (path & care) == want:
-                        ruled_low |= rule
-                stack.append((j + 1, high, ruled_high))
-                stack.append((j + 1, path, ruled_low))
+                continue
+            if_false, if_true = single[j]
+            high = path | 1 << (n - 1 - j)
+            ruled_high, ruled_low = ruled | if_true, ruled | if_false
+            # care holds ext[j]'s bit, on which the two children differ, so
+            # a clause settled here survives below one of them at most
+            for care, want, rule in settles[j]:
+                if (high & care) == want:
+                    ruled_high |= rule
+                elif (path & care) == want:
+                    ruled_low |= rule
+            stack.append((j + 1, high, ruled_high))
+            stack.append((j + 1, path, ruled_low))
         sets = {i: self.clause_at(i) for i in set(found)}
         return [sets[i] for i in found]
 

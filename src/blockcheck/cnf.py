@@ -477,9 +477,12 @@ def read_literals(tokens: Sequence[str], start: int, lineno: int) -> tuple[list[
 
     Returns the literals and the index just past the 0, or None in its place
     when the tokens ran out first; the caller decides whether the list may
-    continue on the next line. This is the package's one reader of literal
-    tokens (DIMACS, QDIMACS, traces, models, `--clause`), so a bad token is
-    always reported with its line.
+    continue on the next line. Every reader of literal tokens (DIMACS,
+    QDIMACS, traces, models, `--clause`) reports a bad one through the
+    walk below, so always with its line. The one reader that does not call
+    this function, `_read_in_bulk` for plain DIMACS clause data, takes only
+    text that `read_dimacs_body` reads the same way, and leaves the rest,
+    errors included, to it.
 
     Ints up to a "0" token are read with one `index` and one `map(int)`;
     anything else (a bad token, "-0", "00" or "+0" as the terminator, no

@@ -618,6 +618,63 @@ class TestBitsetEdges:
         assert env.survivors(1) == 0 and env.survivors(0) == env.every == 0b111
         assert first_sets(f, c, (1, 0)) == [clause(1), None]
 
+    def test_survivors_are_the_clauses_an_assignment_leaves(self):
+        # clause i survives m exactly when assignment_at(external(), m)
+        # makes none of its literals true
+        rng = random.Random(20170333)
+        seen = dict.fromkeys(("ext=6", "taut", "taut-on-ext", "no-ext", "dead", "live"), 0)
+        for _ in range(300):
+            c = random_clause(rng, 3, rng.randint(1, 3))
+            # external: those of 1..3 outside c, and 4..3+nx
+            nx = rng.randint(0, 3 + len(c))
+            env = []
+            for _ in range(rng.randint(1, 6)):
+                lits = {-rng.choice(c.literals)}
+                lits.update(random_clause(rng, 3 + nx, rng.randint(1, 4)))
+                if rng.random() < 0.2:  # a complementary pair on any variable
+                    v = rng.randint(1, 3 + nx)
+                    lits |= {v, -v}
+                env.append(Clause(lits))
+            compiled = _Environment(c, resolution_environment(Formula(env + [c]), c))
+            ext = compiled.external()
+            assert len(ext) <= 6
+            seen["ext=6"] += len(ext) == 6
+            for d in compiled.env:
+                outside = [x for x in d if abs(x) in ext]
+                seen["taut"] += d.is_tautology()
+                seen["taut-on-ext"] += any(-x in d for x in outside)
+                seen["no-ext"] += not outside
+            for m in range(1 << len(ext)):
+                tau = assignment_at(ext, m)
+                want = sum(1 << i for i, d in enumerate(compiled.env)
+                           if not any(tau.lit_value(x) == 1 for x in d))
+                assert compiled.survivors(m) == want, (compiled.env, c, m)
+                seen["dead"] += want != compiled.every
+                seen["live"] += want != 0
+        assert min(seen.values()) >= 10, seen
+
+    def test_a_table_past_the_lattice_asks_no_survivors(self, monkeypatch, at_not_setblocked):
+        # the scan finds each row's live clauses itself, on both routes
+        asked = []
+        survivors = _Environment.survivors
+        monkeypatch.setattr(_Environment, "survivors",
+                            lambda env, m: asked.append(m) or survivors(env, m))
+        searching(monkeypatch)
+        inst = unsat_to_1superblocking(formula((1, 2), (1, -2), (-1, 3), (-1, -3)))
+        cases = [(inst.formula, inst.clause, 1), (*at_not_setblocked, None)]
+        for f, c, k in cases:
+            f.compiled = None
+            res = check_super_blocked(f, c, k)
+            assert f.compiled.kept_lattice[1] is None
+            if res.witness is None:
+                assert is_set_blocked(restrict(f, res.failing_tau), c, k) is None
+            else:
+                table = res.witness.per_tau
+                assert len(table) == 8
+                for tau in table:
+                    assert table[tau] == is_set_blocked(restrict(f, tau), c, k).blocking_set
+        assert asked == []
+
     def test_tautological_clause_rules_out_only_candidates_splitting_its_pair(self):
         # {-1} and {1} each split the pair and meet one clause; {2} and
         # {-1, 1} keep or flip both literals of it, so nothing rules them out

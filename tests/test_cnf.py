@@ -374,9 +374,16 @@ class TestAssignment:
         for lits, message in cases:
             with pytest.raises(ValueError, match="^%s$" % message):
                 Assignment.from_literals(lits)
+        for mapping, message in [({0: 1}, "variables are positive ints, got 0"),
+                                 ({1: 2}, "truth values are 0 or 1, got 2")]:
+            with pytest.raises(ValueError, match="^%s$" % message):
+                Assignment(mapping)
         a = Assignment.from_literals([3, -1, 3])
         assert a == Assignment({1: 0, 3: 1}) and hash(a) == hash(Assignment({3: 1, 1: 0}))
         assert a.items() == [(1, 0), (3, 1)]
+        # an Assignment argument is copied, not shared
+        copy = Assignment(a)
+        assert copy == a and copy._map is not a._map
 
     def test_clause_satisfaction(self):
         t = Assignment({1: 0, 2: 0})

@@ -741,6 +741,13 @@ class TestReconstruct:
         with pytest.raises(ReconstructionError):
             reconstruct_model(trace, formula((1, 2)), Assignment({}))
 
+    def test_rejects_an_unknown_witness_kind(self):
+        # (1 2) is false under the all-false model, so its witness is read
+        witness = BlockingWitness(kind="bogus")
+        trace = EliminationTrace(entries=[TraceEntry(clause(1, 2), "bc", witness)])
+        with pytest.raises(ReconstructionError, match="^unknown witness kind 'bogus'$"):
+            reconstruct_model(trace, formula((1, 2)), Assignment({}))
+
     def test_rejects_a_clause_removed_twice(self):
         witness = BlockingWitness(kind="literal", literal=2)
         trace = EliminationTrace(entries=[TraceEntry(clause(1, 2), "bc", witness)] * 2)

@@ -98,6 +98,9 @@ class TestSemBlockedViaElimination:
             for perm in itertools.permutations(sorted(c.variables()))
         }
         assert verdicts == {True}
+        for order in ([1], [1, 2, 2], [1, 3]):
+            with pytest.raises(ValueError, match="^order must be a permutation"):
+                sem_blocked_via_elimination(f, c, order=order)
 
     def test_every_step_but_the_last_leaves_a_variable_of_c_in_each_clause(self):
         # So an early "not blocked" exit, on a clause with no variable of c
@@ -132,6 +135,8 @@ class TestLiteralBlockedViaElimination:
         f, c = ex_blocked
         assert literal_blocked_via_elimination(f, c, 2)
         assert not literal_blocked_via_elimination(f, c, 1)
+        with pytest.raises(ValueError, match="^literal -1 does not occur in the clause$"):
+            literal_blocked_via_elimination(f, c, -1)
 
     def test_full_blocking_instance_has_no_blocking_literal(self, ex_full_blocking):
         f, c = ex_full_blocking
@@ -176,6 +181,12 @@ class TestEncodeQbf:
 
 
 class TestQbfInstance:
+    def test_variables_must_be_positive(self):
+        for universals, existentials in (((0,), (1,)), ((1,), (-2,))):
+            with pytest.raises(ValueError,
+                               match="^malformed prefix: variables are positive ints$"):
+                QbfInstance(universals, existentials, formula((1,)))
+
     def test_blocks_must_be_disjoint(self):
         with pytest.raises(ValueError):
             QbfInstance((1,), (1, 2), formula((1,)))
