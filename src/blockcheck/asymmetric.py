@@ -82,7 +82,12 @@ satisfiability. No clause other than c is ever excluded: when a lifted
 resolvent happens to coincide with a formula clause, that clause
 legitimately subsumes it / saturates it to a tautology, and dropping it
 would break the hierarchy (a clause whose closure is blocked could fail the
-lifted tautology check).
+lifted tautology check). While `engine.classify` works on a row, the
+resolvents upon each literal of c are built once, as a list kept in the
+formula's `answers` dict, which `rs`, `rat` and `ras` share; so are the
+answers of `_base_s` and `_base_at`, so `as`, `rat` and `ras` saturate
+only what `at` and `rat` did not. Outside a row the resolvents stay a lazy
+generator, which stops at the first one the base refutes.
 """
 
 from __future__ import annotations
@@ -355,12 +360,33 @@ def _subsumed(f: Formula, c: Clause, within: "set[int] | frozenset[int]", walk: 
     return False
 
 
+# While classify works on a row, `s` and `rs`, and `at`, `as`, `rat` and
+# `ras`, ask some of the same questions about c: the formula's `answers`
+# dict then keeps each answer under its question.
 def _base_s(f: Formula, c: Clause, x: Clause) -> bool:
-    return _subsumed(f, c, x, x._canon)
+    answers = f.answers
+    if answers is None:
+        return _subsumed(f, c, x, x._canon)
+    key = ("s", c, x)
+    s = answers.get(key)
+    if s is None:
+        s = answers[key] = _subsumed(f, c, x, x._canon)
+    return s
+
+
+def _tautological(lits: "set[int]", added: list[int], tautological: bool) -> bool:
+    return tautological
 
 
 def _base_at(f: Formula, c: Clause, x: Clause) -> bool:
-    return _closure(f, c, x, True, lambda lits, added, tautological: tautological)
+    answers = f.answers
+    if answers is None:
+        return _closure(f, c, x, True, _tautological)
+    key = ("at", c, x)
+    at = answers.get(key)
+    if at is None:
+        at = answers[key] = _closure(f, c, x, True, _tautological)
+    return at
 
 
 def _base_as(f: Formula, c: Clause, x: Clause) -> bool:
@@ -452,7 +478,20 @@ def r_lift_witness(
     c = as_clause(c)
     if base(f, c, c):
         return True, None
+    answers = f.answers
     for lit in c:
-        if all(base(f, c, Clause(c.union(d.difference((-lit,))))) for d in f.occurrences(-lit)):
+        if answers is None:
+            resolvents: "Iterable[Clause]" = _resolvents(f, c, lit)
+        else:
+            key = ("r", c, lit)
+            resolvents = answers.get(key)
+            if resolvents is None:
+                resolvents = answers[key] = list(_resolvents(f, c, lit))
+        if all(base(f, c, r) for r in resolvents):
             return True, lit
     return False, None
+
+
+def _resolvents(f: Formula, c: Clause, lit: int) -> Iterator[Clause]:
+    """c's resolvents upon lit: c | (D \\ {-lit}) for each D holding -lit."""
+    return (Clause(c.union(d.difference((-lit,)))) for d in f.occurrences(-lit))

@@ -146,10 +146,14 @@ class Formula:
     `check_occ_consistent` asks `kept.holds(self)`. `compiled` holds an
     immutable value that depends on one clause's resolution environment:
     `copy` shares it, `add` and `remove` set it to None, and
-    `check_occ_consistent` asks `compiled.holds(self)`.
+    `check_occ_consistent` asks `compiled.holds(self)`. `answers` holds a
+    dict only while `engine.classify` works on one row: classify puts a
+    fresh one there before the row's cells and None back after them, also
+    when a cell raises, and the checks answer a question they asked before
+    in that row from it. `copy`, `add` and `remove` leave it None.
     """
 
-    __slots__ = ("_seq", "_occ", "_units", "_next", "kept", "compiled")
+    __slots__ = ("_seq", "_occ", "_units", "_next", "kept", "compiled", "answers")
 
     def __init__(self, clauses: Iterable["Clause | Iterable[int]"] = ()):
         seq = dict.fromkeys(map(as_clause, clauses))  # a duplicate keeps its first place
@@ -159,6 +163,7 @@ class Formula:
         self._units: "dict[Clause, int] | None" = None
         self.kept = None
         self.compiled = None
+        self.answers = None
 
     def _index(self) -> dict[int, dict[Clause, int]]:
         """The occurrence index, built with the unit index if it is None."""
@@ -190,7 +195,7 @@ class Formula:
         if self._occ is not None:
             self._put(((c, n),))
         self._next = n + 1
-        self.kept = self.compiled = None
+        self.kept = self.compiled = self.answers = None
         return True
 
     def remove(self, clause: "Clause | Iterable[int]") -> None:
@@ -204,7 +209,7 @@ class Formula:
                 if not bucket:
                     del occ[l]
             self._units.pop(clause, None)
-        self.compiled = None
+        self.compiled = self.answers = None
         kept, self.kept = self.kept, None  # a commit cut short leaves the slot empty
         if kept is not None:
             self.kept = kept.removed(self, clause)
@@ -276,7 +281,7 @@ class Formula:
         out = Formula.__new__(Formula)
         out._seq = dict(self._seq)
         out._next = self._next
-        out.kept = None
+        out.kept = out.answers = None
         out.compiled = self.compiled
         occ = self._occ
         out._occ = None if occ is None else {l: dict(bucket) for l, bucket in occ.items()}

@@ -91,8 +91,17 @@ def _literal_check(decide: Callable[[Formula, Clause], "tuple[bool, int | None]"
 
 
 def _check_bc(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
-    w = is_literal_blocked(g, c, touched)
-    return w is not None, w
+    # in a classify row, `rt` asks `bc`'s full check again (`Formula.answers`)
+    answers = g.answers
+    if answers is None or touched is not None:
+        w = is_literal_blocked(g, c, touched)
+        return w is not None, w
+    key = ("bc", c)
+    verdict = answers.get(key)
+    if verdict is None:
+        w = is_literal_blocked(g, c)
+        verdict = answers[key] = (w is not None, w)
+    return verdict
 
 
 def _check_rt(g: Formula, c: Clause, cfg: "EliminationConfig", touched=None):
@@ -511,7 +520,13 @@ def classify(
     """Per-clause membership matrix: yes / no / cap for each property.
 
     Every cell is an independent check of the clause against the same
-    formula; rows follow formula order.
+    formula, and equals its own `check_property` answer; rows follow
+    formula order. No cell is filled from another property's verdict.
+    Within a row the checks ask some questions alike, and each is answered
+    once: AT of c and of a lifted resolvent (`at`, `as`, `rat`, `ras`),
+    subsumption of c (`s`, `rs`), c's full literal-blocking check (`bc`,
+    `rt`) and the resolvents upon each literal of c (`rs`, `rat`, `ras`).
+    The answers live in `f.answers` for the row alone.
     """
     props = tuple(properties) if properties is not None else PROPERTIES
     cfgs = {p: EliminationConfig(property=p, k=k, ext_cap=ext_cap) for p in props}
@@ -523,8 +538,14 @@ def classify(
             return "cap"
         return "yes" if ok else "no"
 
-    rows = tuple((c, tuple(cell(c, p) for p in props)) for c in f.clauses)
-    return ClassifyReport(props, rows)
+    rows = []
+    try:
+        for c in f.clauses:
+            f.answers = {}
+            rows.append((c, tuple(cell(c, p) for p in props)))
+    finally:
+        f.answers = None
+    return ClassifyReport(props, tuple(rows))
 
 
 def write_model(a: Assignment) -> str:

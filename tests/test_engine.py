@@ -997,6 +997,88 @@ class TestClassify:
         report = classify(f, properties=("supbc",), ext_cap=1)
         assert dict(report.rows)[clause(1, 3)] == ("cap",)
 
+    def test_every_cell_is_its_single_check(self):
+        # a row answers the questions its cells share once; every cell must
+        # still read as its own check on a fresh copy of the formula
+        rng = random.Random(36)
+        seen = set()
+        for i in range(60):
+            nvars = rng.randint(2, 7)
+            f = random_formula(rng, nvars, rng.randint(1, 14), 4)
+            if i % 3 == 1:
+                v = rng.randint(1, nvars)
+                f.add(random_clause(rng, nvars, rng.randint(1, 3)) | (v, -v))
+            elif i % 3 == 2:
+                f.add(Clause())
+            for k in (None, 1, 2):
+                for c, cells in classify(f, k=k, ext_cap=3).rows:
+                    for p, cell in zip(PROPERTIES, cells):
+                        cfg = EliminationConfig(property=p, k=k, ext_cap=3)
+                        try:
+                            want = "yes" if check_property(f.copy(), c, cfg)[0] else "no"
+                        except CapExceeded:
+                            want = "cap"
+                        assert cell == want, (write_dimacs(f), c, p, k)
+                        seen.add(cell)
+        assert seen == {"yes", "no", "cap"}
+
+    def test_the_answers_live_for_one_row(self, monkeypatch):
+        f = parse_dimacs("p cnf 3 4\n1 0\n-1 2 0\n-2 3 0\n3 -1 0\n")
+        classify(f)
+        assert f.answers is None
+
+        # a cell that raises mid-row leaves no answers behind
+        raw, asked = engine._CHECKS["at"], []
+
+        def at(g, c, cfg, touched=None):
+            assert isinstance(g.answers, dict)
+            asked.append(c)
+            if len(asked) == 3:
+                raise RuntimeError("third clause")
+            return raw(g, c, cfg, touched)
+
+        monkeypatch.setitem(engine._CHECKS, "at", at)
+        with pytest.raises(RuntimeError):
+            classify(f)
+        assert asked == f.clauses[:3] and f.answers is None
+
+        # single checks and elimination never set the slot
+        slots = []
+
+        def recording(check):
+            def wrapped(g, c, cfg, touched=None):
+                slots.append(g.answers)
+                return check(g, c, cfg, touched)
+            return wrapped
+
+        monkeypatch.setitem(engine._CHECKS, "at", raw)
+        for p in PROPERTIES:
+            monkeypatch.setitem(engine._CHECKS, p, recording(engine._CHECKS[p]))
+        for p in PROPERTIES:
+            cfg = EliminationConfig(property=p)
+            for c in f:
+                check_property(f, c, cfg)
+            eliminate_clauses(f, cfg)
+        assert slots and all(s is None for s in slots)
+        monkeypatch.undo()
+
+        # a copy, `add` and `remove` leave the slot None
+        f.answers = {}
+        assert f.copy().answers is None and f.answers == {}
+        f.add(clause(2, 3))
+        assert f.answers is None
+        f.answers = {}
+        f.remove(clause(2, 3))
+        assert f.answers is None
+
+        # answers from before a removal are not read after it: (-1 2) turns
+        # bc, and (-2 3) loses at, once (1) is gone
+        before = classify(f)
+        f.remove(clause(1))
+        after = classify(f)
+        assert dict(after.rows) == dict(classify(parse_dimacs(write_dimacs(f))).rows)
+        assert dict(after.rows) != {c: cells for c, cells in before.rows if c in f}
+
     def test_tsv_shape(self, ex_setblocked):
         f, c = ex_setblocked
         lines = classify(f.with_clause(c), properties=("bc", "setbc")).to_tsv().splitlines()
