@@ -84,10 +84,10 @@ legitimately subsumes it / saturates it to a tautology, and dropping it
 would break the hierarchy (a clause whose closure is blocked could fail the
 lifted tautology check). While `engine.classify` works on a row, the
 resolvents upon each literal of c are built once, as a list kept in the
-formula's `answers` dict, which `rs`, `rat` and `ras` share; so are the
-answers of `_base_s` and `_base_at`, so `as`, `rat` and `ras` saturate
-only what `at` and `rat` did not. Outside a row the resolvents stay a lazy
-generator, which stops at the first one the base refutes.
+formula's `answers` dict, which `rs`, `rat` and `ras` share; so are S of
+c (`s`, `rs`) and the answers of `_base_at`, so `as`, `rat` and `ras`
+saturate only what `at` and `rat` did not. Outside a row the resolvents
+stay a lazy generator, which stops at the first one the base refutes.
 """
 
 from __future__ import annotations
@@ -360,17 +360,17 @@ def _subsumed(f: Formula, c: Clause, within: "set[int] | frozenset[int]", walk: 
     return False
 
 
-# While classify works on a row, `s` and `rs`, and `at`, `as`, `rat` and
-# `ras`, ask some of the same questions about c: the formula's `answers`
-# dict then keeps each answer under its question.
+# While classify works on a row, `s` and `rs` ask S of c, and `at`, `as`,
+# `rat` and `ras` ask AT of c and of its resolvents: the formula's `answers`
+# dict then keeps each such answer under its question.
 def _base_s(f: Formula, c: Clause, x: Clause) -> bool:
     answers = f.answers
-    if answers is None:
+    if answers is None or x is not c:
         return _subsumed(f, c, x, x._canon)
-    key = ("s", c, x)
+    key = ("s", c)
     s = answers.get(key)
     if s is None:
-        s = answers[key] = _subsumed(f, c, x, x._canon)
+        s = answers[key] = _subsumed(f, c, c, c._canon)
     return s
 
 

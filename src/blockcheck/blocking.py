@@ -39,13 +39,11 @@ keeps the sets in the scan's order (see `RestrictionTable`), which is also
 the order `check` and traces write them in; reading a trace back builds
 the same table.
 
-Both deciders read and compile c's environment once per clause and
-formula state: the formula keeps the last one compiled in its `compiled`
-slot (see `_compile`), which it clears on every change, and the compiled
-form does not depend on k (its rule-out bitsets over a lattice are kept
-in it per bound). So every k, and a super-blocking question after a
-set-blocking one on the same clause (classify asks both in a row), share
-one compile.
+Each question reads and compiles c's environment once. The compiled form
+does not depend on k (it keeps the rule-out bitsets of the last bound
+asked), so while `engine.classify` works on a row, the formula's `answers`
+keep it (see `_compile`): the row's set- and super-blocking cells share
+one read and one compile.
 """
 
 from __future__ import annotations
@@ -268,11 +266,9 @@ class _Environment:
     are its `survivors`. Only `finder` and `table` pick the route: the bit
     lattice (`lattice`) or the search (`search`).
 
-    The rest is built on first use and is what a fresh compile would build:
-    the search's clauses (`ends`), the bit lattice of the last bound asked
-    (`kept_lattice`) and the external variables (`ext`). So it is the
-    value a formula keeps in its `compiled` slot, shared by formula copies
-    (see `_compile`), and `holds` rebuilds it.
+    The rest is built on first use: the search's clauses (`ends`), the bit
+    lattice of the last bound asked (`kept_lattice`) and the external
+    variables (`ext`).
     """
 
     __slots__ = ("subject", "env", "every", "lits", "pairs", "ends", "kept_lattice", "ext")
@@ -288,19 +284,6 @@ class _Environment:
         # (bound, `lattice`'s answer for it), for the last bound asked
         self.kept_lattice: "tuple[int, tuple[int, list[int]] | None] | None" = None
         self.ext: "list[int] | None" = None
-
-    def holds(self, f: Formula) -> bool:
-        """Whether a fresh read and compile of the clause's environment in f
-        give the same environment, in order, and the same compiled forms: the
-        search's clauses, the kept lattice and the external variables."""
-        fresh = _Environment(self.subject, resolution_environment(f, self.subject))
-        if self.ends is not None:
-            fresh.clauses()
-        if self.kept_lattice is not None:
-            fresh.lattice(self.kept_lattice[0])
-        if self.ext is not None:
-            fresh.external()
-        return all(getattr(fresh, a) == getattr(self, a) for a in _Environment.__slots__)
 
     def lattice(self, k: "int | None") -> "tuple[int, list[int]] | None":
         """(all candidates, rules): one bit per candidate of at most k
@@ -569,12 +552,16 @@ def _first_fit(ends: "list[list[tuple[int, int, int]]]", low: int, high: int) ->
 
 
 def _compile(f: Formula, c: Clause) -> _Environment:
-    """c's environment in f, compiled, once per clause and formula state: f
-    keeps the last one in its `compiled` slot."""
-    kept = f.compiled
-    if kept is None or kept.subject != c:
-        kept = f.compiled = _Environment(c, resolution_environment(f, c))
-    return kept
+    """c's environment in f, compiled; kept in f's `answers` while they are
+    set, so a classify row compiles it once."""
+    answers = f.answers
+    if answers is None:
+        return _Environment(c, resolution_environment(f, c))
+    key = ("env", c)
+    env = answers.get(key)
+    if env is None:
+        env = answers[key] = _Environment(c, resolution_environment(f, c))
+    return env
 
 
 def is_set_blocked(

@@ -143,17 +143,15 @@ class Formula:
     formula only maintains them. `kept` holds a mutable value that belongs
     to this formula alone, so `copy` leaves it out: `add` sets it to None,
     `remove(D)` replaces it with `kept.removed(self, D)`, and
-    `check_occ_consistent` asks `kept.holds(self)`. `compiled` holds an
-    immutable value that depends on one clause's resolution environment:
-    `copy` shares it, `add` and `remove` set it to None, and
-    `check_occ_consistent` asks `compiled.holds(self)`. `answers` holds a
-    dict only while `engine.classify` works on one row: classify puts a
-    fresh one there before the row's cells and None back after them, also
-    when a cell raises, and the checks answer a question they asked before
-    in that row from it. `copy`, `add` and `remove` leave it None.
+    `check_occ_consistent` asks `kept.holds(self)`. `answers` holds a dict
+    only while `engine.classify` works on one row: classify puts a fresh
+    one there before the row's cells and None back after them, also when a
+    cell raises, and the checks keep in it what several cells of the row
+    ask, answers and compiled environments alike. `copy`, `add` and
+    `remove` leave it None.
     """
 
-    __slots__ = ("_seq", "_occ", "_units", "_next", "kept", "compiled", "answers")
+    __slots__ = ("_seq", "_occ", "_units", "_next", "kept", "answers")
 
     def __init__(self, clauses: Iterable["Clause | Iterable[int]"] = ()):
         seq = dict.fromkeys(map(as_clause, clauses))  # a duplicate keeps its first place
@@ -162,7 +160,6 @@ class Formula:
         self._occ: "dict[int, dict[Clause, int]] | None" = None
         self._units: "dict[Clause, int] | None" = None
         self.kept = None
-        self.compiled = None
         self.answers = None
 
     def _index(self) -> dict[int, dict[Clause, int]]:
@@ -195,7 +192,7 @@ class Formula:
         if self._occ is not None:
             self._put(((c, n),))
         self._next = n + 1
-        self.kept = self.compiled = self.answers = None
+        self.kept = self.answers = None
         return True
 
     def remove(self, clause: "Clause | Iterable[int]") -> None:
@@ -209,7 +206,7 @@ class Formula:
                 if not bucket:
                     del occ[l]
             self._units.pop(clause, None)
-        self.compiled = self.answers = None
+        self.answers = None
         kept, self.kept = self.kept, None  # a commit cut short leaves the slot empty
         if kept is not None:
             self.kept = kept.removed(self, clause)
@@ -282,7 +279,6 @@ class Formula:
         out._seq = dict(self._seq)
         out._next = self._next
         out.kept = out.answers = None
-        out.compiled = self.compiled
         occ = self._occ
         out._occ = None if occ is None else {l: dict(bucket) for l, bucket in occ.items()}
         out._units = None if occ is None else dict(self._units)
@@ -304,8 +300,7 @@ class Formula:
 
         Also checks that ids rise in formula order and that the next id
         exceeds every stored one, so a later `add` keeps buckets sorted, and
-        that the kept and compiled values, if any, hold for the formula
-        (`kept.holds`, `compiled.holds`).
+        that the kept value, if any, holds for the formula (`kept.holds`).
         """
         want: dict[int, list[tuple[Clause, int]]] = {}
         for c, seq in self._seq.items():
@@ -315,9 +310,7 @@ class Formula:
         units = [(c, seq) for c, seq in self._seq.items() if len(c) == 1]
         ids = list(self._seq.values())
         rising = all(a < b for a, b in zip(ids, ids[1:] + [self._next]))
-        fresh = (self.kept is None or self.kept.holds(self)) and (
-            self.compiled is None or self.compiled.holds(self)
-        )
+        fresh = self.kept is None or self.kept.holds(self)
         return want == have and units == list(self._units.items()) and rising and fresh
 
 

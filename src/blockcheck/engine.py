@@ -525,8 +525,9 @@ def classify(
     Within a row the checks ask some questions alike, and each is answered
     once: AT of c and of a lifted resolvent (`at`, `as`, `rat`, `ras`),
     subsumption of c (`s`, `rs`), c's full literal-blocking check (`bc`,
-    `rt`) and the resolvents upon each literal of c (`rs`, `rat`, `ras`).
-    The answers live in `f.answers` for the row alone.
+    `rt`), the resolvents upon each literal of c (`rs`, `rat`, `ras`) and
+    c's compiled resolution environment (`setbc`, `supbc`). The answers
+    live in `f.answers` for the row alone.
     """
     props = tuple(properties) if properties is not None else PROPERTIES
     cfgs = {p: EliminationConfig(property=p, k=k, ext_cap=ext_cap) for p in props}

@@ -6,9 +6,9 @@ exits with. Every module uses each name it imports, and every library
 function or class has a caller in the library, a mention in the README or
 a place on the list of kept references. Lines are split by one rule,
 only `cli.run` touches the garbage collector, the unit closures kept on
-a formula stay between `cnf` and `asymmetric`, the compiled
-environment kept on a formula stays between `cnf` and `blocking`, and
-only that environment picks the bit lattice or the search."""
+a formula stay between `cnf` and `asymmetric`, only `engine.classify`
+opens a row store on a formula, and only the compiled environment picks
+the bit lattice or the search."""
 
 import ast
 import importlib
@@ -240,13 +240,59 @@ def test_the_kept_unit_closures_stay_between_cnf_and_asymmetric():
     assert kept_uses(text) == [9, 10]
 
 
-def test_the_kept_compile_stays_between_cnf_and_blocking():
-    # cnf maintains the `compiled` slot without knowing what it holds, and
-    # blocking alone fills and reads it
+def answers_stores(text):
+    """(enclosing function, value) per assignment to an `.answers`
+    attribute in a module's code; the value is "{}", "None" or "other"."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            value = node.value
+            plain = isinstance(node, ast.Assign)
+            for target in node.targets if plain else [node.target]:
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Attribute) and t.attr == "answers":
+                        kind = "other"
+                        if plain and t is target:
+                            if isinstance(value, ast.Dict) and not value.keys:
+                                kind = "{}"
+                            elif isinstance(value, ast.Constant) and value.value is None:
+                                kind = "None"
+                        out.append((where, kind))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(text), None)
+    return out
+
+
+def test_only_classify_opens_a_row_store():
+    # a formula's `answers` hold one classify row's shared answers: classify
+    # alone puts a fresh dict there, cnf only clears the slot, and the
+    # checks only read and fill it
     for path in sorted(SRC.glob("*.py")):
-        uses = kept_uses(path.read_text(encoding="utf-8"), "compiled")
-        assert bool(uses) == (path.name in ("cnf.py", "blocking.py")), path.name
-    assert kept_uses("def f(g):\n    g.compiled = g._compiled\n", "compiled") == [2]
+        stores = answers_stores(path.read_text(encoding="utf-8"))
+        if path.name == "engine.py":
+            assert sorted(stores) == [("classify", "None"), ("classify", "{}")]
+        elif path.name == "cnf.py":
+            assert stores and {kind for _, kind in stores} == {"None"}
+        else:
+            assert stores == [], path.name
+    # the check itself: chained, augmented and unpacking stores are found,
+    # in or out of a function, and a read, a comment or a string is not
+    text = (
+        "class F:\n    def __init__(self):\n        self.answers = None\n"
+        "def classify(f):\n    f.answers = {}\n    f.kept = f.answers = None\n"
+        "def g(f):\n    f.answers |= {1: 2}\n    f.answers, x = {}, 1\n"
+        "    y = f.answers  # f.answers = {}\n    f.answers = dict()\n"
+        "answers = 'f.answers = {}'\n"
+    )
+    assert answers_stores(text) == [
+        ("__init__", "None"), ("classify", "{}"), ("classify", "None"),
+        ("g", "other"), ("g", "other"), ("g", "other"),
+    ]
 
 
 def route_uses(text):

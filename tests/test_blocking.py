@@ -28,7 +28,7 @@ from blockcheck.blocking import (
     set_blocks,
 )
 from blockcheck.cnf import assignment_at, external_variables, resolution_environment, restrict
-from blockcheck.engine import EliminationTrace, TraceEntry, classify
+from blockcheck.engine import PROPERTIES, EliminationTrace, TraceEntry, classify
 from blockcheck.gen import random_clause, random_formula, random_instance, random_qbf
 from blockcheck.oracle import is_satisfiable
 from blockcheck.reductions import (
@@ -605,9 +605,9 @@ class TestBitsetEdges:
             with monkeypatch.context() as m:
                 if search:
                     searching(m)
-                inst.formula.compiled = None
                 table = check_super_blocked(inst.formula, inst.clause, 1).witness.per_tau
-                assert (inst.formula.compiled.kept_lattice[1] is None) == search
+                env = _Environment(inst.clause, resolution_environment(inst.formula, inst.clause))
+                assert (env.lattice(1) is None) == search
                 distinct = set(table.sets)
                 assert len(distinct) < len(table) == 8
                 assert len(set(map(id, table.sets))) == len(distinct), search
@@ -663,9 +663,8 @@ class TestBitsetEdges:
         inst = unsat_to_1superblocking(formula((1, 2), (1, -2), (-1, 3), (-1, -3)))
         cases = [(inst.formula, inst.clause, 1), (*at_not_setblocked, None)]
         for f, c, k in cases:
-            f.compiled = None
             res = check_super_blocked(f, c, k)
-            assert f.compiled.kept_lattice[1] is None
+            assert _Environment(c, resolution_environment(f, c)).lattice(k) is None
             if res.witness is None:
                 assert is_set_blocked(restrict(f, res.failing_tau), c, k) is None
             else:
@@ -732,10 +731,10 @@ def ask_both(f, c, k=None):
 
 class TestOneCompilePerQuestion:
     def test_every_outcome_reads_and_compiles_once(self, compiles, monkeypatch):
-        # once per clause and formula state: every k, and a super-blocking
-        # question after a set-blocking one, share one read and compile; a
-        # copy shares it too, and after `add` or `remove` the next question
-        # compiles again. These lattices are all bit lattices; with every
+        # in a row store (classify sets one per row; here the test does),
+        # every k, and a super-blocking question after a set-blocking one,
+        # share one read and compile; outside a row each question reads and
+        # compiles once. These lattices are all bit lattices; with every
         # lattice searched, the same holds.
         for search in (False, True):
             with monkeypatch.context() as m:
@@ -745,6 +744,7 @@ class TestOneCompilePerQuestion:
                 walked = 0  # refutations past the first assignment
                 for f, c in differential_cases():
                     seen = compiles()
+                    f.answers = {}
                     for k in (None, 1, 2):
                         is_set_blocked(f, c, k)
                         try:
@@ -758,29 +758,41 @@ class TestOneCompilePerQuestion:
                                 walked += 1
                         outcomes[kind] += 1
                         assert (seen["read"], seen["compiled"]) == (1, 1), (f, c, k, kind)
-                    g = f.copy()
-                    ask_both(g, c)
-                    assert (seen["read"], seen["compiled"]) == (1, 1), (f, c)
-                    g.add(Clause((-10, 11)))
-                    ask_both(g, c, 1)
-                    ask_both(g, c, 2)
-                    assert (seen["read"], seen["compiled"]) == (2, 2), (f, c)
-                    g.remove(Clause((-10, 11)))
-                    ask_both(g, c)
+                    f.answers = None
+                    asked = 1 + bool(c)  # per `ask_both`; the empty clause searches no set
                     ask_both(f, c)
-                    assert (seen["read"], seen["compiled"]) == (3, 3), (f, c)
+                    ask_both(f, c, 1)
+                    assert (seen["read"], seen["compiled"]) == (1 + 2 * asked,) * 2, (f, c)
                 assert min(outcomes.values()) >= 30 and walked >= 30, (outcomes, walked)
+
+    def test_a_classify_row_compiles_its_clause_once(self, compiles, monkeypatch):
+        # a row's setbc and supbc cells share one read and compile, in
+        # either order, with every property asked and on both routes
+        for search in (False, True):
+            with monkeypatch.context() as m:
+                if search:
+                    searching(m)
+                for i, (f, c) in enumerate(differential_cases()):
+                    if i % 4:
+                        continue
+                    f.add(c)
+                    for props, k in ((("setbc", "supbc"), None), (("supbc", "setbc"), 1),
+                                     (PROPERTIES, 2)):
+                        seen = compiles()
+                        classify(f, props, k=k, ext_cap=3)
+                        assert (seen["read"], seen["compiled"]) == (len(f), len(f)), (f, props)
 
     def test_a_failed_set_search_past_the_lattice_allocates_little(self):
         # an unsatisfiable source: no set blocks the 13-literal gadget
         # clause, so all 8,191 candidates, past the bit lattices, count; the
-        # search that rules them out builds no per-candidate bitset
+        # whole question (read, compile and search) builds no per-candidate bitset
         source = formula((1, 2), (1, -2), (-1, 2), (-1, -2), (3, 4), (5, 6))
         inst = sat_to_setblocking(source)
         f, c = inst.formula, inst.clause
         stats = {}
-        assert is_set_blocked(f, c, None, stats) is None  # compiles
-        assert stats == {"candidates": 8191} and f.compiled.kept_lattice == (13, None)
+        assert is_set_blocked(f, c, None, stats) is None  # indexes f
+        assert stats == {"candidates": 8191}
+        assert _Environment(c, resolution_environment(f, c)).lattice(None) is None
         tracemalloc.start()
         try:
             assert is_set_blocked(f, c) is None
@@ -789,66 +801,14 @@ class TestOneCompilePerQuestion:
             tracemalloc.stop()
         assert peak < 64 * 1024, peak
 
-    def test_a_copy_shares_the_compile_and_a_change_drops_it(self):
-        f = formula((-1, 2), (-2, 1), (-1, 3))
-        c = clause(1, 2)
-        assert f.compiled is None
-        is_set_blocked(f, c)
-        assert f.compiled.subject == c and f.check_occ_consistent()
-        assert f.copy().compiled is f.compiled
-        for change in (lambda g: g.add((-2, 4)), lambda g: g.remove(clause(-1, 3))):
-            g = f.copy()
-            change(g)
-            assert g.compiled is None and f.compiled is not None
-        g = f.copy()
-        assert not g.add((-1, 2))  # a clause already there changes nothing
-        assert g.compiled is f.compiled
-
-    def test_consistency_check_sees_a_stale_compile(self):
-        f = formula((-1, 2), (-2, 1), (-1, 3))
-        c = clause(1, 2)
-        is_set_blocked(f, c)
-        # the compile kept for f, left on a changed formula as if `add` or
-        # `remove` had not dropped it
-        for g in (f.with_clause((-2, 4)), f.without(clause(-1, 3))):
-            assert g.check_occ_consistent()
-            g.compiled = f.compiled
-            assert not g.check_occ_consistent()
-
-    def test_consistency_check_sees_a_corrupted_compile(self, monkeypatch):
+    def test_the_search_clauses_of_a_small_environment(self):
         f = formula((-1, 2), (-2, 1), (-1, 3), (-2, -1, 4))
         c = clause(1, 2)
-        for search in (False, True):
-            with monkeypatch.context() as m:
-                if search:  # a lattice past `_BIT_LATTICE`: the search's clauses are kept
-                    searching(m)
-                f.compiled = None
-                check_super_blocked(f, c)
-                kept = f.compiled
-                assert kept.subject == c and f.check_occ_consistent()
-                corrupt = [("subject", clause(1, 3)),  # compiled for another clause
-                           ("env", kept.env[::-1]),  # the environment out of formula order
-                           ("lits", kept.lits[::-1]), ("pairs", [(0, 1)])]
-                if search:
-                    assert kept.kept_lattice == (2, None)
-                    # per position, (bit, N | P, N) of the clauses ending there
-                    assert kept.ends == [[(0b100, 0b01, 0b01)],
-                                         [(0b1, 0b11, 0b01), (0b10, 0b11, 0b10), (0b1000, 0b11, 0b11)]]
-                    corrupt += [("ends", [kept.ends[0], kept.ends[1][1:]]),
-                                ("ends", [kept.ends[0], [(0b1, 0b01, 0b01)] + kept.ends[1][1:]]),
-                                ("ends", kept.ends[::-1])]
-                else:
-                    assert kept.ends is None
-                    full, rules = kept.kept_lattice[1]
-                    corrupt += [("kept_lattice", (2, (full, [r ^ 1 for r in rules]))),
-                                ("kept_lattice", (2, (full >> 1, rules)))]
-                for name, value in corrupt:
-                    bad = _Environment(c, kept.env)
-                    setattr(bad, name, value)
-                    f.compiled = bad
-                    assert not f.check_occ_consistent(), (name, search)
-                f.compiled = kept
-                assert f.check_occ_consistent()
+        # per position, (bit, N | P, N) of the clauses ending there
+        assert _Environment(c, resolution_environment(f, c)).clauses() == [
+            [(0b100, 0b01, 0b01)],
+            [(0b1, 0b11, 0b01), (0b10, 0b11, 0b10), (0b1000, 0b11, 0b11)],
+        ]
 
     def test_sampling_reads_and_compiles_once(self, compiles, ex_setblocked,
                                               ex_full_blocking, at_not_setblocked):
@@ -946,18 +906,14 @@ def decide_everything(f, c, k):
     rows (cap 4), the failing assignment of five samples past a cap of 0,
     and, with at most four external variables, the set `reconstruct`
     recomputes for a compact entry under each of their assignments."""
-    f.compiled = None
     stats = {}
     found = is_set_blocked(f, c, k, stats)
-    f.compiled = None
     try:
         res = check_super_blocked(f, c, k, ext_cap=4)
         table = res.witness and res.witness.per_tau and table_rows(res.witness.per_tau)
     except CapExceeded as exc:
         res, table = exc.count, None
-    f.compiled = None
     sampled = sampled_tau(f, c, random.Random(len(f)), 5, k)
-    f.compiled = None
     ext = sorted(external_variables(f, c))
     under = None
     if len(ext) <= 4:
@@ -1108,7 +1064,6 @@ class TestBitLattice:
             inst = forall_exists_to_superblocking(
                 QbfInstance(frozenset(range(1, nx + 1)), frozenset({7, 8, 9}), matrix))
             path = write_cnf(tmp_path / ("q%d.cnf" % i), inst.formula)
-            assert inst.formula.compiled is None
             assert _Environment(inst.clause, resolution_environment(inst.formula, inst.clause)
                                 ).lattice(None) is not None
             argv = ["check", str(path), "--property", "supbc", "--clause", inst.clause.dimacs(),
@@ -1122,26 +1077,18 @@ class TestBitLattice:
             answers.add(out.split()[0])
         assert {"NOT-BLOCKED", "UNKNOWN"} <= answers, answers
 
-    def test_consistency_check_recomputes_the_kept_lattice(self):
+    def test_the_bound_picks_the_route_of_a_wide_clause(self):
         # a 13-literal gadget clause: 377 and 91 candidates for k = 3 and 2,
         # and 8,191, past the bit lattices, with k unbounded
         inst = sat_to_setblocking(formula((1, 2), (-1, 3), (2, -3), (4, 5), (-5, 6)))
         f, c = inst.formula, inst.clause
         assert len(c) == 13
+        env = _Environment(c, resolution_environment(f, c))
         for k in (3, 2):
-            is_set_blocked(f, c, k)
-            kept = f.compiled
-            assert kept.kept_lattice[0] == k and kept.ends is None
-            assert f.check_occ_consistent()
-            full, rules = kept.kept_lattice[1]
-            for bad in ((full >> 1, rules), (full, [r ^ 1 for r in rules])):
-                kept.kept_lattice = k, bad
-                assert not f.check_occ_consistent(), k
-            kept.kept_lattice = k, (full, rules)
-            assert f.check_occ_consistent()
-        is_set_blocked(f, c)
-        assert f.compiled.kept_lattice == (13, None) and f.compiled.ends is not None
-        assert f.check_occ_consistent()
+            full, rules = env.lattice(k)
+            assert full.bit_length() == count_candidate_sets(13, k) and len(rules) == len(env.env)
+            assert env.kept_lattice[0] == k and env.ends is None
+        assert env.lattice(None) is None and env.kept_lattice == (13, None)
 
     @pytest.mark.parametrize("matrix, prop, answer", COMMAND_CASES)
     def test_bit_route_commands_leave_no_cyclic_garbage(self, tmp_path, capsys,
@@ -1167,8 +1114,8 @@ class TestBitLattice:
     @pytest.mark.parametrize("matrix, prop, answer", COMMAND_CASES)
     def test_search_route_commands_leave_no_cyclic_garbage(self, tmp_path, capsys, monkeypatch,
                                                            matrix, prop, answer):
-        # the search's finder holds the compiled environment, which the
-        # formula keeps: kept on the environment, it would form a cycle
+        # the search's finder holds the compiled environment: kept on the
+        # environment, it would form a cycle
         searching(monkeypatch)
         self.test_bit_route_commands_leave_no_cyclic_garbage(tmp_path, capsys,
                                                              matrix, prop, answer)
@@ -1274,7 +1221,7 @@ class TestSearch:
         tau = check_super_blocked(f, c).failing_tau
         assert tau is not None and is_set_blocked(restrict(f, tau), c) is None
         assert blocking_set_under(f, c, tau.value) is None
-        assert f.compiled.kept_lattice == (34, None)
+        assert _Environment(c, resolution_environment(f, c)).lattice(None) is None
         # where the first source clause is false its selector, c's first
         # literal, is ruled out by nothing
         first = source.clauses[0]

@@ -1079,6 +1079,26 @@ class TestClassify:
         assert dict(after.rows) == dict(classify(parse_dimacs(write_dimacs(f))).rows)
         assert dict(after.rows) != {c: cells for c, cells in before.rows if c in f}
 
+    def test_a_row_keeps_no_subsumption_answer_about_a_resolvent(self, monkeypatch):
+        # only `s` and `rs`'s base check share a subsumption question, S of
+        # c; what `rs` asks about a resolvent is answered and not kept
+        stores = []
+        raw = engine._CHECKS["rs"]
+
+        def rs(g, c, cfg, touched=None):
+            verdict = raw(g, c, cfg, touched)
+            stores.append((c, g.answers))
+            return verdict
+
+        monkeypatch.setitem(engine._CHECKS, "rs", rs)
+        f = random_formula(random.Random(37), 5, 20, 3)
+        classify(f, ("s", "rs"))
+        resolvents = 0
+        for c, answers in stores:
+            assert [key for key in answers if key[0] == "s"] == [("s", c)]
+            resolvents += sum(len(r) for key, r in answers.items() if key[0] == "r")
+        assert len(stores) == len(f) and resolvents >= 20, resolvents
+
     def test_tsv_shape(self, ex_setblocked):
         f, c = ex_setblocked
         lines = classify(f.with_clause(c), properties=("bc", "setbc")).to_tsv().splitlines()
