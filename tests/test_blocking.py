@@ -576,6 +576,21 @@ class TestBitsetEdges:
         assert_lattice_transposes(env, None)
         assert is_set_blocked(f, c).blocking_set == clause(1)
 
+    def test_a_variable_only_a_tautology_carries_stays_external(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # 3 occurs only in (-1 3 -3), which rules out nothing; it is still
+        # external to c, so the table has a row per assignment to 3 and 4
+        path = write_cnf(tmp_path / "f.cnf", formula((-1, 3, -3), (-1, 4), (-2, -4)))
+        argv = ["check", str(path), "--property", "supbc", "--clause", "1 2 0"]
+        want = ("BLOCKED witness-per-tau 4\ntau -3 -4 0 set 2 0\ntau -3 4 0 set 1 0\n"
+                "tau 3 -4 0 set 2 0\ntau 3 4 0 set 1 0\n")
+        for search in (False, True):
+            with monkeypatch.context() as m:
+                if search:
+                    searching(m)
+                assert cli.run(argv) == 0
+                assert capsys.readouterr().out == want, search
+
     def test_clauses_with_equal_shared_and_complemented_sets_both_count(self):
         # both have P = {} and N = {1}; {1} blocks only once both are gone
         f = formula((-1, 3), (-1, 4))
