@@ -11,9 +11,13 @@ clause's own literal order), so witnesses are deterministic and a failed
 search counts exactly `count_candidate_sets` candidates.
 
 Both properties are local: they are decided on one compiled form of c's
-resolution environment, `_Environment`. A clause D of it rules out exactly
-the candidates L that hold every literal of c whose complement D contains
-and no literal D shares with c. Restrictions only ever remove environment
+resolution environment, `_Environment`. A tautology in it rules out
+nothing, so it is set aside there once; any other clause D of it rules out
+exactly the candidates L that hold every literal of c whose complement D
+contains and no literal D shares with c, and for a tautological c only
+those L that also split every complementary pair of c. A tautological c
+is answered before either route: its first blocking set is among its
+first three candidates. Restrictions only ever remove environment
 clauses (satisfied ones), so every question the deciders ask is one
 question on it: the first candidate that no live clause rules out, with
 every clause live for set-blocking in f, and the survivors of an
@@ -39,11 +43,11 @@ keeps the sets in the scan's order (see `RestrictionTable`), which is also
 the order `check` and traces write them in; reading a trace back builds
 the same table.
 
-Each question reads and compiles c's environment once. The compiled form
-does not depend on k (it keeps the rule-out bitsets of the last bound
-asked), so while `engine.classify` works on a row, the formula's `answers`
-keep it (see `_compile`): the row's set- and super-blocking cells share
-one read and one compile.
+Each question reads and compiles c's environment once, for its bound k:
+the compiled form fixes k, the route and, on the bit route, the rule-out
+bitsets. A `classify` row asks one k, so while `engine.classify` works on
+it, the formula's `answers` keep the compiled form (see `_compile`): the
+row's set- and super-blocking cells share one read and one compile.
 """
 
 from __future__ import annotations
@@ -241,120 +245,91 @@ def _candidate_bits(n: int, bound: int) -> "tuple[int, tuple[int, ...]]":
 
 
 class _Environment:
-    """c's resolution environment compiled for its rule-out test, and the one
-    object that answers every set- and super-blocking question about c.
+    """One compiled question: c, its resolution environment and a bound k,
+    and the one object that answers every set- and super-blocking question
+    about c under k.
 
-    Bit i stands for environment clause i. A non-tautological clause D with
-    shared literals P and complemented literals N (positions of c's
-    canonical literals) rules out exactly the candidates L with N <= L and
-    P disjoint from L; tautological D rules out nothing. So a candidate
-    blocks c in a subset of the environment when it satisfies the CNF over
-    the positions that has, per live such D, the clause "leave out some
-    position of N or take some position of P" (`clauses`).
+    Bit i stands for clause i of `env`, the environment's non-tautological
+    clauses: a tautology rules out nothing. Such a clause D with shared
+    literals P and complemented literals N (positions of c's canonical
+    literals) rules out exactly the candidates L with N <= L and P disjoint
+    from L. So a candidate blocks c in a subset of the environment when it
+    satisfies the CNF over the positions that has, per live D, the clause
+    "leave out some position of N or take some position of P" (`clauses`).
+    For a tautological c that rule is exact on the candidates that split
+    every complementary pair, and `tautological` answers the rest.
 
-    A tautological c keeps its complementary pairs as position pairs in
-    `pairs`. A candidate that takes both or neither literal of a pair
-    leaves (c \\ L) | complements(L) a tautology, so nothing rules it out;
-    for one that takes exactly one literal of every pair the rule above is
-    exact.
-
-    It also keeps c as `subject`, the environment as `env`, the list bit i
-    counts in, and `every`, the bitset of all of it. Every question is the
+    It keeps c's literals as `lits`, the bitset of all of `env` as `every`,
+    and, from the whole environment, the external variables `ext`: a
+    variable only a tautology carries is one too. Every question is the
     first candidate that no clause of a live subset rules out (`finder`).
     A restriction table finds its rows' live clauses on one depth-first
     scan over the external variables (`table`); a single restriction's
-    are its `survivors`. Only `finder` and `table` pick the route: the bit
-    lattice (`lattice`) or the search (`search`).
-
-    The rest is built on first use: the search's clauses (`ends`), the bit
-    lattice of the last bound asked (`kept_lattice`) and the external
-    variables (`ext`).
+    are its `survivors`. The route is picked once, here: the bit lattice
+    (`lattice`), or None past it, where `search` answers. The search's
+    clauses (`ends`) are built on first use.
     """
 
-    __slots__ = ("subject", "env", "every", "lits", "pairs", "ends", "kept_lattice", "ext")
+    __slots__ = ("env", "every", "lits", "pairs", "bound", "count", "lattice", "ends", "ext")
 
-    def __init__(self, c: Clause, env: "list[Clause]"):
-        self.subject = c
-        self.env = env
+    def __init__(self, c: Clause, env: "list[Clause]", k: "int | None"):
+        self.ext = sorted(set(map(abs, frozenset().union(*env))) - c.variables())
+        self.env = env = [d for d in env if not d._taut]
         self.every = (1 << len(env)) - 1
         self.lits = lits = c.literals
         where = {x: q for q, x in enumerate(lits)}
         self.pairs = [(q, where[-x]) for q, x in enumerate(lits) if x > 0 and -x in where]
+        n = len(lits)
+        self.bound = bound = n if k is None else min(k, n)
+        self.count = count = (1 << n) - 1 if bound == n else count_candidate_sets(n, bound)
         self.ends: "list[list[tuple[int, int, int]]] | None" = None
-        # (bound, `lattice`'s answer for it), for the last bound asked
-        self.kept_lattice: "tuple[int, tuple[int, list[int]] | None] | None" = None
-        self.ext: "list[int] | None" = None
-
-    def lattice(self, k: "int | None") -> "tuple[int, list[int]] | None":
-        """(all candidates, rules): one bit per candidate of at most k
-        literals, in `candidate_sets` order, and per environment clause the
-        candidates it rules out. None when there are more than
-        `_BIT_LATTICE` candidates or the rules would pass `_LATTICE_BITS`:
-        `search` answers those.
-
-        A clause holding literal m rules out only candidates that hold the
-        position of -m in c and lack that of m; for a tautological c, also
-        only those that split every pair.
-        """
-        n = len(self.lits)
-        bound = n if k is None else min(k, n)
-        kept = self.kept_lattice
-        if kept is not None and kept[0] == bound:
-            return kept[1]
-        count = (1 << n) - 1 if bound == n else count_candidate_sets(n, bound)
-        if count > _BIT_LATTICE or len(self.env) * count > _LATTICE_BITS:
-            self.kept_lattice = bound, None
-            return None
-        full, holds = _candidate_bits(n, bound)
-        masks: "dict[int, int]" = {}
-        for q, x in enumerate(self.lits):
-            masks[-x] = masks.get(-x, full) & holds[q]
-            masks[x] = masks.get(x, full) & ~holds[q]
-        split = full
-        for a, b in self.pairs:
-            split &= holds[a] ^ holds[b]
-        rules = []
-        for d in self.env:
-            ruled = 0
-            if not d._taut:  # a tautology rules out nothing
-                ruled = split
+        # (all candidates, rules): one bit per candidate, in `candidate_sets`
+        # order, and per clause of `env` the candidates it rules out; None
+        # past `_BIT_LATTICE` candidates or `_LATTICE_BITS` rule bits. A
+        # clause holding literal m rules out only candidates that hold the
+        # position of -m in c and lack that of m.
+        self.lattice: "tuple[int, list[int]] | None" = None
+        if count <= _BIT_LATTICE and len(env) * count <= _LATTICE_BITS:
+            full, holds = _candidate_bits(n, bound)
+            masks: "dict[int, int]" = {}
+            for q, x in enumerate(lits):
+                masks[-x] = masks.get(-x, full) & holds[q]
+                masks[x] = masks.get(x, full) & ~holds[q]
+            rules = []
+            for d in env:
+                ruled = full
                 for m in d._canon:
                     mask = masks.get(m)
                     if mask is not None:
                         ruled &= mask
-            rules.append(ruled)
-        self.kept_lattice = bound, (full, rules)
-        return full, rules
-
-    def external(self) -> "list[int]":
-        """The external variables, sorted: those of the environment outside c."""
-        if self.ext is None:
-            seen = frozenset().union(*self.env)
-            self.ext = sorted(set(map(abs, seen)) - self.subject.variables())
-        return self.ext
+                rules.append(ruled)
+            self.lattice = full, rules
 
     def survivors(self, m: int) -> int:
         """The environment clauses that assignment m to the external
         variables (`cnf.assignment_index`) leaves: those with no literal it
         makes true. Only the sampler and `blocking_set_under` ask; `table`
         finds its rows' live clauses on its own scan."""
-        true = {v if m >> b & 1 else -v for b, v in enumerate(reversed(self.external()))}
+        true = {v if m >> b & 1 else -v for b, v in enumerate(reversed(self.ext))}
         # the Clause is the receiver: a set argument keeps isdisjoint in C
         return sum(1 << i for i, d in enumerate(self.env) if d.isdisjoint(true))
 
-    def finder(self, k: "int | None") -> "Callable[[int], int]":
+    def finder(self) -> "Callable[[int], int]":
         """`first(alive)`: the index in `candidate_sets` order of the first
-        candidate of at most k literals that no clause in `alive` (a bitset
-        over `env`) rules out, or -1 when every candidate is ruled out.
+        candidate that no clause in `alive` (a bitset over `env`) rules out,
+        or -1 when every candidate is ruled out.
 
-        On a bit lattice that is the lowest candidate no live clause's rule
-        covers; past it, `search` answers, once per live set: the rows of a
-        restriction table often share theirs.
+        A tautological c with three or more candidates is answered on
+        neither route (`tautological`). On a bit lattice the answer is the
+        lowest candidate no live clause's rule covers; past it, `search`
+        answers, once per live set: the rows of a restriction table often
+        share theirs.
         """
-        lattice = self.lattice(k)
-        if lattice is None:
-            return cache(lambda alive: self.search(alive, k))
-        full, rules = lattice
+        if self.pairs and self.count > 2:
+            return self.tautological
+        if self.lattice is None:
+            return cache(self.search)
+        full, rules = self.lattice
 
         def first(alive: int) -> int:
             live = rules
@@ -364,45 +339,51 @@ class _Environment:
 
         return first
 
+    def tautological(self, alive: int) -> int:
+        """What `finder()(alive)` answers for a tautological c, unless it is
+        (-v v) under k = 1, whose two candidates each split the pair.
+
+        A candidate that keeps some complementary pair of c whole (takes
+        both or neither of its literals) leaves (c \\ L) | complements(L) a
+        tautology, so nothing rules it out; for one that splits every pair
+        the plain rule is exact. {c0} splits every pair only when c has one
+        pair and c0 is in it, and likewise {c1}; so the answer is the first
+        of them that keeps a pair whole or that no live clause rules out (a
+        clause rules out {cq} when its N is q alone), or else candidate 2,
+        which keeps the pair whole: {c2}, or both literals of (-v v)."""
+        for q in (0, 1):
+            if any(q not in pair for pair in self.pairs) or not any(
+                    need == 1 << q and bit & alive for at in self.clauses() for bit, _, need in at):
+                return q
+        return 2
+
     def clauses(self) -> "list[list[tuple[int, int, int]]]":
         """The search's CNF: per position q of c, (bit, seen, need) for each
-        non-tautological environment clause D whose last position is q, with
-        `need` D's N and `seen` N | P as position masks. D rules out L when
-        L & seen == need (N is never empty: D holds a complement of c's)."""
+        clause D of `env` whose last position is q, with `need` D's N and
+        `seen` N | P as position masks. D rules out L when L & seen == need
+        (N is never empty: D holds a complement of c's)."""
         if self.ends is None:
             where = {x: q for q, x in enumerate(self.lits)}
             self.ends = [[] for _ in self.lits]
             for i, d in enumerate(self.env):
-                if d._taut:  # a tautology rules out nothing
-                    continue
                 need = sum(1 << where[-m] for m in d._canon if -m in where)
                 seen = need | sum(1 << where[m] for m in d._canon if m in where)
                 self.ends[seen.bit_length() - 1].append((1 << i, seen, need))
         return self.ends
 
-    def search(self, alive: int, k: "int | None") -> int:
-        """What `finder(k)(alive)` answers, by backtracking over c's positions:
-        one search with no size bound says whether any candidate is free, and
-        if one is, a search per size from 1 up finds the first of its size.
-        For a tautological c, a candidate that takes both or neither literal
-        of a pair is free, and one is among the first three (three singletons,
-        or c's two literals and then both): those are tested alone."""
+    def search(self, alive: int) -> int:
+        """What `finder()(alive)` answers past the bit lattice, by
+        backtracking over c's positions: one search with no size bound says
+        whether any candidate is free, and if one is, a search per size from
+        1 up finds the first of its size."""
         n = len(self.lits)
-        bound = n if k is None else min(k, n)
         ends = self.clauses()
         if alive != self.every:
             ends = [[r for r in at if r[0] & alive] for at in ends]
-        if self.pairs:
-            for i in range(min(3, count_candidate_sets(n, bound))):
-                chosen = sum(1 << q for q in _positions(n, i))
-                if any((chosen >> a ^ chosen >> b) & 1 == 0 for a, b in self.pairs) or not any(
-                        chosen & seen == need for at in ends for _, seen, need in at):
-                    return i
-            return -1
         if _first_fit(ends, 1, n) is None:
             return -1
         upto = 0  # the candidates of at most `size` literals
-        for size in range(1, bound + 1):
+        for size in range(1, self.bound + 1):
             upto += comb(n, size)
             chosen = _first_fit(ends, size, size)
             if chosen is not None:
@@ -412,7 +393,7 @@ class _Environment:
                 return upto - 1 - sum(comb(n - 1 - q, size - i) for i, q in enumerate(picked))
         return -1
 
-    def table(self, k: "int | None", first: "Callable[[int], int]") -> "list[Clause]":
+    def table(self, first: "Callable[[int], int]") -> "list[Clause]":
         """The set blocking c under each assignment to the external variables,
         in index order, up to the first assignment without one: all 2^|ext|
         when there is none. Rows with the same set share one `Clause`.
@@ -425,18 +406,16 @@ class _Environment:
         takes the lowest candidate that OR lacks; when the OR covers every
         candidate, all the node's leaves fail, and the first of them, its
         all-false completion, is the next index. Past the lattice a clause's
-        rule is its own bit (a tautology's is 0: it rules out nothing), so a
-        leaf's OR is its live set, which `first`, this bound's `finder`,
-        answers, and no subtree is cut short.
+        rule is its own bit, so a leaf's OR is its live set, which `first`,
+        this question's `finder`, answers, and no subtree is cut short.
         """
-        lattice = self.lattice(k)
-        if lattice is None:
+        if self.lattice is None:
             full = -1  # no OR is -1
-            rules = [0 if d._taut else 1 << i for i, d in enumerate(self.env)]
+            rules = [1 << i for i in range(len(self.env))]
             leaf = lambda _, alive: first(alive)
         else:
-            (full, rules), leaf = lattice, self.first_free
-        ext = self.external()
+            (full, rules), leaf = self.lattice, self.first_free
+        ext = self.ext
         n = len(ext)
         # per external literal: its variable's depth, the variable's bit in
         # an index, and that bit's value where the literal is false
@@ -551,16 +530,17 @@ def _first_fit(ends: "list[list[tuple[int, int, int]]]", low: int, high: int) ->
     return None
 
 
-def _compile(f: Formula, c: Clause) -> _Environment:
-    """c's environment in f, compiled; kept in f's `answers` while they are
-    set, so a classify row compiles it once."""
+def _compile(f: Formula, c: Clause, k: "int | None") -> _Environment:
+    """c's environment in f, compiled for the bound k; kept in f's `answers`
+    while they are set, so a classify row, which asks one k, compiles it
+    once."""
     answers = f.answers
     if answers is None:
-        return _Environment(c, resolution_environment(f, c))
-    key = ("env", c)
+        return _Environment(c, resolution_environment(f, c), k)
+    key = ("env", c, k)
     env = answers.get(key)
     if env is None:
-        env = answers[key] = _Environment(c, resolution_environment(f, c))
+        env = answers[key] = _Environment(c, resolution_environment(f, c), k)
     return env
 
 
@@ -579,14 +559,12 @@ def is_set_blocked(
     """
     check_bounds(k)
     c = as_clause(c)
-    n = len(c)
-    if n == 0:
+    if not c:
         return None
-    env = _compile(f, c)
-    i = env.finder(k)(env.every)
+    env = _compile(f, c, k)
+    i = env.finder()(env.every)
     if stats is not None:
-        tested = i + 1 if i >= 0 else count_candidate_sets(n, n if k is None else min(k, n))
-        stats["candidates"] = stats.get("candidates", 0) + tested
+        stats["candidates"] = stats.get("candidates", 0) + (i + 1 if i >= 0 else env.count)
     if i < 0:
         return None
     return BlockingWitness(kind="set", blocking_set=env.clause_at(i))
@@ -624,13 +602,13 @@ def check_super_blocked(
     set refutes, and when none refutes the cap error stands.
     """
     check_bounds(k, ext_cap)
-    env = _compile(f, as_clause(c))
-    first = env.finder(k)
+    env = _compile(f, as_clause(c), k)
+    first = env.finder()
     found = env.clause_at(first(env.every))
     if found is not None:
         return SuperBlockingResult(BlockingWitness(kind="set", blocking_set=found), None)
 
-    ext = env.external()
+    ext = env.ext
     n = len(ext)
     if n > ext_cap:
         if sample is not None:
@@ -646,7 +624,7 @@ def check_super_blocked(
         )
 
     # The sets come in the table's own order, up to the first failing index.
-    sets = env.table(k, first)
+    sets = env.table(first)
     if len(sets) < 1 << n:
         return SuperBlockingResult(None, assignment_at(ext, len(sets)))
     per_tau = RestrictionTable(ext, sets)
@@ -665,6 +643,6 @@ def blocking_set_under(
     assignment `value` gives `external_variables(f, c)`, read off c's
     compiled environment instead of a restricted copy of f.
     """
-    env = _compile(f, as_clause(c))
-    alive = env.survivors(assignment_index(env.external(), value))
-    return env.clause_at(env.finder(None)(alive))
+    env = _compile(f, as_clause(c), None)
+    alive = env.survivors(assignment_index(env.ext, value))
+    return env.clause_at(env.finder()(alive))

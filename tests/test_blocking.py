@@ -546,22 +546,28 @@ def rule_out_sets(c, env, k=None):
     return sets
 
 
-def assert_lattice_transposes(env, k):
-    """The bit lattice's rules are the rule-out sets, transposed: bit j of
-    clause i's rule is bit i of candidate j's set."""
-    full, rules = env.lattice(k)
-    sets = rule_out_sets(env.subject, env.env, k)
+def assert_lattice_transposes(env, c):
+    """The bit lattice's rules are the rule-out sets over the environment's
+    non-tautological clauses, transposed: bit j of clause i's rule is bit i
+    of candidate j's set, on each candidate that splits every complementary
+    pair of c (all of them for a non-tautological c). `tautological`
+    answers the rest."""
+    full, rules = env.lattice
+    sets = rule_out_sets(c, env.env, env.bound)
+    pairs = [x for x in c if x > 0 and -x in c]
+    splits = sum(1 << j for j, s in enumerate(candidate_sets(c, env.bound))
+                 if all((x in s) != (-x in s) for x in pairs))
     assert full.bit_length() == len(sets)
-    assert rules == [sum(((r >> i) & 1) << j for j, r in enumerate(sets))
-                     for i in range(len(env.env))], (env.env, env.subject, k)
+    assert [r & splits for r in rules] == [sum(((r >> i) & 1) << j for j, r in enumerate(sets))
+                                           for i in range(len(env.env))], (env.env, c, env.bound)
 
 
 def first_sets(f, c, indexes):
     """The first set blocking c under each of the assignments to the
     external variables with the given indexes, read off c's compiled
     environment in f."""
-    env = _Environment(c, resolution_environment(f, c))
-    first = env.finder(None)
+    env = _Environment(c, resolution_environment(f, c), None)
+    first = env.finder()
     return [env.clause_at(first(env.survivors(m))) for m in indexes]
 
 
@@ -570,10 +576,11 @@ class TestBitsetEdges:
         # read as a plain clause, (-1 3 -3) would rule out {1} and {1, 2}
         f = formula((-1, 3, -3), (-2, 1))
         c = clause(1, 2)
-        env = _Environment(c, resolution_environment(f, c))
-        ruled = dict(zip(candidate_sets(c), rule_out_sets(c, env.env)))
+        env = _Environment(c, resolution_environment(f, c), None)
+        ruled = dict(zip(candidate_sets(c), rule_out_sets(c, resolution_environment(f, c))))
         assert ruled == {clause(1): 0, clause(2): 0b10, clause(1, 2): 0}
-        assert_lattice_transposes(env, None)
+        assert env.env == [clause(-2, 1)]
+        assert_lattice_transposes(env, c)
         assert is_set_blocked(f, c).blocking_set == clause(1)
 
     def test_a_variable_only_a_tautology_carries_stays_external(self, tmp_path, capsys,
@@ -602,9 +609,9 @@ class TestBitsetEdges:
     def test_clause_ruling_out_only_the_pair(self):
         d = clause(-1, -2, 3)
         c = clause(1, 2)
-        env = _Environment(c, [d])
+        env = _Environment(c, [d], None)
         assert rule_out_sets(c, env.env) == [0, 0, 1]
-        assert_lattice_transposes(env, None)
+        assert_lattice_transposes(env, c)
         f = formula(d, (-1, 2), (-2, 1))
         assert is_set_blocked(Formula([d]), c).blocking_set == clause(1)
         assert is_set_blocked(f, c) is None
@@ -621,21 +628,23 @@ class TestBitsetEdges:
                 if search:
                     searching(m)
                 table = check_super_blocked(inst.formula, inst.clause, 1).witness.per_tau
-                env = _Environment(inst.clause, resolution_environment(inst.formula, inst.clause))
-                assert (env.lattice(1) is None) == search
+                env = _Environment(inst.clause,
+                                   resolution_environment(inst.formula, inst.clause), 1)
+                assert (env.lattice is None) == search
                 distinct = set(table.sets)
                 assert len(distinct) < len(table) == 8
                 assert len(set(map(id, table.sets))) == len(distinct), search
 
     def test_assignment_satisfying_every_environment_clause(self, at_not_setblocked):
         f, c = at_not_setblocked
-        env = _Environment(c, resolution_environment(f, c))
+        env = _Environment(c, resolution_environment(f, c), None)
         assert env.survivors(1) == 0 and env.survivors(0) == env.every == 0b111
         assert first_sets(f, c, (1, 0)) == [clause(1), None]
 
     def test_survivors_are_the_clauses_an_assignment_leaves(self):
-        # clause i survives m exactly when assignment_at(external(), m)
-        # makes none of its literals true
+        # clause i of the non-tautological ones survives m exactly when
+        # assignment_at(ext, m) makes none of its literals true; the
+        # external variables are those of every environment clause
         rng = random.Random(20170333)
         seen = dict.fromkeys(("ext=6", "taut", "taut-on-ext", "no-ext", "dead", "live"), 0)
         for _ in range(300):
@@ -650,11 +659,14 @@ class TestBitsetEdges:
                     v = rng.randint(1, 3 + nx)
                     lits |= {v, -v}
                 env.append(Clause(lits))
-            compiled = _Environment(c, resolution_environment(Formula(env + [c]), c))
-            ext = compiled.external()
+            f = Formula(env + [c])
+            compiled = _Environment(c, resolution_environment(f, c), None)
+            ext = compiled.ext
+            assert ext == sorted(external_variables(f, c))
+            assert compiled.env == [d for d in resolution_environment(f, c) if not d.is_tautology()]
             assert len(ext) <= 6
             seen["ext=6"] += len(ext) == 6
-            for d in compiled.env:
+            for d in resolution_environment(f, c):
                 outside = [x for x in d if abs(x) in ext]
                 seen["taut"] += d.is_tautology()
                 seen["taut-on-ext"] += any(-x in d for x in outside)
@@ -679,7 +691,7 @@ class TestBitsetEdges:
         cases = [(inst.formula, inst.clause, 1), (*at_not_setblocked, None)]
         for f, c, k in cases:
             res = check_super_blocked(f, c, k)
-            assert _Environment(c, resolution_environment(f, c)).lattice(k) is None
+            assert _Environment(c, resolution_environment(f, c), k).lattice is None
             if res.witness is None:
                 assert is_set_blocked(restrict(f, res.failing_tau), c, k) is None
             else:
@@ -694,9 +706,9 @@ class TestBitsetEdges:
         # {-1, 1} keep or flip both literals of it, so nothing rules them out
         f = formula((1, 3), (-1, 4))
         c = clause(-1, 1, 2)
-        env = _Environment(c, resolution_environment(f, c))
+        env = _Environment(c, resolution_environment(f, c), None)
         ruled = dict(zip(candidate_sets(c), rule_out_sets(c, env.env)))
-        assert_lattice_transposes(env, None)
+        assert_lattice_transposes(env, c)
         assert ruled == {
             clause(-1): 0b01, clause(1): 0b10, clause(2): 0,
             clause(-1, 1): 0, clause(-1, 2): 0b01, clause(1, 2): 0b10,
@@ -721,9 +733,9 @@ def compiles(monkeypatch):
     class Counting(_Environment):
         __slots__ = ()
 
-        def __init__(self, c, env):
+        def __init__(self, c, env, k):
             seen["compiled"] += 1
-            super().__init__(c, env)
+            super().__init__(c, env, k)
 
     monkeypatch.setattr(blocking, "resolution_environment", counting_read)
     monkeypatch.setattr(blocking, "_Environment", Counting)
@@ -746,10 +758,10 @@ def ask_both(f, c, k=None):
 
 class TestOneCompilePerQuestion:
     def test_every_outcome_reads_and_compiles_once(self, compiles, monkeypatch):
-        # in a row store (classify sets one per row; here the test does),
-        # every k, and a super-blocking question after a set-blocking one,
-        # share one read and compile; outside a row each question reads and
-        # compiles once. These lattices are all bit lattices; with every
+        # in a row store (classify sets one per row; here the test does), a
+        # super-blocking question after a set-blocking one shares one read
+        # and compile per k; outside a row each question reads and compiles
+        # once. These lattices are all bit lattices; with every
         # lattice searched, the same holds.
         for search in (False, True):
             with monkeypatch.context() as m:
@@ -760,7 +772,7 @@ class TestOneCompilePerQuestion:
                 for f, c in differential_cases():
                     seen = compiles()
                     f.answers = {}
-                    for k in (None, 1, 2):
+                    for j, k in enumerate((None, 1, 2)):
                         is_set_blocked(f, c, k)
                         try:
                             res = check_super_blocked(f, c, k, ext_cap=3)
@@ -772,12 +784,12 @@ class TestOneCompilePerQuestion:
                             if kind == "refuted" and any(v for _, v in res.failing_tau.items()):
                                 walked += 1
                         outcomes[kind] += 1
-                        assert (seen["read"], seen["compiled"]) == (1, 1), (f, c, k, kind)
+                        assert (seen["read"], seen["compiled"]) == (j + 1,) * 2, (f, c, k, kind)
                     f.answers = None
                     asked = 1 + bool(c)  # per `ask_both`; the empty clause searches no set
                     ask_both(f, c)
                     ask_both(f, c, 1)
-                    assert (seen["read"], seen["compiled"]) == (1 + 2 * asked,) * 2, (f, c)
+                    assert (seen["read"], seen["compiled"]) == (3 + 2 * asked,) * 2, (f, c)
                 assert min(outcomes.values()) >= 30 and walked >= 30, (outcomes, walked)
 
     def test_a_classify_row_compiles_its_clause_once(self, compiles, monkeypatch):
@@ -807,7 +819,7 @@ class TestOneCompilePerQuestion:
         stats = {}
         assert is_set_blocked(f, c, None, stats) is None  # indexes f
         assert stats == {"candidates": 8191}
-        assert _Environment(c, resolution_environment(f, c)).lattice(None) is None
+        assert _Environment(c, resolution_environment(f, c), None).lattice is None
         tracemalloc.start()
         try:
             assert is_set_blocked(f, c) is None
@@ -820,7 +832,7 @@ class TestOneCompilePerQuestion:
         f = formula((-1, 2), (-2, 1), (-1, 3), (-2, -1, 4))
         c = clause(1, 2)
         # per position, (bit, N | P, N) of the clauses ending there
-        assert _Environment(c, resolution_environment(f, c)).clauses() == [
+        assert _Environment(c, resolution_environment(f, c), None).clauses() == [
             [(0b100, 0b01, 0b01)],
             [(0b1, 0b11, 0b01), (0b10, 0b11, 0b10), (0b1000, 0b11, 0b11)],
         ]
@@ -964,7 +976,7 @@ class TestBitLattice:
                 cands = list(candidate_sets(c, bound))
                 # the environment takes a lattice of at most 2^11 candidates
                 # on the bit route
-                lattice = _Environment(c, []).lattice(bound)
+                lattice = _Environment(c, [], bound).lattice
                 if len(cands) > 1 << 11:
                     assert lattice is None, (n, bound)
                     continue
@@ -976,10 +988,10 @@ class TestBitLattice:
         # one literal per candidate, and the largest lattices that fit
         assert blocking._candidate_bits(70, 1) == ((1 << 70) - 1, tuple(1 << q for q in range(70)))
         assert blocking._candidate_bits(2048, 1)[0] == (1 << 2048) - 1
-        assert _Environment(Clause(range(1, 2049)), []).lattice(1) is not None
-        assert _Environment(Clause(range(1, 2050)), []).lattice(1) is None
+        assert _Environment(Clause(range(1, 2049)), [], 1).lattice is not None
+        assert _Environment(Clause(range(1, 2050)), [], 1).lattice is None
         assert blocking._candidate_bits(11, 11)[0] == (1 << 2047) - 1
-        assert _Environment(Clause(range(1, 13)), []).lattice(12) is None
+        assert _Environment(Clause(range(1, 13)), [], 12).lattice is None
         # the smallest lattices: one candidate, and the empty clause's none
         assert blocking._candidate_bits(1, 1) == (1, (1,))
         assert blocking._candidate_bits(0, 0) == (0, ())
@@ -1001,9 +1013,9 @@ class TestBitLattice:
         c = Clause(range(1, 12))
         for extra, bits in ((511, True), (512, False)):
             f = formula((-1, 20), *((-2, 21 + i) for i in range(extra)))
-            env = _Environment(c, resolution_environment(f, c))
-            assert (env.lattice(None) is not None) == bits, extra
-            assert env.kept_lattice[0] == 11
+            env = _Environment(c, resolution_environment(f, c), None)
+            assert (env.lattice is not None) == bits, extra
+            assert env.bound == 11
             stats = {}
             assert is_set_blocked(f, c, None, stats).blocking_set == clause(3)
             assert stats == {"candidates": 3}
@@ -1013,9 +1025,9 @@ class TestBitLattice:
         # every candidate holding 1, and (-2 9) rules out those holding 2
         c = Clause(range(1, 8))
         f = formula((-1, 8, -8), (-2, 9))
-        env = _Environment(c, resolution_environment(f, c))
-        full, rules = env.lattice(None)
-        assert full.bit_length() == 127 and rules[0] == 0
+        env = _Environment(c, resolution_environment(f, c), None)
+        full, rules = env.lattice
+        assert full.bit_length() == 127 and env.env == [clause(-2, 9)]
         stats = {}
         assert is_set_blocked(f, c, None, stats).blocking_set == clause(1)
         assert stats == {"candidates": 1}
@@ -1039,11 +1051,10 @@ class TestBitLattice:
                 elif outside:
                     reached.add("several-ext")
             for k in (None, 1, 2, 3):
-                env = _Environment(c, resolution_environment(f, c))
-                lattice = env.lattice(k)
-                if lattice is None:
+                env = _Environment(c, resolution_environment(f, c), k)
+                if env.lattice is None:
                     continue
-                assert_lattice_transposes(env, k)
+                assert_lattice_transposes(env, c)
                 got = decide_everything(f, c, k)
                 with monkeypatch.context() as m:
                     searching(m)
@@ -1079,8 +1090,8 @@ class TestBitLattice:
             inst = forall_exists_to_superblocking(
                 QbfInstance(frozenset(range(1, nx + 1)), frozenset({7, 8, 9}), matrix))
             path = write_cnf(tmp_path / ("q%d.cnf" % i), inst.formula)
-            assert _Environment(inst.clause, resolution_environment(inst.formula, inst.clause)
-                                ).lattice(None) is not None
+            assert _Environment(inst.clause, resolution_environment(inst.formula, inst.clause),
+                                None).lattice is not None
             argv = ["check", str(path), "--property", "supbc", "--clause", inst.clause.dimacs(),
                     "--ext-cap", "1", "--incomplete", "6", "--seed", str(i)]
             code = cli.run(argv)
@@ -1098,12 +1109,13 @@ class TestBitLattice:
         inst = sat_to_setblocking(formula((1, 2), (-1, 3), (2, -3), (4, 5), (-5, 6)))
         f, c = inst.formula, inst.clause
         assert len(c) == 13
-        env = _Environment(c, resolution_environment(f, c))
         for k in (3, 2):
-            full, rules = env.lattice(k)
+            env = _Environment(c, resolution_environment(f, c), k)
+            full, rules = env.lattice
             assert full.bit_length() == count_candidate_sets(13, k) and len(rules) == len(env.env)
-            assert env.kept_lattice[0] == k and env.ends is None
-        assert env.lattice(None) is None and env.kept_lattice == (13, None)
+            assert env.bound == k and env.ends is None
+        env = _Environment(c, resolution_environment(f, c), None)
+        assert env.lattice is None and env.bound == 13
 
     @pytest.mark.parametrize("matrix, prop, answer", COMMAND_CASES)
     def test_bit_route_commands_leave_no_cyclic_garbage(self, tmp_path, capsys,
@@ -1174,20 +1186,25 @@ class TestSearch:
         rng = random.Random(1703)
         seen = dict.fromkeys(("found", "none", "taut-c", "taut-env", "subset", "gadget"), 0)
         for env, c in search_cases():
-            compiled = _Environment(c, env)
+            # bit i of `alive` is env[i]; the compiled bitset keeps the
+            # bits of the non-tautological clauses
+            kept = [i for i, d in enumerate(env) if not d.is_tautology()]
+            every = (1 << len(env)) - 1
             for k in (None, 1, 2, 3):
-                for alive in (compiled.every, rng.getrandbits(len(env))):
+                compiled = _Environment(c, env, k)
+                for alive in (every, rng.getrandbits(len(env))):
                     live = Formula(d for i, d in enumerate(env) if alive >> i & 1)
                     cands = candidate_sets(c, k)
                     want = next((i for i, s in enumerate(cands) if set_blocks(live, c, s)), -1)
-                    got = compiled.search(alive, k)
+                    bits = sum(1 << j for j, i in enumerate(kept) if alive >> i & 1)
+                    got = (compiled.finder() if c.is_tautology() else compiled.search)(bits)
                     assert got == want, (env, c, k, alive)
                     if got >= 0:
                         assert compiled.clause_at(got) == list(candidate_sets(c, k))[got]
                     seen["found" if got >= 0 else "none"] += 1
                     seen["taut-c"] += c.is_tautology()
                     seen["taut-env"] += any(d.is_tautology() for d in live)
-                    seen["subset"] += alive != compiled.every
+                    seen["subset"] += alive != every
                     seen["gadget"] += len(c) >= 13
         assert sum(seen[key] for key in ("found", "none")) >= 3000, seen
         assert min(seen.values()) >= 60 and seen["taut-c"] >= 100 and seen["taut-env"] >= 100, seen
@@ -1236,7 +1253,7 @@ class TestSearch:
         tau = check_super_blocked(f, c).failing_tau
         assert tau is not None and is_set_blocked(restrict(f, tau), c) is None
         assert blocking_set_under(f, c, tau.value) is None
-        assert _Environment(c, resolution_environment(f, c)).lattice(None) is None
+        assert _Environment(c, resolution_environment(f, c), None).lattice is None
         # where the first source clause is false its selector, c's first
         # literal, is ruled out by nothing
         first = source.clauses[0]
