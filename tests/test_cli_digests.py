@@ -14,9 +14,6 @@ random formulas with tautologies added, and one `sat2setbc` gadget whose
 """
 
 import hashlib
-import importlib
-import sys
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -27,7 +24,7 @@ from blockcheck.gen import random_clause, random_formula
 from blockcheck.oracle import first_model
 from blockcheck.reductions import sat_to_setblocking
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from test_bench_digests import bench  # noqa: F401 (the fixture; it imports perfbench read-only)
 
 # input -> output digest
 DIGESTS = {
@@ -37,23 +34,6 @@ DIGESTS = {
     "random": "2aa2349c407c496a",
     "sat2setbc": "31a395d7449fe14f",
 }
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    # imported read-only, as test_bench_digests.py imports bench.py
-    before = set(sys.modules)
-    quiet = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        yield importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        sys.dont_write_bytecode = quiet
-        for name in set(sys.modules) - before:
-            if name == "workloads":
-                del sys.modules[name]
 
 
 def random_inputs():
@@ -139,10 +119,9 @@ def write(path, f):
     return path
 
 
-def input_paths(name, work, workloads):
+def input_paths(name, work, bench):
     if name.startswith("classify-mixed"):
-        seed = int(name[-1])
-        (classify,), _ = workloads.setup_classify(seed, work)
+        (classify,), _ = bench.SETUPS["classify-mixed"](int(name[-1]), work)
         return [classify.path]
     if name == "random":
         return [write(work / ("r%d.cnf" % i), f) for i, f in enumerate(random_inputs())]
@@ -151,10 +130,10 @@ def input_paths(name, work, workloads):
 
 @pytest.mark.parametrize("route", ["bits", "search"])
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_output_digest(workloads, tmp_path, monkeypatch, name, route):
+def test_output_digest(bench, tmp_path, monkeypatch, name, route):
     if route == "search":
         monkeypatch.setattr(blocking, "_BIT_LATTICE", 0)
-    assert digest(input_paths(name, tmp_path, workloads), tmp_path) == DIGESTS[name]
+    assert digest(input_paths(name, tmp_path, bench), tmp_path) == DIGESTS[name]
 
 
 def test_the_inputs_reach_what_they_are_for():
